@@ -3,8 +3,8 @@
 Exit codes are the machine contract: 0 when the checked property holds (or
 plain output succeeded), 1 when a counterexample or property failure was
 found (the report goes to standard output as JSON), 2 for input or usage
-errors.  JSON output is deterministic: sorted keys, pretty-printed unless
---compact is given.
+errors, input nested too deeply to process included.  JSON output is
+deterministic: sorted keys, pretty-printed unless --compact is given.
 """
 
 from __future__ import annotations
@@ -371,6 +371,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except LatModalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        print(f"error: RecursionError: input nested too deeply ({exc})", file=sys.stderr)
         return 2
 
 

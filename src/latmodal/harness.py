@@ -28,6 +28,7 @@ from typing import Iterator
 
 from .constructions import boolean_algebra, antichain_k5, twist
 from .enumeration import (
+    MAX_UPSET_SIZE,
     enumerate_complementations,
     enumerate_lattices,
     enumerate_upsets,
@@ -60,6 +61,10 @@ THEOREM_IDS = (
     "k_material",
     "twist_k",
 )
+
+# The restricted twist of the k-atom Boolean algebra has 3^k elements; this
+# is the largest k whose carrier the upset enumeration admits.
+_MAX_TWIST_ATOMS = max(k for k in range(1, MAX_UPSET_SIZE) if 3**k <= MAX_UPSET_SIZE)
 
 _PROOF_SCALE = {
     "regularity": 2,
@@ -433,7 +438,8 @@ def verify_theorem(
     unsafe_bounds: bool = False,
 ) -> TheoremReport:
     """Run one characterization check; for twist_k the size bound is the
-    maximum number of atoms of the Boolean base."""
+    maximum number of atoms of the Boolean base, clamped to the largest
+    count whose carrier the upset enumeration admits (2)."""
     if theorem == "regularity":
         return _verify_regularity(size_bound, world_bound, unsafe_bounds)
     if theorem == "eq1_implicative":
@@ -445,7 +451,7 @@ def verify_theorem(
     if theorem == "k_material":
         return _verify_k_material(size_bound, world_bound, unsafe_bounds)
     if theorem == "twist_k":
-        return _verify_twist_k(min(size_bound, 3), world_bound, unsafe_bounds)
+        return _verify_twist_k(min(size_bound, _MAX_TWIST_ATOMS), world_bound, unsafe_bounds)
     raise ValueError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
 
 

@@ -13,19 +13,24 @@ formula.  ``frame_valid`` quantifies over every valuation of the formula's
 variables on a frame; it evaluates all valuations at once on numpy arrays
 but reports the counterexample that comes first in canonical enumeration
 order (worlds in listed order, variables sorted, elements in index order,
-last slot fastest) and re-certifies it with ``evaluate``.
+last slot fastest) and re-certifies it with ``evaluate``.  It compiles the
+formula once into a post-order list of unique subformulas with integer node
+ids, and builds the lattice tables once; that plan is kept for the next call
+while the matrix and formula objects stay the same, as they do across the
+frames of one search.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import BoundTooLarge, InvalidInput, MissingOperation, UnboundVariable
-from .formula import And, Formula, Imp, Not, Or, Var, render, variables
+from .formula import And, Box, Formula, Imp, Not, Or, Var, render
 from .lattice import ImplicationTable, Lattice, Matrix
 
 MAX_LATTICE_SIZE = 12
@@ -63,8 +68,15 @@ class Frame:
             rel.add((index[a], index[b]))
         return cls(worlds, frozenset(rel))
 
+    @functools.cached_property
+    def _successor_table(self) -> dict[int, tuple[int, ...]]:
+        table: dict[int, list[int]] = {}
+        for i, j in sorted(self.rel):
+            table.setdefault(i, []).append(j)
+        return {i: tuple(js) for i, js in table.items()}
+
     def successors(self, w: int) -> tuple[int, ...]:
-        return tuple(sorted(j for i, j in self.rel if i == w))
+        return self._successor_table.get(w, ())
 
     def rel_name_pairs(self) -> list[list[str]]:
         return [[self.worlds[i], self.worlds[j]] for i, j in sorted(self.rel)]
@@ -234,6 +246,115 @@ def _guard_valuation_space(n: int, n_worlds: int, n_vars: int, unsafe: bool) -> 
         )
 
 
+_VAR, _NOT, _AND, _OR, _IMP, _BOX = range(6)
+_KIND = {Var: _VAR, Not: _NOT, And: _AND, Or: _OR, Imp: _IMP, Box: _BOX}
+
+
+def _compile(f: Formula) -> list[tuple]:
+    """The unique subformulas of f in post order, root last, as nodes
+    (kind, a, b): a and b are the node ids of the children, or a is the
+    name of a variable.  Walks f iteratively."""
+    nodes: list[tuple] = []
+    node_id: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id of a subformula object -> its node id
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in done:
+            stack.pop()
+            continue
+        if isinstance(g, Var):
+            node = (_VAR, g.name, None)
+        else:
+            children = (g.child,) if isinstance(g, (Not, Box)) else (g.left, g.right)
+            pending = [c for c in children if id(c) not in done]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            ids = [done[id(c)] for c in children]
+            node = (_KIND[type(g)], ids[0], ids[1] if len(ids) == 2 else None)
+        stack.pop()
+        if node not in node_id:
+            node_id[node] = len(nodes)
+            nodes.append(node)
+        done[id(g)] = node_id[node]
+    return nodes
+
+
+class _Plan:
+    """What ``frame_valid`` needs of one (matrix, formula, variable domain),
+    built once: the compiled formula, the lattice tables and, per world
+    count, the valuation-space layout.  The box mode is read per call."""
+
+    def __init__(self, matrix: Matrix, f: Formula, domain: tuple[str, ...] | None):
+        self.matrix, self.formula, self.domain = matrix, f, domain
+        self.nodes = _compile(f)
+        names = sorted({a for kind, a, _ in self.nodes if kind == _VAR})
+        if domain is not None:
+            if not set(names) <= set(domain):
+                raise InvalidInput("var_domain must cover the variables of the formula")
+            names = list(domain)
+        self.names = names
+        lat = matrix.lattice
+        n = self.n = lat.n
+        # wide enough for the flat table index a * n + b, so that binary
+        # connectives need no wider temporaries
+        self.dtype = dtype = next(
+            t for t in (np.int8, np.int16, np.int32) if n * n <= np.iinfo(t).max + 1
+        )
+        self.scale = dtype(n)
+        self.meet_flat = np.array(lat.meet_table, dtype=dtype).ravel()
+        self.join_flat = np.array(lat.join_table, dtype=dtype).ravel()
+        self.neg_arr = np.array(lat.neg, dtype=dtype) if lat.neg is not None else None
+        self.imp_flat = (
+            np.array(lat.imp.table, dtype=dtype).ravel() if lat.imp is not None else None
+        )
+        self.designated = np.zeros(n, dtype=bool)
+        self.designated[sorted(matrix.designated)] = True
+        self._layouts: dict[int, tuple] = {}
+
+    def layout(self, n_worlds: int) -> tuple:
+        """Valuation slots, the array of each variable at each world, the
+        all-top array and the strides of the full valuation space.  Each
+        (world, variable) slot is one array axis."""
+        cached = self._layouts.get(n_worlds)
+        if cached is not None:
+            return cached
+        n = self.n
+        slots = [(w, x) for w in range(n_worlds) for x in self.names]
+        ndim = len(slots)
+        var_arrays = {}
+        for k, slot in enumerate(slots):
+            shape = [1] * ndim
+            shape[k] = n
+            var_arrays[slot] = np.arange(n, dtype=self.dtype).reshape(shape)
+        top_arr = np.full((1,) * ndim, self.matrix.lattice.top, dtype=self.dtype)
+        strides = [n ** (ndim - 1 - k) for k in range(ndim)]
+        layout = self._layouts[n_worlds] = (slots, var_arrays, top_arr, strides)
+        return layout
+
+
+_last_plan: _Plan | None = None
+
+
+def _plan_for(matrix: Matrix, f: Formula, var_domain: Iterable[str] | None) -> _Plan:
+    """The plan of the previous call if it was for the same matrix and
+    formula objects and the same domain, else a new one, which replaces it.
+    The plan holds its matrix and formula, so an object compared by
+    identity here cannot be a new one at a reused address."""
+    global _last_plan
+    domain = None if var_domain is None else tuple(sorted(set(var_domain)))
+    plan = _last_plan
+    if (
+        plan is None
+        or plan.matrix is not matrix
+        or plan.formula is not f
+        or plan.domain != domain
+    ):
+        plan = _last_plan = _Plan(matrix, f, domain)
+    return plan
+
+
 def frame_valid(
     matrix: Matrix,
     frame: Frame,
@@ -250,67 +371,53 @@ def frame_valid(
     array axis, and the value of a subformula at a world spans only the axes
     it actually depends on, so the arrays stay small on sparse frames.
     """
-    lat = matrix.lattice
-    names = sorted(variables(f))
-    if var_domain is not None:
-        domain = sorted(set(var_domain))
-        if not set(names) <= set(domain):
-            raise InvalidInput("var_domain must cover the variables of the formula")
-        names = domain
-    n = lat.n
+    plan = _plan_for(matrix, f, var_domain)
+    n, scale = plan.n, plan.scale
     n_worlds = len(frame.worlds)
-    _guard_valuation_space(n, n_worlds, len(names), unsafe_bounds)
+    _guard_valuation_space(n, n_worlds, len(plan.names), unsafe_bounds)
 
-    slots = [(w, x) for w in range(n_worlds) for x in names]
-    axis_of = {slot: k for k, slot in enumerate(slots)}
-    ndim = len(slots)
-    dtype = np.int8 if n * n <= 127 else np.int16
-
-    meet_flat = np.array(lat.meet_table, dtype=dtype).ravel()
-    join_flat = np.array(lat.join_table, dtype=dtype).ravel()
-    neg_arr = np.array(lat.neg, dtype=dtype) if lat.neg is not None else None
-    imp_flat = np.array(lat.imp.table, dtype=dtype).ravel() if lat.imp is not None else None
-    designated = np.zeros(n, dtype=bool)
-    designated[sorted(matrix.designated)] = True
+    slots, var_arrays, top_arr, strides = plan.layout(n_worlds)
+    nodes = plan.nodes
+    meet_flat, join_flat = plan.meet_flat, plan.join_flat
+    neg_arr, imp_flat = plan.neg_arr, plan.imp_flat
+    local = mode is BoxMode.LOCAL
     successors = [frame.successors(w) for w in range(n_worlds)]
-    top_arr = np.full((1,) * ndim, lat.top, dtype=dtype)
+    n_nodes = len(nodes)
+    cache: list[np.ndarray | None] = [None] * (n_worlds * n_nodes)
 
-    cache: dict[tuple[int, Formula], np.ndarray] = {}
-
-    def val(w: int, g: Formula) -> np.ndarray:
-        key = (w, g)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(g, Var):
-            shape = [1] * ndim
-            shape[axis_of[(w, g.name)]] = n
-            out = np.arange(n, dtype=dtype).reshape(shape)
-        elif isinstance(g, Not):
+    def val(w: int, i: int) -> np.ndarray:
+        key = w * n_nodes + i
+        out = cache[key]
+        if out is not None:
+            return out
+        kind, a, b = nodes[i]
+        if kind == _VAR:
+            out = var_arrays[(w, a)]
+        elif kind == _NOT:
             if neg_arr is None:
                 raise MissingOperation("neg")
-            out = neg_arr[val(w, g.child)]
-        elif isinstance(g, And):
-            out = meet_flat.take(val(w, g.left).astype(np.int32) * n + val(w, g.right))
-        elif isinstance(g, Or):
-            out = join_flat.take(val(w, g.left).astype(np.int32) * n + val(w, g.right))
-        elif isinstance(g, Imp):
+            out = neg_arr[val(w, a)]
+        elif kind == _AND:
+            out = meet_flat.take(val(w, a) * scale + val(w, b))
+        elif kind == _OR:
+            out = join_flat.take(val(w, a) * scale + val(w, b))
+        elif kind == _IMP:
             if imp_flat is None:
                 raise MissingOperation("imp")
-            out = imp_flat.take(val(w, g.left).astype(np.int32) * n + val(w, g.right))
-        elif mode is BoxMode.LOCAL:
-            out = val(w, g.child)
+            out = imp_flat.take(val(w, a) * scale + val(w, b))
+        elif local:
+            out = val(w, a)
         else:
             out = top_arr
             for w2 in successors[w]:
-                out = meet_flat.take(out.astype(np.int32) * n + val(w2, g.child))
+                out = meet_flat.take(out * scale + val(w2, a))
         cache[key] = out
         return out
 
-    strides = [n ** (ndim - 1 - k) for k in range(ndim)]
+    root = n_nodes - 1
     best: tuple[int, int] | None = None
     for w in range(n_worlds):
-        fails = ~designated[val(w, f)]
+        fails = ~plan.designated[val(w, root)]
         if not fails.any():
             continue
         first = int(np.argmax(fails.ravel()))
@@ -325,10 +432,9 @@ def frame_valid(
     assignment = {}
     for k, slot in enumerate(slots):
         assignment[slot] = (flat_full // strides[k]) % n
-    model = KripkeModel(frame, lat, assignment)
+    model = KripkeModel(frame, matrix.lattice, assignment)
     for w in range(n_worlds):
         value = evaluate(model, w, f, mode)
         if value not in matrix.designated:
             return CounterexampleReport(matrix, model, f, w, value, mode)
     raise AssertionError("vectorized scan found a failure the evaluator cannot reproduce")
-

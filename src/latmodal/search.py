@@ -4,14 +4,20 @@ canonical defect-witness model constructions.
 Frames are enumerated up to graph isomorphism by keeping only the
 lexicographically minimal relation bitmask under world permutations, in
 ascending world count and ascending mask, so every search is reproducible
-without seeds.
+without seeds.  The filter runs in numpy: each world permutation relabels a
+whole block of masks at once by per-bit shifts, and a mask survives only if
+no relabelling is smaller.  The surviving masks of each world count
+are computed once per process and cached; the ``Frame`` objects are not.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from .errors import BoundTooLarge, MissingOperation, WitnessNotApplicable
 from .formula import Box, Formula, Var, parse
@@ -62,6 +68,39 @@ def canonical_frame_key(n_worlds: int, rel: frozenset[tuple[int, int]]) -> int:
     return _frame_mask_key(mask, n_worlds, perms)
 
 
+# Relation masks are scanned in blocks of this many, so that no array of the
+# canonical filter grows with the 2^(n*n) masks of n worlds.
+_MASK_BLOCK = 1 << 16
+
+
+@functools.cache
+def _canonical_masks(n_worlds: int) -> np.ndarray:
+    """Ascending relation masks on n worlds that no world permutation makes
+    smaller: one per isomorphism class."""
+    n = n_worlds
+    bits = n * n
+    dtype = np.uint16 if bits <= 16 else np.uint32 if bits <= 32 else np.uint64
+    one = dtype(1)
+    # per non-identity permutation: (source bit, relabelled bit) of each pair
+    relabellings = [
+        [(dtype(b), dtype(perm[b // n] * n + perm[b % n])) for b in range(bits)]
+        for perm in itertools.islice(itertools.permutations(range(n)), 1, None)
+    ]
+    total = 1 << bits
+    kept = []
+    for start in range(0, total, _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, total), dtype=dtype)
+        for moves in relabellings:
+            relabelled = np.zeros_like(masks)
+            for source, target in moves:
+                relabelled |= ((masks >> source) & one) << target
+            masks = masks[relabelled >= masks]
+        kept.append(masks)
+    masks = np.concatenate(kept)
+    masks.flags.writeable = False
+    return masks
+
+
 def enumerate_frames(max_worlds: int, *, unsafe_bounds: bool = False) -> Iterator[Frame]:
     """All frames with 1..max_worlds worlds up to isomorphism."""
     if max_worlds < 1:
@@ -70,13 +109,9 @@ def enumerate_frames(max_worlds: int, *, unsafe_bounds: bool = False) -> Iterato
         raise BoundTooLarge(f"frame enumeration is guarded to {MAX_FRAME_WORLDS} worlds")
     for n in range(1, max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
-        perms = list(itertools.permutations(range(n)))[1:]
-        for mask in range(1 << (n * n)):
-            if perms and _frame_mask_key(mask, n, perms) < mask:
-                continue
-            rel = frozenset(
-                (bit // n, bit % n) for bit in range(n * n) if mask >> bit & 1
-            )
+        pairs = [(bit // n, bit % n) for bit in range(n * n)]
+        for mask in _canonical_masks(n).tolist():
+            rel = frozenset(pair for bit, pair in enumerate(pairs) if mask >> bit & 1)
             yield Frame(worlds, rel)
 
 

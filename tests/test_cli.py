@@ -258,3 +258,28 @@ def test_formula_syntax_error_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "FormulaSyntaxError" in err
+
+
+def test_deeply_nested_formula_is_an_input_error(tmp_path, capsys):
+    path = write_chain3(tmp_path, imp="material", designated=["h", "1"])
+    code, out, err = run_cli(
+        capsys, "valid", "--lattice", str(path), "--formula", "~" * 3000 + "p",
+        "--max-worlds", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: RecursionError") and err.count("\n") == 1
+
+
+def test_verify_twist_k_at_default_bounds(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "twist_k", "--compact")
+    assert code == 0
+    report = json.loads(out)["reports"][0]
+    assert report["universe"]["twist_atoms"] == [1, 2]
+
+    from latmodal import HarnessConfig, verify_theorem
+
+    # the report run_suite gives at its defaults
+    config = HarnessConfig()
+    suite_report = verify_theorem("twist_k", config.twist_atoms, config.world_bound)
+    assert report == suite_report.to_dict()

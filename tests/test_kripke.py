@@ -219,6 +219,33 @@ def test_frame_valid_var_domain(c3_eq1):
     assert (0, "q") in report.model.valuation
 
 
+def test_frame_valid_consecutive_calls_match_fresh_ones(c3_eq1):
+    # same matrix and formula objects, different mode or variable domain
+    import latmodal.kripke
+
+    frame = Frame(("w1", "w2"), frozenset(((0, 1),)))
+    f = parse("[]p -> p")
+    calls = [
+        (BoxMode.NORMAL_MEET, None),
+        (BoxMode.LOCAL, None),
+        (BoxMode.NORMAL_MEET, None),
+        (BoxMode.NORMAL_MEET, ["p", "q"]),
+        (BoxMode.NORMAL_MEET, ["p"]),
+    ]
+
+    def run(mode, domain):
+        report = frame_valid(c3_eq1, frame, f, mode, var_domain=domain)
+        return None if report is None else report.to_dict()
+
+    consecutive = [run(*call) for call in calls]
+    fresh = []
+    for call in calls:
+        latmodal.kripke._last_plan = None
+        fresh.append(run(*call))
+    assert consecutive == fresh
+    assert fresh[1] is None and fresh[3] != fresh[4]
+
+
 def test_frame_valid_guards():
     big = next(iter(enumerate_lattices(5)))
     big = big.with_imp(build_implication(big, DEDUCTIVE_EQ1))

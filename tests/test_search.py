@@ -20,6 +20,7 @@ from latmodal import (
     parse,
     world_satisfies,
 )
+from latmodal import kripke
 from latmodal.search import AXIOM_K, BOX_DISJUNCTION_DIST, canonical_frame_key
 
 
@@ -30,6 +31,19 @@ def test_frame_counts():
         by_size.setdefault(len(frame.worlds), 0)
         by_size[len(frame.worlds)] += 1
     assert by_size == {1: 2, 2: 10, 3: 104}
+
+
+def test_four_world_frame_counts_and_order():
+    # unlabelled directed graphs with loops, by world count: OEIS A000595
+    by_size = {}
+    previous = (0, -1)
+    for frame in enumerate_frames(4):
+        n = len(frame.worlds)
+        by_size[n] = by_size.get(n, 0) + 1
+        key = (n, sum(1 << (i * n + j) for i, j in frame.rel))
+        assert key > previous
+        previous = key
+    assert by_size == {1: 2, 2: 10, 3: 104, 4: 3044}
 
 
 def test_frames_are_well_formed():
@@ -66,6 +80,14 @@ def test_canonical_keys_of_emitted_frames_are_their_own():
         assert canonical_frame_key(n, frame.rel) == mask
 
 
+def test_canonical_keys_of_emitted_four_world_frames_are_their_own():
+    for frame in enumerate_frames(4):
+        n = len(frame.worlds)
+        if n == 4:
+            mask = sum(1 << (i * n + j) for i, j in frame.rel)
+            assert canonical_frame_key(n, frame.rel) == mask
+
+
 # ---------------------------------------------------------------------------
 # find_frame_counterexample
 
@@ -91,6 +113,50 @@ def test_search_is_deterministic(c3_eq1):
     a = find_frame_counterexample(c3_eq1, parse("[]p"), 2)
     b = find_frame_counterexample(c3_eq1, parse("[]p"), 2)
     assert a.to_dict() == b.to_dict()
+
+
+def _dict(report):
+    return None if report is None else report.to_dict()
+
+
+def test_consecutive_searches_match_fresh_ones(c3_eq1, c3_material_lp):
+    m2 = boolean_algebra(2)
+    diamond = matrix_from_names(m2.with_imp(build_implication(m2, DEDUCTIVE_EQ1)), ["1"])
+    queries = [
+        (c3_eq1, parse("[]p")),
+        (c3_eq1, AXIOM_K),
+        (diamond, AXIOM_K),
+        (diamond, BOX_DISJUNCTION_DIST),
+        (c3_material_lp, AXIOM_K),
+        (diamond, parse("[]p")),
+        (c3_eq1, parse("[]p")),
+    ]
+    fresh = []
+    for matrix, f in queries:
+        kripke._last_plan = None
+        fresh.append(_dict(find_frame_counterexample(matrix, f, 3)))
+    consecutive = [_dict(find_frame_counterexample(m, f, 3)) for m, f in queries]
+    assert consecutive == fresh
+    assert any(r is None for r in fresh) and any(r is not None for r in fresh)
+
+
+def test_searches_on_short_lived_matrices_match_fresh_ones():
+    # matrices built and dropped in a loop may reuse one another's ids
+    m2 = boolean_algebra(2)
+    cases = [(MATERIAL, ["1"]), (DEDUCTIVE_EQ1, ["1"]), (MATERIAL, ["a", "1"]),
+             (DEDUCTIVE_EQ1, ["a", "b", "1"])]
+
+    def search(imp, up):
+        matrix = matrix_from_names(m2.with_imp(build_implication(m2, imp)), up)
+        return _dict(find_frame_counterexample(matrix, AXIOM_K, 3))
+
+    consecutive = [search(imp, up) for imp, up in cases]
+    fresh = []
+    for imp, up in cases:
+        kripke._last_plan = None
+        fresh.append(search(imp, up))
+    assert consecutive == fresh
+    assert [r is None for r in fresh] == [True, False, True, False]
 
 
 # ---------------------------------------------------------------------------
