@@ -211,13 +211,20 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise LatModalError(f"construct count {text!r} is not an integer") from None
+
+
 def _cmd_construct(args) -> int:
     parts = args.kind.split(":")
     kind = parts[0]
     if kind == "boolean" and len(parts) == 2:
-        payload_obj = boolean_algebra(int(parts[1]))
+        payload_obj = boolean_algebra(_count(parts[1]))
     elif kind == "chain" and len(parts) in (2, 3):
-        payload_obj = chain(int(parts[1]), parts[2] if len(parts) == 3 else "flip")
+        payload_obj = chain(_count(parts[1]), parts[2] if len(parts) == 3 else "flip")
     elif kind == "belnap" and len(parts) == 1:
         payload_obj = belnap_four()
     elif kind == "k5" and len(parts) == 1:
@@ -225,7 +232,7 @@ def _cmd_construct(args) -> int:
     elif kind == "twist" and len(parts) in (2, 3):
         if len(parts) == 3 and parts[2] != "P":
             raise LatModalError(f"unknown twist restriction {parts[2]!r}")
-        payload_obj = twist(boolean_algebra(int(parts[1])), restrict_p=len(parts) == 3)
+        payload_obj = twist(boolean_algebra(_count(parts[1])), restrict_p=len(parts) == 3)
     else:
         raise LatModalError(
             f"unknown construct kind {args.kind!r}; expected boolean:k, chain:n[:flip|none], "

@@ -11,6 +11,12 @@ Grammar (ASCII, lowest precedence first; unicode aliases accepted on input):
 Aliases: ``¬`` for ``~``, ``∧`` for ``&``, ``∨`` for ``|``, ``→`` for ``->``,
 ``□`` for ``[]``.  ``render`` emits the canonical minimal-parenthesis ASCII
 form and round-trips through ``parse``.
+
+``compile_formula`` is the one walk over a formula that the semantics uses:
+it lists the unique subformulas in post order.  ``interpret`` runs that list
+with scalar lattice values, the reference semantics of both ``kripke.evaluate``
+and ``lattice.propositional_value``; ``variables`` and ``modal_depth`` read
+the same list.
 """
 
 from __future__ import annotations
@@ -56,23 +62,114 @@ class Box:
 Formula = Var | Not | And | Or | Imp | Box
 
 
+VAR, NOT, AND, OR, IMP, BOX = range(6)
+_KIND = {Var: VAR, Not: NOT, And: AND, Or: OR, Imp: IMP, Box: BOX}
+
+_last_compiled: tuple[Formula, tuple[tuple, ...]] | None = None
+
+
+def compile_formula(f: Formula) -> tuple[tuple, ...]:
+    """The unique subformulas of f in post order, root last, as nodes
+    (kind, a, b): a and b are the node ids of the children, or a is the
+    name of a variable.  Walks f iteratively.  The result of the previous
+    call is returned again while the formula object is the same; the entry
+    holds that object, so its id cannot be reused by a new one."""
+    global _last_compiled
+    if _last_compiled is not None and _last_compiled[0] is f:
+        return _last_compiled[1]
+    nodes: list[tuple] = []
+    node_id: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id of a subformula object -> its node id
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in done:
+            stack.pop()
+            continue
+        if isinstance(g, Var):
+            node = (VAR, g.name, None)
+        else:
+            children = (g.child,) if isinstance(g, (Not, Box)) else (g.left, g.right)
+            pending = [c for c in children if id(c) not in done]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            ids = [done[id(c)] for c in children]
+            node = (_KIND[type(g)], ids[0], ids[1] if len(ids) == 2 else None)
+        stack.pop()
+        if node not in node_id:
+            node_id[node] = len(nodes)
+            nodes.append(node)
+        done[id(g)] = node_id[node]
+    compiled = tuple(nodes)
+    _last_compiled = (f, compiled)
+    return compiled
+
+
+def interpret(nodes, world: int, value_of, successors, lattice) -> int:
+    """Value at a world of a compiled formula over a lattice (meet, join,
+    negation and implication tables): the scalar semantics.
+
+    value_of(w, name) gives a variable's value at a world and successors(w)
+    the worlds whose meet a box at w takes.  A top-down pass records the
+    worlds at which each node is needed: the root at the given world, the
+    child of a box at the successors of the box's worlds, the children of a
+    connective at the connective's worlds.  A bottom-up pass then computes
+    each node at its worlds in ascending order, so only the worlds the
+    formula reaches are visited, and a missing value or operation is
+    reported only where it is needed.
+    """
+    needed: list[set[int]] = [set() for _ in nodes]
+    needed[-1].add(world)
+    for i in range(len(nodes) - 1, -1, -1):
+        kind, a, b = nodes[i]
+        worlds = needed[i]
+        if kind == VAR or not worlds:
+            continue
+        if kind == BOX:
+            for w in worlds:
+                needed[a].update(successors(w))
+        else:
+            needed[a] |= worlds
+            if b is not None:
+                needed[b] |= worlds
+    meet, join, top = lattice.meet_table, lattice.join_table, lattice.top
+    values: dict[tuple[int, int], int] = {}  # (node id, world) -> value
+    for i, (kind, a, b) in enumerate(nodes):
+        for w in sorted(needed[i]):
+            if kind == VAR:
+                value = value_of(w, a)
+            elif kind == NOT:
+                value = lattice.negate(values[a, w])
+            elif kind == AND:
+                value = meet[values[a, w]][values[b, w]]
+            elif kind == OR:
+                value = join[values[a, w]][values[b, w]]
+            elif kind == IMP:
+                value = lattice.implies(values[a, w], values[b, w])
+            else:
+                value = top
+                for w2 in successors(w):
+                    value = meet[value][values[a, w2]]
+            values[i, w] = value
+    return values[len(nodes) - 1, world]
+
+
 def variables(f: Formula) -> frozenset[str]:
     """Set of variable names occurring in f."""
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, (Not, Box)):
-        return variables(f.child)
-    return variables(f.left) | variables(f.right)
+    return frozenset(a for kind, a, _ in compile_formula(f) if kind == VAR)
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, Var):
-        return 0
-    if isinstance(f, Box):
-        return 1 + modal_depth(f.child)
-    if isinstance(f, Not):
-        return modal_depth(f.child)
-    return max(modal_depth(f.left), modal_depth(f.right))
+    depth: list[int] = []
+    for kind, a, b in compile_formula(f):
+        if kind == VAR:
+            depth.append(0)
+        elif kind in (NOT, BOX):
+            depth.append(depth[a] + (kind == BOX))
+        else:
+            depth.append(max(depth[a], depth[b]))
+    return depth[-1]
 
 
 def is_modal_free(f: Formula) -> bool:

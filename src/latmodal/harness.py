@@ -24,7 +24,7 @@ top-if-below implication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .constructions import boolean_algebra, antichain_k5, twist
 from .enumeration import (
@@ -211,21 +211,25 @@ def _verify_eq1_implicative(size_bound: int) -> TheoremReport:
 def _verify_box_biconditional(
     theorem: str,
     formula,
-    structural_of,
-    witness_kind: str | None,
+    classify: Callable[[Matrix], tuple[bool, str | None]],
     matrices: Iterator[tuple[Matrix, dict]],
     world_bound: int,
     unsafe: bool,
     universe: dict,
 ) -> TheoremReport:
-    """Shared driver: structural predicate <=> no counterexample in bound."""
+    """Shared driver: structural predicate <=> no counterexample in bound.
+
+    ``classify`` gives a matrix's structural verdict and the kind of the
+    canonical witness that must falsify the formula when the verdict is
+    false (None when no witness applies).
+    """
     report = TheoremReport(theorem, dict(universe), 0, True)
     report.universe["formula"] = render(formula)
     assert_defects = _bounded_note(report, theorem, world_bound)
     structural_true = 0
     for matrix, case in matrices:
         report.cases += 1
-        structural = structural_of(matrix)
+        structural, witness_kind = classify(matrix)
         counterexample = find_frame_counterexample(
             matrix, formula, world_bound, unsafe_bounds=unsafe
         )
@@ -272,8 +276,7 @@ def _verify_disj_dist(size_bound: int, world_bound: int, unsafe: bool) -> Theore
     return _verify_box_biconditional(
         "disj_dist",
         BOX_DISJUNCTION_DIST,
-        lambda m: check_designated(m).is_implicative is True,
-        "nonimplicative",
+        lambda m: (check_designated(m).is_implicative is True, "nonimplicative"),
         _disj_dist_matrices(size_bound),
         world_bound,
         unsafe,
@@ -286,15 +289,16 @@ def _verify_disj_dist(size_bound: int, world_bound: int, unsafe: bool) -> Theore
 
 
 def _verify_k_linear(size_bound: int, world_bound: int, unsafe: bool) -> TheoremReport:
-    def structural(matrix: Matrix) -> bool:
+    def classify(matrix: Matrix) -> tuple[bool, str | None]:
         props = check_designated(matrix)
-        return props.is_filter and props.linear_outside
+        # the canonical non-linearity witness applies to filters only
+        witness = "nonlinear_k" if props.is_filter else None
+        return props.is_filter and props.linear_outside, witness
 
-    report = _verify_box_biconditional(
+    return _verify_box_biconditional(
         "k_linear",
         AXIOM_K,
-        structural,
-        None,
+        classify,
         _disj_dist_matrices(size_bound),
         world_bound,
         unsafe,
@@ -304,25 +308,6 @@ def _verify_k_linear(size_bound: int, world_bound: int, unsafe: bool) -> Theorem
             "designated": "non-empty upsets; structural side requires a filter",
         },
     )
-    # Exercise the canonical non-linearity witness where it applies.
-    if report.passed and world_bound >= _PROOF_SCALE["k_linear"]:
-        for lat in _lattice_universe(size_bound):
-            lat_imp = lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1))
-            for upset in _nonempty_upsets(lat_imp):
-                matrix = Matrix(lat_imp, upset)
-                props = check_designated(matrix)
-                if props.is_filter and not props.linear_outside:
-                    try:
-                        model = construct_witness("nonlinear_k", matrix)
-                        holds, _ = model_satisfies(matrix, model, AXIOM_K)
-                        if holds:
-                            raise WitnessNotApplicable("model does not falsify box-K")
-                    except WitnessNotApplicable as exc:
-                        report.passed = False
-                        report.failures.append(
-                            {**_case_id(lat_imp, upset), "witness_error": str(exc)}
-                        )
-    return report
 
 
 def _k_material_matrices(size_bound: int) -> Iterator[tuple[Matrix, dict]]:
@@ -344,8 +329,7 @@ def _verify_k_material(size_bound: int, world_bound: int, unsafe: bool) -> Theor
     return _verify_box_biconditional(
         "k_material",
         AXIOM_K,
-        lambda m: check_designated(m).is_implicative is True,
-        "nonimplicative_k_material",
+        lambda m: (check_designated(m).is_implicative is True, "nonimplicative_k_material"),
         _k_material_matrices(size_bound),
         world_bound,
         unsafe,
@@ -373,14 +357,14 @@ def _verify_twist_k(max_atoms: int, world_bound: int, unsafe: bool) -> TheoremRe
                 case["ones"] = [lat.elements[i] for i in sorted(base_matrix.designated)]
                 yield Matrix(lat, upset), case
 
-    def structural(matrix: Matrix) -> bool:
-        return ones_by_carrier[matrix.lattice.elements] <= matrix.designated
+    def classify(matrix: Matrix) -> tuple[bool, str]:
+        ones = ones_by_carrier[matrix.lattice.elements]
+        return ones <= matrix.designated, "nonimplicative_k_material"
 
     return _verify_box_biconditional(
         "twist_k",
         AXIOM_K,
-        structural,
-        "nonimplicative_k_material",
+        classify,
         matrices(),
         world_bound,
         unsafe,
@@ -460,38 +444,14 @@ def run_suite(config: HarnessConfig | None = None) -> tuple[list[TheoremReport],
     config = config or HarnessConfig()
     reports = [
         verify_theorem(
-            "regularity",
-            config.size_bound,
-            config.regularity_world_bound,
+            theorem,
+            config.twist_atoms if theorem == "twist_k" else config.size_bound,
+            config.regularity_world_bound if theorem == "regularity" else config.world_bound,
             unsafe_bounds=config.unsafe_bounds,
-        ),
-        verify_theorem("eq1_implicative", config.size_bound),
-        verify_theorem(
-            "disj_dist",
-            config.size_bound,
-            config.world_bound,
-            unsafe_bounds=config.unsafe_bounds,
-        ),
-        verify_theorem(
-            "k_linear",
-            config.size_bound,
-            config.world_bound,
-            unsafe_bounds=config.unsafe_bounds,
-        ),
-        verify_theorem(
-            "k_material",
-            config.size_bound,
-            config.world_bound,
-            unsafe_bounds=config.unsafe_bounds,
-        ),
-        verify_theorem(
-            "twist_k",
-            config.twist_atoms,
-            config.world_bound,
-            unsafe_bounds=config.unsafe_bounds,
-        ),
-        k5_regression(
-            config.world_bound, config.k5_matrix, unsafe_bounds=config.unsafe_bounds
-        ),
+        )
+        for theorem in THEOREM_IDS
     ]
+    reports.append(
+        k5_regression(config.world_bound, config.k5_matrix, unsafe_bounds=config.unsafe_bounds)
+    )
     return reports, 0 if all(r.passed for r in reports) else 1

@@ -7,17 +7,17 @@ boxed formula the top value.  A degenerate "local" box mode (``[]f`` is just
 ``f`` at the same world) is also provided for probing which properties force
 the meet semantics.
 
-``evaluate`` is the reference implementation: a memoized structural
-recursion that touches only worlds reachable within the modal depth of the
-formula.  ``frame_valid`` quantifies over every valuation of the formula's
-variables on a frame; it evaluates all valuations at once on numpy arrays
-but reports the counterexample that comes first in canonical enumeration
-order (worlds in listed order, variables sorted, elements in index order,
-last slot fastest) and re-certifies it with ``evaluate``.  It compiles the
-formula once into a post-order list of unique subformulas with integer node
-ids, and builds the lattice tables once; that plan is kept for the next call
-while the matrix and formula objects stay the same, as they do across the
-frames of one search.
+Both evaluators run on one compiled form of the formula, the post-order
+list of its unique subformulas from ``formula.compile_formula``.
+``evaluate`` is the scalar reference: it runs ``formula.interpret``, which
+touches only the worlds the formula reaches from the queried one.
+``frame_valid`` quantifies over every valuation of the formula's variables
+on a frame; it evaluates all valuations at once on numpy arrays but reports
+the counterexample that comes first in canonical enumeration order (worlds
+in listed order, variables sorted, elements in index order, last slot
+fastest) and re-certifies it with ``evaluate``.  It builds the lattice
+tables once; that plan is kept for the next call while the matrix and
+formula objects stay the same, as they do across the frames of one search.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import BoundTooLarge, InvalidInput, MissingOperation, UnboundVariable
-from .formula import And, Box, Formula, Imp, Not, Or, Var, render
-from .lattice import ImplicationTable, Lattice, Matrix
+from .formula import AND, IMP, NOT, OR, VAR, Formula, compile_formula, interpret, render
+from .lattice import Lattice, Matrix
 
 MAX_LATTICE_SIZE = 12
 MAX_WORLDS = 4
@@ -129,43 +129,23 @@ def evaluate(
     world: int,
     f: Formula,
     mode: BoxMode = BoxMode.NORMAL_MEET,
-    imp: ImplicationTable | None = None,
 ) -> int:
-    """Value of f at a world; structural recursion with memoization."""
-    lat = model.lattice
-    imp_table = imp if imp is not None else lat.imp
-    memo: dict[tuple[int, Formula], int] = {}
+    """Value of f at a world, computed on the compiled formula at only the
+    worlds it reaches."""
+    worlds = model.frame.worlds
+    if not 0 <= world < len(worlds):
+        raise InvalidInput(f"world index {world} out of range")
+    valuation = model.valuation
 
-    def go(w: int, g: Formula) -> int:
-        key = (w, g)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(g, Var):
-            try:
-                value = model.valuation[(w, g.name)]
-            except KeyError:
-                raise UnboundVariable(model.frame.worlds[w], g.name) from None
-        elif isinstance(g, Not):
-            value = lat.negate(go(w, g.child))
-        elif isinstance(g, And):
-            value = lat.meet_table[go(w, g.left)][go(w, g.right)]
-        elif isinstance(g, Or):
-            value = lat.join_table[go(w, g.left)][go(w, g.right)]
-        elif isinstance(g, Imp):
-            if imp_table is None:
-                raise MissingOperation("imp")
-            value = imp_table.table[go(w, g.left)][go(w, g.right)]
-        elif mode is BoxMode.LOCAL:
-            value = go(w, g.child)
-        else:
-            value = lat.top
-            for w2 in model.frame.successors(w):
-                value = lat.meet_table[value][go(w2, g.child)]
-        memo[key] = value
-        return value
+    def value_of(w: int, name: str) -> int:
+        try:
+            return valuation[(w, name)]
+        except KeyError:
+            raise UnboundVariable(worlds[w], name) from None
 
-    return go(world, f)
+    # the local box takes the meet over the world itself: its own value
+    successors = model.frame.successors if mode is BoxMode.NORMAL_MEET else lambda w: (w,)
+    return interpret(compile_formula(f), world, value_of, successors, model.lattice)
 
 
 def world_satisfies(
@@ -174,10 +154,9 @@ def world_satisfies(
     world: int,
     f: Formula,
     mode: BoxMode = BoxMode.NORMAL_MEET,
-    imp: ImplicationTable | None = None,
 ) -> bool:
     _check_same_lattice(matrix, model)
-    return evaluate(model, world, f, mode, imp) in matrix.designated
+    return evaluate(model, world, f, mode) in matrix.designated
 
 
 def model_satisfies(
@@ -185,12 +164,11 @@ def model_satisfies(
     model: KripkeModel,
     f: Formula,
     mode: BoxMode = BoxMode.NORMAL_MEET,
-    imp: ImplicationTable | None = None,
 ) -> tuple[bool, int | None]:
     """Whether every world satisfies f; reports the first failing world."""
     _check_same_lattice(matrix, model)
     for w in range(len(model.frame.worlds)):
-        if evaluate(model, w, f, mode, imp) not in matrix.designated:
+        if evaluate(model, w, f, mode) not in matrix.designated:
             return False, w
     return True, None
 
@@ -246,41 +224,6 @@ def _guard_valuation_space(n: int, n_worlds: int, n_vars: int, unsafe: bool) -> 
         )
 
 
-_VAR, _NOT, _AND, _OR, _IMP, _BOX = range(6)
-_KIND = {Var: _VAR, Not: _NOT, And: _AND, Or: _OR, Imp: _IMP, Box: _BOX}
-
-
-def _compile(f: Formula) -> list[tuple]:
-    """The unique subformulas of f in post order, root last, as nodes
-    (kind, a, b): a and b are the node ids of the children, or a is the
-    name of a variable.  Walks f iteratively."""
-    nodes: list[tuple] = []
-    node_id: dict[tuple, int] = {}
-    done: dict[int, int] = {}  # id of a subformula object -> its node id
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if id(g) in done:
-            stack.pop()
-            continue
-        if isinstance(g, Var):
-            node = (_VAR, g.name, None)
-        else:
-            children = (g.child,) if isinstance(g, (Not, Box)) else (g.left, g.right)
-            pending = [c for c in children if id(c) not in done]
-            if pending:
-                stack.extend(reversed(pending))
-                continue
-            ids = [done[id(c)] for c in children]
-            node = (_KIND[type(g)], ids[0], ids[1] if len(ids) == 2 else None)
-        stack.pop()
-        if node not in node_id:
-            node_id[node] = len(nodes)
-            nodes.append(node)
-        done[id(g)] = node_id[node]
-    return nodes
-
-
 class _Plan:
     """What ``frame_valid`` needs of one (matrix, formula, variable domain),
     built once: the compiled formula, the lattice tables and, per world
@@ -288,8 +231,8 @@ class _Plan:
 
     def __init__(self, matrix: Matrix, f: Formula, domain: tuple[str, ...] | None):
         self.matrix, self.formula, self.domain = matrix, f, domain
-        self.nodes = _compile(f)
-        names = sorted({a for kind, a, _ in self.nodes if kind == _VAR})
+        self.nodes = compile_formula(f)
+        names = sorted({a for kind, a, _ in self.nodes if kind == VAR})
         if domain is not None:
             if not set(names) <= set(domain):
                 raise InvalidInput("var_domain must cover the variables of the formula")
@@ -391,17 +334,17 @@ def frame_valid(
         if out is not None:
             return out
         kind, a, b = nodes[i]
-        if kind == _VAR:
+        if kind == VAR:
             out = var_arrays[(w, a)]
-        elif kind == _NOT:
+        elif kind == NOT:
             if neg_arr is None:
                 raise MissingOperation("neg")
             out = neg_arr[val(w, a)]
-        elif kind == _AND:
+        elif kind == AND:
             out = meet_flat.take(val(w, a) * scale + val(w, b))
-        elif kind == _OR:
+        elif kind == OR:
             out = join_flat.take(val(w, a) * scale + val(w, b))
-        elif kind == _IMP:
+        elif kind == IMP:
             if imp_flat is None:
                 raise MissingOperation("imp")
             out = imp_flat.take(val(w, a) * scale + val(w, b))

@@ -29,7 +29,7 @@ from .errors import (
     NotALattice,
     NotAPoset,
 )
-from .formula import And, Box, Formula, Not, Or, Var, variables
+from .formula import Formula, compile_formula, interpret, is_modal_free, variables
 
 MATERIAL = "material"
 DEDUCTIVE_EQ1 = "deductive_eq1"
@@ -590,31 +590,21 @@ def classify_implication(matrix: Matrix) -> ImplicationClassification:
 # Propositional consequence
 
 
-def propositional_value(
-    lattice: Lattice,
-    assignment: dict[str, int],
-    f: Formula,
-    imp: ImplicationTable | None = None,
-) -> int:
-    """Value of a box-free formula under a single valuation of variables."""
-    if isinstance(f, Var):
-        if f.name not in assignment:
-            raise InvalidInput(f"no value assigned to variable {f.name!r}")
-        return assignment[f.name]
-    if isinstance(f, Box):
+def propositional_value(lattice: Lattice, assignment: dict[str, int], f: Formula) -> int:
+    """Value of a box-free formula under a single valuation of variables:
+    the scalar semantics on one world with no successors."""
+    if not is_modal_free(f):
         raise ModalFormulaRejected("box operators have no propositional value")
-    if isinstance(f, Not):
-        return lattice.negate(propositional_value(lattice, assignment, f.child, imp))
-    left = propositional_value(lattice, assignment, f.left, imp)
-    right = propositional_value(lattice, assignment, f.right, imp)
-    if isinstance(f, And):
-        return lattice.meet_table[left][right]
-    if isinstance(f, Or):
-        return lattice.join_table[left][right]
-    table = imp if imp is not None else lattice.imp
-    if table is None:
-        raise MissingOperation("imp")
-    return table.table[left][right]
+    return _one_world_value(lattice, assignment, compile_formula(f))
+
+
+def _one_world_value(lattice: Lattice, assignment: dict[str, int], nodes) -> int:
+    def value_of(_world: int, name: str) -> int:
+        if name not in assignment:
+            raise InvalidInput(f"no value assigned to variable {name!r}")
+        return assignment[name]
+
+    return interpret(nodes, 0, value_of, None, lattice)
 
 
 @dataclass(frozen=True)
@@ -640,7 +630,7 @@ def entails(
     """
     premises = list(premises)
     for f in [*premises, conclusion]:
-        if not _box_free(f):
+        if not is_modal_free(f):
             raise ModalFormulaRejected("entailment is defined for box-free formulas only")
     names = sorted(set().union(*(variables(f) for f in [*premises, conclusion])))
     lat = matrix.lattice
@@ -649,20 +639,14 @@ def entails(
             f"{lat.n}^{len(names)} valuations exceed the guard; "
             "pass unsafe_bounds=True to override"
         )
+    # compiled once here: alternating formulas would defeat the compile cache
+    premise_nodes = [compile_formula(p) for p in premises]
+    conclusion_nodes = compile_formula(conclusion)
     for combo in itertools.product(range(lat.n), repeat=len(names)):
         assignment = dict(zip(names, combo))
         if all(
-            propositional_value(lat, assignment, p) in matrix.designated for p in premises
-        ) and propositional_value(lat, assignment, conclusion) not in matrix.designated:
+            _one_world_value(lat, assignment, p) in matrix.designated for p in premise_nodes
+        ) and _one_world_value(lat, assignment, conclusion_nodes) not in matrix.designated:
             return EntailmentResult(False, assignment)
     return EntailmentResult(True, None)
 
-
-def _box_free(f: Formula) -> bool:
-    if isinstance(f, Var):
-        return True
-    if isinstance(f, Box):
-        return False
-    if isinstance(f, Not):
-        return _box_free(f.child)
-    return _box_free(f.left) and _box_free(f.right)

@@ -173,8 +173,7 @@ def check_regularity(
     props = check_designated(matrix)
     meet_in = big_meet(lat, matrix.designated) in matrix.designated
 
-    p = Var("p")
-    box_p = Box(p)
+    box_p = Box(Var("p"))
     witness = None
     for frame in enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds):
         n_worlds = len(frame.worlds)
@@ -182,15 +181,14 @@ def check_regularity(
         for combo in itertools.product(range(lat.n), repeat=n_worlds):
             model = KripkeModel(frame, lat, dict(zip(slots, combo)))
             for w in range(n_worlds):
-                box_ok = world_satisfies(matrix, model, w, box_p)
-                naw = all(
-                    world_satisfies(matrix, model, w2, p) for w2 in frame.successors(w)
-                )
+                box_value = evaluate(model, w, box_p)
+                box_ok = box_value in matrix.designated
+                naw = all(combo[w2] in matrix.designated for w2 in frame.successors(w))
                 if box_ok != naw:
                     witness = RegularityWitness(
                         model=model,
                         world=w,
-                        box_value=evaluate(model, w, box_p),
+                        box_value=box_value,
                         direction=(
                             "box_holds_but_successor_fails"
                             if box_ok
@@ -215,26 +213,7 @@ def check_regularity(
 # Canonical defect witnesses
 
 
-def _first_filter_violation(matrix: Matrix) -> tuple[int, int] | None:
-    props = check_designated(matrix)
-    return props.filter_witness
-
-
-def _first_implicative_violation(matrix: Matrix) -> tuple[int, int] | None:
-    if matrix.lattice.imp is None:
-        raise MissingOperation("imp")
-    props = check_designated(matrix)
-    return props.implicative_witness
-
-
-def _first_linearity_violation(matrix: Matrix) -> tuple[int, int] | None:
-    props = check_designated(matrix)
-    return props.linear_witness
-
-
-def construct_witness(
-    kind: str, matrix: Matrix, pair: tuple[int, int] | None = None
-) -> KripkeModel:
+def construct_witness(kind: str, matrix: Matrix) -> KripkeModel:
     """Build the fixed two- or three-world model that turns a structural
     defect of the matrix into a falsified validity.
 
@@ -250,13 +229,14 @@ def construct_witness(
                           designated; yields a 3-world model falsifying
                           box-K under material implication.
 
-    The pair defaults to the first witness reported by the property checks;
+    The pair is the first witness reported by ``check_designated``;
     WitnessNotApplicable is raised when the matrix lacks the defect or the
     built model fails to falsify the target.
     """
     lat = matrix.lattice
+    props = check_designated(matrix)
     if kind == "nonfilter":
-        pair = pair or _first_filter_violation(matrix)
+        pair = props.filter_witness
         if pair is None:
             raise WitnessNotApplicable("designated set is a filter")
         x, y = pair
@@ -270,7 +250,9 @@ def construct_witness(
 
     frame = Frame(("w0", "w1", "w2"), frozenset(((0, 1), (0, 2))))
     if kind == "nonimplicative":
-        pair = pair or _first_implicative_violation(matrix)
+        if lat.imp is None:
+            raise MissingOperation("imp")
+        pair = props.implicative_witness
         if pair is None:
             raise WitnessNotApplicable("designated set is implicative")
         a, b = pair
@@ -279,7 +261,7 @@ def construct_witness(
         )
         target = BOX_DISJUNCTION_DIST
     elif kind == "nonlinear_k":
-        pair = pair or _first_linearity_violation(matrix)
+        pair = props.linear_witness
         if pair is None:
             raise WitnessNotApplicable("lattice is linear outside the designated set")
         a, b = pair
@@ -290,7 +272,9 @@ def construct_witness(
     elif kind == "nonimplicative_k_material":
         if lat.neg is None:
             raise MissingOperation("neg")
-        pair = pair or _first_implicative_violation(matrix)
+        if lat.imp is None:
+            raise MissingOperation("imp")
+        pair = props.implicative_witness
         if pair is None:
             raise WitnessNotApplicable("designated set is implicative")
         a, b = pair

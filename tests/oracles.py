@@ -2,8 +2,10 @@
 
 These deliberately avoid the package's evaluation and search code paths:
 the classical evaluator works on plain booleans, the naive frame scan uses
-itertools plus the recursive evaluator, and the box-K decision procedure
-closes value triples under componentwise meet instead of touching frames.
+itertools plus the scalar reference evaluator ``evaluate`` (which shares
+only the formula compiler with ``frame_valid``), and the box-K decision
+procedure closes value triples under componentwise meet instead of
+touching frames.
 """
 
 import itertools

@@ -218,6 +218,13 @@ def test_construct_unknown_kind(capsys):
     assert code == 2 and "unknown construct kind" in err
 
 
+def test_construct_non_integer_count_is_an_input_error(capsys):
+    for kind in ("chain:x", "boolean:x", "twist:x", "twist:x:P"):
+        code, out, err = run_cli(capsys, "construct", "--kind", kind)
+        assert code == 2 and out == ""
+        assert "not an integer" in err
+
+
 def test_verify_single_theorem(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--theorem", "eq1_implicative", "--max-size", "3"

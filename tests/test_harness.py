@@ -4,6 +4,7 @@ from latmodal import (
     DEDUCTIVE_EQ1,
     ImplicationTable,
     Matrix,
+    WitnessNotApplicable,
     build_implication,
     boolean_algebra,
     check_designated,
@@ -46,6 +47,23 @@ def test_k_linear_small():
     report = verify_theorem("k_linear", 4, 3)
     assert report.passed
     assert report.universe["structural_false_cases"] > 0
+
+
+def test_k_linear_reports_a_failing_nonlinearity_witness(monkeypatch):
+    import latmodal.harness
+
+    construct = latmodal.harness.construct_witness
+
+    def broken(kind, matrix):
+        if kind == "nonlinear_k":
+            raise WitnessNotApplicable("broken on purpose")
+        return construct(kind, matrix)
+
+    monkeypatch.setattr(latmodal.harness, "construct_witness", broken)
+    report = verify_theorem("k_linear", 4, 3)
+    assert not report.passed
+    assert report.failures
+    assert all(f["witness_error"] == "broken on purpose" for f in report.failures)
 
 
 def test_k_linear_needs_the_filter_requirement():

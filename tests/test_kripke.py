@@ -9,6 +9,7 @@ from latmodal import (
     BoundTooLarge,
     BoxMode,
     Frame,
+    InvalidInput,
     KripkeModel,
     Matrix,
     UnboundVariable,
@@ -22,7 +23,7 @@ from latmodal import (
     parse,
     world_satisfies,
 )
-from latmodal.formula import And, Box, Or, Var, variables
+from latmodal.formula import And, Box, Not, Or, Var, modal_depth, variables
 from latmodal.lattice import propositional_value
 
 from oracles import naive_frame_counterexample
@@ -103,6 +104,56 @@ def test_locality_ignores_unreachable_worlds(c3):
     frame = Frame(("w1", "w2", "w3"), frozenset(((0, 1), (0, 2), (1, 1))))
     model = KripkeModel(frame, c3, {(1, "p"): c3.index("h")})
     assert evaluate(model, 1, parse("[]p")) == c3.index("h")
+
+
+def test_world_index_out_of_range_rejected(c3):
+    model = KripkeModel(Frame(("w",), frozenset()), c3, {(0, "p"): c3.top})
+    for world in (1, 5, -1):
+        for f in (parse("p"), parse("[]p")):
+            with pytest.raises(InvalidInput):
+                evaluate(model, world, f)
+    with pytest.raises(InvalidInput):
+        world_satisfies(matrix_from_names(c3, ["1"]), model, 7, parse("[]p"))
+
+
+def test_deeply_nested_formula_needs_no_recursion(c3):
+    # built in a loop, not parsed: the parser itself recurses per "~"
+    f = Var("p")
+    for _ in range(5000):
+        f = Not(f)
+    bottom = c3.index("0")  # the flip negation swaps 0 and 1
+    model = KripkeModel(Frame(("w",), frozenset()), c3, {(0, "p"): bottom})
+    assert evaluate(model, 0, f) == bottom
+    assert propositional_value(c3, {"p": bottom}, f) == bottom
+    assert variables(f) == {"p"}
+    assert modal_depth(f) == 0
+
+
+def test_consecutive_evaluations_match_fresh_ones(c3_eq1):
+    # equal formulas as distinct objects, and one formula object on
+    # different models and box modes, in a row
+    import latmodal.formula
+
+    lat = c3_eq1.lattice
+    cycle = Frame(("w1", "w2", "w3"), frozenset(((0, 1), (1, 2), (2, 0), (2, 2))))
+    valuation = {(w, x): (w + i) % 3 for w in range(3) for i, x in enumerate("pq")}
+    models = [KripkeModel(frame, lat, valuation) for frame in (FAN, cycle)]
+    k = parse("[](p -> q) -> ([]p -> []q)")
+    formulas = [parse("[]p -> p"), parse("[]p -> p"), k, parse("[][]p & ~q"), k]
+    calls = [
+        (model, w, f, mode)
+        for f in formulas
+        for model in models
+        for mode in BoxMode
+        for w in range(3)
+    ]
+    consecutive = [evaluate(*call) for call in calls]
+    fresh = []
+    for call in calls:
+        latmodal.formula._last_compiled = None
+        fresh.append(evaluate(*call))
+    assert consecutive == fresh
+    assert len(set(fresh)) == 3
 
 
 def test_conservativity_on_box_free_formulas(c3_eq1):
@@ -221,6 +272,7 @@ def test_frame_valid_var_domain(c3_eq1):
 
 def test_frame_valid_consecutive_calls_match_fresh_ones(c3_eq1):
     # same matrix and formula objects, different mode or variable domain
+    import latmodal.formula
     import latmodal.kripke
 
     frame = Frame(("w1", "w2"), frozenset(((0, 1),)))
@@ -240,7 +292,7 @@ def test_frame_valid_consecutive_calls_match_fresh_ones(c3_eq1):
     consecutive = [run(*call) for call in calls]
     fresh = []
     for call in calls:
-        latmodal.kripke._last_plan = None
+        latmodal.kripke._last_plan = latmodal.formula._last_compiled = None
         fresh.append(run(*call))
     assert consecutive == fresh
     assert fresh[1] is None and fresh[3] != fresh[4]

@@ -20,7 +20,7 @@ from latmodal import (
     parse,
     world_satisfies,
 )
-from latmodal import kripke
+from latmodal import formula, kripke
 from latmodal.search import AXIOM_K, BOX_DISJUNCTION_DIST, canonical_frame_key
 
 
@@ -133,7 +133,7 @@ def test_consecutive_searches_match_fresh_ones(c3_eq1, c3_material_lp):
     ]
     fresh = []
     for matrix, f in queries:
-        kripke._last_plan = None
+        kripke._last_plan = formula._last_compiled = None
         fresh.append(_dict(find_frame_counterexample(matrix, f, 3)))
     consecutive = [_dict(find_frame_counterexample(m, f, 3)) for m, f in queries]
     assert consecutive == fresh
@@ -153,7 +153,7 @@ def test_searches_on_short_lived_matrices_match_fresh_ones():
     consecutive = [search(imp, up) for imp, up in cases]
     fresh = []
     for imp, up in cases:
-        kripke._last_plan = None
+        kripke._last_plan = formula._last_compiled = None
         fresh.append(search(imp, up))
     assert consecutive == fresh
     assert [r is None for r in fresh] == [True, False, True, False]
