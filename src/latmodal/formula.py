@@ -16,7 +16,8 @@ form and round-trips through ``parse``.
 it lists the unique subformulas in post order.  ``interpret`` runs that list
 with scalar lattice values, the reference semantics of both ``kripke.evaluate``
 and ``lattice.propositional_value``; ``variables`` and ``modal_depth`` read
-the same list.
+the same list, and ``needed_worlds`` finds the worlds at which each node is
+needed, for ``interpret`` and for ``kripke.frame_valid``.
 """
 
 from __future__ import annotations
@@ -106,21 +107,13 @@ def compile_formula(f: Formula) -> tuple[tuple, ...]:
     return compiled
 
 
-def interpret(nodes, world: int, value_of, successors, lattice) -> int:
-    """Value at a world of a compiled formula over a lattice (meet, join,
-    negation and implication tables): the scalar semantics.
-
-    value_of(w, name) gives a variable's value at a world and successors(w)
-    the worlds whose meet a box at w takes.  A top-down pass records the
-    worlds at which each node is needed: the root at the given world, the
+def needed_worlds(nodes, roots, successors) -> list[set[int]]:
+    """Per node of a compiled formula, the worlds at which computing the
+    root at the given worlds needs its value: the root at those worlds, the
     child of a box at the successors of the box's worlds, the children of a
-    connective at the connective's worlds.  A bottom-up pass then computes
-    each node at its worlds in ascending order, so only the worlds the
-    formula reaches are visited, and a missing value or operation is
-    reported only where it is needed.
-    """
+    connective at the connective's worlds.  One top-down pass."""
     needed: list[set[int]] = [set() for _ in nodes]
-    needed[-1].add(world)
+    needed[-1].update(roots)
     for i in range(len(nodes) - 1, -1, -1):
         kind, a, b = nodes[i]
         worlds = needed[i]
@@ -133,6 +126,21 @@ def interpret(nodes, world: int, value_of, successors, lattice) -> int:
             needed[a] |= worlds
             if b is not None:
                 needed[b] |= worlds
+    return needed
+
+
+def interpret(nodes, world: int, value_of, successors, lattice) -> int:
+    """Value at a world of a compiled formula over a lattice (meet, join,
+    negation and implication tables): the scalar semantics.
+
+    value_of(w, name) gives a variable's value at a world and successors(w)
+    the worlds whose meet a box at w takes.  ``needed_worlds`` records the
+    worlds at which each node is needed; a bottom-up pass then computes
+    each node at its worlds in ascending order, so only the worlds the
+    formula reaches are visited, and a missing value or operation is
+    reported only where it is needed.
+    """
+    needed = needed_worlds(nodes, (world,), successors)
     meet, join, top = lattice.meet_table, lattice.join_table, lattice.top
     values: dict[tuple[int, int], int] = {}  # (node id, world) -> value
     for i, (kind, a, b) in enumerate(nodes):

@@ -39,6 +39,7 @@ from .kripke import model_satisfies
 from .lattice import (
     DEDUCTIVE_EQ1,
     MATERIAL,
+    DesignatedProperties,
     Lattice,
     Matrix,
     build_implication,
@@ -160,7 +161,7 @@ def _verify_regularity(size_bound: int, world_bound: int, unsafe: bool) -> Theor
             ok = result.regular == result.structural_regular
             if ok and assert_defects and not result.structural_regular:
                 try:
-                    construct_witness("nonfilter", matrix)
+                    construct_witness("nonfilter", matrix, props=result.props)
                 except WitnessNotApplicable as exc:
                     ok = False
                     report.failures.append(
@@ -211,7 +212,7 @@ def _verify_eq1_implicative(size_bound: int) -> TheoremReport:
 def _verify_box_biconditional(
     theorem: str,
     formula,
-    classify: Callable[[Matrix], tuple[bool, str | None]],
+    classify: Callable[[Matrix, DesignatedProperties], tuple[bool, str | None]],
     matrices: Iterator[tuple[Matrix, dict]],
     world_bound: int,
     unsafe: bool,
@@ -219,9 +220,11 @@ def _verify_box_biconditional(
 ) -> TheoremReport:
     """Shared driver: structural predicate <=> no counterexample in bound.
 
-    ``classify`` gives a matrix's structural verdict and the kind of the
-    canonical witness that must falsify the formula when the verdict is
-    false (None when no witness applies).
+    ``classify`` gives a matrix's structural verdict, from the matrix and
+    its ``check_designated`` result, and the kind of the canonical witness
+    that must falsify the formula when the verdict is false (None when no
+    witness applies).  That result is computed once per matrix and also
+    given to ``construct_witness``.
     """
     report = TheoremReport(theorem, dict(universe), 0, True)
     report.universe["formula"] = render(formula)
@@ -229,7 +232,8 @@ def _verify_box_biconditional(
     structural_true = 0
     for matrix, case in matrices:
         report.cases += 1
-        structural, witness_kind = classify(matrix)
+        props = check_designated(matrix)
+        structural, witness_kind = classify(matrix, props)
         counterexample = find_frame_counterexample(
             matrix, formula, world_bound, unsafe_bounds=unsafe
         )
@@ -247,7 +251,7 @@ def _verify_box_biconditional(
             case = {**case, "error": "counterexample failed self-certification"}
         if ok and assert_defects and not structural and witness_kind is not None:
             try:
-                model = construct_witness(witness_kind, matrix)
+                model = construct_witness(witness_kind, matrix, props=props)
                 holds, _ = model_satisfies(matrix, model, formula)
                 if holds:
                     raise WitnessNotApplicable("constructed model does not falsify")
@@ -276,7 +280,7 @@ def _verify_disj_dist(size_bound: int, world_bound: int, unsafe: bool) -> Theore
     return _verify_box_biconditional(
         "disj_dist",
         BOX_DISJUNCTION_DIST,
-        lambda m: (check_designated(m).is_implicative is True, "nonimplicative"),
+        lambda m, props: (props.is_implicative is True, "nonimplicative"),
         _disj_dist_matrices(size_bound),
         world_bound,
         unsafe,
@@ -289,8 +293,7 @@ def _verify_disj_dist(size_bound: int, world_bound: int, unsafe: bool) -> Theore
 
 
 def _verify_k_linear(size_bound: int, world_bound: int, unsafe: bool) -> TheoremReport:
-    def classify(matrix: Matrix) -> tuple[bool, str | None]:
-        props = check_designated(matrix)
+    def classify(matrix: Matrix, props: DesignatedProperties) -> tuple[bool, str | None]:
         # the canonical non-linearity witness applies to filters only
         witness = "nonlinear_k" if props.is_filter else None
         return props.is_filter and props.linear_outside, witness
@@ -329,7 +332,7 @@ def _verify_k_material(size_bound: int, world_bound: int, unsafe: bool) -> Theor
     return _verify_box_biconditional(
         "k_material",
         AXIOM_K,
-        lambda m: (check_designated(m).is_implicative is True, "nonimplicative_k_material"),
+        lambda m, props: (props.is_implicative is True, "nonimplicative_k_material"),
         _k_material_matrices(size_bound),
         world_bound,
         unsafe,
@@ -357,7 +360,7 @@ def _verify_twist_k(max_atoms: int, world_bound: int, unsafe: bool) -> TheoremRe
                 case["ones"] = [lat.elements[i] for i in sorted(base_matrix.designated)]
                 yield Matrix(lat, upset), case
 
-    def classify(matrix: Matrix) -> tuple[bool, str]:
+    def classify(matrix: Matrix, props: DesignatedProperties) -> tuple[bool, str]:
         ones = ones_by_carrier[matrix.lattice.elements]
         return ones <= matrix.designated, "nonimplicative_k_material"
 

@@ -12,12 +12,15 @@ list of its unique subformulas from ``formula.compile_formula``.
 ``evaluate`` is the scalar reference: it runs ``formula.interpret``, which
 touches only the worlds the formula reaches from the queried one.
 ``frame_valid`` quantifies over every valuation of the formula's variables
-on a frame; it evaluates all valuations at once on numpy arrays but reports
-the counterexample that comes first in canonical enumeration order (worlds
-in listed order, variables sorted, elements in index order, last slot
-fastest) and re-certifies it with ``evaluate``.  It builds the lattice
+on a frame; it evaluates all valuations at once on numpy arrays, bottom-up
+over the node list at the worlds ``formula.needed_worlds`` gives, but
+reports the counterexample that comes first in canonical enumeration order
+(worlds in listed order, variables sorted, elements in index order, last
+slot fastest) and re-certifies it with ``evaluate``.  It builds the lattice
 tables once; that plan is kept for the next call while the matrix and
 formula objects stay the same, as they do across the frames of one search.
+The exact depth-1 check of ``search.find_frame_counterexample`` runs the
+same plan's tables on arrays over valuations and box-value tuples.
 """
 
 from __future__ import annotations
@@ -30,7 +33,19 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import BoundTooLarge, InvalidInput, MissingOperation, UnboundVariable
-from .formula import AND, IMP, NOT, OR, VAR, Formula, compile_formula, interpret, render
+from .formula import (
+    AND,
+    BOX,
+    IMP,
+    NOT,
+    OR,
+    VAR,
+    Formula,
+    compile_formula,
+    interpret,
+    needed_worlds,
+    render,
+)
 from .lattice import Lattice, Matrix
 
 MAX_LATTICE_SIZE = 12
@@ -225,9 +240,10 @@ def _guard_valuation_space(n: int, n_worlds: int, n_vars: int, unsafe: bool) -> 
 
 
 class _Plan:
-    """What ``frame_valid`` needs of one (matrix, formula, variable domain),
-    built once: the compiled formula, the lattice tables and, per world
-    count, the valuation-space layout.  The box mode is read per call."""
+    """What ``frame_valid``, and the exact depth-1 check of the search, need
+    of one (matrix, formula, variable domain), built once: the compiled
+    formula, the lattice tables and, per world count, the valuation-space
+    layout.  The box mode is read per call."""
 
     def __init__(self, matrix: Matrix, f: Formula, domain: tuple[str, ...] | None):
         self.matrix, self.formula, self.domain = matrix, f, domain
@@ -246,15 +262,27 @@ class _Plan:
             t for t in (np.int8, np.int16, np.int32) if n * n <= np.iinfo(t).max + 1
         )
         self.scale = dtype(n)
-        self.meet_flat = np.array(lat.meet_table, dtype=dtype).ravel()
-        self.join_flat = np.array(lat.join_table, dtype=dtype).ravel()
         self.neg_arr = np.array(lat.neg, dtype=dtype) if lat.neg is not None else None
-        self.imp_flat = (
-            np.array(lat.imp.table, dtype=dtype).ravel() if lat.imp is not None else None
-        )
+        self.flat_tables = {
+            AND: np.array(lat.meet_table, dtype=dtype).ravel(),
+            OR: np.array(lat.join_table, dtype=dtype).ravel(),
+            IMP: np.array(lat.imp.table, dtype=dtype).ravel() if lat.imp is not None else None,
+        }
         self.designated = np.zeros(n, dtype=bool)
         self.designated[sorted(matrix.designated)] = True
         self._layouts: dict[int, tuple] = {}
+
+    def connective(self, kind: int, x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
+        """Elementwise value of a connective node on value arrays, which
+        broadcast against each other."""
+        if kind == NOT:
+            if self.neg_arr is None:
+                raise MissingOperation("neg")
+            return self.neg_arr[x]
+        table = self.flat_tables[kind]
+        if table is None:
+            raise MissingOperation("imp")
+        return table.take(x * self.scale + y)
 
     def layout(self, n_worlds: int) -> tuple:
         """Valuation slots, the array of each variable at each world, the
@@ -315,52 +343,35 @@ def frame_valid(
     it actually depends on, so the arrays stay small on sparse frames.
     """
     plan = _plan_for(matrix, f, var_domain)
-    n, scale = plan.n, plan.scale
+    n = plan.n
     n_worlds = len(frame.worlds)
     _guard_valuation_space(n, n_worlds, len(plan.names), unsafe_bounds)
 
     slots, var_arrays, top_arr, strides = plan.layout(n_worlds)
     nodes = plan.nodes
-    meet_flat, join_flat = plan.meet_flat, plan.join_flat
-    neg_arr, imp_flat = plan.neg_arr, plan.imp_flat
     local = mode is BoxMode.LOCAL
-    successors = [frame.successors(w) for w in range(n_worlds)]
-    n_nodes = len(nodes)
-    cache: list[np.ndarray | None] = [None] * (n_worlds * n_nodes)
-
-    def val(w: int, i: int) -> np.ndarray:
-        key = w * n_nodes + i
-        out = cache[key]
-        if out is not None:
-            return out
+    # the local box takes the meet over the world itself: its own value
+    successors = [(w,) if local else frame.successors(w) for w in range(n_worlds)]
+    values: dict[tuple[int, int], np.ndarray] = {}  # (node id, world) -> array
+    for i, worlds in enumerate(needed_worlds(nodes, range(n_worlds), successors.__getitem__)):
         kind, a, b = nodes[i]
-        if kind == VAR:
-            out = var_arrays[(w, a)]
-        elif kind == NOT:
-            if neg_arr is None:
-                raise MissingOperation("neg")
-            out = neg_arr[val(w, a)]
-        elif kind == AND:
-            out = meet_flat.take(val(w, a) * scale + val(w, b))
-        elif kind == OR:
-            out = join_flat.take(val(w, a) * scale + val(w, b))
-        elif kind == IMP:
-            if imp_flat is None:
-                raise MissingOperation("imp")
-            out = imp_flat.take(val(w, a) * scale + val(w, b))
-        elif local:
-            out = val(w, a)
-        else:
-            out = top_arr
-            for w2 in successors[w]:
-                out = meet_flat.take(out * scale + val(w2, a))
-        cache[key] = out
-        return out
+        for w in worlds:
+            if kind == VAR:
+                out = var_arrays[(w, a)]
+            elif kind != BOX:
+                out = plan.connective(kind, values[a, w], None if b is None else values[b, w])
+            elif local:
+                out = values[a, w]
+            else:
+                out = top_arr
+                for w2 in successors[w]:
+                    out = plan.connective(AND, out, values[a, w2])
+            values[i, w] = out
 
-    root = n_nodes - 1
+    root = len(nodes) - 1
     best: tuple[int, int] | None = None
     for w in range(n_worlds):
-        fails = ~plan.designated[val(w, root)]
+        fails = ~plan.designated[values[root, w]]
         if not fails.any():
             continue
         first = int(np.argmax(fails.ravel()))

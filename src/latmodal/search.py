@@ -8,6 +8,22 @@ without seeds.  The filter runs in numpy: each world permutation relabels a
 whole block of masks at once by per-bit shifts, and a mask survives only if
 no relabelling is smaller.  The surviving masks of each world count
 are computed once per process and cached; the ``Frame`` objects are not.
+
+``find_frame_counterexample`` decides formulas of modal depth <= 1 under
+the normal box without scanning frames when they hold.  At a world r such
+a formula's value depends only on r's own valuation s and on the tuple c
+of its box values, the componentwise meet over r's successors of the
+box-argument tuples t(s') of their valuations (all-top when there are
+none), because box arguments are box-free.  On a frame of at most m
+worlds, c is the meet of at most m - 1 such tuples of arbitrary
+valuations when r is irreflexive, and t(s) meet such a meet when r is
+reflexive; every such pair (s, c) occurs on a fan of at most m worlds.
+So the values the formula takes on frames of at most m worlds are exactly
+its values at (s, c) and (s, t(s) meet c), for every s and every meet c
+of at most m - 1 single tuples, which the search grows level by level
+from the all-top tuple.  If all are designated at m = max_worlds the
+formula holds on every frame within the bound; otherwise the frame scan
+runs and returns its canonically first counterexample.
 """
 
 from __future__ import annotations
@@ -20,17 +36,32 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BoundTooLarge, MissingOperation, WitnessNotApplicable
-from .formula import Box, Formula, Var, parse
+from .formula import (
+    AND,
+    BOX,
+    IMP,
+    NOT,
+    VAR,
+    Box,
+    Formula,
+    Var,
+    compile_formula,
+    modal_depth,
+    parse,
+    variables,
+)
 from .kripke import (
     BoxMode,
     CounterexampleReport,
     Frame,
     KripkeModel,
+    _guard_valuation_space,
+    _plan_for,
     evaluate,
     frame_valid,
     world_satisfies,
 )
-from .lattice import Matrix, big_meet, check_designated
+from .lattice import DesignatedProperties, Matrix, big_meet, check_designated
 
 AXIOM_K = parse("[](p -> q) -> ([]p -> []q)")
 BOX_DISJUNCTION_DIST = parse("([]p | []q) -> [](p | q)")
@@ -101,18 +132,90 @@ def _canonical_masks(n_worlds: int) -> np.ndarray:
     return masks
 
 
-def enumerate_frames(max_worlds: int, *, unsafe_bounds: bool = False) -> Iterator[Frame]:
-    """All frames with 1..max_worlds worlds up to isomorphism."""
+def _check_world_bound(max_worlds: int, unsafe_bounds: bool) -> None:
     if max_worlds < 1:
         raise BoundTooLarge("max_worlds must be at least 1")
     if max_worlds > MAX_FRAME_WORLDS and not unsafe_bounds:
         raise BoundTooLarge(f"frame enumeration is guarded to {MAX_FRAME_WORLDS} worlds")
+
+
+def enumerate_frames(max_worlds: int, *, unsafe_bounds: bool = False) -> Iterator[Frame]:
+    """All frames with 1..max_worlds worlds up to isomorphism."""
+    _check_world_bound(max_worlds, unsafe_bounds)
     for n in range(1, max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
         pairs = [(bit // n, bit % n) for bit in range(n * n)]
         for mask in _canonical_masks(n).tolist():
             rel = frozenset(pair for bit, pair in enumerate(pairs) if mask >> bit & 1)
             yield Frame(worlds, rel)
+
+
+def _depth1_verdicts(matrix: Matrix, f: Formula) -> Iterator[bool]:
+    """For m = 1, 2, ...: whether f takes only designated values at every
+    world of every frame of at most m worlds, decided from the meet-closure
+    of box-argument tuples (see the module docstring).  Needs the normal
+    box, modal depth <= 1 and every connective of f defined."""
+    plan = _plan_for(matrix, f, None)
+    nodes, names, dtype = plan.nodes, plan.names, plan.dtype
+    # every valuation sigma of the variables, one row each, last one fastest
+    grid = np.indices((plan.n,) * len(names), dtype=dtype).reshape(len(names), -1, 1)
+    own = dict(zip(names, grid))
+    box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
+    column = {i: j for j, i in enumerate(box_ids)}
+
+    def node_values(box_value) -> list[np.ndarray]:
+        values: list[np.ndarray] = []
+        for i, (kind, a, b) in enumerate(nodes):
+            if kind == VAR:
+                values.append(own[a])
+            elif kind == BOX:
+                values.append(box_value(i, values[a]))
+            else:
+                values.append(plan.connective(kind, values[a], None if b is None else values[b]))
+        return values
+
+    if box_ids:
+        # t(sigma): the box-argument tuple of each valuation
+        values = node_values(lambda i, arg: arg)
+        singles = np.unique(np.hstack([values[nodes[i][1]] for i in box_ids]), axis=0)
+    # meets of at most m - 1 single tuples (the empty meet is all-top), and
+    # those of them first reached at this m
+    level = new = np.full((1, len(box_ids)), matrix.lattice.top, dtype)
+    chunk = max(1, (1 << 20) // grid.shape[1])
+    designated = True
+    while True:
+        for start in range(0, len(new), chunk):
+            c = new[start : start + chunk].T
+            # a root without and with itself among its successors
+            for box_value in (
+                lambda i, arg: c[column[i]],
+                lambda i, arg: plan.connective(AND, arg, c[column[i]]),
+            ):
+                designated = designated and bool(
+                    plan.designated[node_values(box_value)[-1]].all()
+                )
+        yield designated
+        if not box_ids:
+            new = new[:0]
+            continue
+        candidates = plan.connective(AND, new[:, None, :], singles[None, :, :])
+        merged, first = np.unique(
+            np.concatenate([level, candidates.reshape(-1, len(box_ids))]),
+            axis=0,
+            return_index=True,
+        )
+        level, new = merged, merged[first >= len(level)]
+
+
+def _exact_check_applies(matrix: Matrix, f: Formula, mode: BoxMode) -> bool:
+    kinds = {kind for kind, _, _ in compile_formula(f)}
+    lat = matrix.lattice
+    return (
+        mode is BoxMode.NORMAL_MEET
+        and modal_depth(f) <= 1
+        and (NOT not in kinds or lat.neg is not None)
+        and (IMP not in kinds or lat.imp is not None)
+    )
 
 
 def find_frame_counterexample(
@@ -124,11 +227,39 @@ def find_frame_counterexample(
     unsafe_bounds: bool = False,
 ) -> CounterexampleReport | None:
     """First counterexample to frame validity over all frames within the
-    world bound, or None."""
+    world bound, or None.
+
+    Under the normal box, a formula of modal depth <= 1 whose connectives
+    the matrix all defines is first decided exactly from the meet-closure of
+    its box-argument tuples (see the module docstring): the values it takes
+    at (s, c) and (s, t(s) meet c), c a meet of at most m - 1 single
+    tuples, are exactly those it takes on frames of at most m worlds.  When
+    all of them are designated for m = max_worlds, no frame is scanned.
+    Otherwise, and for every other formula and box mode, the frames are
+    scanned in canonical order, so a counterexample is always the first one
+    of that order, and a missing operation is raised only where the scan
+    reaches it.  Either way the same bound errors are raised: the world
+    bound first, then the valuation guard of the first world count that no
+    counterexample comes before.
+    """
+    exact = _exact_check_applies(matrix, f, mode)
+    if exact:
+        _check_world_bound(max_worlds, unsafe_bounds)
+        verdicts = _depth1_verdicts(matrix, f)
+        for n_worlds in range(1, max_worlds + 1):
+            _guard_valuation_space(
+                matrix.lattice.n, n_worlds, len(variables(f)), unsafe_bounds
+            )
+            if not next(verdicts):
+                break
+        else:
+            return None
     for frame in enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds):
         report = frame_valid(matrix, frame, f, mode, unsafe_bounds=unsafe_bounds)
         if report is not None:
             return report
+    if exact:
+        raise AssertionError("the meet-closure found a failure the frame scan did not")
     return None
 
 
@@ -150,9 +281,13 @@ class RegularityResult:
     accessible worlds"."""
 
     regular: bool
-    is_filter: bool
+    props: DesignatedProperties
     meet_in_designated: bool
     witness: RegularityWitness | None
+
+    @property
+    def is_filter(self) -> bool:
+        return self.props.is_filter
 
     @property
     def structural_regular(self) -> bool:
@@ -203,7 +338,7 @@ def check_regularity(
 
     return RegularityResult(
         regular=witness is None,
-        is_filter=props.is_filter,
+        props=props,
         meet_in_designated=meet_in,
         witness=witness,
     )
@@ -213,7 +348,9 @@ def check_regularity(
 # Canonical defect witnesses
 
 
-def construct_witness(kind: str, matrix: Matrix) -> KripkeModel:
+def construct_witness(
+    kind: str, matrix: Matrix, *, props: DesignatedProperties | None = None
+) -> KripkeModel:
     """Build the fixed two- or three-world model that turns a structural
     defect of the matrix into a falsified validity.
 
@@ -229,12 +366,14 @@ def construct_witness(kind: str, matrix: Matrix) -> KripkeModel:
                           designated; yields a 3-world model falsifying
                           box-K under material implication.
 
-    The pair is the first witness reported by ``check_designated``;
+    The pair is the first witness reported by ``check_designated``, whose
+    result a caller that already has it passes as ``props``;
     WitnessNotApplicable is raised when the matrix lacks the defect or the
     built model fails to falsify the target.
     """
     lat = matrix.lattice
-    props = check_designated(matrix)
+    if props is None:
+        props = check_designated(matrix)
     if kind == "nonfilter":
         pair = props.filter_witness
         if pair is None:

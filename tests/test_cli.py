@@ -290,3 +290,37 @@ def test_verify_twist_k_at_default_bounds(capsys):
     config = HarnessConfig()
     suite_report = verify_theorem("twist_k", config.twist_atoms, config.world_bound)
     assert report == suite_report.to_dict()
+
+
+def test_valid_exit_codes_and_messages_at_the_bounds(tmp_path, capsys):
+    no_imp = write_chain3(tmp_path, designated=["1"])
+    _, out, _ = run_cli(
+        capsys, "construct", "--kind", "chain:7", "--imp", "deductive_eq1",
+        "--designated", "1", "--compact",
+    )
+    c7 = tmp_path / "c7.json"
+    c7.write_text(out)
+    guard = "error: BoundTooLarge: "
+    cases = [
+        # the irreflexive one-world frame falsifies p before -> is reached
+        (no_imp, "p & [](p -> q)", "3", [], 1, ""),
+        (no_imp, "[](p -> q)", "3", [], 2,
+         "error: MissingOperation: operation 'imp' is not defined on this lattice\n"),
+        (c7, "[](p & q & r) -> []r", "3", [], 2,
+         guard + "7^9 valuations exceed the guard; pass unsafe_bounds=True to override\n"),
+        (c7, "[](p & q & r) -> []r", "2", [], 0, ""),
+        (c7, "[]p -> []p", "0", [], 2, guard + "max_worlds must be at least 1\n"),
+        (c7, "[]p -> []p", "5", [], 2, guard + "frame enumeration is guarded to 4 worlds\n"),
+        (c7, "[]p -> p", "2", ["--box", "local"], 0, ""),
+        (c7, "[]p -> p", "2", [], 1, ""),
+    ]
+    for path, text, bound, extra, expected_code, expected_err in cases:
+        code, out, err = run_cli(
+            capsys, "valid", "--lattice", str(path), "--formula", text,
+            "--max-worlds", bound, "--compact", *extra,
+        )
+        assert (code, err) == (expected_code, expected_err), text
+        if code == 1:
+            assert json.loads(out)["counterexample"]["value"] == "0"
+        else:
+            assert out == "" if code == 2 else json.loads(out)["valid"] is True

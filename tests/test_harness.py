@@ -54,16 +54,35 @@ def test_k_linear_reports_a_failing_nonlinearity_witness(monkeypatch):
 
     construct = latmodal.harness.construct_witness
 
-    def broken(kind, matrix):
+    def broken(kind, matrix, **kwargs):
         if kind == "nonlinear_k":
             raise WitnessNotApplicable("broken on purpose")
-        return construct(kind, matrix)
+        return construct(kind, matrix, **kwargs)
 
     monkeypatch.setattr(latmodal.harness, "construct_witness", broken)
     report = verify_theorem("k_linear", 4, 3)
     assert not report.passed
     assert report.failures
     assert all(f["witness_error"] == "broken on purpose" for f in report.failures)
+
+
+def test_designated_properties_computed_once_per_matrix(monkeypatch):
+    import latmodal.harness
+    import latmodal.search
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return check_designated(matrix)
+
+    monkeypatch.setattr(latmodal.harness, "check_designated", counted)
+    monkeypatch.setattr(latmodal.search, "check_designated", counted)
+    for theorem in ("regularity", "k_linear", "k_material"):
+        calls.clear()
+        report = verify_theorem(theorem, 4, 3 if theorem != "regularity" else 2)
+        assert report.passed
+        assert len(calls) == report.cases == len(set(map(id, calls)))
 
 
 def test_k_linear_needs_the_filter_requirement():

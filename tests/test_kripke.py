@@ -127,6 +127,9 @@ def test_deeply_nested_formula_needs_no_recursion(c3):
     assert propositional_value(c3, {"p": bottom}, f) == bottom
     assert variables(f) == {"p"}
     assert modal_depth(f) == 0
+    report = frame_valid(matrix_from_names(c3, ["1"]), model.frame, f)
+    assert report.model.valuation == model.valuation
+    assert report.value == evaluate(model, 0, f) == bottom
 
 
 def test_consecutive_evaluations_match_fresh_ones(c3_eq1):

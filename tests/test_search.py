@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,11 +8,14 @@ from latmodal import (
     DEDUCTIVE_EQ1,
     MATERIAL,
     BoundTooLarge,
+    BoxMode,
     Matrix,
+    MissingOperation,
     WitnessNotApplicable,
     belnap_four,
     boolean_algebra,
     build_implication,
+    chain,
     check_regularity,
     construct_witness,
     enumerate_frames,
@@ -20,6 +25,7 @@ from latmodal import (
     parse,
     world_satisfies,
 )
+import latmodal.search
 from latmodal import formula, kripke
 from latmodal.search import AXIOM_K, BOX_DISJUNCTION_DIST, canonical_frame_key
 
@@ -280,3 +286,107 @@ def test_witness_matches_search_at_proof_scale():
     assert not ok
     report = find_frame_counterexample(matrix, AXIOM_K, 3)
     assert report is not None and len(report.model.frame.worlds) <= 3
+
+
+# ---------------------------------------------------------------------------
+# the exact depth-1 check inside find_frame_counterexample
+
+DEPTH1_FORMULAS = [
+    AXIOM_K,
+    BOX_DISJUNCTION_DIST,
+    parse("[](p & q) -> ([]p & []q)"),
+    parse("[]p -> p"),
+    parse("p -> []p"),
+    parse("[]p | []q"),
+    parse("p | ~p"),
+    parse("~[]p -> []~p"),
+    parse("[]p | []~p"),
+    parse("[](p -> q) -> (~[]q -> ~[]p)"),
+]
+
+
+def _matrices_up_to_4():
+    """Every upset of every lattice of at most 4 elements, with the
+    top-if-below implication and, per anti-monotone involution, with
+    material implication."""
+    from latmodal import enumerate_complementations, enumerate_lattices, enumerate_upsets
+
+    for n in range(1, 5):
+        for lat in enumerate_lattices(n):
+            variants = [lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1))]
+            for neg in enumerate_complementations(lat, "antimonotone_involutions"):
+                with_neg = lat.with_neg(neg)
+                variants.append(with_neg.with_imp(build_implication(with_neg, MATERIAL)))
+            for variant in variants:
+                for upset in enumerate_upsets(variant):
+                    yield Matrix(variant, upset)
+
+
+def test_exact_depth1_check_matches_frame_scan():
+    from latmodal.kripke import frame_valid
+    from latmodal.search import _depth1_verdicts
+
+    frames = list(enumerate_frames(3))
+    verdicts = {True: 0, False: 0}
+    for matrix in _matrices_up_to_4():
+        for f in DEPTH1_FORMULAS:
+            kinds = {kind for kind, _, _ in formula.compile_formula(f)}
+            if matrix.lattice.neg is None and formula.NOT in kinds:
+                continue
+            exact = list(itertools.islice(_depth1_verdicts(matrix, f), 3))
+            first_failing = next(
+                (len(fr.worlds) for fr in frames if frame_valid(matrix, fr, f) is not None),
+                None,
+            )
+            scanned = [first_failing is None or first_failing > m for m in (1, 2, 3)]
+            assert exact == scanned, (matrix, f)
+            for verdict in exact:
+                verdicts[verdict] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def _count_frame_scans(monkeypatch):
+    calls = []
+    scan = latmodal.search.frame_valid
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(latmodal.search, "frame_valid", counted)
+    return calls
+
+
+def test_exact_check_skips_the_frame_scan_only_where_it_applies(monkeypatch, c3_material_lp):
+    calls = _count_frame_scans(monkeypatch)
+    assert find_frame_counterexample(c3_material_lp, AXIOM_K, 3) is None
+    assert calls == []
+    # depth 2 and the local box scan every frame, as before
+    deep = parse("[]([]p -> q) -> ([][]p -> []q)")
+    assert find_frame_counterexample(c3_material_lp, deep, 2) is None
+    assert len(calls) == 12
+    calls.clear()
+    local = find_frame_counterexample(c3_material_lp, AXIOM_K, 2, BoxMode.LOCAL)
+    assert local is None and len(calls) == 12
+
+
+def test_missing_implication_still_gives_the_first_counterexample(c3):
+    # the irreflexive one-world frame falsifies p before -> is ever reached
+    matrix = matrix_from_names(c3, ["1"])
+    report = find_frame_counterexample(matrix, parse("p & [](p -> q)"), 3)
+    assert report is not None and report.model.frame.rel == frozenset()
+    assert report.recheck()
+    with pytest.raises(MissingOperation):
+        find_frame_counterexample(matrix, parse("[](p -> q)"), 3)
+
+
+def test_valid_query_over_the_valuation_guard_raises_as_the_scan_does():
+    seven = chain(7, "none")
+    matrix = matrix_from_names(seven.with_imp(build_implication(seven, DEDUCTIVE_EQ1)), ["1"])
+    with pytest.raises(BoundTooLarge) as info:
+        find_frame_counterexample(matrix, parse("[](p & q & r) -> []r"), 3)
+    assert str(info.value) == "7^9 valuations exceed the guard; pass unsafe_bounds=True to override"
+    assert find_frame_counterexample(matrix, parse("[](p & q & r) -> []r"), 2) is None
+    for bound in (0, 5):
+        with pytest.raises(BoundTooLarge):
+            find_frame_counterexample(matrix, parse("[]p -> []p"), bound)
