@@ -174,8 +174,3 @@ def twist(base: Lattice, restrict_p: bool = False) -> Matrix:
     lat = lat.with_imp(build_implication(lat, MATERIAL))
     designated = frozenset(k for k, (i, _) in enumerate(pairs) if i == base.top)
     return Matrix(lat, designated)
-
-
-def twist_ones(matrix: Matrix) -> frozenset[int]:
-    """Indices of the first-coordinate-top pairs of a twist matrix."""
-    return matrix.designated

@@ -19,8 +19,9 @@ reports the counterexample that comes first in canonical enumeration order
 slot fastest) and re-certifies it with ``evaluate``.  It builds the lattice
 tables once; that plan is kept for the next call while the matrix and
 formula objects stay the same, as they do across the frames of one search.
-The exact depth-1 check of ``search.find_frame_counterexample`` runs the
-same plan's tables on arrays over valuations and box-value tuples.
+The plan's ``node_values`` runs the node list at one world on broadcasting
+arrays: the type closure of ``search.find_frame_counterexample`` runs it over
+valuations and box-value tuples, ``lattice.entails`` over valuations.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ def _guard_valuation_space(n: int, n_worlds: int, n_vars: int, unsafe: bool) -> 
 
 
 class _Plan:
-    """What ``frame_valid``, and the exact depth-1 check of the search, need
-    of one (matrix, formula, variable domain), built once: the compiled
+    """What ``frame_valid``, the type closure of the search and ``entails``
+    need of one (matrix, formula, variable domain), built once: the compiled
     formula, the lattice tables and, per world count, the valuation-space
     layout.  The box mode is read per call."""
 
@@ -284,6 +285,20 @@ class _Plan:
             raise MissingOperation("imp")
         return table.take(x * self.scale + y)
 
+    def node_values(self, var_values, box_value) -> list[np.ndarray]:
+        """The value array of every node at one world, bottom-up: a variable
+        takes var_values[name], box node i takes box_value(i, value array of
+        its argument).  The arrays broadcast against each other."""
+        values: list[np.ndarray] = []
+        for i, (kind, a, b) in enumerate(self.nodes):
+            if kind == VAR:
+                values.append(var_values[a])
+            elif kind == BOX:
+                values.append(box_value(i, values[a]))
+            else:
+                values.append(self.connective(kind, values[a], None if b is None else values[b]))
+        return values
+
     def layout(self, n_worlds: int) -> tuple:
         """Valuation slots, the array of each variable at each world, the
         all-top array and the strides of the full valuation space.  Each
@@ -294,11 +309,7 @@ class _Plan:
         n = self.n
         slots = [(w, x) for w in range(n_worlds) for x in self.names]
         ndim = len(slots)
-        var_arrays = {}
-        for k, slot in enumerate(slots):
-            shape = [1] * ndim
-            shape[k] = n
-            var_arrays[slot] = np.arange(n, dtype=self.dtype).reshape(shape)
+        var_arrays = dict(zip(slots, np.indices((n,) * ndim, dtype=self.dtype, sparse=True)))
         top_arr = np.full((1,) * ndim, self.matrix.lattice.top, dtype=self.dtype)
         strides = [n ** (ndim - 1 - k) for k in range(ndim)]
         layout = self._layouts[n_worlds] = (slots, var_arrays, top_arr, strides)

@@ -17,9 +17,10 @@ are checked, never presumed.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     BoundTooLarge,
@@ -320,9 +321,6 @@ class Matrix:
             if not (0 <= e < self.lattice.n):
                 raise InvalidInput(f"designated element index {e} out of range")
 
-    def is_designated(self, e: int) -> bool:
-        return e in self.designated
-
     def designated_names(self) -> list[str]:
         return [self.lattice.elements[i] for i in sorted(self.designated)]
 
@@ -595,16 +593,13 @@ def propositional_value(lattice: Lattice, assignment: dict[str, int], f: Formula
     the scalar semantics on one world with no successors."""
     if not is_modal_free(f):
         raise ModalFormulaRejected("box operators have no propositional value")
-    return _one_world_value(lattice, assignment, compile_formula(f))
 
-
-def _one_world_value(lattice: Lattice, assignment: dict[str, int], nodes) -> int:
     def value_of(_world: int, name: str) -> int:
         if name not in assignment:
             raise InvalidInput(f"no value assigned to variable {name!r}")
         return assignment[name]
 
-    return interpret(nodes, 0, value_of, None, lattice)
+    return interpret(compile_formula(f), 0, value_of, None, lattice)
 
 
 @dataclass(frozen=True)
@@ -620,13 +615,13 @@ def entails(
     *,
     unsafe_bounds: bool = False,
 ) -> EntailmentResult:
-    """Brute-force the consequence relation of the matrix.
+    """Decide the consequence relation of the matrix by brute force.
 
     Quantifies over every valuation of the variables occurring in the
-    premises and the conclusion (sorted variable order, element-index order,
-    last variable fastest) and returns the first valuation that designates
-    every premise but not the conclusion, if any.  Box operators are
-    rejected.
+    premises and the conclusion, all at once on numpy arrays, and returns
+    the first valuation (sorted variable order, element-index order, last
+    variable fastest) that designates every premise but not the conclusion,
+    if any.  Box operators are rejected.
     """
     premises = list(premises)
     for f in [*premises, conclusion]:
@@ -639,14 +634,21 @@ def entails(
             f"{lat.n}^{len(names)} valuations exceed the guard; "
             "pass unsafe_bounds=True to override"
         )
-    # compiled once here: alternating formulas would defeat the compile cache
-    premise_nodes = [compile_formula(p) for p in premises]
-    conclusion_nodes = compile_formula(conclusion)
-    for combo in itertools.product(range(lat.n), repeat=len(names)):
-        assignment = dict(zip(names, combo))
-        if all(
-            _one_world_value(lat, assignment, p) in matrix.designated for p in premise_nodes
-        ) and _one_world_value(lat, assignment, conclusion_nodes) not in matrix.designated:
-            return EntailmentResult(False, assignment)
+    from .kripke import _Plan  # kripke builds on this module
+
+    # one array axis per variable; like a scan that stops at the first
+    # undesignated premise, a formula is evaluated only if a valuation reaches it
+    plans = [_Plan(matrix, f, None) for f in [*premises, conclusion]]
+    grid = np.indices((lat.n,) * len(names), dtype=plans[0].dtype, sparse=True)
+    var_values = dict(zip(names, grid))
+    fails = np.ones((1,) * len(names), dtype=bool)
+    for plan in plans:
+        if fails.any():
+            holds = plan.designated[plan.node_values(var_values, None)[-1]]
+            fails = fails & (~holds if plan is plans[-1] else holds)
+    if fails.any():
+        fails = np.broadcast_to(fails, (lat.n,) * len(names))
+        combo = np.unravel_index(int(np.argmax(fails.ravel())), fails.shape)
+        return EntailmentResult(False, {x: int(v) for x, v in zip(names, combo)})
     return EntailmentResult(True, None)
 

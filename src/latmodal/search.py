@@ -9,21 +9,29 @@ whole block of masks at once by per-bit shifts, and a mask survives only if
 no relabelling is smaller.  The surviving masks of each world count
 are computed once per process and cached; the ``Frame`` objects are not.
 
-``find_frame_counterexample`` decides formulas of modal depth <= 1 under
-the normal box without scanning frames when they hold.  At a world r such
-a formula's value depends only on r's own valuation s and on the tuple c
-of its box values, the componentwise meet over r's successors of the
-box-argument tuples t(s') of their valuations (all-top when there are
-none), because box arguments are box-free.  On a frame of at most m
-worlds, c is the meet of at most m - 1 such tuples of arbitrary
-valuations when r is irreflexive, and t(s) meet such a meet when r is
-reflexive; every such pair (s, c) occurs on a fan of at most m worlds.
-So the values the formula takes on frames of at most m worlds are exactly
-its values at (s, c) and (s, t(s) meet c), for every s and every meet c
-of at most m - 1 single tuples, which the search grows level by level
-from the all-top tuple.  If all are designated at m = max_worlds the
-formula holds on every frame within the bound; otherwise the frame scan
-runs and returns its canonically first counterexample.
+``find_frame_counterexample`` decides validity under the normal box, on a
+matrix that defines every connective of the formula, by type elimination
+(as for the many-valued modal logics of Fitting, 1991/92, and of Bou,
+Esteva, Godo and Rodriguez, 2011).  A world's values are fixed by its own
+valuation s and its tuple c of box values, the componentwise meet over its
+successors of their tuples t(s', c') of box-argument values (all-top when
+there are none).  So the c at the roots of trees of height h are
+C_0 = {all-top} and C_{h+1} = {all-top} with the finite meets of
+{t(s, c) : s any valuation, c in C_h}, which grows to a fixpoint C.  Every
+world takes the values of the root of its unravelling, a tree, and on a
+finite lattice every meet is a finite one, so the formula is valid on all
+frames iff it is designated at every (s, c) with c in C.  Each round meets
+only the new tuples with the others, and the first round with an
+undesignated root ends the closure.  C can grow exponentially with the
+modal depth, so past a budget of rows the frame scan decides instead.
+
+At modal depth <= 1, t(s, c) = t(s) and round m - 1 decides the frames of
+at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
+irreflexive world and t(s) meet such a meet at a reflexive one, and each
+such (s, c) occurs on a fan of at most m worlds.  A deeper formula that
+fails the closure may still hold within the bound; for it, as for every
+failing formula, the frame scan decides and finds the canonically first
+counterexample.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .formula import (
     BOX,
     IMP,
     NOT,
-    VAR,
     Box,
     Formula,
     Var,
@@ -54,10 +61,10 @@ from .kripke import (
     BoxMode,
     CounterexampleReport,
     Frame,
+    MAX_VALUATION_SPACE,
     KripkeModel,
     _guard_valuation_space,
     _plan_for,
-    evaluate,
     frame_valid,
     world_satisfies,
 )
@@ -74,29 +81,6 @@ WITNESS_KINDS = (
     "nonlinear_k",
     "nonimplicative_k_material",
 )
-
-
-def _frame_mask_key(mask: int, n: int, perms) -> int:
-    best = mask
-    for perm in perms:
-        relabeled = 0
-        m = mask
-        while m:
-            bit = (m & -m).bit_length() - 1
-            relabeled |= 1 << (perm[bit // n] * n + perm[bit % n])
-            m &= m - 1
-        if relabeled < best:
-            best = relabeled
-    return best
-
-
-def canonical_frame_key(n_worlds: int, rel: frozenset[tuple[int, int]]) -> int:
-    """Canonical bitmask of a relation under world permutations."""
-    mask = 0
-    for i, j in rel:
-        mask |= 1 << (i * n_worlds + j)
-    perms = list(itertools.permutations(range(n_worlds)))
-    return _frame_mask_key(mask, n_worlds, perms)
 
 
 # Relation masks are scanned in blocks of this many, so that no array of the
@@ -150,72 +134,85 @@ def enumerate_frames(max_worlds: int, *, unsafe_bounds: bool = False) -> Iterato
             yield Frame(worlds, rel)
 
 
-def _depth1_verdicts(matrix: Matrix, f: Formula) -> Iterator[bool]:
-    """For m = 1, 2, ...: whether f takes only designated values at every
-    world of every frame of at most m worlds, decided from the meet-closure
-    of box-argument tuples (see the module docstring).  Needs the normal
-    box, modal depth <= 1 and every connective of f defined."""
+def _merge(rows: np.ndarray, more: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of both arrays of values below n, in ascending
+    order, and those of them that the first lacks; rows are compared by
+    their digits in base n."""
+    codes = np.zeros(len(rows) + len(more), dtype=np.int64)
+    for col in np.concatenate([rows, more]).T:
+        codes = codes * n + col
+    distinct = np.unique(codes)
+    lacked = np.ones(len(distinct), dtype=bool)
+    lacked[np.searchsorted(distinct, codes[: len(rows)])] = False
+    merged = (distinct[:, None] // n ** np.arange(rows.shape[1] - 1, -1, -1) % n).astype(rows.dtype)
+    return merged, merged[lacked]
+
+
+_CLOSURE_BLOCK = 1 << 20  # about the most values one array of the closure holds
+
+
+def _closure_verdicts(matrix: Matrix, f: Formula) -> Iterator[bool | None]:
+    """For m = 1, 2, ...: at modal depth <= 1, whether f takes only
+    designated values on every frame of at most m worlds; deeper, every
+    verdict is whether it does on all frames.  Decided from the closure of
+    box-value tuples (see the module docstring), or None once the rows
+    evaluated and met exceed MAX_VALUATION_SPACE: the closure can grow
+    exponentially with the modal depth.  Needs the normal box and every
+    connective of f defined."""
     plan = _plan_for(matrix, f, None)
-    nodes, names, dtype = plan.nodes, plan.names, plan.dtype
-    # every valuation sigma of the variables, one row each, last one fastest
-    grid = np.indices((plan.n,) * len(names), dtype=dtype).reshape(len(names), -1, 1)
+    nodes, names, dtype, n = plan.nodes, plan.names, plan.dtype, plan.n
+    # every valuation s of the variables, one row each, last one fastest
+    grid = np.indices((n,) * len(names), dtype=dtype).reshape(len(names), -1, 1)
     own = dict(zip(names, grid))
     box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
     column = {i: j for j, i in enumerate(box_ids)}
-
-    def node_values(box_value) -> list[np.ndarray]:
-        values: list[np.ndarray] = []
-        for i, (kind, a, b) in enumerate(nodes):
-            if kind == VAR:
-                values.append(own[a])
-            elif kind == BOX:
-                values.append(box_value(i, values[a]))
-            else:
-                values.append(plan.connective(kind, values[a], None if b is None else values[b]))
-        return values
-
-    if box_ids:
-        # t(sigma): the box-argument tuple of each valuation
-        values = node_values(lambda i, arg: arg)
-        singles = np.unique(np.hstack([values[nodes[i][1]] for i in box_ids]), axis=0)
-    # meets of at most m - 1 single tuples (the empty meet is all-top), and
-    # those of them first reached at this m
-    level = new = np.full((1, len(box_ids)), matrix.lattice.top, dtype)
-    chunk = max(1, (1 << 20) // grid.shape[1])
-    designated = True
+    width = len(box_ids)
+    bounded = modal_depth(f) <= 1
+    # the box-value tuples reached and those not yet checked; generators are
+    # the tuples t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
+    closure = new = np.full((1, width), matrix.lattice.top, dtype)
+    none = generators = closure[:0]
+    collect = width > 0
+    chunk = max(1, _CLOSURE_BLOCK // grid.shape[1])
+    designated, work = True, 0
     while True:
-        for start in range(0, len(new), chunk):
+        work += len(new) * grid.shape[1]
+        if work > MAX_VALUATION_SPACE:
+            yield None
+            return
+        found = [none]
+        for start in range(0, len(new) if designated else 0, chunk):
             c = new[start : start + chunk].T
-            # a root without and with itself among its successors
-            for box_value in (
-                lambda i, arg: c[column[i]],
-                lambda i, arg: plan.connective(AND, arg, c[column[i]]),
-            ):
-                designated = designated and bool(
-                    plan.designated[node_values(box_value)[-1]].all()
-                )
-        yield designated
-        if not box_ids:
-            new = new[:0]
+            values = plan.node_values(own, lambda i, arg: c[column[i]])
+            designated = bool(plan.designated[values[-1]].all())
+            if bounded:
+                # a root among its own successors
+                loop = plan.node_values(own, lambda i, arg: plan.connective(AND, arg, c[column[i]]))
+                designated = designated and bool(plan.designated[loop[-1]].all())
+            if not designated:
+                break
+            if collect:
+                tuples = np.stack(np.broadcast_arrays(*(values[nodes[i][1]] for i in box_ids)), -1)
+                found.append(_merge(none, tuples.reshape(-1, width), n)[0])
+        if bounded or not designated or not len(new):
+            yield designated
+        if not width:
+            new = none
             continue
-        candidates = plan.connective(AND, new[:, None, :], singles[None, :, :])
-        merged, first = np.unique(
-            np.concatenate([level, candidates.reshape(-1, len(box_ids))]),
-            axis=0,
-            return_index=True,
-        )
-        level, new = merged, merged[first >= len(level)]
-
-
-def _exact_check_applies(matrix: Matrix, f: Formula, mode: BoxMode) -> bool:
-    kinds = {kind for kind, _, _ in compile_formula(f)}
-    lat = matrix.lattice
-    return (
-        mode is BoxMode.NORMAL_MEET
-        and modal_depth(f) <= 1
-        and (NOT not in kinds or lat.neg is not None)
-        and (IMP not in kinds or lat.imp is not None)
-    )
+        collect = not bounded
+        grown, fresh = _merge(generators, _merge(closure, np.concatenate(found), n)[1], n)
+        work += len(new) * len(generators) + len(closure) * len(fresh)
+        if work > MAX_VALUATION_SPACE:
+            yield None
+            return
+        meets = [none]
+        for x, y in ((new, generators), (closure, fresh)):
+            step = max(1, _CLOSURE_BLOCK // max(1, len(y) * width))
+            for start in range(0, len(x), step):
+                block = plan.connective(AND, x[start : start + step, None], y[None])
+                meets.append(_merge(none, block.reshape(-1, width), n)[0])
+        generators = grown
+        closure, new = _merge(closure, np.concatenate(meets), n)
 
 
 def find_frame_counterexample(
@@ -227,38 +224,50 @@ def find_frame_counterexample(
     unsafe_bounds: bool = False,
 ) -> CounterexampleReport | None:
     """First counterexample to frame validity over all frames within the
-    world bound, or None.
+    world bound, or None: the first one of the canonical frame scan.
 
-    Under the normal box, a formula of modal depth <= 1 whose connectives
-    the matrix all defines is first decided exactly from the meet-closure of
-    its box-argument tuples (see the module docstring): the values it takes
-    at (s, c) and (s, t(s) meet c), c a meet of at most m - 1 single
-    tuples, are exactly those it takes on frames of at most m worlds.  When
-    all of them are designated for m = max_worlds, no frame is scanned.
-    Otherwise, and for every other formula and box mode, the frames are
-    scanned in canonical order, so a counterexample is always the first one
-    of that order, and a missing operation is raised only where the scan
-    reaches it.  Either way the same bound errors are raised: the world
-    bound first, then the valuation guard of the first world count that no
-    counterexample comes before.
+    The local box never reads the relation, so the first frame, one world
+    without successors, decides it.  Under the normal box the closure of
+    box-value tuples (see the module docstring) comes first where the
+    matrix defines every connective of f and the valuation guard admits
+    max_worlds worlds (and so every smaller count); the scan runs where it
+    fails or outgrows its budget.  Every way, a missing operation is raised
+    only where the scan reaches it, and the same bound errors are raised:
+    the world bound first, then the valuation guard of the first world
+    count that no counterexample comes before.
     """
-    exact = _exact_check_applies(matrix, f, mode)
+    lat, n_vars = matrix.lattice, len(variables(f))
+    frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)
+    if mode is BoxMode.LOCAL:
+        report = frame_valid(matrix, next(frames), f, mode, unsafe_bounds=unsafe_bounds)
+        for n_worlds in range(2, max_worlds + 1) if report is None else ():
+            _guard_valuation_space(lat.n, n_worlds, n_vars, unsafe_bounds)
+        return report
+    _check_world_bound(max_worlds, unsafe_bounds)
+    kinds = [kind for kind, _, _ in compile_formula(f)]
+    exact = (
+        (NOT not in kinds or lat.neg is not None)
+        and (IMP not in kinds or lat.imp is not None)
+        and lat.n ** kinds.count(BOX) < 1 << 63  # box-value tuples have int64 codes
+    )
+    try:
+        _guard_valuation_space(lat.n, max_worlds, n_vars, unsafe_bounds)
+    except BoundTooLarge:
+        exact = False  # the scan raises it, or finds a counterexample first
+    verdict, bounded = None, modal_depth(f) <= 1
     if exact:
-        _check_world_bound(max_worlds, unsafe_bounds)
-        verdicts = _depth1_verdicts(matrix, f)
-        for n_worlds in range(1, max_worlds + 1):
-            _guard_valuation_space(
-                matrix.lattice.n, n_worlds, len(variables(f)), unsafe_bounds
-            )
-            if not next(verdicts):
+        verdicts = _closure_verdicts(matrix, f)
+        for _ in range(max_worlds if bounded else 1):
+            verdict = next(verdicts)
+            if not verdict:
                 break
         else:
             return None
-    for frame in enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds):
+    for frame in frames:
         report = frame_valid(matrix, frame, f, mode, unsafe_bounds=unsafe_bounds)
         if report is not None:
             return report
-    if exact:
+    if verdict is False and bounded:
         raise AssertionError("the meet-closure found a failure the frame scan did not")
     return None
 
@@ -297,51 +306,49 @@ class RegularityResult:
 def check_regularity(
     matrix: Matrix, max_worlds: int = 2, *, unsafe_bounds: bool = False
 ) -> RegularityResult:
-    """Scan all single-variable models within the world bound for a world
-    where the box verdict and the all-successors verdict disagree.
+    """Scan all one-variable models within the world bound for a world where
+    []p is designated but p fails at some successor, or the reverse; the
+    first such world in canonical order (frames, then valuations with the
+    last world fastest, then worlds) is the witness.
 
     The structural side (designated set closed under meet, with its big meet
     designated) is computed independently; on finite lattices the two
     verdicts must coincide.
     """
     lat = matrix.lattice
-    props = check_designated(matrix)
-    meet_in = big_meet(lat, matrix.designated) in matrix.designated
-
-    box_p = Box(Var("p"))
-    witness = None
-    for frame in enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds):
-        n_worlds = len(frame.worlds)
-        slots = [(w, "p") for w in range(n_worlds)]
-        for combo in itertools.product(range(lat.n), repeat=n_worlds):
-            model = KripkeModel(frame, lat, dict(zip(slots, combo)))
-            for w in range(n_worlds):
-                box_value = evaluate(model, w, box_p)
-                box_ok = box_value in matrix.designated
-                naw = all(combo[w2] in matrix.designated for w2 in frame.successors(w))
-                if box_ok != naw:
-                    witness = RegularityWitness(
-                        model=model,
-                        world=w,
-                        box_value=box_value,
-                        direction=(
-                            "box_holds_but_successor_fails"
-                            if box_ok
-                            else "successors_hold_but_box_fails"
-                        ),
-                    )
-                    break
-            if witness:
-                break
-        if witness:
-            break
-
+    witness = _regularity_witness(matrix, max_worlds, unsafe_bounds)
     return RegularityResult(
         regular=witness is None,
-        props=props,
-        meet_in_designated=meet_in,
+        props=check_designated(matrix),
+        meet_in_designated=big_meet(lat, matrix.designated) in matrix.designated,
         witness=witness,
     )
+
+
+def _regularity_witness(
+    matrix: Matrix, max_worlds: int, unsafe_bounds: bool
+) -> RegularityWitness | None:
+    lat = matrix.lattice
+    meet = np.array(lat.meet_table)
+    designated = np.zeros(lat.n, dtype=bool)
+    designated[sorted(matrix.designated)] = True
+    for frame in enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds):
+        k = len(frame.worlds)
+        # one column per valuation of p, the last world fastest
+        grid = np.indices((lat.n,) * k).reshape(k, -1)
+        box = np.full(grid.shape, lat.top)
+        holds = np.ones(grid.shape, dtype=bool)
+        for w, w2 in frame.rel:
+            box[w] = meet[box[w], grid[w2]]
+            holds[w] &= designated[grid[w2]]
+        differ = designated[box] != holds
+        if differ.any():
+            combo = int(np.argmax(differ.any(axis=0)))
+            w = int(np.argmax(differ[:, combo]))
+            model = KripkeModel(frame, lat, {(v, "p"): int(grid[v, combo]) for v in range(k)})
+            direction = ("box_holds_but_successor_fails", "successors_hold_but_box_fails")
+            return RegularityWitness(model, w, int(box[w, combo]), direction[int(holds[w, combo])])
+    return None
 
 
 # ---------------------------------------------------------------------------

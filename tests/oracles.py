@@ -3,15 +3,19 @@
 These deliberately avoid the package's evaluation and search code paths:
 the classical evaluator works on plain booleans, the naive frame scan uses
 itertools plus the scalar reference evaluator ``evaluate`` (which shares
-only the formula compiler with ``frame_valid``), and the box-K decision
-procedure closes value triples under componentwise meet instead of
-touching frames.
+only the formula compiler with ``frame_valid``), the entailment and
+regularity scans loop over valuations and models where the package decides
+on arrays and value sets, the canonical frame key relabels relation
+bitmasks one pair at a time where the package's frame filter shifts whole
+blocks of masks in numpy, and the box-K decision procedure closes value
+triples under componentwise meet instead of touching frames.
 """
 
 import itertools
 
-from latmodal import BoxMode, KripkeModel, evaluate
-from latmodal.formula import And, Imp, Not, Or, Var
+from latmodal import BoxMode, KripkeModel, enumerate_frames, evaluate, variables
+from latmodal.formula import And, Box, Imp, Not, Or, Var
+from latmodal.lattice import propositional_value
 
 
 def classical_satisfies(successors, valuation, world, formula):
@@ -38,6 +42,30 @@ def classical_satisfies(successors, valuation, world, formula):
     )
 
 
+def _frame_mask_key(mask, n, perms):
+    best = mask
+    for perm in perms:
+        relabeled = 0
+        m = mask
+        while m:
+            bit = (m & -m).bit_length() - 1
+            relabeled |= 1 << (perm[bit // n] * n + perm[bit % n])
+            m &= m - 1
+        if relabeled < best:
+            best = relabeled
+    return best
+
+
+def canonical_frame_key(n_worlds, rel):
+    """Canonical bitmask of a relation under world permutations: the
+    smallest of its relabellings."""
+    mask = 0
+    for i, j in rel:
+        mask |= 1 << (i * n_worlds + j)
+    perms = list(itertools.permutations(range(n_worlds)))
+    return _frame_mask_key(mask, n_worlds, perms)
+
+
 def naive_frame_counterexample(matrix, frame, formula, names, mode=BoxMode.NORMAL_MEET):
     """First failing (valuation, world) by explicit product enumeration."""
     lat = matrix.lattice
@@ -47,6 +75,43 @@ def naive_frame_counterexample(matrix, frame, formula, names, mode=BoxMode.NORMA
         for w in range(len(frame.worlds)):
             if evaluate(model, w, formula, mode) not in matrix.designated:
                 return dict(zip(slots, combo)), w
+    return None
+
+
+def naive_entailment_witness(matrix, premises, conclusion):
+    """First valuation, last variable fastest, that designates every premise
+    but not the conclusion, or None; a formula is evaluated only where the
+    ones before it are designated."""
+    names = sorted(set().union(*(variables(f) for f in [*premises, conclusion])))
+    designated = matrix.designated
+    for combo in itertools.product(range(matrix.lattice.n), repeat=len(names)):
+        assignment = dict(zip(names, combo))
+        if all(
+            propositional_value(matrix.lattice, assignment, p) in designated for p in premises
+        ) and propositional_value(matrix.lattice, assignment, conclusion) not in designated:
+            return assignment
+    return None
+
+
+def naive_regularity_witness(matrix, max_worlds):
+    """First (model, world, box value, direction) where []p and "p at every
+    successor" disagree, over the one-variable models within the bound in
+    canonical order (frames, valuations with the last world fastest,
+    worlds), or None."""
+    for frame in enumerate_frames(max_worlds):
+        n_worlds = len(frame.worlds)
+        for combo in itertools.product(range(matrix.lattice.n), repeat=n_worlds):
+            model = KripkeModel(frame, matrix.lattice, {(w, "p"): v for w, v in enumerate(combo)})
+            for w in range(n_worlds):
+                box = evaluate(model, w, Box(Var("p")))
+                successors_hold = all(combo[v] in matrix.designated for v in frame.successors(w))
+                if (box in matrix.designated) != successors_hold:
+                    direction = (
+                        "successors_hold_but_box_fails"
+                        if successors_hold
+                        else "box_holds_but_successor_fails"
+                    )
+                    return model, w, box, direction
     return None
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from latmodal.cli import main
 from latmodal.serialize import dumps
@@ -242,6 +243,13 @@ def test_verify_all_small(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["reports"]) == 7
+
+
+def test_verify_all_compact_matches_the_golden_file(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--all", "--compact")
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "verify_all_compact.json"
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 def test_outputs_are_byte_identical(tmp_path, capsys):

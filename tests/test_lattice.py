@@ -29,6 +29,8 @@ from latmodal import (
 )
 from latmodal.lattice import propositional_value
 
+from oracles import naive_entailment_witness
+
 
 def all_small_lattices(max_size=5):
     for n in range(1, max_size + 1):
@@ -353,6 +355,39 @@ def test_entails_tarski_conditions(data):
     # monotonicity
     if entails(c3_eq1, gamma, phi).holds:
         assert entails(c3_eq1, gamma + extra, phi).holds
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except MissingOperation as exc:
+        return str(exc)
+
+
+def test_entails_matches_the_valuation_loop():
+    # on the bare chain, "~" raises only if a valuation designates every
+    # formula before it
+    from latmodal import belnap_four, chain, enumerate_upsets
+
+    formulas = [parse(s) for s in ("p", "q", "p -> q", "p & ~p", "~q | r", "(p -> q) -> r")]
+    lattices = [chain(4, "none"), belnap_four()]
+    lattices = [lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1)) for lat in lattices]
+    witnesses = 0
+    for lat in lattices:
+        for upset in enumerate_upsets(lat):
+            matrix = Matrix(lat, upset)
+            for k in range(3):
+                for premises in itertools.combinations(formulas, k):
+                    for conclusion in formulas:
+                        args = (matrix, list(premises), conclusion)
+                        result = _outcome(entails, *args)
+                        expected = _outcome(naive_entailment_witness, *args)
+                        if not isinstance(result, str):
+                            assert result.holds == (result.witness is None)
+                            result = result.witness
+                        assert result == expected, args
+                        witnesses += isinstance(expected, dict)
+    assert witnesses > 0
 
 
 def test_propositional_value_against_tables(c3_material_lp):

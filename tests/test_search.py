@@ -27,7 +27,9 @@ from latmodal import (
 )
 import latmodal.search
 from latmodal import formula, kripke
-from latmodal.search import AXIOM_K, BOX_DISJUNCTION_DIST, canonical_frame_key
+from latmodal.search import AXIOM_K, BOX_DISJUNCTION_DIST, _closure_verdicts
+
+from oracles import canonical_frame_key, naive_regularity_witness
 
 
 def test_frame_counts():
@@ -210,6 +212,24 @@ def test_regularity_structural_matches_semantic_small():
                 assert result.regular == result.structural_regular
 
 
+def test_regularity_matches_the_model_scan():
+    from latmodal import enumerate_lattices, enumerate_upsets
+
+    witnesses = 0
+    for n in (1, 2, 3, 4):
+        for lat in enumerate_lattices(n):
+            for upset in [*enumerate_upsets(lat), frozenset()]:
+                matrix = Matrix(lat, upset)
+                for bound in (1, 2, 3) if n <= 3 else (1, 2):
+                    result = check_regularity(matrix, bound)
+                    w = result.witness
+                    found = None if w is None else (w.model, w.world, w.box_value, w.direction)
+                    assert found == naive_regularity_witness(matrix, bound), (matrix, bound)
+                    assert result.regular == (w is None)
+                    witnesses += w is not None
+    assert witnesses > 0
+
+
 # ---------------------------------------------------------------------------
 # construct_witness
 
@@ -322,27 +342,44 @@ def _matrices_up_to_4():
                     yield Matrix(variant, upset)
 
 
-def test_exact_depth1_check_matches_frame_scan():
-    from latmodal.kripke import frame_valid
-    from latmodal.search import _depth1_verdicts
+DEPTH2_FORMULAS = [
+    parse("[]([]p -> q) -> ([][]p -> []q)"),
+    parse("[]p -> [][]p"),
+    parse("[][]p -> []p"),
+    formula.substitute(AXIOM_K, {"p": parse("[]p")}),
+]
 
+
+def _first_failing_world_count(matrix, f, frames):
+    return next(
+        (len(fr.worlds) for fr in frames if kripke.frame_valid(matrix, fr, f) is not None),
+        None,
+    )
+
+
+def test_exact_depth1_check_matches_frame_scan():
     frames = list(enumerate_frames(3))
     verdicts = {True: 0, False: 0}
+    deep_verdicts = {True: 0, False: 0}
     for matrix in _matrices_up_to_4():
         for f in DEPTH1_FORMULAS:
             kinds = {kind for kind, _, _ in formula.compile_formula(f)}
             if matrix.lattice.neg is None and formula.NOT in kinds:
                 continue
-            exact = list(itertools.islice(_depth1_verdicts(matrix, f), 3))
-            first_failing = next(
-                (len(fr.worlds) for fr in frames if frame_valid(matrix, fr, f) is not None),
-                None,
-            )
+            exact = list(itertools.islice(_closure_verdicts(matrix, f), 3))
+            first_failing = _first_failing_world_count(matrix, f, frames)
             scanned = [first_failing is None or first_failing > m for m in (1, 2, 3)]
             assert exact == scanned, (matrix, f)
             for verdict in exact:
                 verdicts[verdict] += 1
+        for f in DEPTH2_FORMULAS:
+            # valid on all frames implies valid on those of at most 3 worlds;
+            # on these matrices every failure also shows within 3 worlds
+            valid = next(_closure_verdicts(matrix, f))
+            assert valid == (_first_failing_world_count(matrix, f, frames) is None), (matrix, f)
+            deep_verdicts[valid] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
+    assert deep_verdicts[True] > 0 and deep_verdicts[False] > 0
 
 
 def _count_frame_scans(monkeypatch):
@@ -360,14 +397,40 @@ def _count_frame_scans(monkeypatch):
 def test_exact_check_skips_the_frame_scan_only_where_it_applies(monkeypatch, c3_material_lp):
     calls = _count_frame_scans(monkeypatch)
     assert find_frame_counterexample(c3_material_lp, AXIOM_K, 3) is None
-    assert calls == []
-    # depth 2 and the local box scan every frame, as before
     deep = parse("[]([]p -> q) -> ([][]p -> []q)")
     assert find_frame_counterexample(c3_material_lp, deep, 2) is None
-    assert len(calls) == 12
-    calls.clear()
+    assert calls == []
+    # the local box never reads the relation: the first frame decides
     local = find_frame_counterexample(c3_material_lp, AXIOM_K, 2, BoxMode.LOCAL)
-    assert local is None and len(calls) == 12
+    assert local is None and len(calls) == 1
+    report = find_frame_counterexample(c3_material_lp, parse("[]p"), 4, BoxMode.LOCAL)
+    assert _dict(report) == _plain_scan(c3_material_lp, parse("[]p"), 4, BoxMode.LOCAL)
+    assert len(calls) == 2
+
+
+def _plain_scan(matrix, f, max_worlds, mode=BoxMode.NORMAL_MEET):
+    for frame in enumerate_frames(max_worlds):
+        report = kripke.frame_valid(matrix, frame, f, mode)
+        if report is not None:
+            return report.to_dict()
+    return None
+
+
+def test_depth2_queries_scan_frames_only_when_they_fail(monkeypatch, c3_eq1, c3_material_lp):
+    calls = _count_frame_scans(monkeypatch)
+    valid = [DEPTH2_FORMULAS[0], DEPTH2_FORMULAS[3]]
+    failing = [DEPTH2_FORMULAS[1], DEPTH2_FORMULAS[2]]
+    for matrix in (c3_eq1, c3_material_lp):
+        for f in valid:
+            assert find_frame_counterexample(matrix, f, 4) is None
+    assert calls == []
+    for matrix in (c3_eq1, c3_material_lp):
+        for f in failing:
+            report = find_frame_counterexample(matrix, f, 3)
+            assert report is not None and report.recheck()
+            assert report.to_dict() == _plain_scan(matrix, f, 3)
+    # not valid on all frames, yet valid on the one-world frames
+    assert find_frame_counterexample(c3_eq1, parse("[][]p -> []p"), 1) is None
 
 
 def test_missing_implication_still_gives_the_first_counterexample(c3):
@@ -380,12 +443,57 @@ def test_missing_implication_still_gives_the_first_counterexample(c3):
         find_frame_counterexample(matrix, parse("[](p -> q)"), 3)
 
 
-def test_valid_query_over_the_valuation_guard_raises_as_the_scan_does():
+def _closure_within_budget(monkeypatch, matrix, f):
+    """The first closure verdict, and whether the rows the closure hands to
+    _merge (those it evaluates and meets, and their merges) stay within its
+    budget."""
+    merge, rows = latmodal.search._merge, [0]
+
+    def counting(kept, more, n):
+        rows[0] += len(more)
+        return merge(kept, more, n)
+
+    monkeypatch.setattr(latmodal.search, "_merge", counting)
+    verdict = next(_closure_verdicts(matrix, f))
+    monkeypatch.undo()
+    return verdict, rows[0] <= kripke.MAX_VALUATION_SPACE
+
+
+def test_deep_box_chain_outgrows_the_closure_and_falls_back_to_the_scan(monkeypatch):
+    four = chain(4, "none")
+    matrix = matrix_from_names(four.with_imp(build_implication(four, DEDUCTIVE_EQ1)), ["1"])
+    boxes = "[]" * 10
+    valid = parse(f"{boxes}p -> {boxes}p")
+    # each round adds about 4 times the tuples of the last: the budget ends
+    # the closure before the meets of a round pass it (0.26 of the budget is
+    # merged; without that check, 4.1)
+    assert _closure_within_budget(monkeypatch, matrix, valid) == (None, True)
+    calls = _count_frame_scans(monkeypatch)
+    assert find_frame_counterexample(matrix, valid, 3) is None
+    assert len(calls) == 116
+    failing = parse(f"{boxes}p -> []{boxes}p")
+    assert _dict(find_frame_counterexample(matrix, failing, 3)) == _plain_scan(matrix, failing, 3)
+    # three variables on 8 values: 46,816 new tuples x 512 valuations would
+    # pass the budget in one evaluation, so it ends before that (0.15 of the
+    # budget is merged; evaluating them anyway, 1.6)
+    eight = chain(8, "none")
+    matrix = matrix_from_names(eight.with_imp(build_implication(eight, DEDUCTIVE_EQ1)), ["1"])
+    wide = parse("[]p & []q & []r & [](p | q) & [](q | r) & [][]r -> [][]r")
+    assert _closure_within_budget(monkeypatch, matrix, wide) == (None, True)
+
+
+def test_valid_query_over_the_valuation_guard_raises_as_the_scan_does(monkeypatch):
     seven = chain(7, "none")
     matrix = matrix_from_names(seven.with_imp(build_implication(seven, DEDUCTIVE_EQ1)), ["1"])
+
+    def no_closure(*args):
+        raise AssertionError("the closure runs only where the guard admits max_worlds")
+
+    monkeypatch.setattr(latmodal.search, "_closure_verdicts", no_closure)
     with pytest.raises(BoundTooLarge) as info:
         find_frame_counterexample(matrix, parse("[](p & q & r) -> []r"), 3)
     assert str(info.value) == "7^9 valuations exceed the guard; pass unsafe_bounds=True to override"
+    monkeypatch.undo()
     assert find_frame_counterexample(matrix, parse("[](p & q & r) -> []r"), 2) is None
     for bound in (0, 5):
         with pytest.raises(BoundTooLarge):
