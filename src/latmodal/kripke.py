@@ -17,8 +17,9 @@ over the node list at the worlds ``formula.needed_worlds`` gives, but
 reports the counterexample that comes first in canonical enumeration order
 (worlds in listed order, variables sorted, elements in index order, last
 slot fastest) and re-certifies it with ``evaluate``.  It builds the lattice
-tables once; that plan is kept for the next call while the matrix and
-formula objects stay the same, as they do across the frames of one search.
+tables once; that plan is kept for the next call while the lattice and
+formula objects stay the same, as they do across the frames of one search
+and across the designated sets of one lattice.
 The plan's ``node_values`` runs the node list at one world on broadcasting
 arrays: the type closure of ``search.find_frame_counterexample`` runs it over
 valuations and box-value tuples, ``lattice.entails`` over valuations.
@@ -242,12 +243,12 @@ def _guard_valuation_space(n: int, n_worlds: int, n_vars: int, unsafe: bool) -> 
 
 class _Plan:
     """What ``frame_valid``, the type closure of the search and ``entails``
-    need of one (matrix, formula, variable domain), built once: the compiled
+    need of one (lattice, formula, variable domain), built once: the compiled
     formula, the lattice tables and, per world count, the valuation-space
-    layout.  The box mode is read per call."""
+    layout.  The box mode and the designated set are read per call."""
 
-    def __init__(self, matrix: Matrix, f: Formula, domain: tuple[str, ...] | None):
-        self.matrix, self.formula, self.domain = matrix, f, domain
+    def __init__(self, lat: Lattice, f: Formula, domain: tuple[str, ...] | None):
+        self.lattice, self.formula, self.domain = lat, f, domain
         self.nodes = compile_formula(f)
         names = sorted({a for kind, a, _ in self.nodes if kind == VAR})
         if domain is not None:
@@ -255,7 +256,6 @@ class _Plan:
                 raise InvalidInput("var_domain must cover the variables of the formula")
             names = list(domain)
         self.names = names
-        lat = matrix.lattice
         n = self.n = lat.n
         # wide enough for the flat table index a * n + b, so that binary
         # connectives need no wider temporaries
@@ -269,8 +269,6 @@ class _Plan:
             OR: np.array(lat.join_table, dtype=dtype).ravel(),
             IMP: np.array(lat.imp.table, dtype=dtype).ravel() if lat.imp is not None else None,
         }
-        self.designated = np.zeros(n, dtype=bool)
-        self.designated[sorted(matrix.designated)] = True
         self._layouts: dict[int, tuple] = {}
 
     def connective(self, kind: int, x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
@@ -310,7 +308,7 @@ class _Plan:
         slots = [(w, x) for w in range(n_worlds) for x in self.names]
         ndim = len(slots)
         var_arrays = dict(zip(slots, np.indices((n,) * ndim, dtype=self.dtype, sparse=True)))
-        top_arr = np.full((1,) * ndim, self.matrix.lattice.top, dtype=self.dtype)
+        top_arr = np.full((1,) * ndim, self.lattice.top, dtype=self.dtype)
         strides = [n ** (ndim - 1 - k) for k in range(ndim)]
         layout = self._layouts[n_worlds] = (slots, var_arrays, top_arr, strides)
         return layout
@@ -319,21 +317,16 @@ class _Plan:
 _last_plan: _Plan | None = None
 
 
-def _plan_for(matrix: Matrix, f: Formula, var_domain: Iterable[str] | None) -> _Plan:
-    """The plan of the previous call if it was for the same matrix and
+def _plan_for(lat: Lattice, f: Formula, var_domain: Iterable[str] | None) -> _Plan:
+    """The plan of the previous call if it was for the same lattice and
     formula objects and the same domain, else a new one, which replaces it.
-    The plan holds its matrix and formula, so an object compared by
+    The plan holds its lattice and formula, so an object compared by
     identity here cannot be a new one at a reused address."""
     global _last_plan
     domain = None if var_domain is None else tuple(sorted(set(var_domain)))
     plan = _last_plan
-    if (
-        plan is None
-        or plan.matrix is not matrix
-        or plan.formula is not f
-        or plan.domain != domain
-    ):
-        plan = _last_plan = _Plan(matrix, f, domain)
+    if plan is None or plan.lattice is not lat or plan.formula is not f or plan.domain != domain:
+        plan = _last_plan = _Plan(lat, f, domain)
     return plan
 
 
@@ -353,7 +346,7 @@ def frame_valid(
     array axis, and the value of a subformula at a world spans only the axes
     it actually depends on, so the arrays stay small on sparse frames.
     """
-    plan = _plan_for(matrix, f, var_domain)
+    plan = _plan_for(matrix.lattice, f, var_domain)
     n = plan.n
     n_worlds = len(frame.worlds)
     _guard_valuation_space(n, n_worlds, len(plan.names), unsafe_bounds)
@@ -380,9 +373,10 @@ def frame_valid(
             values[i, w] = out
 
     root = len(nodes) - 1
+    undesignated = ~matrix.designated_mask()
     best: tuple[int, int] | None = None
     for w in range(n_worlds):
-        fails = ~plan.designated[values[root, w]]
+        fails = undesignated[values[root, w]]
         if not fails.any():
             continue
         first = int(np.argmax(fails.ravel()))

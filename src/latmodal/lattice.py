@@ -324,6 +324,12 @@ class Matrix:
     def designated_names(self) -> list[str]:
         return [self.lattice.elements[i] for i in sorted(self.designated)]
 
+    def designated_mask(self) -> np.ndarray:
+        """Whether each element, by index, is designated."""
+        mask = np.zeros(self.lattice.n, dtype=bool)
+        mask[sorted(self.designated)] = True
+        return mask
+
     def to_dict(self) -> dict:
         d = self.lattice.to_dict()
         d["designated"] = self.designated_names()
@@ -638,13 +644,14 @@ def entails(
 
     # one array axis per variable; like a scan that stops at the first
     # undesignated premise, a formula is evaluated only if a valuation reaches it
-    plans = [_Plan(matrix, f, None) for f in [*premises, conclusion]]
+    plans = [_Plan(lat, f, None) for f in [*premises, conclusion]]
     grid = np.indices((lat.n,) * len(names), dtype=plans[0].dtype, sparse=True)
     var_values = dict(zip(names, grid))
+    designated = matrix.designated_mask()
     fails = np.ones((1,) * len(names), dtype=bool)
     for plan in plans:
         if fails.any():
-            holds = plan.designated[plan.node_values(var_values, None)[-1]]
+            holds = designated[plan.node_values(var_values, None)[-1]]
             fails = fails & (~holds if plan is plans[-1] else holds)
     if fails.any():
         fails = np.broadcast_to(fails, (lat.n,) * len(names))

@@ -20,9 +20,13 @@ C_0 = {all-top} and C_{h+1} = {all-top} with the finite meets of
 {t(s, c) : s any valuation, c in C_h}, which grows to a fixpoint C.  Every
 world takes the values of the root of its unravelling, a tree, and on a
 finite lattice every meet is a finite one, so the formula is valid on all
-frames iff it is designated at every (s, c) with c in C.  Each round meets
-only the new tuples with the others, and the first round with an
-undesignated root ends the closure.  C can grow exponentially with the
+frames iff its root values at the (s, c) with c in C all lie in the
+designated set D.  The closure reads no D: it depends only on the lattice
+and the formula, and a matrix's verdict is the inclusion of the root values
+attained in its D.  So the matrices of one lattice share one closure per
+formula, kept for the next search while the lattice and formula objects
+stay the same, and grown only as far as some search asks.  Each round meets
+only the new tuples with the others.  C can grow exponentially with the
 modal depth, so past a budget of rows the frame scan decides instead.
 
 At modal depth <= 1, t(s, c) = t(s) and round m - 1 decides the frames of
@@ -68,7 +72,7 @@ from .kripke import (
     frame_valid,
     world_satisfies,
 )
-from .lattice import DesignatedProperties, Matrix, big_meet, check_designated
+from .lattice import DesignatedProperties, Lattice, Matrix, big_meet, check_designated
 
 AXIOM_K = parse("[](p -> q) -> ([]p -> []q)")
 BOX_DISJUNCTION_DIST = parse("([]p | []q) -> [](p | q)")
@@ -141,7 +145,9 @@ def _merge(rows: np.ndarray, more: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     codes = np.zeros(len(rows) + len(more), dtype=np.int64)
     for col in np.concatenate([rows, more]).T:
         codes = codes * n + col
-    distinct = np.unique(codes)
+    # sorted and compared with the code before (np.unique would import numpy.ma)
+    distinct = np.sort(codes)
+    distinct = distinct[np.diff(distinct, prepend=-1) != 0]
     lacked = np.ones(len(distinct), dtype=bool)
     lacked[np.searchsorted(distinct, codes[: len(rows)])] = False
     merged = (distinct[:, None] // n ** np.arange(rows.shape[1] - 1, -1, -1) % n).astype(rows.dtype)
@@ -150,16 +156,19 @@ def _merge(rows: np.ndarray, more: np.ndarray, n: int) -> tuple[np.ndarray, np.n
 
 _CLOSURE_BLOCK = 1 << 20  # about the most values one array of the closure holds
 
+_Round = tuple[np.ndarray, bool]  # (root values attained, fixpoint reached)
 
-def _closure_verdicts(matrix: Matrix, f: Formula) -> Iterator[bool | None]:
-    """For m = 1, 2, ...: at modal depth <= 1, whether f takes only
-    designated values on every frame of at most m worlds; deeper, every
-    verdict is whether it does on all frames.  Decided from the closure of
-    box-value tuples (see the module docstring), or None once the rows
-    evaluated and met exceed MAX_VALUATION_SPACE: the closure can grow
-    exponentially with the modal depth.  Needs the normal box and every
-    connective of f defined."""
-    plan = _plan_for(matrix, f, None)
+
+def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
+    """The closure of box-value tuples of f on the lattice (see the module
+    docstring), one round at a time: after each, whether each value, by
+    index, is a root value so far (at modal depth <= 1 also with the root
+    among its own successors), and whether the round had no new tuple to
+    evaluate, which is the fixpoint.  None, and no further round, once the
+    rows evaluated and met exceed MAX_VALUATION_SPACE: the closure can grow
+    exponentially with the modal depth.  Reads no designated set.  Needs
+    every connective of f defined."""
+    plan = _plan_for(lat, f, None)
     nodes, names, dtype, n = plan.nodes, plan.names, plan.dtype, plan.n
     # every valuation s of the variables, one row each, last one fastest
     grid = np.indices((n,) * len(names), dtype=dtype).reshape(len(names), -1, 1)
@@ -168,34 +177,31 @@ def _closure_verdicts(matrix: Matrix, f: Formula) -> Iterator[bool | None]:
     column = {i: j for j, i in enumerate(box_ids)}
     width = len(box_ids)
     bounded = modal_depth(f) <= 1
-    # the box-value tuples reached and those not yet checked; generators are
-    # the tuples t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
-    closure = new = np.full((1, width), matrix.lattice.top, dtype)
+    # the box-value tuples reached and those not yet evaluated; generators
+    # are the tuples t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
+    closure = new = np.full((1, width), lat.top, dtype)
     none = generators = closure[:0]
     collect = width > 0
     chunk = max(1, _CLOSURE_BLOCK // grid.shape[1])
-    designated, work = True, 0
+    attained, work = np.zeros(n, dtype=bool), 0
     while True:
         work += len(new) * grid.shape[1]
         if work > MAX_VALUATION_SPACE:
             yield None
             return
         found = [none]
-        for start in range(0, len(new) if designated else 0, chunk):
+        for start in range(0, len(new), chunk):
             c = new[start : start + chunk].T
             values = plan.node_values(own, lambda i, arg: c[column[i]])
-            designated = bool(plan.designated[values[-1]].all())
+            attained[values[-1]] = True
             if bounded:
                 # a root among its own successors
                 loop = plan.node_values(own, lambda i, arg: plan.connective(AND, arg, c[column[i]]))
-                designated = designated and bool(plan.designated[loop[-1]].all())
-            if not designated:
-                break
+                attained[loop[-1]] = True
             if collect:
                 tuples = np.stack(np.broadcast_arrays(*(values[nodes[i][1]] for i in box_ids)), -1)
                 found.append(_merge(none, tuples.reshape(-1, width), n)[0])
-        if bounded or not designated or not len(new):
-            yield designated
+        yield attained.copy(), not len(new)
         if not width:
             new = none
             continue
@@ -215,6 +221,26 @@ def _closure_verdicts(matrix: Matrix, f: Formula) -> Iterator[bool | None]:
         closure, new = _merge(closure, np.concatenate(meets), n)
 
 
+_last_rounds: tuple[Lattice, Formula, list, Iterator[_Round | None]] | None = None
+
+
+def _replayed_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
+    """The rounds of ``_closure_rounds(lat, f)``: first those that earlier
+    calls for the same lattice and formula objects computed, then new ones,
+    each computed only when asked for.  The one cached closure, kept until a
+    call for another lattice or formula replaces it, holds its lattice and
+    formula, so an object compared by identity here cannot be a new one at
+    a reused address."""
+    global _last_rounds
+    if _last_rounds is None or _last_rounds[0] is not lat or _last_rounds[1] is not f:
+        _last_rounds = (lat, f, [], _closure_rounds(lat, f))
+    _, _, done, rounds = _last_rounds
+    yield from done
+    for r in rounds:  # not ``yield from``: closing this replay must not close the closure
+        done.append(r)
+        yield r
+
+
 def find_frame_counterexample(
     matrix: Matrix,
     f: Formula,
@@ -230,11 +256,12 @@ def find_frame_counterexample(
     without successors, decides it.  Under the normal box the closure of
     box-value tuples (see the module docstring) comes first where the
     matrix defines every connective of f and the valuation guard admits
-    max_worlds worlds (and so every smaller count); the scan runs where it
-    fails or outgrows its budget.  Every way, a missing operation is raised
-    only where the scan reaches it, and the same bound errors are raised:
-    the world bound first, then the valuation guard of the first world
-    count that no counterexample comes before.
+    max_worlds worlds (and so every smaller count): f holds where the root
+    values it attains all lie in the designated set.  The scan runs where
+    they do not or the closure outgrows its budget.  Every way, a missing
+    operation is raised only where the scan reaches it, and the same bound
+    errors are raised: the world bound first, then the valuation guard of
+    the first world count that no counterexample comes before.
     """
     lat, n_vars = matrix.lattice, len(variables(f))
     frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)
@@ -256,13 +283,14 @@ def find_frame_counterexample(
         exact = False  # the scan raises it, or finds a counterexample first
     verdict, bounded = None, modal_depth(f) <= 1
     if exact:
-        verdicts = _closure_verdicts(matrix, f)
-        for _ in range(max_worlds if bounded else 1):
-            verdict = next(verdicts)
+        # at depth <= 1 round m decides the frames of at most m worlds
+        undesignated = ~matrix.designated_mask()
+        for m, round_ in enumerate(_replayed_rounds(lat, f), 1):
+            verdict = None if round_ is None else not (round_[0] & undesignated).any()
             if not verdict:
                 break
-        else:
-            return None
+            if round_[1] or bounded and m == max_worlds:
+                return None
     for frame in frames:
         report = frame_valid(matrix, frame, f, mode, unsafe_bounds=unsafe_bounds)
         if report is not None:
@@ -309,7 +337,8 @@ def check_regularity(
     """Scan all one-variable models within the world bound for a world where
     []p is designated but p fails at some successor, or the reverse; the
     first such world in canonical order (frames, then valuations with the
-    last world fastest, then worlds) is the witness.
+    last world fastest, then worlds) is the witness.  Each world count is
+    scanned only if ``frame_valid``'s valuation guard admits it.
 
     The structural side (designated set closed under meet, with its big meet
     designated) is computed independently; on finite lattices the two
@@ -330,10 +359,10 @@ def _regularity_witness(
 ) -> RegularityWitness | None:
     lat = matrix.lattice
     meet = np.array(lat.meet_table)
-    designated = np.zeros(lat.n, dtype=bool)
-    designated[sorted(matrix.designated)] = True
+    designated = matrix.designated_mask()
     for frame in enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds):
         k = len(frame.worlds)
+        _guard_valuation_space(lat.n, k, 1, unsafe_bounds)
         # one column per valuation of p, the last world fastest
         grid = np.indices((lat.n,) * k).reshape(k, -1)
         box = np.full(grid.shape, lat.top)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 from latmodal.cli import main
@@ -175,6 +179,45 @@ def test_regular_subcommand(tmp_path, capsys):
     assert payload["regular"] is False
     assert payload["structural"]["is_filter"] is False
     assert payload["witness"]["direction"] == "successors_hold_but_box_fails"
+
+
+def test_regular_refuses_a_lattice_over_the_valuation_guard(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "construct", "--kind", "boolean:4", "--designated", "1", "--compact"
+    )
+    path = tmp_path / "b16.json"
+    path.write_text(out)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "regular", "--lattice", str(path), "--max-worlds", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: BoundTooLarge: lattice size 16 exceeds the guard (12)\n"
+    assert time.perf_counter() - start < 5  # refused before any model is scanned
+    code, out, _ = run_cli(
+        capsys, "regular", "--lattice", str(path), "--max-worlds", "2", "--unsafe-bounds"
+    )
+    assert code == 0 and json.loads(out)["regular"] is True
+
+
+def test_valid_query_leaves_numpy_ma_unimported(tmp_path, capsys):
+    _, out, _ = run_cli(
+        capsys, "construct", "--kind", "chain:4:none", "--imp", "deductive_eq1",
+        "--designated", "1", "--compact",
+    )
+    path = tmp_path / "c4.json"
+    path.write_text(out)
+    script = (
+        "import sys\n"
+        "from latmodal.cli import main\n"
+        f"code = main(['valid', '--lattice', {str(path)!r}, '--formula',"
+        " '[](p -> q) -> ([]p -> []q)', '--max-worlds', '4', '--compact'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.stdout.splitlines()[-1] == "0 False", run.stderr
 
 
 def test_enumerate_json_lines(capsys):

@@ -296,6 +296,7 @@ def test_frame_valid_consecutive_calls_match_fresh_ones(c3_eq1):
     fresh = []
     for call in calls:
         latmodal.kripke._last_plan = latmodal.formula._last_compiled = None
+        latmodal.search._last_rounds = None
         fresh.append(run(*call))
     assert consecutive == fresh
     assert fresh[1] is None and fresh[3] != fresh[4]

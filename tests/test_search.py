@@ -27,7 +27,7 @@ from latmodal import (
 )
 import latmodal.search
 from latmodal import formula, kripke
-from latmodal.search import AXIOM_K, BOX_DISJUNCTION_DIST, _closure_verdicts
+from latmodal.search import AXIOM_K, BOX_DISJUNCTION_DIST, _closure_rounds
 
 from oracles import canonical_frame_key, naive_regularity_witness
 
@@ -127,6 +127,10 @@ def _dict(report):
     return None if report is None else report.to_dict()
 
 
+def _reset_caches():
+    kripke._last_plan = formula._last_compiled = latmodal.search._last_rounds = None
+
+
 def test_consecutive_searches_match_fresh_ones(c3_eq1, c3_material_lp):
     m2 = boolean_algebra(2)
     diamond = matrix_from_names(m2.with_imp(build_implication(m2, DEDUCTIVE_EQ1)), ["1"])
@@ -141,7 +145,7 @@ def test_consecutive_searches_match_fresh_ones(c3_eq1, c3_material_lp):
     ]
     fresh = []
     for matrix, f in queries:
-        kripke._last_plan = formula._last_compiled = None
+        _reset_caches()
         fresh.append(_dict(find_frame_counterexample(matrix, f, 3)))
     consecutive = [_dict(find_frame_counterexample(m, f, 3)) for m, f in queries]
     assert consecutive == fresh
@@ -161,7 +165,7 @@ def test_searches_on_short_lived_matrices_match_fresh_ones():
     consecutive = [search(imp, up) for imp, up in cases]
     fresh = []
     for imp, up in cases:
-        kripke._last_plan = formula._last_compiled = None
+        _reset_caches()
         fresh.append(search(imp, up))
     assert consecutive == fresh
     assert [r is None for r in fresh] == [True, False, True, False]
@@ -325,21 +329,27 @@ DEPTH1_FORMULAS = [
 ]
 
 
-def _matrices_up_to_4():
-    """Every upset of every lattice of at most 4 elements, with the
-    top-if-below implication and, per anti-monotone involution, with
-    material implication."""
-    from latmodal import enumerate_complementations, enumerate_lattices, enumerate_upsets
+def _lattices_up_to_4():
+    """Every lattice of at most 4 elements with the top-if-below
+    implication and, per anti-monotone involution, with material
+    implication."""
+    from latmodal import enumerate_complementations, enumerate_lattices
 
     for n in range(1, 5):
         for lat in enumerate_lattices(n):
-            variants = [lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1))]
+            yield lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1))
             for neg in enumerate_complementations(lat, "antimonotone_involutions"):
                 with_neg = lat.with_neg(neg)
-                variants.append(with_neg.with_imp(build_implication(with_neg, MATERIAL)))
-            for variant in variants:
-                for upset in enumerate_upsets(variant):
-                    yield Matrix(variant, upset)
+                yield with_neg.with_imp(build_implication(with_neg, MATERIAL))
+
+
+def _matrices_up_to_4():
+    """Every upset of every lattice of ``_lattices_up_to_4``."""
+    from latmodal import enumerate_upsets
+
+    for lat in _lattices_up_to_4():
+        for upset in enumerate_upsets(lat):
+            yield Matrix(lat, upset)
 
 
 DEPTH2_FORMULAS = [
@@ -348,6 +358,21 @@ DEPTH2_FORMULAS = [
     parse("[][]p -> []p"),
     formula.substitute(AXIOM_K, {"p": parse("[]p")}),
 ]
+
+
+def _round_verdicts(matrix, f):
+    """Per round of the closure: whether every root value attained so far
+    is designated (None once the closure gives up), and whether the round
+    is the fixpoint."""
+    undesignated = ~matrix.designated_mask()
+    for round_ in _closure_rounds(matrix.lattice, f):
+        yield (None, True) if round_ is None else (not (round_[0] & undesignated).any(), round_[1])
+
+
+def _closure_verdict(matrix, f):
+    """Whether f holds on all frames by the closure: the verdict of its
+    fixpoint or of its first failing round, or None if it gives up."""
+    return next(verdict for verdict, fixpoint in _round_verdicts(matrix, f) if fixpoint or not verdict)
 
 
 def _first_failing_world_count(matrix, f, frames):
@@ -366,7 +391,7 @@ def test_exact_depth1_check_matches_frame_scan():
             kinds = {kind for kind, _, _ in formula.compile_formula(f)}
             if matrix.lattice.neg is None and formula.NOT in kinds:
                 continue
-            exact = list(itertools.islice(_closure_verdicts(matrix, f), 3))
+            exact = [verdict for verdict, _ in itertools.islice(_round_verdicts(matrix, f), 3)]
             first_failing = _first_failing_world_count(matrix, f, frames)
             scanned = [first_failing is None or first_failing > m for m in (1, 2, 3)]
             assert exact == scanned, (matrix, f)
@@ -375,7 +400,7 @@ def test_exact_depth1_check_matches_frame_scan():
         for f in DEPTH2_FORMULAS:
             # valid on all frames implies valid on those of at most 3 worlds;
             # on these matrices every failure also shows within 3 worlds
-            valid = next(_closure_verdicts(matrix, f))
+            valid = _closure_verdict(matrix, f)
             assert valid == (_first_failing_world_count(matrix, f, frames) is None), (matrix, f)
             deep_verdicts[valid] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
@@ -454,7 +479,7 @@ def _closure_within_budget(monkeypatch, matrix, f):
         return merge(kept, more, n)
 
     monkeypatch.setattr(latmodal.search, "_merge", counting)
-    verdict = next(_closure_verdicts(matrix, f))
+    verdict = _closure_verdict(matrix, f)
     monkeypatch.undo()
     return verdict, rows[0] <= kripke.MAX_VALUATION_SPACE
 
@@ -489,7 +514,7 @@ def test_valid_query_over_the_valuation_guard_raises_as_the_scan_does(monkeypatc
     def no_closure(*args):
         raise AssertionError("the closure runs only where the guard admits max_worlds")
 
-    monkeypatch.setattr(latmodal.search, "_closure_verdicts", no_closure)
+    monkeypatch.setattr(latmodal.search, "_replayed_rounds", no_closure)
     with pytest.raises(BoundTooLarge) as info:
         find_frame_counterexample(matrix, parse("[](p & q & r) -> []r"), 3)
     assert str(info.value) == "7^9 valuations exceed the guard; pass unsafe_bounds=True to override"
@@ -498,3 +523,65 @@ def test_valid_query_over_the_valuation_guard_raises_as_the_scan_does(monkeypatc
     for bound in (0, 5):
         with pytest.raises(BoundTooLarge):
             find_frame_counterexample(matrix, parse("[]p -> []p"), bound)
+
+
+def test_searches_sharing_a_closure_match_fresh_ones():
+    """Matrices of one lattice share the closure of each formula; runs of
+    them, broken by a search with another lattice or formula (A, B, A),
+    give what each search gives with every cache reset."""
+    from latmodal import enumerate_upsets
+
+    formulas = [AXIOM_K, BOX_DISJUNCTION_DIST, *DEPTH2_FORMULAS]
+    groups = [
+        [Matrix(lat, upset) for upset in enumerate_upsets(lat) if upset]
+        for lat in _lattices_up_to_4()
+    ]
+    queries = []  # (group, upset, formula) indices
+    for j in range(len(formulas)):
+        for i, group in enumerate(groups):
+            run = [(i, k, j) for k in range(len(group))]
+            other_lattice = ((i + 1) % len(groups), 0, j)
+            other_formula = (i, 0, (j + 1) % len(formulas))
+            queries += [*run, other_lattice, *run[::-1], other_formula, *run]
+    fresh = {}
+    for i, k, j in sorted(set(queries)):
+        _reset_caches()
+        fresh[i, k, j] = _dict(find_frame_counterexample(groups[i][k], formulas[j], 3))
+    _reset_caches()
+    for i, k, j in queries:
+        report = find_frame_counterexample(groups[i][k], formulas[j], 3)
+        assert _dict(report) == fresh[i, k, j], (groups[i][k], formulas[j])
+    assert len(fresh) == len(formulas) * sum(map(len, groups))
+    assert None in fresh.values() and any(r is not None for r in fresh.values())
+
+
+def test_matrices_of_one_lattice_share_one_closure(monkeypatch):
+    from latmodal.harness import verify_theorem
+
+    built, closure_rounds = [], latmodal.search._closure_rounds
+
+    def counted(lat, f):
+        built.append(lat)
+        return closure_rounds(lat, f)
+
+    monkeypatch.setattr(latmodal.search, "_closure_rounds", counted)
+    scans = _count_frame_scans(monkeypatch)
+    _reset_caches()
+    report = verify_theorem("disj_dist", 5, 3)
+    assert report.passed and report.cases == 48
+    assert len(built) == len(set(map(id, built))) == 10  # one per base lattice
+    assert scans == []  # every matrix valid, each decided by its lattice's closure
+
+
+def test_replayed_rounds_repeat_the_closure(c3_eq1):
+    lat = c3_eq1.lattice
+    _reset_caches()
+    fresh = list(itertools.islice(_closure_rounds(lat, AXIOM_K), 4))
+    first = list(itertools.islice(latmodal.search._replayed_rounds(lat, AXIOM_K), 2))
+    again = list(itertools.islice(latmodal.search._replayed_rounds(lat, AXIOM_K), 4))
+
+    def plain(rounds):
+        return [(attained.tolist(), fixpoint) for attained, fixpoint in rounds]
+
+    assert plain(first) == plain(fresh[:2]) and plain(again) == plain(fresh)
+    assert len(set(map(str, plain(fresh)))) > 1  # the rounds differ
