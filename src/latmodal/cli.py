@@ -3,8 +3,10 @@
 Exit codes are the machine contract: 0 when the checked property holds (or
 plain output succeeded), 1 when a counterexample or property failure was
 found (the report goes to standard output as JSON), 2 for input or usage
-errors, input nested too deeply to process included.  JSON output is
-deterministic: sorted keys, pretty-printed unless --compact is given.
+errors, input nested too deeply to process included, and 3 for an internal
+error (any other exception, reported on one line of standard error).  JSON
+output is deterministic: sorted keys, pretty-printed unless --compact is
+given.
 """
 
 from __future__ import annotations
@@ -382,6 +384,9 @@ def main(argv=None) -> int:
     except RecursionError as exc:
         print(f"error: RecursionError: input nested too deeply ({exc})", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,11 +6,13 @@ Lattices are generated as labeled posets in a topological labeling (element
 indices), filtered for existence of all meets and joins, and deduplicated by
 canonical form.  The canonical form of an order matrix is its
 lexicographically minimal row-major relabeling; permutation search is pruned
-to label classes with equal (downset, upset) size profiles.
+to label classes with equal (downset, upset) size profiles.  The lattices
+of each size are built once per process and shared: ``Lattice`` is frozen.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator
 
@@ -105,11 +107,16 @@ def _labeled_posets(n: int) -> Iterator[list[int]]:
 
 def enumerate_lattices(n: int, *, unsafe_bounds: bool = False) -> Iterator[Lattice]:
     """All lattices on n elements up to order-isomorphism, deterministic
-    order, named L{n}_{k}."""
+    order, named L{n}_{k}; each size is built once per process."""
     if n < 1:
         raise InvalidInput("lattice size must be at least 1")
     if n > MAX_ENUM_SIZE and not unsafe_bounds:
         raise BoundTooLarge(f"lattice enumeration is guarded to n <= {MAX_ENUM_SIZE}")
+    yield from _lattices(n)
+
+
+@functools.cache
+def _lattices(n: int) -> tuple[Lattice, ...]:
     keys = set()
     for downs in _labeled_posets(n):
         leq = [[i == j or bool(downs[j] >> i & 1) for j in range(n)] for i in range(n)]
@@ -118,10 +125,10 @@ def enumerate_lattices(n: int, *, unsafe_bounds: bool = False) -> Iterator[Latti
         except NotALattice:
             continue
         keys.add(canonical_order_key(lat.leq))
-    for k, key in enumerate(sorted(keys)):
-        yield from_leq(
-            [f"e{i}" for i in range(n)], _leq_from_key(key, n), name=f"L{n}_{k}"
-        )
+    return tuple(
+        from_leq([f"e{i}" for i in range(n)], _leq_from_key(key, n), name=f"L{n}_{k}")
+        for k, key in enumerate(sorted(keys))
+    )
 
 
 def enumerate_upsets(lattice: Lattice) -> Iterator[frozenset[int]]:

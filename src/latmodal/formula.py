@@ -185,14 +185,25 @@ def is_modal_free(f: Formula) -> bool:
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
-    """Simultaneous replacement of mapped variables; unmapped ones unchanged."""
-    if isinstance(f, Var):
-        return mapping.get(f.name, f)
-    if isinstance(f, Not):
-        return Not(substitute(f.child, mapping))
-    if isinstance(f, Box):
-        return Box(substitute(f.child, mapping))
-    return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
+    """Simultaneous replacement of mapped variables; unmapped ones unchanged.
+    Walks f iteratively, each distinct subformula object once."""
+    done: dict[int, Formula] = {}  # id of a subformula object -> its image
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in done:
+            stack.pop()
+            continue
+        if isinstance(g, Var):
+            done[id(g)] = mapping.get(g.name, g)
+            continue
+        children = (g.child,) if isinstance(g, (Not, Box)) else (g.left, g.right)
+        pending = [c for c in children if id(c) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        done[id(g)] = type(g)(*(done[id(c)] for c in children))
+    return done[id(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,27 +355,35 @@ def parse(text: str) -> Formula:
 _IMP_LEVEL, _OR_LEVEL, _AND_LEVEL, _UNARY_LEVEL = 1, 2, 3, 4
 
 
+_BINARY = {  # type -> (level, operator, minimum level of the left and right operands)
+    And: (_AND_LEVEL, " & ", _AND_LEVEL, _AND_LEVEL + 1),
+    Or: (_OR_LEVEL, " | ", _OR_LEVEL, _OR_LEVEL + 1),
+    Imp: (_IMP_LEVEL, " -> ", _IMP_LEVEL + 1, _IMP_LEVEL),
+}
+
+
 def render(f: Formula) -> str:
-    """Canonical minimal-parenthesis form; parse(render(f)) == f."""
-    return _render(f, 0)
-
-
-def _render(f: Formula, min_level: int) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Not):
-        return "~" + _render(f.child, _UNARY_LEVEL)
-    if isinstance(f, Box):
-        return "[]" + _render(f.child, _UNARY_LEVEL)
-    if isinstance(f, And):
-        text = _render(f.left, _AND_LEVEL) + " & " + _render(f.right, _AND_LEVEL + 1)
-        level = _AND_LEVEL
-    elif isinstance(f, Or):
-        text = _render(f.left, _OR_LEVEL) + " | " + _render(f.right, _OR_LEVEL + 1)
-        level = _OR_LEVEL
-    else:
-        text = _render(f.left, _IMP_LEVEL + 1) + " -> " + _render(f.right, _IMP_LEVEL)
-        level = _IMP_LEVEL
-    if level < min_level:
-        return "(" + text + ")"
-    return text
+    """Canonical minimal-parenthesis form; parse(render(f)) == f.  Emits the
+    text left to right from a stack of pending pieces, without recursion: a
+    piece is literal text or a (subformula, minimum level) pair, and a
+    binary subformula below its minimum level is parenthesized."""
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+            continue
+        g, min_level = piece
+        if isinstance(g, Var):
+            out.append(g.name)
+        elif isinstance(g, (Not, Box)):
+            out.append("~" if isinstance(g, Not) else "[]")
+            stack.append((g.child, _UNARY_LEVEL))
+        else:
+            level, op, left_level, right_level = _BINARY[type(g)]
+            pieces = [(g.left, left_level), op, (g.right, right_level)]
+            if level < min_level:
+                pieces = ["(", *pieces, ")"]
+            stack.extend(reversed(pieces))
+    return "".join(out)

@@ -9,6 +9,9 @@ model needs at most two worlds for regularity and three otherwise, so a
 world bound at proof scale makes that direction a complete check rather
 than a bounded one.  The validity direction ("no counterexample on any
 frame") is necessarily bounded by the world bound and reported as such.
+The matrices of one lattice come in a run, and each run is searched in one
+batch: one closure and one frame pass decide all its designated sets (see
+``search``).  The lattices of each size are enumerated once per process.
 
 Universe conventions, chosen to mirror each property's hypotheses: the
 designated sets range over non-empty upward-closed subsets, except for
@@ -23,6 +26,7 @@ top-if-below implication.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -35,7 +39,7 @@ from .enumeration import (
 )
 from .errors import WitnessNotApplicable
 from .formula import render
-from .kripke import model_satisfies
+from .kripke import BoxMode, CounterexampleReport, model_satisfies
 from .lattice import (
     DEDUCTIVE_EQ1,
     MATERIAL,
@@ -49,7 +53,8 @@ from .lattice import (
 from .search import (
     AXIOM_K,
     BOX_DISJUNCTION_DIST,
-    check_regularity,
+    _check_regularities,
+    _find_counterexamples,
     construct_witness,
     find_frame_counterexample,
 )
@@ -154,14 +159,14 @@ def _verify_regularity(size_bound: int, world_bound: int, unsafe: bool) -> Theor
     )
     assert_defects = _bounded_note(report, "regularity", world_bound)
     for lat in _lattice_universe(size_bound):
-        for upset in _nonempty_upsets(lat):
-            matrix = Matrix(lat, upset)
-            result = check_regularity(matrix, world_bound, unsafe_bounds=unsafe)
+        upsets = list(_nonempty_upsets(lat))
+        results = _check_regularities([Matrix(lat, u) for u in upsets], world_bound, unsafe)
+        for upset, result in zip(upsets, results):
             report.cases += 1
             ok = result.regular == result.structural_regular
             if ok and assert_defects and not result.structural_regular:
                 try:
-                    construct_witness("nonfilter", matrix, props=result.props)
+                    construct_witness("nonfilter", Matrix(lat, upset), props=result.props)
                 except WitnessNotApplicable as exc:
                     ok = False
                     report.failures.append(
@@ -230,13 +235,10 @@ def _verify_box_biconditional(
     report.universe["formula"] = render(formula)
     assert_defects = _bounded_note(report, theorem, world_bound)
     structural_true = 0
-    for matrix, case in matrices:
+    for matrix, case, counterexample in _searched(matrices, formula, world_bound, unsafe):
         report.cases += 1
         props = check_designated(matrix)
         structural, witness_kind = classify(matrix, props)
-        counterexample = find_frame_counterexample(
-            matrix, formula, world_bound, unsafe_bounds=unsafe
-        )
         semantic = counterexample is None
         if structural:
             structural_true += 1
@@ -267,6 +269,20 @@ def _verify_box_biconditional(
     report.universe["structural_true_cases"] = structural_true
     report.universe["structural_false_cases"] = report.cases - structural_true
     return report
+
+
+def _searched(
+    matrices: Iterator[tuple[Matrix, dict]], formula, world_bound: int, unsafe: bool
+) -> Iterator[tuple[Matrix, dict, CounterexampleReport | None]]:
+    """Each (matrix, case) with its first counterexample within the world
+    bound; each run of matrices of one lattice is searched in one batch."""
+    for _, run in itertools.groupby(matrices, key=lambda item: item[0].lattice):
+        run = list(run)
+        found = _find_counterexamples(
+            [matrix for matrix, _ in run], formula, world_bound, BoxMode.NORMAL_MEET, unsafe
+        )
+        for (matrix, case), counterexample in zip(run, found):
+            yield matrix, case, counterexample
 
 
 def _disj_dist_matrices(size_bound: int) -> Iterator[tuple[Matrix, dict]]:

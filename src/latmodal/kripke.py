@@ -16,10 +16,13 @@ on a frame; it evaluates all valuations at once on numpy arrays, bottom-up
 over the node list at the worlds ``formula.needed_worlds`` gives, but
 reports the counterexample that comes first in canonical enumeration order
 (worlds in listed order, variables sorted, elements in index order, last
-slot fastest) and re-certifies it with ``evaluate``.  It builds the lattice
-tables once; that plan is kept for the next call while the lattice and
-formula objects stay the same, as they do across the frames of one search
-and across the designated sets of one lattice.
+slot fastest) and re-certifies it with ``evaluate``.  It runs in two steps:
+``frame_root_values``, the root value arrays of a frame, which read no
+designated set, and ``first_failure``, the first counterexample for one
+designated set, so a search of several sets computes each frame's values
+once.  It builds the lattice tables once; that plan is kept for the next
+call while the lattice and formula objects stay the same, as they do across
+the frames of one search and across the designated sets of one lattice.
 The plan's ``node_values`` runs the node list at one world on broadcasting
 arrays: the type closure of ``search.find_frame_counterexample`` runs it over
 valuations and box-value tuples, ``lattice.entails`` over valuations.
@@ -340,18 +343,31 @@ def frame_valid(
     unsafe_bounds: bool = False,
 ) -> CounterexampleReport | None:
     """Check f on every valuation of the frame; None means frame-valid.
+    On failure returns the canonically first counterexample."""
+    lat = matrix.lattice
+    roots = frame_root_values(lat, frame, f, mode, var_domain, unsafe_bounds=unsafe_bounds)
+    return first_failure(matrix, frame, f, roots, mode, var_domain)
 
-    On failure returns the canonically first counterexample.  Values are
-    computed for all valuations at once: each (world, variable) slot is one
-    array axis, and the value of a subformula at a world spans only the axes
-    it actually depends on, so the arrays stay small on sparse frames.
-    """
-    plan = _plan_for(matrix.lattice, f, var_domain)
-    n = plan.n
+
+def frame_root_values(
+    lat: Lattice,
+    frame: Frame,
+    f: Formula,
+    mode: BoxMode = BoxMode.NORMAL_MEET,
+    var_domain: Iterable[str] | None = None,
+    *,
+    unsafe_bounds: bool = False,
+) -> list[np.ndarray]:
+    """The value array of f at each world of the frame, over every
+    valuation at once: each (world, variable) slot is one array axis, and
+    the value of a subformula at a world spans only the axes it actually
+    depends on, so the arrays stay small on sparse frames.  Reads no
+    designated set."""
+    plan = _plan_for(lat, f, var_domain)
     n_worlds = len(frame.worlds)
-    _guard_valuation_space(n, n_worlds, len(plan.names), unsafe_bounds)
+    _guard_valuation_space(plan.n, n_worlds, len(plan.names), unsafe_bounds)
 
-    slots, var_arrays, top_arr, strides = plan.layout(n_worlds)
+    _, var_arrays, top_arr, _ = plan.layout(n_worlds)
     nodes = plan.nodes
     local = mode is BoxMode.LOCAL
     # the local box takes the meet over the world itself: its own value
@@ -371,28 +387,36 @@ def frame_valid(
                 for w2 in successors[w]:
                     out = plan.connective(AND, out, values[a, w2])
             values[i, w] = out
-
     root = len(nodes) - 1
+    return [values[root, w] for w in range(n_worlds)]
+
+
+def first_failure(
+    matrix: Matrix,
+    frame: Frame,
+    f: Formula,
+    roots: list[np.ndarray],
+    mode: BoxMode = BoxMode.NORMAL_MEET,
+    var_domain: Iterable[str] | None = None,
+) -> CounterexampleReport | None:
+    """The canonically first counterexample to f on the frame in the matrix,
+    from the root values ``frame_root_values`` gives on its lattice, re-
+    certified with ``evaluate``; None if every root value is designated."""
+    plan = _plan_for(matrix.lattice, f, var_domain)
+    slots, _, _, strides = plan.layout(len(frame.worlds))
     undesignated = ~matrix.designated_mask()
-    best: tuple[int, int] | None = None
-    for w in range(n_worlds):
-        fails = undesignated[values[root, w]]
-        if not fails.any():
-            continue
-        first = int(np.argmax(fails.ravel()))
-        digits = np.unravel_index(first, fails.shape)
-        flat_full = sum(int(d) * strides[k] for k, d in enumerate(digits))
-        if best is None or flat_full < best[0]:
-            best = (flat_full, w)
+    best: int | None = None  # the first failing valuation of the full space
+    for values in roots:
+        fails = undesignated[values]
+        if fails.any():
+            digits = np.unravel_index(int(np.argmax(fails.ravel())), fails.shape)
+            flat = sum(int(d) * strides[k] for k, d in enumerate(digits))
+            best = flat if best is None else min(best, flat)
     if best is None:
         return None
-
-    flat_full, _ = best
-    assignment = {}
-    for k, slot in enumerate(slots):
-        assignment[slot] = (flat_full // strides[k]) % n
+    assignment = {slot: (best // strides[k]) % plan.n for k, slot in enumerate(slots)}
     model = KripkeModel(frame, matrix.lattice, assignment)
-    for w in range(n_worlds):
+    for w in range(len(frame.worlds)):
         value = evaluate(model, w, f, mode)
         if value not in matrix.designated:
             return CounterexampleReport(matrix, model, f, w, value, mode)

@@ -23,11 +23,16 @@ finite lattice every meet is a finite one, so the formula is valid on all
 frames iff its root values at the (s, c) with c in C all lie in the
 designated set D.  The closure reads no D: it depends only on the lattice
 and the formula, and a matrix's verdict is the inclusion of the root values
-attained in its D.  So the matrices of one lattice share one closure per
-formula, kept for the next search while the lattice and formula objects
-stay the same, and grown only as far as some search asks.  Each round meets
-only the new tuples with the others.  C can grow exponentially with the
-modal depth, so past a budget of rows the frame scan decides instead.
+attained in its D.  Each round meets only the new tuples with the others.
+C can grow exponentially with the modal depth, so past a budget of rows the
+frame scan decides instead.
+
+The search decides the designated sets of one lattice in one batch, as the
+harness asks: one closure, grown until every set is settled, and one pass
+over the canonical frames, which computes each frame's root values once and
+gives each set still open its own first failure.  ``check_regularity`` is
+batched the same way: each frame's []p values are computed once per
+lattice.  The public searches are the batches of one.
 
 At modal depth <= 1, t(s, c) = t(s) and round m - 1 decides the frames of
 at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
@@ -43,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,7 +74,8 @@ from .kripke import (
     KripkeModel,
     _guard_valuation_space,
     _plan_for,
-    frame_valid,
+    first_failure,
+    frame_root_values,
     world_satisfies,
 )
 from .lattice import DesignatedProperties, Lattice, Matrix, big_meet, check_designated
@@ -142,15 +148,16 @@ def _merge(rows: np.ndarray, more: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     """The distinct rows of both arrays of values below n, in ascending
     order, and those of them that the first lacks; rows are compared by
     their digits in base n."""
-    codes = np.zeros(len(rows) + len(more), dtype=np.int64)
-    for col in np.concatenate([rows, more]).T:
-        codes = codes * n + col
+    weights = n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    codes = np.concatenate([rows, more]) @ weights
     # sorted and compared with the code before (np.unique would import numpy.ma)
     distinct = np.sort(codes)
-    distinct = distinct[np.diff(distinct, prepend=-1) != 0]
+    keep = np.ones(len(distinct), dtype=bool)
+    keep[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[keep]
     lacked = np.ones(len(distinct), dtype=bool)
     lacked[np.searchsorted(distinct, codes[: len(rows)])] = False
-    merged = (distinct[:, None] // n ** np.arange(rows.shape[1] - 1, -1, -1) % n).astype(rows.dtype)
+    merged = (distinct[:, None] // weights % n).astype(rows.dtype)
     return merged, merged[lacked]
 
 
@@ -221,26 +228,6 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
         closure, new = _merge(closure, np.concatenate(meets), n)
 
 
-_last_rounds: tuple[Lattice, Formula, list, Iterator[_Round | None]] | None = None
-
-
-def _replayed_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
-    """The rounds of ``_closure_rounds(lat, f)``: first those that earlier
-    calls for the same lattice and formula objects computed, then new ones,
-    each computed only when asked for.  The one cached closure, kept until a
-    call for another lattice or formula replaces it, holds its lattice and
-    formula, so an object compared by identity here cannot be a new one at
-    a reused address."""
-    global _last_rounds
-    if _last_rounds is None or _last_rounds[0] is not lat or _last_rounds[1] is not f:
-        _last_rounds = (lat, f, [], _closure_rounds(lat, f))
-    _, _, done, rounds = _last_rounds
-    yield from done
-    for r in rounds:  # not ``yield from``: closing this replay must not close the closure
-        done.append(r)
-        yield r
-
-
 def find_frame_counterexample(
     matrix: Matrix,
     f: Formula,
@@ -263,13 +250,26 @@ def find_frame_counterexample(
     errors are raised: the world bound first, then the valuation guard of
     the first world count that no counterexample comes before.
     """
-    lat, n_vars = matrix.lattice, len(variables(f))
+    return _find_counterexamples([matrix], f, max_worlds, mode, unsafe_bounds)[0]
+
+
+def _find_counterexamples(
+    matrices: Sequence[Matrix], f: Formula, max_worlds: int, mode: BoxMode, unsafe_bounds: bool
+) -> list[CounterexampleReport | None]:
+    """``find_frame_counterexample`` of each matrix, all of one lattice: one
+    closure settles every designated set that passes it, and one frame scan
+    computes each frame's root values once for the sets still open, each
+    taking its own first failure.  Raises what the first of them to raise
+    alone would."""
+    lat, n_vars = matrices[0].lattice, len(variables(f))
     frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)
     if mode is BoxMode.LOCAL:
-        report = frame_valid(matrix, next(frames), f, mode, unsafe_bounds=unsafe_bounds)
-        for n_worlds in range(2, max_worlds + 1) if report is None else ():
+        frame = next(frames)
+        roots = frame_root_values(lat, frame, f, mode, unsafe_bounds=unsafe_bounds)
+        reports = [first_failure(m, frame, f, roots, mode) for m in matrices]
+        for n_worlds in range(2, max_worlds + 1) if None in reports else ():
             _guard_valuation_space(lat.n, n_worlds, n_vars, unsafe_bounds)
-        return report
+        return reports
     _check_world_bound(max_worlds, unsafe_bounds)
     kinds = [kind for kind, _, _ in compile_formula(f)]
     exact = (
@@ -281,23 +281,30 @@ def find_frame_counterexample(
         _guard_valuation_space(lat.n, max_worlds, n_vars, unsafe_bounds)
     except BoundTooLarge:
         exact = False  # the scan raises it, or finds a counterexample first
-    verdict, bounded = None, modal_depth(f) <= 1
+    reports: list[CounterexampleReport | None] = [None] * len(matrices)
+    scan, failed = list(range(len(matrices))), np.zeros(len(matrices), dtype=bool)
+    bounded = modal_depth(f) <= 1
     if exact:
-        # at depth <= 1 round m decides the frames of at most m worlds
-        undesignated = ~matrix.designated_mask()
-        for m, round_ in enumerate(_replayed_rounds(lat, f), 1):
-            verdict = None if round_ is None else not (round_[0] & undesignated).any()
-            if not verdict:
+        # at depth <= 1 round m decides the frames of at most m worlds; the
+        # root values attained only grow, so a set once failed stays failed
+        undesignated = ~np.array([m.designated_mask() for m in matrices])
+        for m, round_ in enumerate(_closure_rounds(lat, f), 1):
+            if round_ is None:
                 break
-            if round_[1] or bounded and m == max_worlds:
-                return None
-    for frame in frames:
-        report = frame_valid(matrix, frame, f, mode, unsafe_bounds=unsafe_bounds)
-        if report is not None:
-            return report
-    if verdict is False and bounded:
+            failed |= (undesignated & round_[0]).any(axis=1)
+            if failed.all() or round_[1] or bounded and m == max_worlds:
+                scan = np.flatnonzero(failed).tolist()
+                break
+    for frame in frames if scan else ():
+        roots = frame_root_values(lat, frame, f, mode, unsafe_bounds=unsafe_bounds)
+        for i in scan:
+            reports[i] = first_failure(matrices[i], frame, f, roots, mode)
+        scan = [i for i in scan if reports[i] is None]
+        if not scan:
+            break
+    if bounded and any(reports[i] is None for i in np.flatnonzero(failed)):
         raise AssertionError("the meet-closure found a failure the frame scan did not")
-    return None
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -344,40 +351,56 @@ def check_regularity(
     designated) is computed independently; on finite lattices the two
     verdicts must coincide.
     """
-    lat = matrix.lattice
-    witness = _regularity_witness(matrix, max_worlds, unsafe_bounds)
-    return RegularityResult(
-        regular=witness is None,
-        props=check_designated(matrix),
-        meet_in_designated=big_meet(lat, matrix.designated) in matrix.designated,
-        witness=witness,
-    )
+    return _check_regularities([matrix], max_worlds, unsafe_bounds)[0]
 
 
-def _regularity_witness(
-    matrix: Matrix, max_worlds: int, unsafe_bounds: bool
-) -> RegularityWitness | None:
-    lat = matrix.lattice
+def _check_regularities(
+    matrices: Sequence[Matrix], max_worlds: int, unsafe_bounds: bool
+) -> list[RegularityResult]:
+    """``check_regularity`` for matrices of one lattice, each designated set
+    the same as alone: each frame's []p values are computed once, and each
+    set still open compares them with its successor test."""
+    lat = matrices[0].lattice
     meet = np.array(lat.meet_table)
-    designated = matrix.designated_mask()
+    designated = np.array([m.designated_mask() for m in matrices])
+    witnesses: list[RegularityWitness | None] = [None] * len(matrices)
+    scan = list(range(len(matrices)))
     for frame in enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds):
         k = len(frame.worlds)
         _guard_valuation_space(lat.n, k, 1, unsafe_bounds)
         # one column per valuation of p, the last world fastest
         grid = np.indices((lat.n,) * k).reshape(k, -1)
         box = np.full(grid.shape, lat.top)
-        holds = np.ones(grid.shape, dtype=bool)
         for w, w2 in frame.rel:
             box[w] = meet[box[w], grid[w2]]
-            holds[w] &= designated[grid[w2]]
-        differ = designated[box] != holds
-        if differ.any():
-            combo = int(np.argmax(differ.any(axis=0)))
-            w = int(np.argmax(differ[:, combo]))
+        # per open set (first axis): whether p holds at each world, and at
+        # every successor of each world
+        sets = designated[scan]
+        p_holds = sets[:, grid]
+        holds = np.ones(p_holds.shape, dtype=bool)
+        for w, w2 in frame.rel:
+            holds[:, w] &= p_holds[:, w2]
+        differ = sets[:, box] != holds
+        for j in np.flatnonzero(differ.any(axis=(1, 2))).tolist():
+            combo = int(np.argmax(differ[j].any(axis=0)))
+            w = int(np.argmax(differ[j, :, combo]))
             model = KripkeModel(frame, lat, {(v, "p"): int(grid[v, combo]) for v in range(k)})
             direction = ("box_holds_but_successor_fails", "successors_hold_but_box_fails")
-            return RegularityWitness(model, w, int(box[w, combo]), direction[int(holds[w, combo])])
-    return None
+            witnesses[scan[j]] = RegularityWitness(
+                model, w, int(box[w, combo]), direction[int(holds[j, w, combo])]
+            )
+        scan = [i for i in scan if witnesses[i] is None]
+        if not scan:
+            break
+    return [
+        RegularityResult(
+            regular=witness is None,
+            props=check_designated(m),
+            meet_in_designated=big_meet(m.lattice, m.designated) in m.designated,
+            witness=witness,
+        )
+        for m, witness in zip(matrices, witnesses)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def load_lattice(path: str | Path) -> tuple[Lattice, frozenset[int] | None]:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # undecodable bytes and bad JSON too
         raise FileFormatError(f"cannot read lattice file {path}: {exc}") from exc
     return lattice_from_dict(data)
 
@@ -147,7 +147,7 @@ def model_from_dict(
         raise FileFormatError('"worlds" must be a list of strings')
     rel = data["rel"]
     if not isinstance(rel, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in rel
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p) for p in rel
     ):
         raise FileFormatError('"rel" must be a list of [world, world] pairs')
     valuation = data["valuation"]
@@ -167,6 +167,6 @@ def load_model(path: str | Path) -> tuple[KripkeModel, frozenset[int] | None]:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # undecodable bytes and bad JSON too
         raise FileFormatError(f"cannot read model file {path}: {exc}") from exc
     return model_from_dict(data, base_dir=path.parent)

@@ -329,6 +329,46 @@ def test_deeply_nested_formula_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: RecursionError") and err.count("\n") == 1
 
 
+def test_undecodable_files_are_input_errors(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"elements": ["0"], "leq": []}).encode("utf-16-le"))
+    code, out, err = run_cli(
+        capsys, "valid", "--lattice", str(path), "--formula", "p", "--max-worlds", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: FileFormatError: cannot read lattice file") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "eval", "--model", str(path), "--formula", "p")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: FileFormatError: cannot read model file")
+
+
+def test_relation_pairs_must_name_worlds(tmp_path, capsys):
+    lattice_path = write_chain3(tmp_path, designated=["h", "1"])
+    model = {
+        "lattice": lattice_path.name,
+        "worlds": ["w"],
+        "rel": [[["w"], "w"]],
+        "valuation": {"w": {"p": "h"}},
+    }
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path), "--formula", "p")
+    assert (code, out) == (2, "")
+    assert err == 'error: FileFormatError: "rel" must be a list of [world, world] pairs\n'
+
+
+def test_an_unexpected_exception_exits_3_with_one_line(monkeypatch, capsys):
+    import latmodal.cli
+
+    def broken(args):
+        raise ValueError("broken handler")
+
+    monkeypatch.setattr(latmodal.cli, "_cmd_construct", broken)
+    code, out, err = run_cli(capsys, "construct", "--kind", "chain:3")
+    assert (code, out) == (3, "")
+    assert err == "error: internal: ValueError: broken handler\n"
+
+
 def test_verify_twist_k_at_default_bounds(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "twist_k", "--compact")
     assert code == 0

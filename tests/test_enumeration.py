@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from latmodal import (
     BoundTooLarge,
+    InvalidInput,
     boolean_algebra,
     chain,
     enumerate_complementations,
@@ -37,6 +38,16 @@ def test_four_elements_chain_and_diamond():
 def test_enumeration_guard():
     with pytest.raises(BoundTooLarge):
         list(enumerate_lattices(8))
+
+
+def test_each_size_is_built_once_and_guarded_on_every_call():
+    first, again = list(enumerate_lattices(5)), list(enumerate_lattices(5))
+    assert len(first) == 5 and all(a is b for a, b in zip(first, again))
+    for _ in range(2):
+        with pytest.raises(BoundTooLarge):
+            list(enumerate_lattices(8))
+        with pytest.raises(InvalidInput):
+            list(enumerate_lattices(0))
 
 
 def _upper_triangle_lattice_count(n):

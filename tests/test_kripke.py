@@ -23,7 +23,7 @@ from latmodal import (
     parse,
     world_satisfies,
 )
-from latmodal.formula import And, Box, Not, Or, Var, modal_depth, variables
+from latmodal.formula import And, Box, Not, Or, Var, modal_depth, render, substitute, variables
 from latmodal.lattice import propositional_value
 
 from oracles import naive_frame_counterexample
@@ -130,6 +130,9 @@ def test_deeply_nested_formula_needs_no_recursion(c3):
     report = frame_valid(matrix_from_names(c3, ["1"]), model.frame, f)
     assert report.model.valuation == model.valuation
     assert report.value == evaluate(model, 0, f) == bottom
+    assert render(f) == "~" * 5000 + "p"
+    boxed = substitute(f, {"p": Box(Var("q"))})
+    assert render(boxed) == "~" * 5000 + "[]q" and modal_depth(boxed) == 1
 
 
 def test_consecutive_evaluations_match_fresh_ones(c3_eq1):
@@ -296,7 +299,6 @@ def test_frame_valid_consecutive_calls_match_fresh_ones(c3_eq1):
     fresh = []
     for call in calls:
         latmodal.kripke._last_plan = latmodal.formula._last_compiled = None
-        latmodal.search._last_rounds = None
         fresh.append(run(*call))
     assert consecutive == fresh
     assert fresh[1] is None and fresh[3] != fresh[4]

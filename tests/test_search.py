@@ -128,7 +128,7 @@ def _dict(report):
 
 
 def _reset_caches():
-    kripke._last_plan = formula._last_compiled = latmodal.search._last_rounds = None
+    kripke._last_plan = formula._last_compiled = None
 
 
 def test_consecutive_searches_match_fresh_ones(c3_eq1, c3_material_lp):
@@ -217,19 +217,23 @@ def test_regularity_structural_matches_semantic_small():
 
 
 def test_regularity_matches_the_model_scan():
+    """check_regularity on each matrix, and the batch of the upsets of each
+    lattice, against the scan of the one-variable models."""
     from latmodal import enumerate_lattices, enumerate_upsets
 
     witnesses = 0
     for n in (1, 2, 3, 4):
         for lat in enumerate_lattices(n):
-            for upset in [*enumerate_upsets(lat), frozenset()]:
-                matrix = Matrix(lat, upset)
-                for bound in (1, 2, 3) if n <= 3 else (1, 2):
+            matrices = [Matrix(lat, upset) for upset in [*enumerate_upsets(lat), frozenset()]]
+            for bound in (1, 2, 3) if n <= 3 else (1, 2):
+                batch = latmodal.search._check_regularities(matrices, bound, False)
+                for matrix, in_batch in zip(matrices, batch):
                     result = check_regularity(matrix, bound)
                     w = result.witness
                     found = None if w is None else (w.model, w.world, w.box_value, w.direction)
                     assert found == naive_regularity_witness(matrix, bound), (matrix, bound)
                     assert result.regular == (w is None)
+                    assert in_batch == result
                     witnesses += w is not None
     assert witnesses > 0
 
@@ -408,14 +412,15 @@ def test_exact_depth1_check_matches_frame_scan():
 
 
 def _count_frame_scans(monkeypatch):
+    """The frames whose root values the search computes, in order."""
     calls = []
-    scan = latmodal.search.frame_valid
+    scan = latmodal.search.frame_root_values
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(latmodal.search, "frame_valid", counted)
+    monkeypatch.setattr(latmodal.search, "frame_root_values", counted)
     return calls
 
 
@@ -514,7 +519,7 @@ def test_valid_query_over_the_valuation_guard_raises_as_the_scan_does(monkeypatc
     def no_closure(*args):
         raise AssertionError("the closure runs only where the guard admits max_worlds")
 
-    monkeypatch.setattr(latmodal.search, "_replayed_rounds", no_closure)
+    monkeypatch.setattr(latmodal.search, "_closure_rounds", no_closure)
     with pytest.raises(BoundTooLarge) as info:
         find_frame_counterexample(matrix, parse("[](p & q & r) -> []r"), 3)
     assert str(info.value) == "7^9 valuations exceed the guard; pass unsafe_bounds=True to override"
@@ -573,15 +578,41 @@ def test_matrices_of_one_lattice_share_one_closure(monkeypatch):
     assert scans == []  # every matrix valid, each decided by its lattice's closure
 
 
-def test_replayed_rounds_repeat_the_closure(c3_eq1):
-    lat = c3_eq1.lattice
-    _reset_caches()
-    fresh = list(itertools.islice(_closure_rounds(lat, AXIOM_K), 4))
-    first = list(itertools.islice(latmodal.search._replayed_rounds(lat, AXIOM_K), 2))
-    again = list(itertools.islice(latmodal.search._replayed_rounds(lat, AXIOM_K), 4))
+def test_batches_match_searches_of_one_with_every_cache_reset():
+    """Every upset of every lattice of at most 4 elements, the empty one
+    included: one batch per lattice gives what a search of each designated
+    set alone gives, in both box modes and at every bound up to 3."""
+    from latmodal import enumerate_upsets
 
-    def plain(rounds):
-        return [(attained.tolist(), fixpoint) for attained, fixpoint in rounds]
+    formulas = [AXIOM_K, BOX_DISJUNCTION_DIST, *DEPTH2_FORMULAS]
+    found = 0
+    for lat in _lattices_up_to_4():
+        matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat)]
+        assert frozenset() in [m.designated for m in matrices]
+        for f, bound, mode in itertools.product(formulas, (1, 2, 3), BoxMode):
+            alone = []
+            for matrix in matrices:
+                _reset_caches()
+                alone.append(_dict(find_frame_counterexample(matrix, f, bound, mode)))
+            _reset_caches()
+            batch = latmodal.search._find_counterexamples(matrices, f, bound, mode, False)
+            assert list(map(_dict, batch)) == alone, (lat, f, bound, mode)
+            found += sum(r is not None for r in alone)
+    assert 0 < found
 
-    assert plain(first) == plain(fresh[:2]) and plain(again) == plain(fresh)
-    assert len(set(map(str, plain(fresh)))) > 1  # the rounds differ
+
+def test_each_lattice_and_frame_is_evaluated_once_per_check(monkeypatch):
+    from latmodal.harness import verify_theorem
+
+    calls = []
+    frame_root_values = latmodal.search.frame_root_values
+
+    def counted(lat, frame, *args, **kwargs):
+        calls.append((lat, frame))
+        return frame_root_values(lat, frame, *args, **kwargs)
+
+    monkeypatch.setattr(latmodal.search, "frame_root_values", counted)
+    report = verify_theorem("k_linear", 5, 3)
+    assert report.passed and report.universe["structural_false_cases"] > 0
+    # a search per matrix evaluated 162 (lattice, frame) pairs
+    assert len(calls) == len({(id(lat), frame) for lat, frame in calls}) == 30
