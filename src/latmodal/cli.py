@@ -192,12 +192,7 @@ def _cmd_regular(args) -> int:
         },
     }
     if result.witness is not None:
-        payload["witness"] = {
-            "model": result.witness.model.to_dict(),
-            "world": result.witness.model.frame.worlds[result.witness.world],
-            "box_value": matrix.lattice.elements[result.witness.box_value],
-            "direction": result.witness.direction,
-        }
+        payload["witness"] = result.witness.to_dict()
     _emit(args, payload)
     return 0 if result.regular else 1
 

@@ -10,7 +10,9 @@ Grammar (ASCII, lowest precedence first; unicode aliases accepted on input):
 
 Aliases: ``¬`` for ``~``, ``∧`` for ``&``, ``∨`` for ``|``, ``→`` for ``->``,
 ``□`` for ``[]``.  ``render`` emits the canonical minimal-parenthesis ASCII
-form and round-trips through ``parse``.
+form and round-trips through ``parse``.  The parser reads chains of ``->``
+and runs of ``~`` and ``[]`` in loops; it recurses only into parentheses,
+and rejects them nested deeper than ``MAX_PAREN_DEPTH``.
 
 ``compile_formula`` is the one walk over a formula that the semantics uses:
 it lists the unique subformulas in post order.  ``interpret`` runs that list
@@ -209,8 +211,16 @@ def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_ALIASES = {"¬": "~", "∧": "&", "∨": "|", "→": "->", "□": "[]"}
+# one-character tokens, unicode aliases included; "->" and "[]" take two
+_SINGLE = {
+    "~": "NOT", "&": "AND", "|": "OR", "(": "LPAREN", ")": "RPAREN",
+    "¬": "NOT", "∧": "AND", "∨": "OR", "→": "IMP", "□": "BOX",
+}
 _UNARY_START = ("identifier", "'('", "'~'", "'[]'")
+_PREFIX = {"NOT": Not, "BOX": Box}
+
+# each level of parentheses costs the parser four stack frames
+MAX_PAREN_DEPTH = 100
 
 
 class _Token:
@@ -234,20 +244,9 @@ def _tokenize(text: str) -> list[_Token]:
         if c in " \t\r\n":
             i += 1
             continue
-        if c in _ALIASES:
-            alias = _ALIASES[c]
-            kind = {"~": "NOT", "&": "AND", "|": "OR", "->": "IMP", "[]": "BOX"}[alias]
+        kind = _SINGLE.get(c)
+        if kind is not None:
             tokens.append(_Token(kind, c, i))
-            i += 1
-            continue
-        if c == "~":
-            tokens.append(_Token("NOT", c, i))
-            i += 1
-        elif c == "&":
-            tokens.append(_Token("AND", c, i))
-            i += 1
-        elif c == "|":
-            tokens.append(_Token("OR", c, i))
             i += 1
         elif c == "-":
             if i + 1 < n and text[i + 1] == ">":
@@ -261,12 +260,6 @@ def _tokenize(text: str) -> list[_Token]:
                 i += 2
             else:
                 raise FormulaSyntaxError(_byte_offset(text, i + 1), {"']'"}, repr(text[i + 1 : i + 2] or "end of input"))
-        elif c == "(":
-            tokens.append(_Token("LPAREN", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("RPAREN", c, i))
-            i += 1
         elif c.isalpha() or c == "_":
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -284,60 +277,77 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses open
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
     def fail(self, expected):
         tok = self.peek()
         found = "end of input" if tok.kind == "EOF" else repr(tok.text)
         raise FormulaSyntaxError(_byte_offset(self.text, tok.pos), expected, found)
 
+    # the levels read self.tokens[self.i] directly: parse runs on every query
+
     def formula(self) -> Formula:
-        left = self.or_level()
-        if self.peek().kind == "IMP":
-            self.advance()
-            return Imp(left, self.formula())
-        return left
+        node = self.or_level()
+        if self.tokens[self.i].kind != "IMP":
+            return node
+        operands = [node]
+        while self.tokens[self.i].kind == "IMP":
+            self.i += 1
+            operands.append(self.or_level())
+        node = operands.pop()
+        while operands:
+            node = Imp(operands.pop(), node)
+        return node
 
     def or_level(self) -> Formula:
         node = self.and_level()
-        while self.peek().kind == "OR":
-            self.advance()
+        while self.tokens[self.i].kind == "OR":
+            self.i += 1
             node = Or(node, self.and_level())
         return node
 
     def and_level(self) -> Formula:
         node = self.unary()
-        while self.peek().kind == "AND":
-            self.advance()
+        while self.tokens[self.i].kind == "AND":
+            self.i += 1
             node = And(node, self.unary())
         return node
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind == "BOX":
-            self.advance()
-            return Box(self.unary())
+        tokens = self.tokens
+        tok = tokens[self.i]
+        self.i += 1
         if tok.kind == "IDENT":
-            self.advance()
             return Var(tok.text)
-        if tok.kind == "LPAREN":
-            self.advance()
+        prefixes = []
+        while tok.kind in _PREFIX:
+            prefixes.append(_PREFIX[tok.kind])
+            tok = tokens[self.i]
+            self.i += 1
+        if tok.kind == "IDENT":
+            node = Var(tok.text)
+        elif tok.kind == "LPAREN":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise FormulaSyntaxError(
+                    _byte_offset(self.text, tok.pos),
+                    ("identifier", "'~'", "'[]'"),
+                    f"'(' nested deeper than {MAX_PAREN_DEPTH}",
+                )
+            self.depth += 1
             node = self.formula()
-            if self.peek().kind != "RPAREN":
+            if tokens[self.i].kind != "RPAREN":
                 self.fail({"')'", "'&'", "'|'", "'->'"})
-            self.advance()
-            return node
-        self.fail(_UNARY_START)
+            self.i += 1
+            self.depth -= 1
+        else:
+            self.i -= 1
+            self.fail(_UNARY_START)
+        while prefixes:
+            node = prefixes.pop()(node)
+        return node
 
 
 def parse(text: str) -> Formula:

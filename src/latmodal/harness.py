@@ -9,9 +9,14 @@ model needs at most two worlds for regularity and three otherwise, so a
 world bound at proof scale makes that direction a complete check rather
 than a bounded one.  The validity direction ("no counterexample on any
 frame") is necessarily bounded by the world bound and reported as such.
-The matrices of one lattice come in a run, and each run is searched in one
-batch: one closure and one frame pass decide all its designated sets (see
-``search``).  The lattices of each size are enumerated once per process.
+One driver runs all five biconditional checks.  Its semantic side is a
+batch search, the frame search for counterexamples to a box formula or, for
+regularity, the search for a world where []p and "p at every successor"
+disagree; every witness it finds re-checks itself through the reference
+evaluator.  The matrices of one lattice come in a run, and each run is
+searched in one batch: one closure and one frame pass decide all its
+designated sets (see ``search``).  The lattices of each size are
+enumerated once per process.
 
 Universe conventions, chosen to mirror each property's hypotheses: the
 designated sets range over non-empty upward-closed subsets, except for
@@ -37,7 +42,7 @@ from .enumeration import (
     enumerate_lattices,
     enumerate_upsets,
 )
-from .errors import WitnessNotApplicable
+from .errors import InvalidInput, WitnessNotApplicable
 from .formula import render
 from .kripke import BoxMode, CounterexampleReport, model_satisfies
 from .lattice import (
@@ -53,8 +58,9 @@ from .lattice import (
 from .search import (
     AXIOM_K,
     BOX_DISJUNCTION_DIST,
-    _check_regularities,
+    BOX_P,
     _find_counterexamples,
+    _regularity_witnesses,
     construct_witness,
     find_frame_counterexample,
 )
@@ -105,10 +111,8 @@ class TheoremReport:
 class HarnessConfig:
     size_bound: int = 5
     world_bound: int = 3
-    regularity_world_bound: int = 2
     twist_atoms: int = 2
     unsafe_bounds: bool = False
-    k5_matrix: Matrix | None = None  # override hook for harness self-tests
 
 
 def _lattice_universe(size_bound: int) -> Iterator[Lattice]:
@@ -151,42 +155,20 @@ def _bounded_note(report: TheoremReport, theorem: str, world_bound: int) -> bool
 
 
 def _verify_regularity(size_bound: int, world_bound: int, unsafe: bool) -> TheoremReport:
-    report = TheoremReport(
+    # on a non-empty set, a filter holds its big meet
+    return _verify_biconditional(
         "regularity",
+        BOX_P,
+        lambda m, props: (props.is_filter, "nonfilter"),
+        lambda run: _regularity_witnesses(run, world_bound, unsafe),
+        (
+            (Matrix(lat, upset), _case_id(lat, upset))
+            for lat in _lattice_universe(size_bound)
+            for upset in _nonempty_upsets(lat)
+        ),
+        world_bound,
         {"max_lattice_size": size_bound, "designated": "non-empty upsets"},
-        0,
-        True,
-    )
-    assert_defects = _bounded_note(report, "regularity", world_bound)
-    for lat in _lattice_universe(size_bound):
-        upsets = list(_nonempty_upsets(lat))
-        results = _check_regularities([Matrix(lat, u) for u in upsets], world_bound, unsafe)
-        for upset, result in zip(upsets, results):
-            report.cases += 1
-            ok = result.regular == result.structural_regular
-            if ok and assert_defects and not result.structural_regular:
-                try:
-                    construct_witness("nonfilter", Matrix(lat, upset), props=result.props)
-                except WitnessNotApplicable as exc:
-                    ok = False
-                    report.failures.append(
-                        {**_case_id(lat, upset), "witness_error": str(exc)}
-                    )
-            if not ok:
-                report.passed = False
-                entry = {
-                    **_case_id(lat, upset),
-                    "structural": result.structural_regular,
-                    "semantic": result.regular,
-                }
-                if result.witness is not None:
-                    entry["witness"] = {
-                        "model": result.witness.model.to_dict(),
-                        "world": result.witness.model.frame.worlds[result.witness.world],
-                        "direction": result.witness.direction,
-                    }
-                report.failures.append(entry)
-    return report
+    )[0]
 
 
 def _verify_eq1_implicative(size_bound: int) -> TheoremReport:
@@ -214,6 +196,64 @@ def _verify_eq1_implicative(size_bound: int) -> TheoremReport:
     return report
 
 
+def _verify_biconditional(
+    theorem: str,
+    formula,
+    classify: Callable[[Matrix, DesignatedProperties], tuple[bool, str | None]],
+    search: Callable[[list[Matrix]], list],
+    matrices: Iterator[tuple[Matrix, dict]],
+    world_bound: int,
+    universe: dict,
+) -> tuple[TheoremReport, int]:
+    """Shared driver: structural predicate <=> no semantic witness in bound.
+
+    ``search`` gives each matrix of a run of one lattice its first semantic
+    witness within the world bound, or None; a witness has ``recheck`` and
+    ``to_dict``.  ``classify`` gives a matrix's structural verdict, from
+    the matrix and its ``check_designated`` result, and the kind of the
+    canonical witness that must falsify ``formula`` when the verdict is
+    false (None when no witness applies).  That result is computed once per
+    matrix and also given to ``construct_witness``.  Also returns the
+    number of structurally true cases.
+    """
+    report = TheoremReport(theorem, dict(universe), 0, True)
+    assert_defects = _bounded_note(report, theorem, world_bound)
+    structural_true = 0
+    for _, run in itertools.groupby(matrices, key=lambda item: item[0].lattice):
+        run = list(run)
+        for (matrix, case), witness in zip(run, search([matrix for matrix, _ in run])):
+            report.cases += 1
+            props = check_designated(matrix)
+            structural, witness_kind = classify(matrix, props)
+            semantic = witness is None
+            if structural:
+                structural_true += 1
+                ok = semantic  # validity direction, always asserted within the bound
+            elif assert_defects:
+                ok = not semantic  # defect direction, exact at proof scale
+            else:
+                ok = True
+            if ok and witness is not None and not witness.recheck():
+                ok = False
+                case = {**case, "error": "counterexample failed self-certification"}
+            if ok and assert_defects and not structural and witness_kind is not None:
+                try:
+                    model = construct_witness(witness_kind, matrix, props=props)
+                    holds, _ = model_satisfies(matrix, model, formula)
+                    if holds:
+                        raise WitnessNotApplicable("constructed model does not falsify")
+                except WitnessNotApplicable as exc:
+                    ok = False
+                    case = {**case, "witness_error": str(exc)}
+            if not ok:
+                report.passed = False
+                entry = {**case, "structural": structural, "semantic": semantic}
+                if witness is not None:
+                    entry["counterexample"] = witness.to_dict()
+                report.failures.append(entry)
+    return report, structural_true
+
+
 def _verify_box_biconditional(
     theorem: str,
     formula,
@@ -223,66 +263,20 @@ def _verify_box_biconditional(
     unsafe: bool,
     universe: dict,
 ) -> TheoremReport:
-    """Shared driver: structural predicate <=> no counterexample in bound.
+    """The driver with the frame search for counterexamples to the box
+    formula as the semantic side; the universe also records the formula
+    and the structural split."""
 
-    ``classify`` gives a matrix's structural verdict, from the matrix and
-    its ``check_designated`` result, and the kind of the canonical witness
-    that must falsify the formula when the verdict is false (None when no
-    witness applies).  That result is computed once per matrix and also
-    given to ``construct_witness``.
-    """
-    report = TheoremReport(theorem, dict(universe), 0, True)
+    def search(run: list[Matrix]) -> list[CounterexampleReport | None]:
+        return _find_counterexamples(run, formula, world_bound, BoxMode.NORMAL_MEET, unsafe)
+
+    report, structural_true = _verify_biconditional(
+        theorem, formula, classify, search, matrices, world_bound, universe
+    )
     report.universe["formula"] = render(formula)
-    assert_defects = _bounded_note(report, theorem, world_bound)
-    structural_true = 0
-    for matrix, case, counterexample in _searched(matrices, formula, world_bound, unsafe):
-        report.cases += 1
-        props = check_designated(matrix)
-        structural, witness_kind = classify(matrix, props)
-        semantic = counterexample is None
-        if structural:
-            structural_true += 1
-        if structural:
-            ok = semantic  # validity direction, always asserted within the bound
-        elif assert_defects:
-            ok = not semantic  # defect direction, exact at proof scale
-        else:
-            ok = True
-        if ok and counterexample is not None and not counterexample.recheck():
-            ok = False
-            case = {**case, "error": "counterexample failed self-certification"}
-        if ok and assert_defects and not structural and witness_kind is not None:
-            try:
-                model = construct_witness(witness_kind, matrix, props=props)
-                holds, _ = model_satisfies(matrix, model, formula)
-                if holds:
-                    raise WitnessNotApplicable("constructed model does not falsify")
-            except WitnessNotApplicable as exc:
-                ok = False
-                case = {**case, "witness_error": str(exc)}
-        if not ok:
-            report.passed = False
-            entry = {**case, "structural": structural, "semantic": semantic}
-            if counterexample is not None:
-                entry["counterexample"] = counterexample.to_dict()
-            report.failures.append(entry)
     report.universe["structural_true_cases"] = structural_true
     report.universe["structural_false_cases"] = report.cases - structural_true
     return report
-
-
-def _searched(
-    matrices: Iterator[tuple[Matrix, dict]], formula, world_bound: int, unsafe: bool
-) -> Iterator[tuple[Matrix, dict, CounterexampleReport | None]]:
-    """Each (matrix, case) with its first counterexample within the world
-    bound; each run of matrices of one lattice is searched in one batch."""
-    for _, run in itertools.groupby(matrices, key=lambda item: item[0].lattice):
-        run = list(run)
-        found = _find_counterexamples(
-            [matrix for matrix, _ in run], formula, world_bound, BoxMode.NORMAL_MEET, unsafe
-        )
-        for (matrix, case), counterexample in zip(run, found):
-            yield matrix, case, counterexample
 
 
 def _disj_dist_matrices(size_bound: int) -> Iterator[tuple[Matrix, dict]]:
@@ -397,12 +391,10 @@ def _verify_twist_k(max_atoms: int, world_bound: int, unsafe: bool) -> TheoremRe
     )
 
 
-def k5_regression(
-    world_bound: int = 3, matrix: Matrix | None = None, *, unsafe_bounds: bool = False
-) -> TheoremReport:
+def k5_regression(world_bound: int = 3, *, unsafe_bounds: bool = False) -> TheoremReport:
     """The five-element antichain example: box-K frame-valid within the
     bound while the lattice is not linear outside the designated set."""
-    matrix = matrix if matrix is not None else antichain_k5()
+    matrix = antichain_k5()
     report = TheoremReport(
         "k5_regression",
         {"lattice": matrix.lattice.name, "world_bound": world_bound},
@@ -443,6 +435,8 @@ def verify_theorem(
     """Run one characterization check; for twist_k the size bound is the
     maximum number of atoms of the Boolean base, clamped to the largest
     count whose carrier the upset enumeration admits (2)."""
+    if size_bound < 1:
+        raise InvalidInput(f"size bound must be at least 1, got {size_bound}")
     if theorem == "regularity":
         return _verify_regularity(size_bound, world_bound, unsafe_bounds)
     if theorem == "eq1_implicative":
@@ -465,12 +459,10 @@ def run_suite(config: HarnessConfig | None = None) -> tuple[list[TheoremReport],
         verify_theorem(
             theorem,
             config.twist_atoms if theorem == "twist_k" else config.size_bound,
-            config.regularity_world_bound if theorem == "regularity" else config.world_bound,
+            _PROOF_SCALE["regularity"] if theorem == "regularity" else config.world_bound,
             unsafe_bounds=config.unsafe_bounds,
         )
         for theorem in THEOREM_IDS
     ]
-    reports.append(
-        k5_regression(config.world_bound, config.k5_matrix, unsafe_bounds=config.unsafe_bounds)
-    )
+    reports.append(k5_regression(config.world_bound, unsafe_bounds=config.unsafe_bounds))
     return reports, 0 if all(r.passed for r in reports) else 1

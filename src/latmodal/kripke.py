@@ -246,19 +246,14 @@ def _guard_valuation_space(n: int, n_worlds: int, n_vars: int, unsafe: bool) -> 
 
 class _Plan:
     """What ``frame_valid``, the type closure of the search and ``entails``
-    need of one (lattice, formula, variable domain), built once: the compiled
-    formula, the lattice tables and, per world count, the valuation-space
-    layout.  The box mode and the designated set are read per call."""
+    need of one (lattice, formula), built once: the compiled formula, the
+    lattice tables and, per world count, the valuation-space layout.  The
+    box mode and the designated set are read per call."""
 
-    def __init__(self, lat: Lattice, f: Formula, domain: tuple[str, ...] | None):
-        self.lattice, self.formula, self.domain = lat, f, domain
+    def __init__(self, lat: Lattice, f: Formula):
+        self.lattice, self.formula = lat, f
         self.nodes = compile_formula(f)
-        names = sorted({a for kind, a, _ in self.nodes if kind == VAR})
-        if domain is not None:
-            if not set(names) <= set(domain):
-                raise InvalidInput("var_domain must cover the variables of the formula")
-            names = list(domain)
-        self.names = names
+        self.names = sorted({a for kind, a, _ in self.nodes if kind == VAR})
         n = self.n = lat.n
         # wide enough for the flat table index a * n + b, so that binary
         # connectives need no wider temporaries
@@ -320,16 +315,15 @@ class _Plan:
 _last_plan: _Plan | None = None
 
 
-def _plan_for(lat: Lattice, f: Formula, var_domain: Iterable[str] | None) -> _Plan:
+def _plan_for(lat: Lattice, f: Formula) -> _Plan:
     """The plan of the previous call if it was for the same lattice and
-    formula objects and the same domain, else a new one, which replaces it.
-    The plan holds its lattice and formula, so an object compared by
-    identity here cannot be a new one at a reused address."""
+    formula objects, else a new one, which replaces it.  The plan holds its
+    lattice and formula, so an object compared by identity here cannot be a
+    new one at a reused address."""
     global _last_plan
-    domain = None if var_domain is None else tuple(sorted(set(var_domain)))
     plan = _last_plan
-    if plan is None or plan.lattice is not lat or plan.formula is not f or plan.domain != domain:
-        plan = _last_plan = _Plan(lat, f, domain)
+    if plan is None or plan.lattice is not lat or plan.formula is not f:
+        plan = _last_plan = _Plan(lat, f)
     return plan
 
 
@@ -338,15 +332,13 @@ def frame_valid(
     frame: Frame,
     f: Formula,
     mode: BoxMode = BoxMode.NORMAL_MEET,
-    var_domain: Iterable[str] | None = None,
     *,
     unsafe_bounds: bool = False,
 ) -> CounterexampleReport | None:
     """Check f on every valuation of the frame; None means frame-valid.
     On failure returns the canonically first counterexample."""
-    lat = matrix.lattice
-    roots = frame_root_values(lat, frame, f, mode, var_domain, unsafe_bounds=unsafe_bounds)
-    return first_failure(matrix, frame, f, roots, mode, var_domain)
+    roots = frame_root_values(matrix.lattice, frame, f, mode, unsafe_bounds=unsafe_bounds)
+    return first_failure(matrix, frame, f, roots, mode)
 
 
 def frame_root_values(
@@ -354,7 +346,6 @@ def frame_root_values(
     frame: Frame,
     f: Formula,
     mode: BoxMode = BoxMode.NORMAL_MEET,
-    var_domain: Iterable[str] | None = None,
     *,
     unsafe_bounds: bool = False,
 ) -> list[np.ndarray]:
@@ -363,7 +354,7 @@ def frame_root_values(
     the value of a subformula at a world spans only the axes it actually
     depends on, so the arrays stay small on sparse frames.  Reads no
     designated set."""
-    plan = _plan_for(lat, f, var_domain)
+    plan = _plan_for(lat, f)
     n_worlds = len(frame.worlds)
     _guard_valuation_space(plan.n, n_worlds, len(plan.names), unsafe_bounds)
 
@@ -397,12 +388,11 @@ def first_failure(
     f: Formula,
     roots: list[np.ndarray],
     mode: BoxMode = BoxMode.NORMAL_MEET,
-    var_domain: Iterable[str] | None = None,
 ) -> CounterexampleReport | None:
     """The canonically first counterexample to f on the frame in the matrix,
     from the root values ``frame_root_values`` gives on its lattice, re-
     certified with ``evaluate``; None if every root value is designated."""
-    plan = _plan_for(matrix.lattice, f, var_domain)
+    plan = _plan_for(matrix.lattice, f)
     slots, _, _, strides = plan.layout(len(frame.worlds))
     undesignated = ~matrix.designated_mask()
     best: int | None = None  # the first failing valuation of the full space

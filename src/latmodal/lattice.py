@@ -644,7 +644,7 @@ def entails(
 
     # one array axis per variable; like a scan that stops at the first
     # undesignated premise, a formula is evaluated only if a valuation reaches it
-    plans = [_Plan(lat, f, None) for f in [*premises, conclusion]]
+    plans = [_Plan(lat, f) for f in [*premises, conclusion]]
     grid = np.indices((lat.n,) * len(names), dtype=plans[0].dtype, sparse=True)
     var_values = dict(zip(names, grid))
     designated = matrix.designated_mask()

@@ -74,6 +74,7 @@ from .kripke import (
     KripkeModel,
     _guard_valuation_space,
     _plan_for,
+    evaluate,
     first_failure,
     frame_root_values,
     world_satisfies,
@@ -81,6 +82,7 @@ from .kripke import (
 from .lattice import DesignatedProperties, Lattice, Matrix, big_meet, check_designated
 
 AXIOM_K = parse("[](p -> q) -> ([]p -> []q)")
+BOX_P = parse("[]p")
 BOX_DISJUNCTION_DIST = parse("([]p | []q) -> [](p | q)")
 
 MAX_FRAME_WORLDS = 4
@@ -175,7 +177,7 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
     rows evaluated and met exceed MAX_VALUATION_SPACE: the closure can grow
     exponentially with the modal depth.  Reads no designated set.  Needs
     every connective of f defined."""
-    plan = _plan_for(lat, f, None)
+    plan = _plan_for(lat, f)
     nodes, names, dtype, n = plan.nodes, plan.names, plan.dtype, plan.n
     # every valuation s of the variables, one row each, last one fastest
     grid = np.indices((n,) * len(names), dtype=dtype).reshape(len(names), -1, 1)
@@ -311,12 +313,42 @@ def _find_counterexamples(
 # Regularity
 
 
+# indexed by whether p holds at every successor
+_DIRECTIONS = ("box_holds_but_successor_fails", "successors_hold_but_box_fails")
+
+
 @dataclass(frozen=True)
 class RegularityWitness:
+    """A world where []p and "p holds at every successor" disagree in the
+    matrix.  Self-certifying like ``CounterexampleReport``: ``recheck``
+    re-runs the reference evaluator on the witness's own data."""
+
+    matrix: Matrix
     model: KripkeModel
     world: int
     box_value: int
-    direction: str  # "box_holds_but_successor_fails" | "successors_hold_but_box_fails"
+    direction: str  # one of _DIRECTIONS
+
+    def recheck(self) -> bool:
+        designated = self.matrix.designated
+        box = evaluate(self.model, self.world, BOX_P)
+        successors_hold = all(
+            evaluate(self.model, w2, BOX_P.child) in designated
+            for w2 in self.model.frame.successors(self.world)
+        )
+        return (
+            box == self.box_value
+            and (box in designated) != successors_hold
+            and self.direction == _DIRECTIONS[successors_hold]
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "model": self.model.to_dict(),
+            "world": self.model.frame.worlds[self.world],
+            "box_value": self.matrix.lattice.elements[self.box_value],
+            "direction": self.direction,
+        }
 
 
 @dataclass(frozen=True)
@@ -325,13 +357,9 @@ class RegularityResult:
     accessible worlds"."""
 
     regular: bool
-    props: DesignatedProperties
+    is_filter: bool
     meet_in_designated: bool
     witness: RegularityWitness | None
-
-    @property
-    def is_filter(self) -> bool:
-        return self.props.is_filter
 
     @property
     def structural_regular(self) -> bool:
@@ -351,15 +379,21 @@ def check_regularity(
     designated) is computed independently; on finite lattices the two
     verdicts must coincide.
     """
-    return _check_regularities([matrix], max_worlds, unsafe_bounds)[0]
+    witness = _regularity_witnesses([matrix], max_worlds, unsafe_bounds)[0]
+    return RegularityResult(
+        regular=witness is None,
+        is_filter=check_designated(matrix).is_filter,
+        meet_in_designated=big_meet(matrix.lattice, matrix.designated) in matrix.designated,
+        witness=witness,
+    )
 
 
-def _check_regularities(
+def _regularity_witnesses(
     matrices: Sequence[Matrix], max_worlds: int, unsafe_bounds: bool
-) -> list[RegularityResult]:
-    """``check_regularity`` for matrices of one lattice, each designated set
-    the same as alone: each frame's []p values are computed once, and each
-    set still open compares them with its successor test."""
+) -> list[RegularityWitness | None]:
+    """The ``check_regularity`` witness of each matrix, all of one lattice,
+    or None: each frame's []p values are computed once, and each set still
+    open compares them with its successor test."""
     lat = matrices[0].lattice
     meet = np.array(lat.meet_table)
     designated = np.array([m.designated_mask() for m in matrices])
@@ -385,22 +419,14 @@ def _check_regularities(
             combo = int(np.argmax(differ[j].any(axis=0)))
             w = int(np.argmax(differ[j, :, combo]))
             model = KripkeModel(frame, lat, {(v, "p"): int(grid[v, combo]) for v in range(k)})
-            direction = ("box_holds_but_successor_fails", "successors_hold_but_box_fails")
-            witnesses[scan[j]] = RegularityWitness(
-                model, w, int(box[w, combo]), direction[int(holds[j, w, combo])]
+            i = scan[j]
+            witnesses[i] = RegularityWitness(
+                matrices[i], model, w, int(box[w, combo]), _DIRECTIONS[int(holds[j, w, combo])]
             )
         scan = [i for i in scan if witnesses[i] is None]
         if not scan:
             break
-    return [
-        RegularityResult(
-            regular=witness is None,
-            props=check_designated(m),
-            meet_in_designated=big_meet(m.lattice, m.designated) in m.designated,
-            witness=witness,
-        )
-        for m, witness in zip(matrices, witnesses)
-    ]
+    return witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -288,11 +288,29 @@ def test_verify_all_small(capsys):
     assert len(payload["reports"]) == 7
 
 
+def test_verify_rejects_a_size_bound_below_one(capsys):
+    for argv in (["--all"], ["--theorem", "eq1_implicative"], ["--theorem", "twist_k"]):
+        code, out, err = run_cli(capsys, "verify", *argv, "--max-size", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: InvalidInput: size bound must be at least 1, got 0\n"
+
+
 def test_verify_all_compact_matches_the_golden_file(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all", "--compact")
     assert code == 0
     golden = Path(__file__).parent / "data" / "verify_all_compact.json"
     assert out.encode("utf-8") == golden.read_bytes()
+
+
+def test_regular_matches_the_golden_files(capsys):
+    # one golden per witness direction
+    data = Path(__file__).parent / "data"
+    for name in ("boolean2_a_b_1", "chain3_0_1"):
+        code, out, _ = run_cli(
+            capsys, "regular", "--lattice", str(data / f"{name}.json"), "--compact"
+        )
+        assert code == 1
+        assert out.encode("utf-8") == (data / f"regular_{name}.json").read_bytes()
 
 
 def test_outputs_are_byte_identical(tmp_path, capsys):
@@ -321,12 +339,18 @@ def test_formula_syntax_error_exit_code(tmp_path, capsys):
 def test_deeply_nested_formula_is_an_input_error(tmp_path, capsys):
     path = write_chain3(tmp_path, imp="material", designated=["h", "1"])
     code, out, err = run_cli(
-        capsys, "valid", "--lattice", str(path), "--formula", "~" * 3000 + "p",
+        capsys, "valid", "--lattice", str(path), "--formula", "(" * 3000 + "p" + ")" * 3000,
         "--max-worlds", "1",
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: RecursionError") and err.count("\n") == 1
+    assert err.startswith("error: FormulaSyntaxError") and err.count("\n") == 1
+    # a long run of prefixes is no error: ~~p is p on this chain
+    code, out, _ = run_cli(
+        capsys, "valid", "--lattice", str(path), "--formula", "~" * 3000 + "p",
+        "--max-worlds", "1",
+    )
+    assert code == 1 and json.loads(out)["valid"] is False
 
 
 def test_undecodable_files_are_input_errors(tmp_path, capsys):

@@ -7,6 +7,7 @@ from latmodal import (
     Box,
     FormulaSyntaxError,
     Imp,
+    LatModalError,
     Not,
     Or,
     Var,
@@ -17,6 +18,7 @@ from latmodal import (
     substitute,
     variables,
 )
+from latmodal.formula import MAX_PAREN_DEPTH
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -59,6 +61,20 @@ def test_parse_trailing_junk():
 def test_parse_unbalanced_paren():
     with pytest.raises(FormulaSyntaxError):
         parse("(p -> q")
+
+
+def test_parse_deep_nesting():
+    # runs of prefixes and chains of -> are read in loops
+    for text in ("~" * 5000 + "p", "[]" * 5000 + "p", "p -> " * 5000 + "p"):
+        assert render(parse(text)) == text
+    # parentheses recurse, so their depth is capped
+    depth = MAX_PAREN_DEPTH
+    assert parse("(" * depth + "p" + ")" * depth) == p
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse("(" * (depth + 1) + "p" + ")" * (depth + 1))
+    assert exc.value.offset == depth
+    with pytest.raises(LatModalError):
+        parse("(" * 5000 + "p" + ")" * 5000)
 
 
 def test_render_examples():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from latmodal import (
@@ -50,20 +52,45 @@ def test_k_linear_small():
 
 
 def test_k_linear_reports_a_failing_nonlinearity_witness(monkeypatch):
+    # and regularity its filter witness, through the same driver
     import latmodal.harness
 
     construct = latmodal.harness.construct_witness
 
     def broken(kind, matrix, **kwargs):
-        if kind == "nonlinear_k":
+        if kind in ("nonlinear_k", "nonfilter"):
             raise WitnessNotApplicable("broken on purpose")
         return construct(kind, matrix, **kwargs)
 
     monkeypatch.setattr(latmodal.harness, "construct_witness", broken)
-    report = verify_theorem("k_linear", 4, 3)
+    for theorem in ("k_linear", "regularity"):
+        report = verify_theorem(theorem, 4, 3)
+        assert not report.passed
+        assert report.failures
+        assert all(f["witness_error"] == "broken on purpose" for f in report.failures)
+        # one entry per case, each with the case's semantic counterexample
+        cases = {(f["lattice"], tuple(f["designated"])) for f in report.failures}
+        assert len(cases) == len(report.failures)
+        assert all("counterexample" in f for f in report.failures)
+    assert all("box_value" in f["counterexample"] for f in report.failures)
+
+
+def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
+    import latmodal.harness
+
+    search = latmodal.harness._regularity_witnesses
+
+    def corrupted(matrices, max_worlds, unsafe):
+        return [
+            w and dataclasses.replace(w, box_value=(w.box_value + 1) % w.matrix.lattice.n)
+            for w in search(matrices, max_worlds, unsafe)
+        ]
+
+    monkeypatch.setattr(latmodal.harness, "_regularity_witnesses", corrupted)
+    report = verify_theorem("regularity", 4, 2)
     assert not report.passed
     assert report.failures
-    assert all(f["witness_error"] == "broken on purpose" for f in report.failures)
+    assert all(f["error"] == "counterexample failed self-certification" for f in report.failures)
 
 
 def test_designated_properties_computed_once_per_matrix(monkeypatch):
@@ -115,7 +142,9 @@ def test_k5_regression_passes():
     assert any("linear-outside fails" in note for note in report.notes)
 
 
-def test_k5_regression_catches_corrupted_table():
+def test_k5_regression_catches_corrupted_table(monkeypatch):
+    import latmodal.harness
+
     base = antichain_k5()
     lat = base.lattice
     f_, b = lat.index("f"), lat.index("b")
@@ -125,7 +154,8 @@ def test_k5_regression_catches_corrupted_table():
         lat.with_imp(ImplicationTable(tuple(tuple(r) for r in rows))),
         base.designated,
     )
-    report = k5_regression(3, corrupted)
+    monkeypatch.setattr(latmodal.harness, "antichain_k5", lambda: corrupted)
+    report = k5_regression(3)
     assert not report.passed
     failure = report.failures[0]
     assert failure["check"] == "box-K frame validity"
@@ -133,21 +163,24 @@ def test_k5_regression_catches_corrupted_table():
 
 
 def test_world_bound_one_marks_bounded_only():
-    report = verify_theorem("k_linear", 3, 1)
-    assert any("witness directions not exercised" in n for n in report.notes)
-    # with one world no defect direction is asserted, so this still passes
-    assert report.passed
+    for theorem, size_bound in (("k_linear", 3), ("regularity", 4)):
+        report = verify_theorem(theorem, size_bound, 1)
+        assert any("witness directions not exercised" in n for n in report.notes)
+        # with one world no defect direction is asserted, so this still passes
+        assert report.passed, theorem
 
 
 def test_run_suite_small_bounds():
-    config = HarnessConfig(size_bound=3, world_bound=2, regularity_world_bound=2, twist_atoms=1)
+    config = HarnessConfig(size_bound=3, world_bound=2, twist_atoms=1)
     reports, status = run_suite(config)
     assert status == 0
     assert [r.theorem for r in reports] == [*THEOREM_IDS, "k5_regression"]
     assert all(r.passed for r in reports)
 
 
-def test_run_suite_fails_on_corrupted_k5():
+def test_run_suite_fails_on_corrupted_k5(monkeypatch):
+    import latmodal.harness
+
     base = antichain_k5()
     lat = base.lattice
     a, b = lat.index("a"), lat.index("b")
@@ -158,13 +191,9 @@ def test_run_suite_fails_on_corrupted_k5():
         )
         for x in range(lat.n)
     )
-    config = HarnessConfig(
-        size_bound=2,
-        world_bound=3,
-        twist_atoms=1,
-        k5_matrix=Matrix(lat.with_imp(ImplicationTable(fallback)), base.designated),
-    )
-    reports, status = run_suite(config)
+    corrupted = Matrix(lat.with_imp(ImplicationTable(fallback)), base.designated)
+    monkeypatch.setattr(latmodal.harness, "antichain_k5", lambda: corrupted)
+    reports, status = run_suite(HarnessConfig(size_bound=2, world_bound=3, twist_atoms=1))
     assert status == 1
     k5_report = [r for r in reports if r.theorem == "k5_regression"][0]
     assert not k5_report.passed

@@ -269,30 +269,23 @@ def test_frame_valid_local_mode(c3_eq1):
     )
 
 
-def test_frame_valid_var_domain(c3_eq1):
-    frame = Frame(("w",), frozenset(((0, 0),)))
-    report = frame_valid(c3_eq1, frame, parse("p"), var_domain=["p", "q"])
-    assert report is not None
-    assert (0, "q") in report.model.valuation
-
-
 def test_frame_valid_consecutive_calls_match_fresh_ones(c3_eq1):
-    # same matrix and formula objects, different mode or variable domain
+    # same matrix and formula objects, different mode or formula
     import latmodal.formula
     import latmodal.kripke
 
     frame = Frame(("w1", "w2"), frozenset(((0, 1),)))
-    f = parse("[]p -> p")
+    f, g = parse("[]p -> p"), parse("[]p -> q")
     calls = [
-        (BoxMode.NORMAL_MEET, None),
-        (BoxMode.LOCAL, None),
-        (BoxMode.NORMAL_MEET, None),
-        (BoxMode.NORMAL_MEET, ["p", "q"]),
-        (BoxMode.NORMAL_MEET, ["p"]),
+        (BoxMode.NORMAL_MEET, f),
+        (BoxMode.LOCAL, f),
+        (BoxMode.NORMAL_MEET, f),
+        (BoxMode.NORMAL_MEET, g),
+        (BoxMode.NORMAL_MEET, f),
     ]
 
-    def run(mode, domain):
-        report = frame_valid(c3_eq1, frame, f, mode, var_domain=domain)
+    def run(mode, formula):
+        report = frame_valid(c3_eq1, frame, formula, mode)
         return None if report is None else report.to_dict()
 
     consecutive = [run(*call) for call in calls]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -198,6 +199,27 @@ def test_regularity_failure_diamond():
     assert box_ok != naw
 
 
+def test_regularity_witness_recheck_rejects_mutations():
+    # one witness of each direction; in both models w1 has no successors,
+    # so []p is top there and "every successor" holds vacuously
+    directions = {"successors_hold_but_box_fails", "box_holds_but_successor_fails"}
+    seen = set()
+    for lat, names in ((boolean_algebra(2), ["a", "b", "1"]), (chain(3), ["0", "1"])):
+        w = check_regularity(matrix_from_names(lat, names)).witness
+        assert w.world == 0 and w.recheck()
+        seen.add(w.direction)
+        (flipped,) = directions - {w.direction}
+        mutants = [
+            dataclasses.replace(w, box_value=(w.box_value + 1) % lat.n),
+            dataclasses.replace(w, world=1),
+            dataclasses.replace(w, direction=flipped),
+            # every value designated: box and successors agree
+            dataclasses.replace(w, matrix=Matrix(lat, frozenset(range(lat.n)))),
+        ]
+        assert not any(m.recheck() for m in mutants)
+    assert seen == directions
+
+
 def test_regularity_empty_designated(c3):
     result = check_regularity(Matrix(c3, frozenset()))
     assert not result.regular
@@ -226,14 +248,15 @@ def test_regularity_matches_the_model_scan():
         for lat in enumerate_lattices(n):
             matrices = [Matrix(lat, upset) for upset in [*enumerate_upsets(lat), frozenset()]]
             for bound in (1, 2, 3) if n <= 3 else (1, 2):
-                batch = latmodal.search._check_regularities(matrices, bound, False)
+                batch = latmodal.search._regularity_witnesses(matrices, bound, False)
                 for matrix, in_batch in zip(matrices, batch):
                     result = check_regularity(matrix, bound)
                     w = result.witness
                     found = None if w is None else (w.model, w.world, w.box_value, w.direction)
                     assert found == naive_regularity_witness(matrix, bound), (matrix, bound)
                     assert result.regular == (w is None)
-                    assert in_batch == result
+                    assert w is None or w.recheck()
+                    assert in_batch == w
                     witnesses += w is not None
     assert witnesses > 0
 
