@@ -437,6 +437,8 @@ def verify_theorem(
     count whose carrier the upset enumeration admits (2)."""
     if size_bound < 1:
         raise InvalidInput(f"size bound must be at least 1, got {size_bound}")
+    if world_bound < 1:
+        raise InvalidInput(f"world bound must be at least 1, got {world_bound}")
     if theorem == "regularity":
         return _verify_regularity(size_bound, world_bound, unsafe_bounds)
     if theorem == "eq1_implicative":

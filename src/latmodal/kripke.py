@@ -26,6 +26,8 @@ the frames of one search and across the designated sets of one lattice.
 The plan's ``node_values`` runs the node list at one world on broadcasting
 arrays: the type closure of ``search.find_frame_counterexample`` runs it over
 valuations and box-value tuples, ``lattice.entails`` over valuations.
+numpy is imported inside the functions that build arrays (the plan and
+``first_failure``), so ``evaluate`` and model checking never load it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import BoundTooLarge, InvalidInput, MissingOperation, UnboundVariable
 from .formula import (
@@ -52,6 +52,9 @@ from .formula import (
     render,
 )
 from .lattice import Lattice, Matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_LATTICE_SIZE = 12
 MAX_WORLDS = 4
@@ -251,6 +254,8 @@ class _Plan:
     box mode and the designated set are read per call."""
 
     def __init__(self, lat: Lattice, f: Formula):
+        import numpy as np
+
         self.lattice, self.formula = lat, f
         self.nodes = compile_formula(f)
         self.names = sorted({a for kind, a, _ in self.nodes if kind == VAR})
@@ -302,6 +307,8 @@ class _Plan:
         cached = self._layouts.get(n_worlds)
         if cached is not None:
             return cached
+        import numpy as np
+
         n = self.n
         slots = [(w, x) for w in range(n_worlds) for x in self.names]
         ndim = len(slots)
@@ -392,6 +399,8 @@ def first_failure(
     """The canonically first counterexample to f on the frame in the matrix,
     from the root values ``frame_root_values`` gives on its lattice, re-
     certified with ``evaluate``; None if every root value is designated."""
+    import numpy as np
+
     plan = _plan_for(matrix.lattice, f)
     slots, _, _, strides = plan.layout(len(frame.worlds))
     undesignated = ~matrix.designated_mask()

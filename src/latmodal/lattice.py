@@ -12,15 +12,17 @@ else:
 
 Complementation carries no assumed laws; anti-monotonicity and involutivity
 are checked, never presumed.
+
+Everything here is scalar except ``entails`` and ``Matrix.designated_mask``,
+which import numpy when they run, so the builders and property checks never
+load it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     BoundTooLarge,
@@ -31,6 +33,9 @@ from .errors import (
     NotAPoset,
 )
 from .formula import Formula, compile_formula, interpret, is_modal_free, variables
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MATERIAL = "material"
 DEDUCTIVE_EQ1 = "deductive_eq1"
@@ -326,6 +331,8 @@ class Matrix:
 
     def designated_mask(self) -> np.ndarray:
         """Whether each element, by index, is designated."""
+        import numpy as np
+
         mask = np.zeros(self.lattice.n, dtype=bool)
         mask[sorted(self.designated)] = True
         return mask
@@ -640,6 +647,8 @@ def entails(
             f"{lat.n}^{len(names)} valuations exceed the guard; "
             "pass unsafe_bounds=True to override"
         )
+    import numpy as np
+
     from .kripke import _Plan  # kripke builds on this module
 
     # one array axis per variable; like a scan that stops at the first

@@ -41,6 +41,9 @@ such (s, c) occurs on a fan of at most m worlds.  A deeper formula that
 fails the closure may still hold within the bound; for it, as for every
 failing formula, the frame scan decides and finds the canonically first
 counterexample.
+
+numpy is imported inside the functions that build arrays, so importing this
+module does not load it; a search loads it when it first runs.
 """
 
 from __future__ import annotations
@@ -48,9 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import BoundTooLarge, MissingOperation, WitnessNotApplicable
 from .formula import (
@@ -81,6 +82,11 @@ from .kripke import (
 )
 from .lattice import DesignatedProperties, Lattice, Matrix, big_meet, check_designated
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    _Round = tuple[np.ndarray, bool]  # (root values attained, fixpoint reached)
+
 AXIOM_K = parse("[](p -> q) -> ([]p -> []q)")
 BOX_P = parse("[]p")
 BOX_DISJUNCTION_DIST = parse("([]p | []q) -> [](p | q)")
@@ -104,6 +110,8 @@ _MASK_BLOCK = 1 << 16
 def _canonical_masks(n_worlds: int) -> np.ndarray:
     """Ascending relation masks on n worlds that no world permutation makes
     smaller: one per isomorphism class."""
+    import numpy as np
+
     n = n_worlds
     bits = n * n
     dtype = np.uint16 if bits <= 16 else np.uint32 if bits <= 32 else np.uint64
@@ -150,6 +158,8 @@ def _merge(rows: np.ndarray, more: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     """The distinct rows of both arrays of values below n, in ascending
     order, and those of them that the first lacks; rows are compared by
     their digits in base n."""
+    import numpy as np
+
     weights = n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
     codes = np.concatenate([rows, more]) @ weights
     # sorted and compared with the code before (np.unique would import numpy.ma)
@@ -165,8 +175,6 @@ def _merge(rows: np.ndarray, more: np.ndarray, n: int) -> tuple[np.ndarray, np.n
 
 _CLOSURE_BLOCK = 1 << 20  # about the most values one array of the closure holds
 
-_Round = tuple[np.ndarray, bool]  # (root values attained, fixpoint reached)
-
 
 def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
     """The closure of box-value tuples of f on the lattice (see the module
@@ -177,6 +185,8 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
     rows evaluated and met exceed MAX_VALUATION_SPACE: the closure can grow
     exponentially with the modal depth.  Reads no designated set.  Needs
     every connective of f defined."""
+    import numpy as np
+
     plan = _plan_for(lat, f)
     nodes, names, dtype, n = plan.nodes, plan.names, plan.dtype, plan.n
     # every valuation s of the variables, one row each, last one fastest
@@ -263,6 +273,8 @@ def _find_counterexamples(
     computes each frame's root values once for the sets still open, each
     taking its own first failure.  Raises what the first of them to raise
     alone would."""
+    import numpy as np
+
     lat, n_vars = matrices[0].lattice, len(variables(f))
     frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)
     if mode is BoxMode.LOCAL:
@@ -394,6 +406,8 @@ def _regularity_witnesses(
     """The ``check_regularity`` witness of each matrix, all of one lattice,
     or None: each frame's []p values are computed once, and each set still
     open compares them with its successor test."""
+    import numpy as np
+
     lat = matrices[0].lattice
     meet = np.array(lat.meet_table)
     designated = np.array([m.designated_mask() for m in matrices])

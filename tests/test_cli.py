@@ -9,10 +9,25 @@ from latmodal.cli import main
 from latmodal.serialize import dumps
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(script: str) -> list[str]:
+    """Standard output lines of a script run in a fresh interpreter that
+    imports latmodal from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
 
 
 def write_chain3(tmp_path, **extra):
@@ -212,12 +227,35 @@ def test_valid_query_leaves_numpy_ma_unimported(tmp_path, capsys):
         " '[](p -> q) -> ([]p -> []q)', '--max-worlds', '4', '--compact'])\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    assert run_fresh(script)[-1] == "0 False"
+
+
+def test_numpy_is_loaded_only_when_an_array_kernel_runs():
+    lattice, model = str(DATA / "chain3_eq1_h_1.json"), str(DATA / "model_chain3_eq1.json")
+    script = (
+        "import contextlib, io, sys\n"
+        "from latmodal.cli import main\n"
+        "print('import', 'numpy' in sys.modules)\n"
+        "for argv in (\n"
+        f"    ['eval', '--model', {model!r}, '--formula', '[]p -> p'],\n"
+        f"    ['lattice', 'check', {lattice!r}],\n"
+        "    ['construct', '--kind', 'boolean:2', '--imp', 'material'],\n"
+        "    ['enumerate', '--size', '5', '--neg', 'antimonotone-involutions'],\n"
+        f"    ['valid', '--lattice', {lattice!r}, '--formula', '[]p -> p', '--max-worlds', '2'],\n"
+        "):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, 'numpy' in sys.modules)\n"
     )
-    assert run.stdout.splitlines()[-1] == "0 False", run.stderr
+    assert run_fresh(script) == [
+        "import False",
+        "eval 1 False",
+        "lattice 0 False",
+        "construct 0 False",
+        "enumerate 0 False",
+        # deferred, not dropped: the frame search builds arrays
+        "valid 1 True",
+    ]
 
 
 def test_enumerate_json_lines(capsys):
@@ -293,6 +331,17 @@ def test_verify_rejects_a_size_bound_below_one(capsys):
         code, out, err = run_cli(capsys, "verify", *argv, "--max-size", "0")
         assert (code, out) == (2, "")
         assert err == "error: InvalidInput: size bound must be at least 1, got 0\n"
+
+
+def test_verify_rejects_a_world_bound_below_one(capsys):
+    for argv in (
+        ["--all"],
+        ["--theorem", "eq1_implicative", "--max-size", "2"],
+        ["--theorem", "k_linear"],
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv, "--max-worlds", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: InvalidInput: world bound must be at least 1, got 0\n"
 
 
 def test_verify_all_compact_matches_the_golden_file(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,51 @@ def test_parse_deep_nesting():
     assert exc.value.offset == depth
     with pytest.raises(LatModalError):
         parse("(" * 5000 + "p" + ")" * 5000)
+
+
+# K, disjunction distribution, the 4 axiom and its converse, T, B, and K
+# with p := []p
+CORPUS = (
+    "[](p -> q) -> ([]p -> []q)",
+    "([]p | []q) -> [](p | q)",
+    "[]p -> [][]p",
+    "[][]p -> []p",
+    "[]p -> p",
+    "p -> []~[]~p",
+    "[]([]p -> q) -> ([][]p -> []q)",
+)
+
+
+def _subformulas(f):
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if not isinstance(g, Var):
+            stack.extend(getattr(g, x.name) for x in dataclasses.fields(g))
+
+
+def test_equality_and_hash_agree_with_the_field_tuples():
+    # as a frozen dataclass's: equal fields make equal nodes, and a node
+    # hashes as the tuple of its fields
+    for i, text in enumerate(CORPUS):
+        f = parse(text)
+        for g in _subformulas(f):
+            fields = tuple(getattr(g, x.name) for x in dataclasses.fields(g))
+            assert hash(g) == hash(fields)
+            assert g == type(g)(*fields) and g != fields
+        for j, other in enumerate(CORPUS):
+            assert (f == parse(other)) == (i == j)
+            assert (f != parse(other)) == (i != j)
+    assert Var("p") != Box(Var("p")) and Not(Var("p")) != Box(Var("p"))
+
+
+def test_deep_formulas_compare_hash_and_print():
+    text = "~" * 5000 + "p"
+    a, b = parse(text), parse(text)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != parse("~" * 4999 + "p") and a != parse("~" * 5000 + "q")
+    assert repr(a) == f"parse({text!r})"
 
 
 def test_render_examples():

@@ -1,9 +1,12 @@
-"""Hostile input: the parser and the file loaders raise only LatModalError.
+"""Hostile input: the parser and the file loaders raise only LatModalError,
+and the command line keeps its exit-code contract.
 
 Hypothesis runs derandomized, so every run tries the same examples and the
 suite stays seedless.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmodal import LatModalError, parse
+from latmodal.cli import main
 from latmodal.serialize import lattice_from_dict, load_lattice, load_model, model_from_dict
 
 fuzz = settings(derandomize=True, max_examples=200, deadline=None)
@@ -58,6 +62,13 @@ MODELS = st.fixed_dictionaries(
 FORMULA_TEXT = st.text(st.sampled_from(list("pq_x1()~&|->[] \t□¬∧∨→")), max_size=30) | st.text(
     max_size=30
 )
+WELL_FORMED = st.recursive(
+    st.sampled_from(["p", "q", "r"]),
+    lambda inner: st.builds("~{}".format, inner)
+    | st.builds("[]{}".format, inner)
+    | st.builds("({} {} {})".format, inner, st.sampled_from(["&", "|", "->"]), inner),
+    max_leaves=6,
+)
 FILE_BYTES = st.binary(max_size=80) | st.builds(
     lambda data, raw: json.dumps(data).encode()[: len(raw) + 40] + raw,
     st.one_of(LATTICES, MODELS),
@@ -101,3 +112,38 @@ def test_loaders_raise_only_latmodal_errors_on_any_bytes(raw):
         path.write_bytes(raw)
         _only_latmodal_errors(load_lattice, path)
         _only_latmodal_errors(load_model, path)
+
+
+DATA = Path(__file__).parent / "data"
+LATTICE_FILES = [
+    str(DATA / name) for name in ("boolean2_a_b_1.json", "chain3_0_1.json", "chain3_eq1_h_1.json")
+]
+MODEL_FILE = str(DATA / "model_chain3_eq1.json")
+
+
+@fuzz
+@given(
+    st.sampled_from(["valid", "entails", "eval"]),
+    FORMULA_TEXT | WELL_FORMED,
+    st.lists(FORMULA_TEXT | WELL_FORMED, max_size=1),
+    st.sampled_from(LATTICE_FILES),
+    st.sampled_from(["1", "2"]),
+    st.sampled_from(["normal", "local"]),
+)
+def test_cli_exit_codes_on_any_formula(command, text, premises, lattice, worlds, box):
+    # "--flag=text", so that a text starting with "-" is not read as a flag
+    if command == "valid":
+        argv = [f"--lattice={lattice}", f"--formula={text}", f"--max-worlds={worlds}", f"--box={box}"]
+    elif command == "entails":
+        argv = [f"--lattice={lattice}", f"--conclusion={text}", *(f"--premises={p}" for p in premises)]
+    else:
+        argv = [f"--model={MODEL_FILE}", f"--formula={text}", f"--box={box}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *argv, "--compact"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and out.count("\n") == 1 and isinstance(json.loads(out), dict)
