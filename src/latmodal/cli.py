@@ -7,6 +7,10 @@ errors, input nested too deeply to process included, and 3 for an internal
 error (any other exception, reported on one line of standard error).  JSON
 output is deterministic: sorted keys, pretty-printed unless --compact is
 given.
+
+The search, the harness and the lattice builders and enumerators are
+imported inside the commands that use them, so a command compiles and loads
+only the modules it runs.
 """
 
 from __future__ import annotations
@@ -14,11 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .constructions import belnap_four, boolean_algebra, chain, antichain_k5, twist
-from .enumeration import enumerate_complementations, enumerate_lattices
+from . import THEOREM_IDS
 from .errors import LatModalError, NotALattice, NotAPoset
 from .formula import parse, render
-from .harness import THEOREM_IDS, HarnessConfig, run_suite, verify_theorem
 from .kripke import BoxMode, evaluate
 from .lattice import (
     DEDUCTIVE_EQ1,
@@ -30,7 +32,6 @@ from .lattice import (
     classify_implication,
     entails,
 )
-from .search import check_regularity, find_frame_counterexample
 from .serialize import dumps, load_lattice, load_model
 
 _BOX_MODES = {"normal": BoxMode.NORMAL_MEET, "local": BoxMode.LOCAL}
@@ -139,6 +140,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_valid(args) -> int:
+    from .search import find_frame_counterexample
+
     matrix = _require_matrix(args.lattice)
     formula = parse(args.formula)
     report = find_frame_counterexample(
@@ -182,6 +185,8 @@ def _cmd_entails(args) -> int:
 
 
 def _cmd_regular(args) -> int:
+    from .search import check_regularity
+
     matrix = _require_matrix(args.lattice)
     result = check_regularity(matrix, args.max_worlds, unsafe_bounds=args.unsafe_bounds)
     payload = {
@@ -198,6 +203,8 @@ def _cmd_regular(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import enumerate_complementations, enumerate_lattices
+
     for lattice in enumerate_lattices(args.size, unsafe_bounds=args.unsafe_bounds):
         if args.neg is None:
             print(dumps(lattice.to_dict(), compact=True))
@@ -216,6 +223,8 @@ def _count(text: str) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .constructions import antichain_k5, belnap_four, boolean_algebra, chain, twist
+
     parts = args.kind.split(":")
     kind = parts[0]
     if kind == "boolean" and len(parts) == 2:
@@ -257,6 +266,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import HarnessConfig, run_suite, verify_theorem
+
     if args.all:
         config = HarnessConfig(
             size_bound=args.max_size,

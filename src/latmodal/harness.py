@@ -35,6 +35,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from . import THEOREM_IDS
 from .constructions import boolean_algebra, antichain_k5, twist
 from .enumeration import (
     MAX_UPSET_SIZE,
@@ -63,15 +64,6 @@ from .search import (
     _regularity_witnesses,
     construct_witness,
     find_frame_counterexample,
-)
-
-THEOREM_IDS = (
-    "regularity",
-    "eq1_implicative",
-    "disj_dist",
-    "k_linear",
-    "k_material",
-    "twist_k",
 )
 
 # The restricted twist of the k-atom Boolean algebra has 3^k elements; this

@@ -25,9 +25,12 @@ call while the lattice and formula objects stay the same, as they do across
 the frames of one search and across the designated sets of one lattice.
 The plan's ``node_values`` runs the node list at one world on broadcasting
 arrays: the type closure of ``search.find_frame_counterexample`` runs it over
-valuations and box-value tuples, ``lattice.entails`` over valuations.
-numpy is imported inside the functions that build arrays (the plan and
-``first_failure``), so ``evaluate`` and model checking never load it.
+valuations and box-value tuples, ``lattice.entails`` over valuations.  With
+``list_connective`` it runs on equal-length lists instead, read from the
+lattice's own tables, for the closure's scalar backend.
+numpy is imported inside the functions that build arrays (the plan's array
+tables and layouts, and ``first_failure``): building a plan loads none, and
+``evaluate`` and model checking never load it.
 """
 
 from __future__ import annotations
@@ -251,53 +254,88 @@ class _Plan:
     """What ``frame_valid``, the type closure of the search and ``entails``
     need of one (lattice, formula), built once: the compiled formula, the
     lattice tables and, per world count, the valuation-space layout.  The
-    box mode and the designated set are read per call."""
+    box mode and the designated set are read per call.  Building a plan
+    loads no numpy: its array tables are made on first array use, so the
+    scalar closure of the search runs on a plan with list tables alone."""
 
     def __init__(self, lat: Lattice, f: Formula):
-        import numpy as np
-
         self.lattice, self.formula = lat, f
         self.nodes = compile_formula(f)
         self.names = sorted({a for kind, a, _ in self.nodes if kind == VAR})
-        n = self.n = lat.n
-        # wide enough for the flat table index a * n + b, so that binary
-        # connectives need no wider temporaries
-        self.dtype = dtype = next(
-            t for t in (np.int8, np.int16, np.int32) if n * n <= np.iinfo(t).max + 1
-        )
-        self.scale = dtype(n)
-        self.neg_arr = np.array(lat.neg, dtype=dtype) if lat.neg is not None else None
-        self.flat_tables = {
+        self.n = lat.n
+        self._layouts: dict[int, tuple] = {}
+
+    @functools.cached_property
+    def dtype(self) -> type:
+        """The integer type of value arrays, wide enough for the flat table
+        index a * n + b, so that binary connectives need no wider
+        temporaries."""
+        import numpy as np
+
+        n = self.n
+        return next(t for t in (np.int8, np.int16, np.int32) if n * n <= np.iinfo(t).max + 1)
+
+    @functools.cached_property
+    def _array_tables(self) -> tuple:
+        """The table index scale, the negation array and the flat arrays of
+        the binary connectives (None where the lattice lacks one)."""
+        import numpy as np
+
+        lat, dtype = self.lattice, self.dtype
+        flat = {
             AND: np.array(lat.meet_table, dtype=dtype).ravel(),
             OR: np.array(lat.join_table, dtype=dtype).ravel(),
             IMP: np.array(lat.imp.table, dtype=dtype).ravel() if lat.imp is not None else None,
         }
-        self._layouts: dict[int, tuple] = {}
+        neg = np.array(lat.neg, dtype=dtype) if lat.neg is not None else None
+        return dtype(self.n), neg, flat
 
     def connective(self, kind: int, x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
         """Elementwise value of a connective node on value arrays, which
         broadcast against each other."""
+        scale, neg, flat = self._array_tables
         if kind == NOT:
-            if self.neg_arr is None:
+            if neg is None:
                 raise MissingOperation("neg")
-            return self.neg_arr[x]
-        table = self.flat_tables[kind]
+            return neg[x]
+        table = flat[kind]
         if table is None:
             raise MissingOperation("imp")
-        return table.take(x * self.scale + y)
+        return table.take(x * scale + y)
 
-    def node_values(self, var_values, box_value) -> list[np.ndarray]:
-        """The value array of every node at one world, bottom-up: a variable
-        takes var_values[name], box node i takes box_value(i, value array of
-        its argument).  The arrays broadcast against each other."""
-        values: list[np.ndarray] = []
+    def list_connective(self, kind: int, x: list[int], y: list[int] | None) -> list[int]:
+        """Elementwise value of a connective node on equal-length lists of
+        values, read from the lattice's own tables."""
+        lat = self.lattice
+        if kind == NOT:
+            neg = lat.neg
+            if neg is None:
+                raise MissingOperation("neg")
+            return [neg[a] for a in x]
+        if kind == IMP:
+            if lat.imp is None:
+                raise MissingOperation("imp")
+            table = lat.imp.table
+        else:
+            table = lat.meet_table if kind == AND else lat.join_table
+        return [table[a][b] for a, b in zip(x, y)]
+
+    def node_values(self, var_values, box_value, connective=None) -> list:
+        """The values of every node at one world, bottom-up: a variable
+        takes var_values[name], box node i takes box_value(i, values of its
+        argument), and a connective node ``connective`` of its arguments'
+        values.  With the default, ``connective`` above, values are arrays
+        that broadcast against each other; with ``list_connective`` they are
+        lists of one length."""
+        connective = connective or self.connective
+        values: list = []
         for i, (kind, a, b) in enumerate(self.nodes):
             if kind == VAR:
                 values.append(var_values[a])
             elif kind == BOX:
                 values.append(box_value(i, values[a]))
             else:
-                values.append(self.connective(kind, values[a], None if b is None else values[b]))
+                values.append(connective(kind, values[a], None if b is None else values[b]))
         return values
 
     def layout(self, n_worlds: int) -> tuple:

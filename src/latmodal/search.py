@@ -42,14 +42,23 @@ fails the closure may still hold within the bound; for it, as for every
 failing formula, the frame scan decides and finds the canonically first
 counterexample.
 
+The closure has two backends that give the same rounds.  The scalar one
+keeps the tuples in Python sets and evaluates through the plan's
+``node_values`` on lists; the array one keeps them in numpy arrays.  The
+scalar one runs only while numpy is not loaded in the process and at most
+2^13 (valuation, tuple) pairs can occur, so a desk-scale query that the
+closure settles never imports numpy; once numpy is loaded (by a frame scan,
+``entails``, ``check_regularity`` or the harness), the array one always runs.
 numpy is imported inside the functions that build arrays, so importing this
-module does not load it; a search loads it when it first runs.
+module does not load it: frame enumeration, the array closure and the
+frame scan load it when they first run.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -74,6 +83,7 @@ from .kripke import (
     MAX_VALUATION_SPACE,
     KripkeModel,
     _guard_valuation_space,
+    _Plan,
     _plan_for,
     evaluate,
     first_failure,
@@ -85,7 +95,8 @@ from .lattice import DesignatedProperties, Lattice, Matrix, big_meet, check_desi
 if TYPE_CHECKING:
     import numpy as np
 
-    _Round = tuple[np.ndarray, bool]  # (root values attained, fixpoint reached)
+    # (whether each value is a root value attained, fixpoint reached)
+    _Round = tuple[np.ndarray | list[bool], bool]
 
 AXIOM_K = parse("[](p -> q) -> ([]p -> []q)")
 BOX_P = parse("[]p")
@@ -175,6 +186,15 @@ def _merge(rows: np.ndarray, more: np.ndarray, n: int) -> tuple[np.ndarray, np.n
 
 _CLOSURE_BLOCK = 1 << 20  # about the most values one array of the closure holds
 
+# The scalar closure runs where numpy is not loaded yet and at most this many
+# (valuation, box-value tuple) pairs can occur, n^(variables + box nodes).
+# It is 5-15 times slower than the array closure, but importing numpy takes
+# about 140 ms.  On a 2-vCPU Xeon VM with Python 3.11, the slowest scalar
+# closure to its fixpoint measured within this bound took 20 ms
+# ([]([]p -> q) & []([]q -> p) -> ([][]p -> [][]q) on the 3-element chain,
+# 3^8 pairs), and one at 2^14 pairs took 280 ms (the array closure: 18 ms).
+_SCALAR_CLOSURE_BOUND = 1 << 13
+
 
 def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
     """The closure of box-value tuples of f on the lattice (see the module
@@ -184,18 +204,85 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
     evaluate, which is the fixpoint.  None, and no further round, once the
     rows evaluated and met exceed MAX_VALUATION_SPACE: the closure can grow
     exponentially with the modal depth.  Reads no designated set.  Needs
-    every connective of f defined."""
+    every connective of f defined.
+
+    Two backends give the same rounds: on Python sets where numpy is not
+    loaded yet and the closure is small (``_SCALAR_CLOSURE_BOUND``), so that
+    a query the closure settles never imports it, and on numpy arrays
+    otherwise."""
+    plan = _plan_for(lat, f)
+    width = sum(kind == BOX for kind, _, _ in plan.nodes)
+    if "numpy" not in sys.modules and plan.n ** (len(plan.names) + width) <= _SCALAR_CLOSURE_BOUND:
+        return _scalar_closure_rounds(plan)
+    return _array_closure_rounds(plan)
+
+
+def _scalar_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
+    """``_closure_rounds`` with the tuples in Python sets, evaluated through
+    ``node_values`` on lists, one entry per (tuple, valuation); the values
+    attained are a list of bools."""
+    lat, nodes, names, n = plan.lattice, plan.nodes, plan.names, plan.n
+    meet, connective = lat.meet_table, plan.list_connective
+    # every valuation s of the variables, last one fastest, and its columns
+    valuations = list(itertools.product(range(n), repeat=len(names)))
+    columns = dict(zip(names, map(list, zip(*valuations))))
+    box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
+    bounded = modal_depth(plan.formula) <= 1
+    # the box-value tuples reached and those not yet evaluated; generators
+    # are the tuples t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
+    top = (lat.top,) * len(box_ids)
+    closure, new, generators = {top}, [top], set()
+    collect = bool(box_ids)
+    attained, work = [False] * n, 0
+    while True:
+        work += len(new) * len(valuations)
+        if work > MAX_VALUATION_SPACE:
+            yield None
+            return
+        own = {name: column * len(new) for name, column in columns.items()}
+        boxed = {i: [c[j] for c in new for _ in valuations] for j, i in enumerate(box_ids)}
+        values = plan.node_values(own, lambda i, arg: boxed[i], connective)
+        roots = set(values[-1])
+        if bounded:
+            # a root among its own successors
+            loop = plan.node_values(own, lambda i, arg: connective(AND, arg, boxed[i]), connective)
+            roots.update(loop[-1])
+        for v in roots:
+            attained[v] = True
+        found = set(zip(*(values[nodes[i][1]] for i in box_ids))) if collect else set()
+        yield attained.copy(), not new
+        if not box_ids:
+            new = []
+            continue
+        collect = not bounded
+        fresh = found - closure  # the closure holds every generator
+        work += len(new) * len(generators) + len(closure) * len(fresh)
+        if work > MAX_VALUATION_SPACE:
+            yield None
+            return
+        pairs = itertools.chain(
+            itertools.product(new, generators), itertools.product(closure, fresh)
+        )
+        meets = {tuple([meet[a][b] for a, b in zip(x, y)]) for x, y in pairs}
+        generators |= fresh
+        new = list(meets - closure)
+        closure |= meets
+
+
+def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
+    """``_closure_rounds`` on numpy arrays of tuples, each round's new
+    tuples evaluated in blocks by ``node_values`` over broadcasting arrays;
+    the values attained are a boolean array."""
     import numpy as np
 
-    plan = _plan_for(lat, f)
-    nodes, names, dtype, n = plan.nodes, plan.names, plan.dtype, plan.n
+    lat, nodes, names, dtype, n = plan.lattice, plan.nodes, plan.names, plan.dtype, plan.n
     # every valuation s of the variables, one row each, last one fastest
     grid = np.indices((n,) * len(names), dtype=dtype).reshape(len(names), -1, 1)
     own = dict(zip(names, grid))
     box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
     column = {i: j for j, i in enumerate(box_ids)}
     width = len(box_ids)
-    bounded = modal_depth(f) <= 1
+    bounded = modal_depth(plan.formula) <= 1
     # the box-value tuples reached and those not yet evaluated; generators
     # are the tuples t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
     closure = new = np.full((1, width), lat.top, dtype)
@@ -273,8 +360,6 @@ def _find_counterexamples(
     computes each frame's root values once for the sets still open, each
     taking its own first failure.  Raises what the first of them to raise
     alone would."""
-    import numpy as np
-
     lat, n_vars = matrices[0].lattice, len(variables(f))
     frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)
     if mode is BoxMode.LOCAL:
@@ -296,18 +381,18 @@ def _find_counterexamples(
     except BoundTooLarge:
         exact = False  # the scan raises it, or finds a counterexample first
     reports: list[CounterexampleReport | None] = [None] * len(matrices)
-    scan, failed = list(range(len(matrices))), np.zeros(len(matrices), dtype=bool)
+    scan, failed = list(range(len(matrices))), [False] * len(matrices)
     bounded = modal_depth(f) <= 1
     if exact:
         # at depth <= 1 round m decides the frames of at most m worlds; the
         # root values attained only grow, so a set once failed stays failed
-        undesignated = ~np.array([m.designated_mask() for m in matrices])
-        for m, round_ in enumerate(_closure_rounds(lat, f), 1):
+        for worlds, round_ in enumerate(_closure_rounds(lat, f), 1):
             if round_ is None:
                 break
-            failed |= (undesignated & round_[0]).any(axis=1)
-            if failed.all() or round_[1] or bounded and m == max_worlds:
-                scan = np.flatnonzero(failed).tolist()
+            attained = frozenset(itertools.compress(range(lat.n), round_[0]))
+            failed = [was or not attained <= m.designated for was, m in zip(failed, matrices)]
+            if all(failed) or round_[1] or bounded and worlds == max_worlds:
+                scan = [i for i, was in enumerate(failed) if was]
                 break
     for frame in frames if scan else ():
         roots = frame_root_values(lat, frame, f, mode, unsafe_bounds=unsafe_bounds)
@@ -316,7 +401,7 @@ def _find_counterexamples(
         scan = [i for i in scan if reports[i] is None]
         if not scan:
             break
-    if bounded and any(reports[i] is None for i in np.flatnonzero(failed)):
+    if bounded and any(was and report is None for was, report in zip(failed, reports)):
         raise AssertionError("the meet-closure found a failure the frame scan did not")
     return reports
 

@@ -10,6 +10,8 @@ from latmodal.serialize import dumps
 
 
 DATA = Path(__file__).parent / "data"
+BOX_K = "[](p -> q) -> ([]p -> []q)"
+WIDE = "[]([]p & []q & []r) -> [][]p & [][]q & [][]r"
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +243,8 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs():
         f"    ['lattice', 'check', {lattice!r}],\n"
         "    ['construct', '--kind', 'boolean:2', '--imp', 'material'],\n"
         "    ['enumerate', '--size', '5', '--neg', 'antimonotone-involutions'],\n"
+        f"    ['valid', '--lattice', {lattice!r}, '--formula', {BOX_K!r}, '--max-worlds', '4'],\n"
+        f"    ['valid', '--lattice', {lattice!r}, '--formula', {WIDE!r}, '--max-worlds', '2'],\n"
         f"    ['valid', '--lattice', {lattice!r}, '--formula', '[]p -> p', '--max-worlds', '2'],\n"
         "):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -253,9 +257,85 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs():
         "lattice 0 False",
         "construct 0 False",
         "enumerate 0 False",
+        # valid by the scalar closure, no frame scanned
+        "valid 0 False",
+        # valid too, but 3^10 (valuation, tuple) pairs: the array closure runs
+        "valid 0 True",
         # deferred, not dropped: the frame search builds arrays
         "valid 1 True",
     ]
+
+
+def _latmodal_modules_after(statements: str) -> list[str]:
+    script = (
+        "import contextlib, io, sys\n"
+        f"{statements}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('latmodal')))\n"
+    )
+    return run_fresh(script)[-1].split()
+
+
+def test_importing_latmodal_loads_none_of_its_modules():
+    assert _latmodal_modules_after("import latmodal") == ["latmodal"]
+
+
+def test_valid_loads_neither_the_harness_nor_the_builders():
+    lattice = str(DATA / "chain3_eq1_h_1.json")
+    for formula, max_worlds in ((BOX_K, "4"), ("[]p -> p", "2")):
+        loaded = _latmodal_modules_after(
+            "from latmodal.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main(['valid', '--lattice', {lattice!r}, '--formula', {formula!r},"
+            f" '--max-worlds', {max_worlds!r}])"
+        )
+        assert "latmodal.search" in loaded
+        for module in ("harness", "constructions", "enumeration"):
+            assert f"latmodal.{module}" not in loaded
+
+
+# what the package exported when it imported every module eagerly
+PUBLIC_NAMES = {
+    "constructions": "belnap_four boolean_algebra chain antichain_k5 twist",
+    "enumeration": "enumerate_complementations enumerate_lattices enumerate_upsets",
+    "errors": (
+        "BoundTooLarge FileFormatError FormulaSyntaxError InvalidInput LatModalError "
+        "MissingOperation ModalFormulaRejected NotALattice NotAPoset NotBoolean "
+        "UnboundVariable WitnessNotApplicable"
+    ),
+    "formula": (
+        "And Box Formula Imp Not Or Var is_modal_free modal_depth parse render substitute "
+        "variables"
+    ),
+    "harness": "HarnessConfig TheoremReport k5_regression run_suite verify_theorem",
+    "kripke": (
+        "BoxMode CounterexampleReport Frame KripkeModel evaluate frame_valid model_satisfies "
+        "world_satisfies"
+    ),
+    "lattice": (
+        "DEDUCTIVE_EQ1 MATERIAL EntailmentResult ImplicationTable Lattice Matrix apply_op "
+        "big_meet build_implication check_designated check_lattice_properties "
+        "classify_implication entails from_leq matrix_from_names propositional_value "
+        "subset_join validate_lattice"
+    ),
+    "search": (
+        "AXIOM_K BOX_DISJUNCTION_DIST RegularityResult RegularityWitness check_regularity "
+        "construct_witness enumerate_frames find_frame_counterexample"
+    ),
+}
+
+
+def test_every_public_name_resolves_lazily():
+    pairs = [(module, name) for module, names in PUBLIC_NAMES.items() for name in names.split()]
+    for access in ("from latmodal import {name} as value", "value = latmodal.{name}"):
+        script = "import importlib, latmodal\n" + "".join(
+            access.format(name=name) + "\n"
+            f"print(value is getattr(importlib.import_module('latmodal.{module}'), {name!r}))\n"
+            for module, name in pairs
+        )
+        assert run_fresh(script) == ["True"] * len(pairs)
+    import latmodal
+
+    assert sorted(latmodal.__all__) == sorted(name for _, name in pairs)
 
 
 def test_enumerate_json_lines(capsys):

@@ -28,7 +28,13 @@ from latmodal import (
 )
 import latmodal.search
 from latmodal import formula, kripke
-from latmodal.search import AXIOM_K, BOX_DISJUNCTION_DIST, _closure_rounds
+from latmodal.search import (
+    AXIOM_K,
+    BOX_DISJUNCTION_DIST,
+    _array_closure_rounds,
+    _closure_rounds,
+    _scalar_closure_rounds,
+)
 
 from oracles import canonical_frame_key, naive_regularity_witness
 
@@ -356,13 +362,13 @@ DEPTH1_FORMULAS = [
 ]
 
 
-def _lattices_up_to_4():
-    """Every lattice of at most 4 elements with the top-if-below
+def _lattices_up_to(max_size):
+    """Every lattice of at most max_size elements with the top-if-below
     implication and, per anti-monotone involution, with material
     implication."""
     from latmodal import enumerate_complementations, enumerate_lattices
 
-    for n in range(1, 5):
+    for n in range(1, max_size + 1):
         for lat in enumerate_lattices(n):
             yield lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1))
             for neg in enumerate_complementations(lat, "antimonotone_involutions"):
@@ -371,10 +377,11 @@ def _lattices_up_to_4():
 
 
 def _matrices_up_to_4():
-    """Every upset of every lattice of ``_lattices_up_to_4``."""
+    """Every upset of every lattice of at most 4 elements of
+    ``_lattices_up_to``."""
     from latmodal import enumerate_upsets
 
-    for lat in _lattices_up_to_4():
+    for lat in _lattices_up_to(4):
         for upset in enumerate_upsets(lat):
             yield Matrix(lat, upset)
 
@@ -400,6 +407,66 @@ def _closure_verdict(matrix, f):
     """Whether f holds on all frames by the closure: the verdict of its
     fixpoint or of its first failing round, or None if it gives up."""
     return next(verdict for verdict, fixpoint in _round_verdicts(matrix, f) if fixpoint or not verdict)
+
+
+def _rounds_to_fixpoint(rounds):
+    """Per round of a closure up to its fixpoint: the values attained, as a
+    list of bools by index, and whether the round is the fixpoint; None
+    last if the closure gives up."""
+    found = []
+    for round_ in rounds:
+        if round_ is None:
+            return found + [None]
+        attained, fixpoint = round_
+        found.append(([bool(hit) for hit in attained], fixpoint))
+        if fixpoint:
+            return found
+
+
+def test_scalar_and_array_closures_agree_round_by_round():
+    formulas = [
+        AXIOM_K,
+        BOX_DISJUNCTION_DIST,
+        parse("[](p & q) -> ([]p & []q)"),
+        parse("[]p -> p"),
+        parse("~[]p -> []~p"),
+        DEPTH2_FORMULAS[0],
+    ]
+    compared = 0
+    for lat in _lattices_up_to(5):
+        for f in formulas:
+            kinds = {kind for kind, _, _ in formula.compile_formula(f)}
+            if lat.neg is None and formula.NOT in kinds:
+                continue
+            plan = kripke._Plan(lat, f)
+            scalar = _rounds_to_fixpoint(_scalar_closure_rounds(plan))
+            assert scalar == _rounds_to_fixpoint(_array_closure_rounds(plan)), (lat, f)
+            compared += 1
+    assert compared == 122
+
+
+def test_scalar_and_array_closures_give_up_after_the_same_rounds(monkeypatch):
+    """Both count the rows they evaluate and meet alike, so under any budget
+    they give up after the same rounds."""
+    ends = {"fixpoint": 0, "gave up": 0}
+    for lat in _lattices_up_to(4):
+        for f in DEPTH2_FORMULAS:
+            plan = kripke._Plan(lat, f)
+            for budget in (1 << e for e in range(2, 17)):
+                monkeypatch.setattr(latmodal.search, "MAX_VALUATION_SPACE", budget)
+                scalar = _rounds_to_fixpoint(_scalar_closure_rounds(plan))
+                array = _rounds_to_fixpoint(_array_closure_rounds(plan))
+                assert scalar == array, (lat, f, budget)
+                ends["gave up" if scalar[-1] is None else "fixpoint"] += 1
+    assert ends["fixpoint"] > 0 and ends["gave up"] > 0
+
+
+def test_the_array_closure_runs_once_numpy_is_loaded(c3_eq1):
+    import numpy as np
+
+    # a small closure: the scalar one would run, were numpy not loaded yet
+    attained, _ = next(_closure_rounds(c3_eq1.lattice, AXIOM_K))
+    assert isinstance(attained, np.ndarray)
 
 
 def _first_failing_world_count(matrix, f, frames):
@@ -562,7 +629,7 @@ def test_searches_sharing_a_closure_match_fresh_ones():
     formulas = [AXIOM_K, BOX_DISJUNCTION_DIST, *DEPTH2_FORMULAS]
     groups = [
         [Matrix(lat, upset) for upset in enumerate_upsets(lat) if upset]
-        for lat in _lattices_up_to_4()
+        for lat in _lattices_up_to(4)
     ]
     queries = []  # (group, upset, formula) indices
     for j in range(len(formulas)):
@@ -609,7 +676,7 @@ def test_batches_match_searches_of_one_with_every_cache_reset():
 
     formulas = [AXIOM_K, BOX_DISJUNCTION_DIST, *DEPTH2_FORMULAS]
     found = 0
-    for lat in _lattices_up_to_4():
+    for lat in _lattices_up_to(4):
         matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat)]
         assert frozenset() in [m.designated for m in matrices]
         for f, bound, mode in itertools.product(formulas, (1, 2, 3), BoxMode):
