@@ -12,12 +12,13 @@ list of its unique subformulas from ``formula.compile_formula``.
 ``evaluate`` is the scalar reference: it runs ``formula.interpret``, which
 touches only the worlds the formula reaches from the queried one.
 ``frame_valid`` quantifies over every valuation of the formula's variables
-on a frame; it evaluates all valuations at once on numpy arrays, bottom-up
-over the node list at the worlds ``formula.needed_worlds`` gives, but
-reports the counterexample that comes first in canonical enumeration order
-(worlds in listed order, variables sorted, elements in index order, last
-slot fastest) and re-certifies it with ``evaluate``.  It runs in two steps:
-``frame_root_values``, the root value arrays of a frame, which read no
+on a frame; it evaluates all valuations at once, bottom-up over the node
+list at the worlds ``formula.needed_worlds`` gives, on numpy arrays or on
+lists over the whole valuation space, but reports the counterexample that
+comes first in canonical enumeration order (worlds in listed order,
+variables sorted, elements in index order, last slot fastest) and
+re-certifies it with ``evaluate``.  It runs in two steps:
+``frame_root_values``, the root values of a frame, which read no
 designated set, and ``first_failure``, the first counterexample for one
 designated set, so a search of several sets computes each frame's values
 once.  It builds the lattice tables once; that plan is kept for the next
@@ -27,16 +28,17 @@ The plan's ``node_values`` runs the node list at one world on broadcasting
 arrays: the type closure of ``search.find_frame_counterexample`` runs it over
 valuations and box-value tuples, ``lattice.entails`` over valuations.  With
 ``list_connective`` it runs on equal-length lists instead, read from the
-lattice's own tables, for the closure's scalar backend.
-numpy is imported inside the functions that build arrays (the plan's array
-tables and layouts, and ``first_failure``): building a plan loads none, and
-``evaluate`` and model checking never load it.
+lattice's own tables, for the scalar backends of the search's closure and
+frame scan.  numpy is imported inside the functions that build arrays (the
+plan's array tables and layouts, and ``first_failure`` on arrays): building a
+plan loads none, and ``evaluate`` and model checking never load it.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -253,17 +255,18 @@ def _guard_valuation_space(n: int, n_worlds: int, n_vars: int, unsafe: bool) -> 
 class _Plan:
     """What ``frame_valid``, the type closure of the search and ``entails``
     need of one (lattice, formula), built once: the compiled formula, the
-    lattice tables and, per world count, the valuation-space layout.  The
-    box mode and the designated set are read per call.  Building a plan
-    loads no numpy: its array tables are made on first array use, so the
-    scalar closure of the search runs on a plan with list tables alone."""
+    lattice tables and, per world count and backend, the valuation-space
+    layout.  The box mode and the designated set are read per call.
+    Building a plan loads no numpy: its array tables are made on first
+    array use, so the scalar backends of the search run on a plan with list
+    tables alone."""
 
     def __init__(self, lat: Lattice, f: Formula):
         self.lattice, self.formula = lat, f
         self.nodes = compile_formula(f)
         self.names = sorted({a for kind, a, _ in self.nodes if kind == VAR})
         self.n = lat.n
-        self._layouts: dict[int, tuple] = {}
+        self._layouts: dict[tuple[int, bool], tuple] = {}
 
     @functools.cached_property
     def dtype(self) -> type:
@@ -338,22 +341,28 @@ class _Plan:
                 values.append(connective(kind, values[a], None if b is None else values[b]))
         return values
 
-    def layout(self, n_worlds: int) -> tuple:
-        """Valuation slots, the array of each variable at each world, the
-        all-top array and the strides of the full valuation space.  Each
-        (world, variable) slot is one array axis."""
-        cached = self._layouts.get(n_worlds)
+    def layout(self, n_worlds: int, lists: bool = False) -> tuple:
+        """Valuation slots, the values of each variable at each world, the
+        all-top values and the strides of the full valuation space.  As
+        arrays, each (world, variable) slot is one array axis; as lists,
+        each value is a list over the whole space in flat order."""
+        cached = self._layouts.get((n_worlds, lists))
         if cached is not None:
             return cached
-        import numpy as np
-
         n = self.n
         slots = [(w, x) for w in range(n_worlds) for x in self.names]
         ndim = len(slots)
-        var_arrays = dict(zip(slots, np.indices((n,) * ndim, dtype=self.dtype, sparse=True)))
-        top_arr = np.full((1,) * ndim, self.lattice.top, dtype=self.dtype)
+        if lists:
+            columns = zip(*itertools.product(range(n), repeat=ndim))
+            var_values = dict(zip(slots, map(list, columns)))
+            top = [self.lattice.top] * n**ndim
+        else:
+            import numpy as np
+
+            var_values = dict(zip(slots, np.indices((n,) * ndim, dtype=self.dtype, sparse=True)))
+            top = np.full((1,) * ndim, self.lattice.top, dtype=self.dtype)
         strides = [n ** (ndim - 1 - k) for k in range(ndim)]
-        layout = self._layouts[n_worlds] = (slots, var_arrays, top_arr, strides)
+        layout = self._layouts[n_worlds, lists] = (slots, var_values, top, strides)
         return layout
 
 
@@ -393,35 +402,38 @@ def frame_root_values(
     mode: BoxMode = BoxMode.NORMAL_MEET,
     *,
     unsafe_bounds: bool = False,
-) -> list[np.ndarray]:
-    """The value array of f at each world of the frame, over every
-    valuation at once: each (world, variable) slot is one array axis, and
-    the value of a subformula at a world spans only the axes it actually
-    depends on, so the arrays stay small on sparse frames.  Reads no
-    designated set."""
+    lists: bool = False,
+) -> list:
+    """The values of f at each world of the frame, over every valuation at
+    once.  As arrays, each (world, variable) slot is one array axis, and the
+    value of a subformula at a world spans only the axes it actually depends
+    on, so the arrays stay small on sparse frames.  With lists, each value
+    is a list over the whole valuation space in flat order, computed by
+    ``list_connective`` without numpy.  Reads no designated set."""
     plan = _plan_for(lat, f)
     n_worlds = len(frame.worlds)
     _guard_valuation_space(plan.n, n_worlds, len(plan.names), unsafe_bounds)
 
-    _, var_arrays, top_arr, _ = plan.layout(n_worlds)
+    _, var_values, top, _ = plan.layout(n_worlds, lists)
+    connective = plan.list_connective if lists else plan.connective
     nodes = plan.nodes
     local = mode is BoxMode.LOCAL
     # the local box takes the meet over the world itself: its own value
     successors = [(w,) if local else frame.successors(w) for w in range(n_worlds)]
-    values: dict[tuple[int, int], np.ndarray] = {}  # (node id, world) -> array
+    values: dict[tuple[int, int], list | np.ndarray] = {}  # (node id, world) -> values
     for i, worlds in enumerate(needed_worlds(nodes, range(n_worlds), successors.__getitem__)):
         kind, a, b = nodes[i]
         for w in worlds:
             if kind == VAR:
-                out = var_arrays[(w, a)]
+                out = var_values[(w, a)]
             elif kind != BOX:
-                out = plan.connective(kind, values[a, w], None if b is None else values[b, w])
+                out = connective(kind, values[a, w], None if b is None else values[b, w])
             elif local:
                 out = values[a, w]
             else:
-                out = top_arr
+                out = top  # the meet of no values; top meet v is v
                 for w2 in successors[w]:
-                    out = plan.connective(AND, out, values[a, w2])
+                    out = values[a, w2] if out is top else connective(AND, out, values[a, w2])
             values[i, w] = out
     root = len(nodes) - 1
     return [values[root, w] for w in range(n_worlds)]
@@ -431,30 +443,35 @@ def first_failure(
     matrix: Matrix,
     frame: Frame,
     f: Formula,
-    roots: list[np.ndarray],
+    roots: list,
     mode: BoxMode = BoxMode.NORMAL_MEET,
 ) -> CounterexampleReport | None:
     """The canonically first counterexample to f on the frame in the matrix,
-    from the root values ``frame_root_values`` gives on its lattice, re-
-    certified with ``evaluate``; None if every root value is designated."""
-    import numpy as np
-
+    from the root values ``frame_root_values`` gives on its lattice, lists
+    or arrays: the lowest flat valuation index that fails at some world,
+    re-certified with ``evaluate``.  None if every root value is designated."""
     plan = _plan_for(matrix.lattice, f)
-    slots, _, _, strides = plan.layout(len(frame.worlds))
-    undesignated = ~matrix.designated_mask()
-    best: int | None = None  # the first failing valuation of the full space
-    for values in roots:
-        fails = undesignated[values]
-        if fails.any():
-            digits = np.unravel_index(int(np.argmax(fails.ravel())), fails.shape)
-            flat = sum(int(d) * strides[k] for k, d in enumerate(digits))
-            best = flat if best is None else min(best, flat)
-    if best is None:
+    lists = isinstance(roots[0], list)
+    slots, _, _, strides = plan.layout(len(frame.worlds), lists)
+    if lists:
+        # each value not designated, first attained at an index of the flat space
+        failing = [values.index(v) for values in roots for v in set(values) - matrix.designated]
+    else:
+        import numpy as np
+
+        undesignated, failing = ~matrix.designated_mask(), []
+        for values in roots:
+            fails = undesignated[values]
+            if fails.any():
+                digits = np.unravel_index(int(np.argmax(fails.ravel())), fails.shape)
+                failing.append(sum(int(d) * strides[k] for k, d in enumerate(digits)))
+    if not failing:
         return None
+    best = min(failing)
     assignment = {slot: (best // strides[k]) % plan.n for k, slot in enumerate(slots)}
     model = KripkeModel(frame, matrix.lattice, assignment)
     for w in range(len(frame.worlds)):
         value = evaluate(model, w, f, mode)
         if value not in matrix.designated:
             return CounterexampleReport(matrix, model, f, w, value, mode)
-    raise AssertionError("vectorized scan found a failure the evaluator cannot reproduce")
+    raise AssertionError("the frame scan found a failure the evaluator cannot reproduce")

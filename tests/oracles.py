@@ -6,9 +6,9 @@ itertools plus the scalar reference evaluator ``evaluate`` (which shares
 only the formula compiler with ``frame_valid``), the entailment and
 regularity scans loop over valuations and models where the package decides
 on arrays and value sets, the canonical frame key relabels relation
-bitmasks one pair at a time where the package's frame filter shifts whole
-blocks of masks in numpy, and the box-K decision procedure closes value
-triples under componentwise meet instead of touching frames.
+bitmasks one pair at a time where the package's frame filter marks whole
+classes of masks through lookup tables, and the box-K decision procedure
+closes value triples under componentwise meet instead of touching frames.
 """
 
 import itertools

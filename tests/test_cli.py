@@ -232,26 +232,44 @@ def test_valid_query_leaves_numpy_ma_unimported(tmp_path, capsys):
     assert run_fresh(script)[-1] == "0 False"
 
 
-def test_numpy_is_loaded_only_when_an_array_kernel_runs():
-    lattice, model = str(DATA / "chain3_eq1_h_1.json"), str(DATA / "model_chain3_eq1.json")
+def _numpy_after_each(*argvs: list[str]) -> list[str]:
+    """Per command, run in turn in one fresh process: its name, its exit
+    code and whether numpy is loaded after it."""
     script = (
         "import contextlib, io, sys\n"
         "from latmodal.cli import main\n"
         "print('import', 'numpy' in sys.modules)\n"
-        "for argv in (\n"
-        f"    ['eval', '--model', {model!r}, '--formula', '[]p -> p'],\n"
-        f"    ['lattice', 'check', {lattice!r}],\n"
-        "    ['construct', '--kind', 'boolean:2', '--imp', 'material'],\n"
-        "    ['enumerate', '--size', '5', '--neg', 'antimonotone-involutions'],\n"
-        f"    ['valid', '--lattice', {lattice!r}, '--formula', {BOX_K!r}, '--max-worlds', '4'],\n"
-        f"    ['valid', '--lattice', {lattice!r}, '--formula', {WIDE!r}, '--max-worlds', '2'],\n"
-        f"    ['valid', '--lattice', {lattice!r}, '--formula', '[]p -> p', '--max-worlds', '2'],\n"
-        "):\n"
+        f"for argv in {list(argvs)!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv)\n"
         "    print(argv[0], code, 'numpy' in sys.modules)\n"
     )
-    assert run_fresh(script) == [
+    return run_fresh(script)
+
+
+def _write_boolean4(tmp_path, capsys) -> str:
+    """A file of the 4-element Boolean algebra, material implication, top
+    designated: classical, so a failure can need 3 worlds."""
+    _, out, _ = run_cli(
+        capsys, "construct", "--kind", "boolean:2", "--imp", "material", "--designated", "1"
+    )
+    path = tmp_path / "b4.json"
+    path.write_text(out)
+    return str(path)
+
+
+def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
+    lattice, model = str(DATA / "chain3_eq1_h_1.json"), str(DATA / "model_chain3_eq1.json")
+    assert _numpy_after_each(
+        ["eval", "--model", model, "--formula", "[]p -> p"],
+        ["lattice", "check", lattice],
+        ["construct", "--kind", "boolean:2", "--imp", "material"],
+        ["enumerate", "--size", "5", "--neg", "antimonotone-involutions"],
+        ["valid", "--lattice", lattice, "--formula", BOX_K, "--max-worlds", "4"],
+        ["valid", "--lattice", lattice, "--formula", "[]p -> p", "--max-worlds", "2"],
+        ["valid", "--lattice", lattice, "--formula", BOX_K, "--max-worlds", "4", "--box", "local"],
+        ["valid", "--lattice", lattice, "--formula", WIDE, "--max-worlds", "2"],
+    ) == [
         "import False",
         "eval 1 False",
         "lattice 0 False",
@@ -259,11 +277,45 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs():
         "enumerate 0 False",
         # valid by the scalar closure, no frame scanned
         "valid 0 False",
+        # failing: the frame scan runs on lists
+        "valid 1 False",
+        # the local box: one world without successors, on lists
+        "valid 0 False",
         # valid too, but 3^10 (valuation, tuple) pairs: the array closure runs
         "valid 0 True",
-        # deferred, not dropped: the frame search builds arrays
-        "valid 1 True",
     ]
+    # failing, and the first 3-world frame alone has 4^9 valuations x 3 worlds
+    # x 13 nodes, past the scan's budget: deferred to arrays, not dropped
+    b4 = _write_boolean4(tmp_path, capsys)
+    wide_scan = "p & []~p & [](q | r) -> []q | []r"
+    assert _numpy_after_each(
+        ["valid", "--lattice", b4, "--formula", wide_scan, "--max-worlds", "3"]
+    ) == ["import False", "valid 1 True"]
+
+
+def test_the_frame_scan_moves_to_arrays_from_the_frame_that_spends_its_budget(tmp_path, capsys):
+    """A failing scan that starts on lists and passes its budget midway
+    finds what a scan on arrays alone finds."""
+    b4 = _write_boolean4(tmp_path, capsys)
+    script = (
+        "import latmodal.search as search\n"
+        "from latmodal import Matrix, find_frame_counterexample, parse\n"
+        "from latmodal.serialize import load_lattice\n"
+        f"matrix = Matrix(*load_lattice({b4!r}))\n"
+        "f = parse('p & []~p -> []q | []~q')\n"
+        "backends, scan = [], search.frame_root_values\n"
+        "def traced(*args, **kwargs):\n"
+        "    backends.append(kwargs['lists'])\n"
+        "    return scan(*args, **kwargs)\n"
+        "search.frame_root_values = traced\n"
+        # each 3-world frame is 4^6 valuations x 3 worlds x 10 nodes
+        "search._SCALAR_SCAN_BOUND = 3 * 4**6 * 3 * 10\n"
+        "mixed = find_frame_counterexample(matrix, f, 3).to_dict()\n"
+        "print(*backends)\n"
+        "search._SCALAR_SCAN_BOUND = 0\n"
+        "print(mixed == find_frame_counterexample(matrix, f, 3).to_dict())\n"
+    )
+    assert run_fresh(script) == ["True True True False False", "True"]
 
 
 def _latmodal_modules_after(statements: str) -> list[str]:

@@ -469,6 +469,34 @@ def test_the_array_closure_runs_once_numpy_is_loaded(c3_eq1):
     assert isinstance(attained, np.ndarray)
 
 
+def test_list_and_array_frame_scans_agree():
+    """The frame scan's two backends, called directly (this process has
+    numpy loaded, so a search would take the arrays): on every matrix of at
+    most 4 elements and every canonical frame of at most 3 worlds, in both
+    box modes, the root values agree and each matrix gets the same first
+    failure from either, or None from both."""
+    import numpy as np
+    from latmodal import enumerate_upsets
+
+    frames = list(enumerate_frames(3))
+    cases = {"failing": 0, "passing": 0}
+    for lat in _lattices_up_to(4):
+        matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat)]
+        for f, frame, mode in itertools.product(
+            [AXIOM_K, BOX_DISJUNCTION_DIST, *DEPTH2_FORMULAS], frames, BoxMode
+        ):
+            lists = kripke.frame_root_values(lat, frame, f, mode, lists=True)
+            arrays = kripke.frame_root_values(lat, frame, f, mode)
+            shape = (lat.n,) * (len(frame.worlds) * len(formula.variables(f)))
+            flat = [np.broadcast_to(values, shape).ravel().tolist() for values in arrays]
+            assert lists == flat, (lat, f, frame, mode)
+            for matrix in matrices:
+                report = _dict(kripke.first_failure(matrix, frame, f, lists, mode))
+                assert report == _dict(kripke.first_failure(matrix, frame, f, arrays, mode))
+                cases["passing" if report is None else "failing"] += 1
+    assert cases["failing"] > 0 and cases["passing"] > 0
+
+
 def _first_failing_world_count(matrix, f, frames):
     return next(
         (len(fr.worlds) for fr in frames if kripke.frame_valid(matrix, fr, f) is not None),
@@ -520,7 +548,9 @@ def test_exact_check_skips_the_frame_scan_only_where_it_applies(monkeypatch, c3_
     deep = parse("[]([]p -> q) -> ([][]p -> []q)")
     assert find_frame_counterexample(c3_material_lp, deep, 2) is None
     assert calls == []
-    # the local box never reads the relation: the first frame decides
+    # the local box never reads the relation: the first frame decides, built
+    # without enumerating frames
+    monkeypatch.setattr(latmodal.search, "enumerate_frames", None)
     local = find_frame_counterexample(c3_material_lp, AXIOM_K, 2, BoxMode.LOCAL)
     assert local is None and len(calls) == 1
     report = find_frame_counterexample(c3_material_lp, parse("[]p"), 4, BoxMode.LOCAL)
@@ -534,6 +564,37 @@ def _plain_scan(matrix, f, max_worlds, mode=BoxMode.NORMAL_MEET):
         if report is not None:
             return report.to_dict()
     return None
+
+
+def test_the_frame_scan_runs_on_arrays_once_numpy_is_loaded(monkeypatch, c3_eq1):
+    import numpy as np
+
+    backends, scan = [], latmodal.search.frame_root_values
+
+    def traced(*args, **kwargs):
+        roots = scan(*args, **kwargs)
+        backends.append(type(roots[0]))
+        return roots
+
+    monkeypatch.setattr(latmodal.search, "frame_root_values", traced)
+    # a small scan: lists would run, were numpy not loaded yet
+    assert find_frame_counterexample(c3_eq1, parse("[][]p -> []p"), 2) is not None
+    assert backends and set(backends) == {np.ndarray}
+
+
+def test_a_depth1_scan_starts_at_the_world_count_of_the_first_failing_round(monkeypatch):
+    # in a Boolean algebra p & []~p keeps a world off its own successors, and
+    # []q | []~q fails only at two successors that disagree on q: rounds 0
+    # and 1 pass, round 2 fails, and no frame of 1 or 2 worlds is scanned
+    b4 = boolean_algebra(2)
+    matrix = matrix_from_names(b4.with_imp(build_implication(b4, MATERIAL)), ["1"])
+    f = parse("p & []~p -> []q | []~q")
+    calls = _count_frame_scans(monkeypatch)
+    report = find_frame_counterexample(matrix, f, 3)
+    assert len(report.model.frame.worlds) == 3 and report.recheck()
+    assert calls and {len(frame.worlds) for frame in calls} == {3}
+    assert report.to_dict() == _plain_scan(matrix, f, 3)
+    assert find_frame_counterexample(matrix, f, 2) is None
 
 
 def test_depth2_queries_scan_frames_only_when_they_fail(monkeypatch, c3_eq1, c3_material_lp):
@@ -704,5 +765,7 @@ def test_each_lattice_and_frame_is_evaluated_once_per_check(monkeypatch):
     monkeypatch.setattr(latmodal.search, "frame_root_values", counted)
     report = verify_theorem("k_linear", 5, 3)
     assert report.passed and report.universe["structural_false_cases"] > 0
-    # a search per matrix evaluated 162 (lattice, frame) pairs
-    assert len(calls) == len({(id(lat), frame) for lat, frame in calls}) == 30
+    # a search per matrix evaluated 162 (lattice, frame) pairs; every failing
+    # matrix fails the closure's round 1 first, so no one-world frame is scanned
+    assert len(calls) == len({(id(lat), frame) for lat, frame in calls}) == 20
+    assert {len(frame.worlds) for _, frame in calls} == {2}
