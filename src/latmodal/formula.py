@@ -24,17 +24,16 @@ needed, for ``interpret`` and for ``kripke.frame_valid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FormulaSyntaxError
+from .record import Record
 
 
-class _Node:
+class _Node(Record):
     """Equality, hashing and repr of the formula classes, none of which
     recurses, so that a formula as deep as ``parse`` accepts (a run of 5,000
     ``~``) compares, hashes and prints.  Equality and hash agree with those
-    a frozen dataclass generates: the hash of a node is the hash of the
-    tuple of its fields."""
+    of ``Record``: nodes are equal when their fields are, and the hash of a
+    node is the hash of the tuple of its fields."""
 
     __slots__ = ()
 
@@ -76,37 +75,47 @@ class _Hash:
         return self.value
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     name: str
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Not(_Node):
-    child: "Formula"
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
+class _Unary(_Node):
+    child: Formula
+
+    def __init__(self, child: Formula):
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    left: Formula
+    right: Formula
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Imp(_Node):
-    left: "Formula"
-    right: "Formula"
+class Not(_Unary):
+    pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Box(_Node):
-    child: "Formula"
+class And(_Binary):
+    pass
+
+
+class Or(_Binary):
+    pass
+
+
+class Imp(_Binary):
+    pass
+
+
+class Box(_Unary):
+    pass
 
 
 Formula = Var | Not | And | Or | Imp | Box
@@ -117,7 +126,7 @@ _KIND = {Var: VAR, Not: NOT, And: AND, Or: OR, Imp: IMP, Box: BOX}
 
 
 def _children(g: Formula) -> tuple[Formula, ...]:
-    return (g.child,) if isinstance(g, (Not, Box)) else (g.left, g.right)
+    return (g.child,) if isinstance(g, _Unary) else (g.left, g.right)
 
 
 def _fold(f: Formula, on_var, on_node):

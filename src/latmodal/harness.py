@@ -32,7 +32,6 @@ top-if-below implication.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from . import THEOREM_IDS
@@ -56,6 +55,7 @@ from .lattice import (
     check_designated,
     check_lattice_properties,
 )
+from .record import Record
 from .search import (
     AXIOM_K,
     BOX_DISJUNCTION_DIST,
@@ -79,14 +79,26 @@ _PROOF_SCALE = {
 }
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(Record, frozen=False):
     theorem: str
     universe: dict
     cases: int
     passed: bool
-    failures: list = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    failures: list
+    notes: list[str]
+
+    def __init__(
+        self,
+        theorem: str,
+        universe: dict,
+        cases: int,
+        passed: bool,
+        failures: list | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.theorem, self.universe, self.cases, self.passed = theorem, universe, cases, passed
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
     def to_dict(self) -> dict:
         return {
@@ -99,8 +111,7 @@ class TheoremReport:
         }
 
 
-@dataclass
-class HarnessConfig:
+class HarnessConfig(Record, frozen=False):
     size_bound: int = 5
     world_bound: int = 3
     twist_atoms: int = 2

@@ -39,7 +39,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import BoundTooLarge, InvalidInput, MissingOperation, UnboundVariable
@@ -57,6 +56,7 @@ from .formula import (
     render,
 )
 from .lattice import Lattice, Matrix
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,18 +72,19 @@ class BoxMode(enum.Enum):
     LOCAL = "local"
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     worlds: tuple[str, ...]
     rel: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        if len(set(self.worlds)) != len(self.worlds):
+    def __init__(self, worlds: tuple[str, ...], rel: frozenset[tuple[int, int]]):
+        if len(set(worlds)) != len(worlds):
             raise InvalidInput("world names must be distinct")
-        n = len(self.worlds)
-        for i, j in self.rel:
+        n = len(worlds)
+        for i, j in rel:
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidInput(f"relation pair ({i}, {j}) out of range")
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "rel", rel)
 
     @classmethod
     def from_names(cls, worlds: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Frame":
@@ -110,19 +111,21 @@ class Frame:
         return [[self.worlds[i], self.worlds[j]] for i, j in sorted(self.rel)]
 
 
-@dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(Record):
     frame: Frame
     lattice: Lattice
     valuation: Mapping[tuple[int, str], int]
 
-    def __post_init__(self):
-        n_worlds = len(self.frame.worlds)
-        for (w, _), e in self.valuation.items():
+    def __init__(self, frame: Frame, lattice: Lattice, valuation: Mapping[tuple[int, str], int]):
+        n_worlds = len(frame.worlds)
+        for (w, _), e in valuation.items():
             if not (0 <= w < n_worlds):
                 raise InvalidInput(f"valuation world index {w} out of range")
-            if not (0 <= e < self.lattice.n):
+            if not (0 <= e < lattice.n):
                 raise InvalidInput(f"valuation element index {e} out of range")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "valuation", valuation)
 
     @classmethod
     def from_names(
@@ -206,8 +209,7 @@ def _check_same_lattice(matrix: Matrix, model: KripkeModel) -> None:
         raise InvalidInput("model and matrix use different lattices")
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(Record):
     """A concrete model, world and value witnessing failure of a validity.
 
     Reports are self-certifying: ``recheck`` re-runs the reference evaluator

@@ -20,8 +20,6 @@ load it.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -33,6 +31,7 @@ from .errors import (
     NotAPoset,
 )
 from .formula import Formula, compile_formula, interpret, is_modal_free, variables
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,8 +44,7 @@ _EXHAUSTIVE_DOWN_DIST_MAX = 10
 _ENTAILS_GUARD = 1 << 24
 
 
-@dataclass(frozen=True)
-class ImplicationTable:
+class ImplicationTable(Record):
     """Total binary table for the implication connective.
 
     The mode tag is advisory; classification always recomputes properties
@@ -57,8 +55,7 @@ class ImplicationTable:
     mode: str = CUSTOM
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     elements: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
     meet_table: tuple[tuple[int, ...], ...]
@@ -104,14 +101,14 @@ class Lattice:
     def with_neg(self, table: Sequence[int]) -> "Lattice":
         neg = tuple(int(x) for x in table)
         _check_unary_table(neg, self.n)
-        return dataclasses.replace(self, neg=neg)
+        return self._replace(neg=neg)
 
     def with_imp(self, imp: ImplicationTable) -> "Lattice":
         _check_binary_table(imp.table, self.n)
-        return dataclasses.replace(self, imp=imp)
+        return self._replace(imp=imp)
 
     def named(self, name: str) -> "Lattice":
-        return dataclasses.replace(self, name=name)
+        return self._replace(name=name)
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Hasse edges (i, j): i < j with nothing strictly between."""
@@ -313,18 +310,19 @@ def subset_join(lattice: Lattice, xs: Iterable[int], ys: Iterable[int]) -> froze
 # Matrices and property checks
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """A lattice paired with a set of designated values."""
 
     lattice: Lattice
     designated: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "designated", frozenset(self.designated))
-        for e in self.designated:
-            if not (0 <= e < self.lattice.n):
+    def __init__(self, lattice: Lattice, designated: Iterable[int]):
+        designated = frozenset(designated)
+        for e in designated:
+            if not (0 <= e < lattice.n):
                 raise InvalidInput(f"designated element index {e} out of range")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "designated", designated)
 
     def designated_names(self) -> list[str]:
         return [self.lattice.elements[i] for i in sorted(self.designated)]
@@ -347,8 +345,7 @@ def matrix_from_names(lattice: Lattice, names: Iterable[str]) -> Matrix:
     return Matrix(lattice, frozenset(lattice.index(x) for x in names))
 
 
-@dataclass(frozen=True)
-class DesignatedProperties:
+class DesignatedProperties(Record):
     upward_closed: bool
     upward_witness: tuple[int, int] | None
     is_filter: bool
@@ -414,20 +411,15 @@ def check_designated(matrix: Matrix) -> DesignatedProperties:
         if linear_witness:
             break
 
-    return DesignatedProperties(
-        upward_closed=upward_witness is None,
-        upward_witness=upward_witness,
-        is_filter=is_filter,
-        filter_witness=filter_witness,
-        is_implicative=is_implicative,
-        implicative_witness=implicative_witness,
-        linear_outside=linear_witness is None,
-        linear_witness=linear_witness,
+    return DesignatedProperties(  # each property's flag, then its witness
+        upward_witness is None, upward_witness,
+        is_filter, filter_witness,
+        is_implicative, implicative_witness,
+        linear_witness is None, linear_witness,
     )
 
 
-@dataclass(frozen=True)
-class LatticeProperties:
+class LatticeProperties(Record):
     anti_monotone: bool | None
     anti_monotone_witness: tuple[int, int] | None
     involutive: bool | None
@@ -544,8 +536,7 @@ def build_implication(lattice: Lattice, mode: str) -> ImplicationTable:
     raise InvalidInput(f"unknown implication mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class ImplicationClassification:
+class ImplicationClassification(Record):
     deductive: bool
     deductive_witness: tuple[int, int] | None
     strictly_deductive: bool
@@ -615,8 +606,7 @@ def propositional_value(lattice: Lattice, assignment: dict[str, int], f: Formula
     return interpret(compile_formula(f), 0, value_of, None, lattice)
 
 
-@dataclass(frozen=True)
-class EntailmentResult:
+class EntailmentResult(Record):
     holds: bool
     witness: dict[str, int] | None
 

@@ -64,10 +64,9 @@ import functools
 import itertools
 import operator
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import BoundTooLarge, MissingOperation, WitnessNotApplicable
+from .errors import BoundTooLarge, InvalidInput, MissingOperation, WitnessNotApplicable
 from .formula import (
     AND,
     BOX,
@@ -96,6 +95,7 @@ from .kripke import (
     world_satisfies,
 )
 from .lattice import DesignatedProperties, Lattice, Matrix, big_meet, check_designated
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -146,7 +146,7 @@ def _canonical_masks(n_worlds: int) -> tuple[int, ...]:
 
 def _check_world_bound(max_worlds: int, unsafe_bounds: bool) -> None:
     if max_worlds < 1:
-        raise BoundTooLarge("max_worlds must be at least 1")
+        raise InvalidInput(f"world bound must be at least 1, got {max_worlds}")
     if max_worlds > MAX_FRAME_WORLDS and not unsafe_bounds:
         raise BoundTooLarge(f"frame enumeration is guarded to {MAX_FRAME_WORLDS} worlds")
 
@@ -450,8 +450,7 @@ def _scan_frames(
 _DIRECTIONS = ("box_holds_but_successor_fails", "successors_hold_but_box_fails")
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(Record):
     """A world where []p and "p holds at every successor" disagree in the
     matrix.  Self-certifying like ``CounterexampleReport``: ``recheck``
     re-runs the reference evaluator on the witness's own data."""
@@ -484,8 +483,7 @@ class RegularityWitness:
         }
 
 
-@dataclass(frozen=True)
-class RegularityResult:
+class RegularityResult(Record):
     """Semantic and structural verdicts on "necessity means true in all
     accessible worlds"."""
 

@@ -232,17 +232,18 @@ def test_valid_query_leaves_numpy_ma_unimported(tmp_path, capsys):
     assert run_fresh(script)[-1] == "0 False"
 
 
-def _numpy_after_each(*argvs: list[str]) -> list[str]:
+def _loaded_after_each(*argvs: list[str], modules=("numpy",)) -> list[str]:
     """Per command, run in turn in one fresh process: its name, its exit
-    code and whether numpy is loaded after it."""
+    code and whether any of the modules is loaded after it."""
     script = (
         "import contextlib, io, sys\n"
+        f"loaded = lambda: any(m in sys.modules for m in {modules!r})\n"
         "from latmodal.cli import main\n"
-        "print('import', 'numpy' in sys.modules)\n"
+        "print('import', loaded())\n"
         f"for argv in {list(argvs)!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv)\n"
-        "    print(argv[0], code, 'numpy' in sys.modules)\n"
+        "    print(argv[0], code, loaded())\n"
     )
     return run_fresh(script)
 
@@ -260,7 +261,7 @@ def _write_boolean4(tmp_path, capsys) -> str:
 
 def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
     lattice, model = str(DATA / "chain3_eq1_h_1.json"), str(DATA / "model_chain3_eq1.json")
-    assert _numpy_after_each(
+    assert _loaded_after_each(
         ["eval", "--model", model, "--formula", "[]p -> p"],
         ["lattice", "check", lattice],
         ["construct", "--kind", "boolean:2", "--imp", "material"],
@@ -288,9 +289,23 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
     # x 13 nodes, past the scan's budget: deferred to arrays, not dropped
     b4 = _write_boolean4(tmp_path, capsys)
     wide_scan = "p & []~p & [](q | r) -> []q | []r"
-    assert _numpy_after_each(
+    assert _loaded_after_each(
         ["valid", "--lattice", b4, "--formula", wide_scan, "--max-worlds", "3"]
     ) == ["import False", "valid 1 True"]
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    lattice, model = str(DATA / "chain3_eq1_h_1.json"), str(DATA / "model_chain3_eq1.json")
+    # each command in a process of its own, so that none hides another's import
+    for argv, code in (
+        (["valid", "--lattice", lattice, "--formula", BOX_K, "--max-worlds", "4"], 0),
+        (["valid", "--lattice", lattice, "--formula", "[]p -> p", "--max-worlds", "4"], 1),
+        (["eval", "--model", model, "--formula", "[]p -> p"], 1),
+    ):
+        assert _loaded_after_each(argv, modules=("dataclasses", "inspect")) == [
+            "import False",
+            f"{argv[0]} {code} False",
+        ], argv
 
 
 def test_the_frame_scan_moves_to_arrays_from_the_frame_that_spends_its_budget(tmp_path, capsys):
@@ -605,7 +620,8 @@ def test_valid_exit_codes_and_messages_at_the_bounds(tmp_path, capsys):
         (c7, "[](p & q & r) -> []r", "3", [], 2,
          guard + "7^9 valuations exceed the guard; pass unsafe_bounds=True to override\n"),
         (c7, "[](p & q & r) -> []r", "2", [], 0, ""),
-        (c7, "[]p -> []p", "0", [], 2, guard + "max_worlds must be at least 1\n"),
+        (c7, "[]p -> []p", "0", [], 2,
+         "error: InvalidInput: world bound must be at least 1, got 0\n"),
         (c7, "[]p -> []p", "5", [], 2, guard + "frame enumeration is guarded to 4 worlds\n"),
         (c7, "[]p -> p", "2", ["--box", "local"], 0, ""),
         (c7, "[]p -> p", "2", [], 1, ""),

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,16 +96,16 @@ def _subformulas(f):
         g = stack.pop()
         yield g
         if not isinstance(g, Var):
-            stack.extend(getattr(g, x.name) for x in dataclasses.fields(g))
+            stack.extend(getattr(g, name) for name in g._fields)
 
 
 def test_equality_and_hash_agree_with_the_field_tuples():
-    # as a frozen dataclass's: equal fields make equal nodes, and a node
-    # hashes as the tuple of its fields
+    # as any record's: equal fields make equal nodes, and a node hashes as
+    # the tuple of its fields
     for i, text in enumerate(CORPUS):
         f = parse(text)
         for g in _subformulas(f):
-            fields = tuple(getattr(g, x.name) for x in dataclasses.fields(g))
+            fields = tuple(getattr(g, name) for name in g._fields)
             assert hash(g) == hash(fields)
             assert g == type(g)(*fields) and g != fields
         for j, other in enumerate(CORPUS):

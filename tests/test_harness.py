@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from latmodal import (
@@ -82,7 +80,7 @@ def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
 
     def corrupted(matrices, max_worlds, unsafe):
         return [
-            w and dataclasses.replace(w, box_value=(w.box_value + 1) % w.matrix.lattice.n)
+            w and w._replace(box_value=(w.box_value + 1) % w.matrix.lattice.n)
             for w in search(matrices, max_worlds, unsafe)
         ]
 

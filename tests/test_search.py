@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -10,6 +9,7 @@ from latmodal import (
     MATERIAL,
     BoundTooLarge,
     BoxMode,
+    InvalidInput,
     Matrix,
     MissingOperation,
     WitnessNotApplicable,
@@ -216,11 +216,11 @@ def test_regularity_witness_recheck_rejects_mutations():
         seen.add(w.direction)
         (flipped,) = directions - {w.direction}
         mutants = [
-            dataclasses.replace(w, box_value=(w.box_value + 1) % lat.n),
-            dataclasses.replace(w, world=1),
-            dataclasses.replace(w, direction=flipped),
+            w._replace(box_value=(w.box_value + 1) % lat.n),
+            w._replace(world=1),
+            w._replace(direction=flipped),
             # every value designated: box and successors agree
-            dataclasses.replace(w, matrix=Matrix(lat, frozenset(range(lat.n)))),
+            w._replace(matrix=Matrix(lat, frozenset(range(lat.n)))),
         ]
         assert not any(m.recheck() for m in mutants)
     assert seen == directions
@@ -676,8 +676,9 @@ def test_valid_query_over_the_valuation_guard_raises_as_the_scan_does(monkeypatc
     assert str(info.value) == "7^9 valuations exceed the guard; pass unsafe_bounds=True to override"
     monkeypatch.undo()
     assert find_frame_counterexample(matrix, parse("[](p & q & r) -> []r"), 2) is None
-    for bound in (0, 5):
-        with pytest.raises(BoundTooLarge):
+    # a bound below 1 is an input error, one above the frame guard too large
+    for bound, error in ((0, InvalidInput), (5, BoundTooLarge)):
+        with pytest.raises(error):
             find_frame_counterexample(matrix, parse("[]p -> []p"), bound)
 
 
