@@ -153,8 +153,8 @@ def test_frozen_records_reject_assignment_and_deletion():
 
 def test_defaults_and_construction_errors():
     lat = chain(2)
-    assert lat.name == "C2" and Lattice(*[getattr(lat, f) for f in lat._fields[:6]]).name == ""
-    assert Lattice(*[getattr(lat, f) for f in lat._fields[:6]]).neg is None
+    bare = Lattice(*[getattr(lat, f) for f in lat._fields[:6]])
+    assert lat.name == "C2" and (bare.neg, bare.imp, bare.name) == (None, None, "")
     assert ImplicationTable(((1, 1), (0, 1))).mode == "custom"
     assert ImplicationTable(table=((1, 1), (0, 1)), mode="material").mode == "material"
     config = HarnessConfig()
