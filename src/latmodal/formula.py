@@ -126,7 +126,7 @@ _KIND = {Var: VAR, Not: NOT, And: AND, Or: OR, Imp: IMP, Box: BOX}
 
 
 def _children(g: Formula) -> tuple[Formula, ...]:
-    return (g.child,) if isinstance(g, _Unary) else (g.left, g.right)
+    return (g.child,) if isinstance(g, (Not, Box)) else (g.left, g.right)
 
 
 def _fold(f: Formula, on_var, on_node):
