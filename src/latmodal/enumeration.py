@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import BoundTooLarge, InvalidInput
 from .lattice import Lattice, NotALattice, from_leq

@@ -9,14 +9,17 @@ model needs at most two worlds for regularity and three otherwise, so a
 world bound at proof scale makes that direction a complete check rather
 than a bounded one.  The validity direction ("no counterexample on any
 frame") is necessarily bounded by the world bound and reported as such.
-One driver runs all five biconditional checks.  Its semantic side is a
-batch search, the frame search for counterexamples to a box formula or, for
-regularity, the search for a world where []p and "p at every successor"
-disagree; every witness it finds re-checks itself through the reference
-evaluator.  The matrices of one lattice come in a run, and each run is
-searched in one batch: one closure and one frame pass decide all its
-designated sets (see ``search``).  The lattices of each size are
-enumerated once per process.
+One driver runs all five biconditional checks, and one dispatch in
+``verify_theorem`` states, for each, its formula, structural verdict,
+semantic search, matrices, proof scale and recorded universe.  The semantic
+side is a batch search, the frame search for counterexamples to a box
+formula or, for regularity, the search for a world where []p and "p at
+every successor" disagree; every witness it finds re-checks itself through
+the reference evaluator.  The matrices of one lattice come in a run, and
+each run is searched in one batch: one closure and one frame pass decide
+all its designated sets (see ``search``).  The lattices of each size are
+enumerated once per process.  Each report is built once, when its check
+has run, and is frozen; it passes when it records no failure.
 
 Universe conventions, chosen to mirror each property's hypotheses: the
 designated sets range over non-empty upward-closed subsets, except for
@@ -32,7 +35,7 @@ top-if-below implication.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from . import THEOREM_IDS
 from .constructions import boolean_algebra, antichain_k5, twist
@@ -44,7 +47,7 @@ from .enumeration import (
 )
 from .errors import InvalidInput, WitnessNotApplicable
 from .formula import render
-from .kripke import BoxMode, CounterexampleReport, model_satisfies
+from .kripke import BoxMode, model_satisfies
 from .lattice import (
     DEDUCTIVE_EQ1,
     MATERIAL,
@@ -70,35 +73,20 @@ from .search import (
 # is the largest k whose carrier the upset enumeration admits.
 _MAX_TWIST_ATOMS = max(k for k in range(1, MAX_UPSET_SIZE) if 3**k <= MAX_UPSET_SIZE)
 
-_PROOF_SCALE = {
-    "regularity": 2,
-    "disj_dist": 3,
-    "k_linear": 3,
-    "k_material": 3,
-    "twist_k": 3,
-}
+# The most worlds a regularity defect needs; the box checks need three.
+_REGULARITY_SCALE = 2
 
 
-class TheoremReport(Record, frozen=False):
+class TheoremReport(Record):
     theorem: str
     universe: dict
     cases: int
-    passed: bool
     failures: list
     notes: list[str]
 
-    def __init__(
-        self,
-        theorem: str,
-        universe: dict,
-        cases: int,
-        passed: bool,
-        failures: list | None = None,
-        notes: list[str] | None = None,
-    ):
-        self.theorem, self.universe, self.cases, self.passed = theorem, universe, cases, passed
-        self.failures = [] if failures is None else failures
-        self.notes = [] if notes is None else notes
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_dict(self) -> dict:
         return {
@@ -111,22 +99,15 @@ class TheoremReport(Record, frozen=False):
         }
 
 
-class HarnessConfig(Record, frozen=False):
+class HarnessConfig(Record):
     size_bound: int = 5
     world_bound: int = 3
-    twist_atoms: int = 2
     unsafe_bounds: bool = False
 
 
 def _lattice_universe(size_bound: int) -> Iterator[Lattice]:
     for n in range(1, size_bound + 1):
         yield from enumerate_lattices(n)
-
-
-def _nonempty_upsets(lattice: Lattice) -> Iterator[frozenset[int]]:
-    for upset in enumerate_upsets(lattice):
-        if upset:
-            yield upset
 
 
 def _case_id(lattice: Lattice, designated: frozenset[int]) -> dict:
@@ -137,97 +118,93 @@ def _case_id(lattice: Lattice, designated: frozenset[int]) -> dict:
     }
 
 
-def _bounded_note(report: TheoremReport, theorem: str, world_bound: int) -> bool:
-    """Mark reports whose defect direction is not exercised; returns whether
-    that direction should be asserted."""
-    scale = _PROOF_SCALE.get(theorem)
-    if scale is None:
-        return False
-    report.universe["world_bound"] = world_bound
-    if world_bound < scale:
-        report.notes.append(
-            "bounded-verification only, witness directions not exercised "
-            f"(world bound {world_bound} below proof scale {scale})"
-        )
-        return False
-    report.notes.append(
-        f"defect direction exact at world bound >= {scale}; "
-        "validity direction bounded by the world bound"
+def _upset_matrices(lattices: Iterable[Lattice]) -> Iterator[tuple[Matrix, dict]]:
+    """Each lattice with each of its non-empty upsets designated."""
+    for lat in lattices:
+        for upset in enumerate_upsets(lat):
+            if upset:
+                yield Matrix(lat, upset), _case_id(lat, upset)
+
+
+def _eq1_matrices(size_bound: int) -> Iterator[tuple[Matrix, dict]]:
+    return _upset_matrices(
+        lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1)) for lat in _lattice_universe(size_bound)
     )
-    return True
 
 
-def _verify_regularity(size_bound: int, world_bound: int, unsafe: bool) -> TheoremReport:
-    # on a non-empty set, a filter holds its big meet
-    return _verify_biconditional(
-        "regularity",
-        BOX_P,
-        lambda m, props: (props.is_filter, "nonfilter"),
-        lambda run: _regularity_witnesses(run, world_bound, unsafe),
-        (
-            (Matrix(lat, upset), _case_id(lat, upset))
-            for lat in _lattice_universe(size_bound)
-            for upset in _nonempty_upsets(lat)
-        ),
-        world_bound,
-        {"max_lattice_size": size_bound, "designated": "non-empty upsets"},
-    )[0]
+def _k_material_matrices(size_bound: int) -> Iterator[tuple[Matrix, dict]]:
+    for lat in _lattice_universe(size_bound):
+        if not check_lattice_properties(lat).down_distribution:
+            continue
+        for neg in enumerate_complementations(lat, "antimonotone_involutions"):
+            lat_neg = lat.with_neg(neg)
+            lat_full = lat_neg.with_imp(build_implication(lat_neg, MATERIAL))
+            case_neg = {
+                lat_full.elements[i]: lat_full.elements[v] for i, v in enumerate(neg)
+            }
+            for matrix, case in _upset_matrices([lat_full]):
+                yield matrix, {**case, "neg": case_neg}
+
+
+def _twist_matrices(max_atoms: int) -> Iterator[tuple[Matrix, dict]]:
+    for atoms in range(1, max_atoms + 1):
+        base_matrix = twist(boolean_algebra(atoms), restrict_p=True)
+        lat = base_matrix.lattice
+        ones = [lat.elements[i] for i in sorted(base_matrix.designated)]
+        for upset in enumerate_upsets(lat):
+            yield Matrix(lat, upset), {**_case_id(lat, upset), "atoms": atoms, "ones": ones}
 
 
 def _verify_eq1_implicative(size_bound: int) -> TheoremReport:
-    report = TheoremReport(
-        "eq1_implicative",
-        {
-            "max_lattice_size": size_bound,
-            "implication": DEDUCTIVE_EQ1,
-            "designated": "non-empty upsets (each contains the top)",
-        },
-        0,
-        True,
-    )
-    for lat in _lattice_universe(size_bound):
-        lat_imp = lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1))
-        for upset in _nonempty_upsets(lat_imp):
-            matrix = Matrix(lat_imp, upset)
-            report.cases += 1
-            props = check_designated(matrix)
-            if props.is_implicative is not True:
-                report.passed = False
-                report.failures.append(
-                    {**_case_id(lat_imp, upset), "witness": props.implicative_witness}
-                )
-    return report
+    cases, failures = 0, []
+    for matrix, case in _eq1_matrices(size_bound):
+        cases += 1
+        props = check_designated(matrix)
+        if props.is_implicative is not True:
+            failures.append({**case, "witness": props.implicative_witness})
+    universe = {
+        "max_lattice_size": size_bound,
+        "implication": DEDUCTIVE_EQ1,
+        "designated": "non-empty upsets (each contains the top)",
+    }
+    return TheoremReport("eq1_implicative", universe, cases, failures, [])
 
 
 def _verify_biconditional(
     theorem: str,
     formula,
-    classify: Callable[[Matrix, DesignatedProperties], tuple[bool, str | None]],
+    classify: Callable[[dict, DesignatedProperties], tuple[bool, str | None]],
     search: Callable[[list[Matrix]], list],
     matrices: Iterator[tuple[Matrix, dict]],
     world_bound: int,
+    scale: int,
     universe: dict,
-) -> tuple[TheoremReport, int]:
+    *,
+    split: bool = True,
+) -> TheoremReport:
     """Shared driver: structural predicate <=> no semantic witness in bound.
 
     ``search`` gives each matrix of a run of one lattice its first semantic
     witness within the world bound, or None; a witness has ``recheck`` and
-    ``to_dict``.  ``classify`` gives a matrix's structural verdict, from
-    the matrix and its ``check_designated`` result, and the kind of the
+    ``to_dict``.  ``classify`` gives a case's structural verdict, from its
+    case id and its ``check_designated`` result, and the kind of the
     canonical witness that must falsify ``formula`` when the verdict is
     false (None when no witness applies).  That result is computed once per
-    matrix and also given to ``construct_witness``.  Also returns the
-    number of structurally true cases.
+    matrix and also given to ``construct_witness``.  The defect direction is
+    asserted only at a world bound of at least ``scale``, the proof scale.
+    The report's universe adds the world bound to ``universe`` and, with
+    ``split``, the formula and the counts of structurally true and false
+    cases.
     """
-    report = TheoremReport(theorem, dict(universe), 0, True)
-    assert_defects = _bounded_note(report, theorem, world_bound)
-    structural_true = 0
+    assert_defects = world_bound >= scale
+    cases = structural_true = 0
+    failures = []
     for _, run in itertools.groupby(matrices, key=lambda item: item[0].lattice):
         run = list(run)
         for (matrix, case), witness in zip(run, search([matrix for matrix, _ in run])):
-            report.cases += 1
+            cases += 1
             props = check_designated(matrix)
-            structural, witness_kind = classify(matrix, props)
+            structural, witness_kind = classify(case, props)
             semantic = witness is None
             if structural:
                 structural_true += 1
@@ -249,167 +226,38 @@ def _verify_biconditional(
                     ok = False
                     case = {**case, "witness_error": str(exc)}
             if not ok:
-                report.passed = False
                 entry = {**case, "structural": structural, "semantic": semantic}
                 if witness is not None:
                     entry["counterexample"] = witness.to_dict()
-                report.failures.append(entry)
-    return report, structural_true
-
-
-def _verify_box_biconditional(
-    theorem: str,
-    formula,
-    classify: Callable[[Matrix, DesignatedProperties], tuple[bool, str | None]],
-    matrices: Iterator[tuple[Matrix, dict]],
-    world_bound: int,
-    unsafe: bool,
-    universe: dict,
-) -> TheoremReport:
-    """The driver with the frame search for counterexamples to the box
-    formula as the semantic side; the universe also records the formula
-    and the structural split."""
-
-    def search(run: list[Matrix]) -> list[CounterexampleReport | None]:
-        return _find_counterexamples(run, formula, world_bound, BoxMode.NORMAL_MEET, unsafe)
-
-    report, structural_true = _verify_biconditional(
-        theorem, formula, classify, search, matrices, world_bound, universe
-    )
-    report.universe["formula"] = render(formula)
-    report.universe["structural_true_cases"] = structural_true
-    report.universe["structural_false_cases"] = report.cases - structural_true
-    return report
-
-
-def _disj_dist_matrices(size_bound: int) -> Iterator[tuple[Matrix, dict]]:
-    for lat in _lattice_universe(size_bound):
-        lat_imp = lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1))
-        for upset in _nonempty_upsets(lat_imp):
-            yield Matrix(lat_imp, upset), _case_id(lat_imp, upset)
-
-
-def _verify_disj_dist(size_bound: int, world_bound: int, unsafe: bool) -> TheoremReport:
-    return _verify_box_biconditional(
-        "disj_dist",
-        BOX_DISJUNCTION_DIST,
-        lambda m, props: (props.is_implicative is True, "nonimplicative"),
-        _disj_dist_matrices(size_bound),
-        world_bound,
-        unsafe,
-        {
-            "max_lattice_size": size_bound,
-            "implication": "strictly deductive (" + DEDUCTIVE_EQ1 + ")",
-            "designated": "non-empty upsets",
-        },
-    )
-
-
-def _verify_k_linear(size_bound: int, world_bound: int, unsafe: bool) -> TheoremReport:
-    def classify(matrix: Matrix, props: DesignatedProperties) -> tuple[bool, str | None]:
-        # the canonical non-linearity witness applies to filters only
-        witness = "nonlinear_k" if props.is_filter else None
-        return props.is_filter and props.linear_outside, witness
-
-    return _verify_box_biconditional(
-        "k_linear",
-        AXIOM_K,
-        classify,
-        _disj_dist_matrices(size_bound),
-        world_bound,
-        unsafe,
-        {
-            "max_lattice_size": size_bound,
-            "implication": "strictly deductive (" + DEDUCTIVE_EQ1 + ")",
-            "designated": "non-empty upsets; structural side requires a filter",
-        },
-    )
-
-
-def _k_material_matrices(size_bound: int) -> Iterator[tuple[Matrix, dict]]:
-    for lat in _lattice_universe(size_bound):
-        if not check_lattice_properties(lat).down_distribution:
-            continue
-        for neg in enumerate_complementations(lat, "antimonotone_involutions"):
-            lat_neg = lat.with_neg(neg)
-            lat_full = lat_neg.with_imp(build_implication(lat_neg, MATERIAL))
-            case_neg = {
-                lat_full.elements[i]: lat_full.elements[v] for i, v in enumerate(neg)
-            }
-            for upset in _nonempty_upsets(lat_full):
-                case = {**_case_id(lat_full, upset), "neg": case_neg}
-                yield Matrix(lat_full, upset), case
-
-
-def _verify_k_material(size_bound: int, world_bound: int, unsafe: bool) -> TheoremReport:
-    return _verify_box_biconditional(
-        "k_material",
-        AXIOM_K,
-        lambda m, props: (props.is_implicative is True, "nonimplicative_k_material"),
-        _k_material_matrices(size_bound),
-        world_bound,
-        unsafe,
-        {
-            "max_lattice_size": size_bound,
-            "implication": MATERIAL,
-            "negations": "all anti-monotone involutions",
-            "lattices": "down-distributive only",
-            "designated": "non-empty upsets",
-        },
-    )
-
-
-def _verify_twist_k(max_atoms: int, world_bound: int, unsafe: bool) -> TheoremReport:
-    ones_by_carrier: dict[tuple[str, ...], frozenset[int]] = {}
-
-    def matrices() -> Iterator[tuple[Matrix, dict]]:
-        for atoms in range(1, max_atoms + 1):
-            base_matrix = twist(boolean_algebra(atoms), restrict_p=True)
-            lat = base_matrix.lattice
-            ones_by_carrier[lat.elements] = base_matrix.designated
-            for upset in enumerate_upsets(lat):
-                case = _case_id(lat, upset)
-                case["atoms"] = atoms
-                case["ones"] = [lat.elements[i] for i in sorted(base_matrix.designated)]
-                yield Matrix(lat, upset), case
-
-    def classify(matrix: Matrix, props: DesignatedProperties) -> tuple[bool, str]:
-        ones = ones_by_carrier[matrix.lattice.elements]
-        return ones <= matrix.designated, "nonimplicative_k_material"
-
-    return _verify_box_biconditional(
-        "twist_k",
-        AXIOM_K,
-        classify,
-        matrices(),
-        world_bound,
-        unsafe,
-        {
-            "twist_atoms": list(range(1, max_atoms + 1)),
-            "carrier": "join-to-top pair restriction",
-            "implication": MATERIAL,
-            "designated": "all upsets (empty included)",
-            "structural": "designated contains every first-coordinate-top pair",
-        },
-    )
+                failures.append(entry)
+    universe = {**universe, "world_bound": world_bound}
+    if split:
+        universe["formula"] = render(formula)
+        universe["structural_true_cases"] = structural_true
+        universe["structural_false_cases"] = cases - structural_true
+    if assert_defects:
+        note = (
+            f"defect direction exact at world bound >= {scale}; "
+            "validity direction bounded by the world bound"
+        )
+    else:
+        note = (
+            "bounded-verification only, witness directions not exercised "
+            f"(world bound {world_bound} below proof scale {scale})"
+        )
+    return TheoremReport(theorem, universe, cases, failures, [note])
 
 
 def k5_regression(world_bound: int = 3, *, unsafe_bounds: bool = False) -> TheoremReport:
     """The five-element antichain example: box-K frame-valid within the
     bound while the lattice is not linear outside the designated set."""
     matrix = antichain_k5()
-    report = TheoremReport(
-        "k5_regression",
-        {"lattice": matrix.lattice.name, "world_bound": world_bound},
-        2,
-        True,
-    )
+    failures, notes = [], []
     counterexample = find_frame_counterexample(
         matrix, AXIOM_K, world_bound, unsafe_bounds=unsafe_bounds
     )
     if counterexample is not None:
-        report.passed = False
-        report.failures.append(
+        failures.append(
             {
                 "check": "box-K frame validity",
                 "counterexample": counterexample.to_dict(),
@@ -418,14 +266,14 @@ def k5_regression(world_bound: int = 3, *, unsafe_bounds: bool = False) -> Theor
         )
     props = check_designated(matrix)
     if props.linear_outside:
-        report.passed = False
-        report.failures.append({"check": "not linear outside the designated set"})
+        failures.append({"check": "not linear outside the designated set"})
     else:
-        report.notes.append(
+        notes.append(
             "linear-outside fails with witness "
             f"{tuple(matrix.lattice.elements[i] for i in props.linear_witness)}"
         )
-    return report
+    universe = {"lattice": matrix.lattice.name, "world_bound": world_bound}
+    return TheoremReport("k5_regression", universe, 2, failures, notes)
 
 
 def verify_theorem(
@@ -442,29 +290,84 @@ def verify_theorem(
         raise InvalidInput(f"size bound must be at least 1, got {size_bound}")
     if world_bound < 1:
         raise InvalidInput(f"world bound must be at least 1, got {world_bound}")
-    if theorem == "regularity":
-        return _verify_regularity(size_bound, world_bound, unsafe_bounds)
     if theorem == "eq1_implicative":
         return _verify_eq1_implicative(size_bound)
+    if theorem == "regularity":
+        # on a non-empty set, a filter holds its big meet
+        return _verify_biconditional(
+            theorem,
+            BOX_P,
+            lambda case, props: (props.is_filter, "nonfilter"),
+            lambda run: _regularity_witnesses(run, world_bound, unsafe_bounds),
+            _upset_matrices(_lattice_universe(size_bound)),
+            world_bound,
+            _REGULARITY_SCALE,
+            {"max_lattice_size": size_bound, "designated": "non-empty upsets"},
+            split=False,
+        )
+    eq1 = {"max_lattice_size": size_bound, "implication": f"strictly deductive ({DEDUCTIVE_EQ1})"}
     if theorem == "disj_dist":
-        return _verify_disj_dist(size_bound, world_bound, unsafe_bounds)
-    if theorem == "k_linear":
-        return _verify_k_linear(size_bound, world_bound, unsafe_bounds)
-    if theorem == "k_material":
-        return _verify_k_material(size_bound, world_bound, unsafe_bounds)
-    if theorem == "twist_k":
-        return _verify_twist_k(min(size_bound, _MAX_TWIST_ATOMS), world_bound, unsafe_bounds)
-    raise ValueError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
+        formula, matrices = BOX_DISJUNCTION_DIST, _eq1_matrices(size_bound)
+        classify = lambda case, props: (props.is_implicative is True, "nonimplicative")
+        universe = {**eq1, "designated": "non-empty upsets"}
+    elif theorem == "k_linear":
+        formula, matrices = AXIOM_K, _eq1_matrices(size_bound)
+        # the canonical non-linearity witness applies to filters only
+        classify = lambda case, props: (
+            props.is_filter and props.linear_outside,
+            "nonlinear_k" if props.is_filter else None,
+        )
+        universe = {**eq1, "designated": "non-empty upsets; structural side requires a filter"}
+    elif theorem == "k_material":
+        formula, matrices = AXIOM_K, _k_material_matrices(size_bound)
+        classify = lambda case, props: (props.is_implicative is True, "nonimplicative_k_material")
+        universe = {
+            "max_lattice_size": size_bound,
+            "implication": MATERIAL,
+            "negations": "all anti-monotone involutions",
+            "lattices": "down-distributive only",
+            "designated": "non-empty upsets",
+        }
+    elif theorem == "twist_k":
+        atoms = min(size_bound, _MAX_TWIST_ATOMS)
+        formula, matrices = AXIOM_K, _twist_matrices(atoms)
+        classify = lambda case, props: (
+            set(case["ones"]) <= set(case["designated"]),
+            "nonimplicative_k_material",
+        )
+        universe = {
+            "twist_atoms": list(range(1, atoms + 1)),
+            "carrier": "join-to-top pair restriction",
+            "implication": MATERIAL,
+            "designated": "all upsets (empty included)",
+            "structural": "designated contains every first-coordinate-top pair",
+        }
+    else:
+        raise ValueError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
+    return _verify_biconditional(
+        theorem,
+        formula,
+        classify,
+        lambda run: _find_counterexamples(
+            run, formula, world_bound, BoxMode.NORMAL_MEET, unsafe_bounds
+        ),
+        matrices,
+        world_bound,
+        3,
+        universe,
+    )
 
 
 def run_suite(config: HarnessConfig | None = None) -> tuple[list[TheoremReport], int]:
-    """All six checks plus the five-element regression; exit 0 iff all pass."""
+    """All six checks plus the five-element regression; exit 0 iff all pass.
+    Regularity runs at its proof scale and twist_k at its largest atom count,
+    whatever the configured bounds."""
     config = config or HarnessConfig()
     reports = [
         verify_theorem(
             theorem,
-            config.twist_atoms if theorem == "twist_k" else config.size_bound,
-            _PROOF_SCALE["regularity"] if theorem == "regularity" else config.world_bound,
+            _MAX_TWIST_ATOMS if theorem == "twist_k" else config.size_bound,
+            _REGULARITY_SCALE if theorem == "regularity" else config.world_bound,
             unsafe_bounds=config.unsafe_bounds,
         )
         for theorem in THEOREM_IDS

@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from typing import TYPE_CHECKING, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import BoundTooLarge, InvalidInput, MissingOperation, UnboundVariable
 from .formula import (
@@ -58,6 +58,7 @@ from .formula import (
 from .lattice import Lattice, Matrix
 from .record import Record
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 

@@ -20,7 +20,7 @@ load it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     BoundTooLarge,
@@ -33,6 +33,7 @@ from .errors import (
 from .formula import Formula, compile_formula, interpret, is_modal_free, variables
 from .record import Record
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -106,9 +107,6 @@ class Lattice(Record):
     def with_imp(self, imp: ImplicationTable) -> "Lattice":
         _check_binary_table(imp.table, self.n)
         return self._replace(imp=imp)
-
-    def named(self, name: str) -> "Lattice":
-        return self._replace(name=name)
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Hasse edges (i, j): i < j with nothing strictly between."""

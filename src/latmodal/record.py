@@ -6,8 +6,7 @@ or keyword, equality with objects of the same class only, the hash of the
 tuple of its fields, the ``Name(field=value, ...)`` repr, and
 ``AttributeError`` on assignment and deletion.  ``_fields`` names the
 fields in order, and ``_replace`` returns a copy with some fields changed,
-made through the class's ``__init__`` so that its checks run again.  A
-class declared with ``frozen=False`` may be assigned to and is unhashable.
+made through the class's ``__init__`` so that its checks run again.
 
 The fields are read once, when the class is defined, and no method is
 generated, so defining a class costs microseconds and imports nothing.  A
@@ -31,7 +30,7 @@ class Record:
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__annotations__)
         cls._fields = cls._fields + own
@@ -43,10 +42,6 @@ class Record:
             if len(fields) > 1
             else lambda obj: tuple([getattr(obj, f) for f in fields])
         )
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -64,7 +64,7 @@ import functools
 import itertools
 import operator
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import BoundTooLarge, InvalidInput, MissingOperation, WitnessNotApplicable
 from .formula import (
@@ -85,6 +85,7 @@ from .kripke import (
     CounterexampleReport,
     Frame,
     MAX_VALUATION_SPACE,
+    MAX_WORLDS,
     KripkeModel,
     _guard_valuation_space,
     _Plan,
@@ -97,6 +98,7 @@ from .kripke import (
 from .lattice import DesignatedProperties, Lattice, Matrix, big_meet, check_designated
 from .record import Record
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -106,8 +108,6 @@ if TYPE_CHECKING:
 AXIOM_K = parse("[](p -> q) -> ([]p -> []q)")
 BOX_P = parse("[]p")
 BOX_DISJUNCTION_DIST = parse("([]p | []q) -> [](p | q)")
-
-MAX_FRAME_WORLDS = 4
 
 WITNESS_KINDS = (
     "nonfilter",
@@ -147,8 +147,8 @@ def _canonical_masks(n_worlds: int) -> tuple[int, ...]:
 def _check_world_bound(max_worlds: int, unsafe_bounds: bool) -> None:
     if max_worlds < 1:
         raise InvalidInput(f"world bound must be at least 1, got {max_worlds}")
-    if max_worlds > MAX_FRAME_WORLDS and not unsafe_bounds:
-        raise BoundTooLarge(f"frame enumeration is guarded to {MAX_FRAME_WORLDS} worlds")
+    if max_worlds > MAX_WORLDS and not unsafe_bounds:
+        raise BoundTooLarge(f"frame enumeration is guarded to {MAX_WORLDS} worlds")
 
 
 def enumerate_frames(max_worlds: int, *, unsafe_bounds: bool = False) -> Iterator[Frame]:

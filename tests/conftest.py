@@ -3,6 +3,9 @@ import pytest
 from latmodal import (
     DEDUCTIVE_EQ1,
     MATERIAL,
+    ImplicationTable,
+    Matrix,
+    WitnessNotApplicable,
     belnap_four,
     boolean_algebra,
     build_implication,
@@ -66,3 +69,37 @@ def c3_material_lp(c3):
 @pytest.fixture
 def c3_eq1(c3):
     return matrix_from_names(c3.with_imp(build_implication(c3, DEDUCTIVE_EQ1)), ["h", "1"])
+
+
+@pytest.fixture
+def corrupted_k5(monkeypatch):
+    """The harness's K5 with its a -> b entry moved to f, which breaks box-K."""
+    import latmodal.harness
+
+    base = antichain_k5()
+    lat = base.lattice
+    a, b = lat.index("a"), lat.index("b")
+    fallback = tuple(
+        tuple(
+            lat.index("f") if (x, y) == (a, b) else (lat.top if lat.leq[x][y] else y)
+            for y in range(lat.n)
+        )
+        for x in range(lat.n)
+    )
+    corrupted = Matrix(lat.with_imp(ImplicationTable(fallback)), base.designated)
+    monkeypatch.setattr(latmodal.harness, "antichain_k5", lambda: corrupted)
+
+
+@pytest.fixture
+def broken_witness(monkeypatch):
+    """The harness's nonlinear_k and nonfilter witnesses fail to build."""
+    import latmodal.harness
+
+    construct = latmodal.harness.construct_witness
+
+    def broken(kind, matrix, **kwargs):
+        if kind in ("nonlinear_k", "nonfilter"):
+            raise WitnessNotApplicable("broken on purpose")
+        return construct(kind, matrix, **kwargs)
+
+    monkeypatch.setattr(latmodal.harness, "construct_witness", broken)

@@ -20,13 +20,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(script: str) -> list[str]:
-    """Standard output lines of a script run in a fresh interpreter that
-    imports latmodal from this checkout."""
+def run_fresh(script: str, *flags: str) -> list[str]:
+    """Standard output lines of a script run in a fresh interpreter, with
+    these command-line flags, that imports latmodal from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert run.returncode == 0, run.stderr
     return run.stdout.splitlines()
@@ -232,7 +232,7 @@ def test_valid_query_leaves_numpy_ma_unimported(tmp_path, capsys):
     assert run_fresh(script)[-1] == "0 False"
 
 
-def _loaded_after_each(*argvs: list[str], modules=("numpy",)) -> list[str]:
+def _loaded_after_each(*argvs: list[str], modules=("numpy",), flags=()) -> list[str]:
     """Per command, run in turn in one fresh process: its name, its exit
     code and whether any of the modules is loaded after it."""
     script = (
@@ -245,7 +245,7 @@ def _loaded_after_each(*argvs: list[str], modules=("numpy",)) -> list[str]:
         "        code = main(argv)\n"
         "    print(argv[0], code, loaded())\n"
     )
-    return run_fresh(script)
+    return run_fresh(script, *flags)
 
 
 def _write_boolean4(tmp_path, capsys) -> str:
@@ -305,6 +305,20 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
         assert _loaded_after_each(argv, modules=("dataclasses", "inspect")) == [
             "import False",
             f"{argv[0]} {code} False",
+        ], argv
+
+
+def test_start_up_and_valid_queries_leave_typing_unimported():
+    # without -S, a site module that imports typing would hide latmodal's
+    # own import of it
+    lattice = str(DATA / "chain3_eq1_h_1.json")
+    for argv, code in (
+        (["valid", "--lattice", lattice, "--formula", BOX_K, "--max-worlds", "4"], 0),
+        (["valid", "--lattice", lattice, "--formula", "[]p -> p", "--max-worlds", "4"], 1),
+    ):
+        assert _loaded_after_each(argv, modules=("typing",), flags=("-S",)) == [
+            "import False",
+            f"valid {code} False",
         ], argv
 
 
@@ -498,6 +512,31 @@ def test_verify_all_compact_matches_the_golden_file(capsys):
     assert out.encode("utf-8") == golden.read_bytes()
 
 
+def test_verify_at_other_bounds_matches_the_golden_files(capsys):
+    # below and above each check's proof scale, and the twist clamp
+    for name, argv in (
+        ("all_size3_worlds1", ["--all", "--max-size", "3", "--max-worlds", "1"]),
+        ("all_size1_worlds2", ["--all", "--max-size", "1", "--max-worlds", "2"]),
+        ("regularity_size4_worlds1", ["--theorem", "regularity", "--max-size", "4", "--max-worlds", "1"]),
+        ("twist_k_size1", ["--theorem", "twist_k", "--max-size", "1"]),
+    ):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--compact")
+        assert code == 0, name
+        assert out.encode("utf-8") == (DATA / f"verify_{name}.json").read_bytes(), name
+
+
+def test_failing_reports_match_the_golden_files(corrupted_k5, request):
+    from latmodal.harness import HarnessConfig, run_suite, verify_theorem
+
+    reports, status = run_suite(HarnessConfig(size_bound=2, world_bound=3))
+    payload = {"status": status, "reports": [r.to_dict() for r in reports]}
+    assert dumps(payload, compact=True) + "\n" == (DATA / "run_suite_corrupted_k5.json").read_text()
+    request.getfixturevalue("broken_witness")  # only now, so the suite above keeps its witnesses
+    report = verify_theorem("k_linear", 4, 3)
+    golden = (DATA / "k_linear_broken_witness.json").read_text()
+    assert dumps(report.to_dict(), compact=True) + "\n" == golden
+
+
 def test_regular_matches_the_golden_files(capsys):
     # one golden per witness direction
     data = Path(__file__).parent / "data"
@@ -595,11 +634,10 @@ def test_verify_twist_k_at_default_bounds(capsys):
     report = json.loads(out)["reports"][0]
     assert report["universe"]["twist_atoms"] == [1, 2]
 
-    from latmodal import HarnessConfig, verify_theorem
+    from latmodal import run_suite
 
     # the report run_suite gives at its defaults
-    config = HarnessConfig()
-    suite_report = verify_theorem("twist_k", config.twist_atoms, config.world_bound)
+    suite_report = next(r for r in run_suite()[0] if r.theorem == "twist_k")
     assert report == suite_report.to_dict()
 
 

@@ -4,7 +4,6 @@ from latmodal import (
     DEDUCTIVE_EQ1,
     ImplicationTable,
     Matrix,
-    WitnessNotApplicable,
     build_implication,
     boolean_algebra,
     check_designated,
@@ -49,18 +48,8 @@ def test_k_linear_small():
     assert report.universe["structural_false_cases"] > 0
 
 
-def test_k_linear_reports_a_failing_nonlinearity_witness(monkeypatch):
+def test_k_linear_reports_a_failing_nonlinearity_witness(broken_witness):
     # and regularity its filter witness, through the same driver
-    import latmodal.harness
-
-    construct = latmodal.harness.construct_witness
-
-    def broken(kind, matrix, **kwargs):
-        if kind in ("nonlinear_k", "nonfilter"):
-            raise WitnessNotApplicable("broken on purpose")
-        return construct(kind, matrix, **kwargs)
-
-    monkeypatch.setattr(latmodal.harness, "construct_witness", broken)
     for theorem in ("k_linear", "regularity"):
         report = verify_theorem(theorem, 4, 3)
         assert not report.passed
@@ -169,29 +158,15 @@ def test_world_bound_one_marks_bounded_only():
 
 
 def test_run_suite_small_bounds():
-    config = HarnessConfig(size_bound=3, world_bound=2, twist_atoms=1)
+    config = HarnessConfig(size_bound=3, world_bound=2)
     reports, status = run_suite(config)
     assert status == 0
     assert [r.theorem for r in reports] == [*THEOREM_IDS, "k5_regression"]
     assert all(r.passed for r in reports)
 
 
-def test_run_suite_fails_on_corrupted_k5(monkeypatch):
-    import latmodal.harness
-
-    base = antichain_k5()
-    lat = base.lattice
-    a, b = lat.index("a"), lat.index("b")
-    fallback = tuple(
-        tuple(
-            lat.index("f") if (x, y) == (a, b) else (lat.top if lat.leq[x][y] else y)
-            for y in range(lat.n)
-        )
-        for x in range(lat.n)
-    )
-    corrupted = Matrix(lat.with_imp(ImplicationTable(fallback)), base.designated)
-    monkeypatch.setattr(latmodal.harness, "antichain_k5", lambda: corrupted)
-    reports, status = run_suite(HarnessConfig(size_bound=2, world_bound=3, twist_atoms=1))
+def test_run_suite_fails_on_corrupted_k5(corrupted_k5):
+    reports, status = run_suite(HarnessConfig(size_bound=2, world_bound=3))
     assert status == 1
     k5_report = [r for r in reports if r.theorem == "k5_regression"][0]
     assert not k5_report.passed

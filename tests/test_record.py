@@ -58,8 +58,8 @@ FIELDS = {
     "CounterexampleReport": ("matrix", "model", "formula", "world", "value", "box_mode"),
     "RegularityWitness": ("matrix", "model", "world", "box_value", "direction"),
     "RegularityResult": ("regular", "is_filter", "meet_in_designated", "witness"),
-    "TheoremReport": ("theorem", "universe", "cases", "passed", "failures", "notes"),
-    "HarnessConfig": ("size_bound", "world_bound", "twist_atoms", "unsafe_bounds"),
+    "TheoremReport": ("theorem", "universe", "cases", "failures", "notes"),
+    "HarnessConfig": ("size_bound", "world_bound", "unsafe_bounds"),
 }
 C2_REPR = (
     "Lattice(elements=('0', '1'), leq=((True, True), (False, True)), "
@@ -127,7 +127,7 @@ def test_a_record_never_equals_one_of_another_class():
     assert RegularityResult(*fields) != lattice.ImplicationClassification(*fields)
     assert EntailmentResult(True, None) != (True, None)
     assert Var("p") != Box(Var("p"))
-    assert HarnessConfig() != (5, 3, 2, False)
+    assert HarnessConfig() != (5, 3, False)
 
 
 def test_repr_names_the_class_and_every_field():
@@ -138,7 +138,7 @@ def test_repr_names_the_class_and_every_field():
         "ImplicationTable(table=((1, 1), (0, 1)), mode='custom')"
     )
     assert repr(HarnessConfig()) == (
-        "HarnessConfig(size_bound=5, world_bound=3, twist_atoms=2, unsafe_bounds=False)"
+        "HarnessConfig(size_bound=5, world_bound=3, unsafe_bounds=False)"
     )
 
 
@@ -158,10 +158,8 @@ def test_defaults_and_construction_errors():
     assert ImplicationTable(((1, 1), (0, 1))).mode == "custom"
     assert ImplicationTable(table=((1, 1), (0, 1)), mode="material").mode == "material"
     config = HarnessConfig()
-    assert (config.size_bound, config.world_bound, config.twist_atoms, config.unsafe_bounds) == (
-        5, 3, 2, False,
-    )
-    assert HarnessConfig(4, unsafe_bounds=True) == HarnessConfig(4, 3, 2, True)
+    assert (config.size_bound, config.world_bound, config.unsafe_bounds) == (5, 3, False)
+    assert HarnessConfig(4, unsafe_bounds=True) == HarnessConfig(4, 3, True)
     for make in (
         lambda: ImplicationTable(),  # missing
         lambda: ImplicationTable(((1,),), "custom", "extra"),  # too many
@@ -193,17 +191,9 @@ def test_constructors_normalise_and_check_their_fields():
     assert lat._replace(name="x").name == "x" and lat.name == "C3"
 
 
-def test_mutable_records_take_assignment_and_do_not_share_lists():
-    first, second = TheoremReport("a", {}, 0, True), TheoremReport("a", {}, 0, True)
-    assert first == second and first.failures is not second.failures
-    first.failures.append("x")
-    first.notes.append("y")
-    assert second.failures == [] and second.notes == [] and first != second
-    first.passed = False
-    assert not first.passed
-    config = HarnessConfig()
-    config.size_bound = 2
-    assert config == HarnessConfig(size_bound=2)
-    for record in (first, config):
-        with pytest.raises(TypeError):
-            hash(record)
+def test_reports_and_configs_reject_assignment():
+    report = TheoremReport("a", {}, 0, [], [])
+    assert report.passed and not TheoremReport("a", {}, 0, [{}], []).passed
+    for record, name in ((report, "failures"), (report, "passed"), (HarnessConfig(), "size_bound")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
