@@ -12,14 +12,22 @@ frame") is necessarily bounded by the world bound and reported as such.
 One driver runs all five biconditional checks, and one dispatch in
 ``verify_theorem`` states, for each, its formula, structural verdict,
 semantic search, matrices, proof scale and recorded universe.  The semantic
-side is a batch search, the frame search for counterexamples to a box
-formula or, for regularity, the search for a world where []p and "p at
-every successor" disagree; every witness it finds re-checks itself through
-the reference evaluator.  The matrices of one lattice come in a run, and
-each run is searched in one batch: one closure and one frame pass decide
-all its designated sets (see ``search``).  The lattices of each size are
-enumerated once per process.  Each report is built once, when its check
-has run, and is frozen; it passes when it records no failure.
+side is a batch search that scans no frame.  For a box formula it is the
+closure of box-value tuples, which decides each world bound exactly at modal
+depth <= 1, as all four box formulas are, and unfolds a failing matrix's
+counterexample, a fan within the world bound, from the cell that attains a
+value outside its designated set; the frame scan remains the fallback where
+the closure is not exact.  For regularity it is the closure of the pairs
+([]p, "p at every successor"), whose defect unfolds into a reflexive fan.
+Every witness re-checks itself through the reference evaluator.  Where a
+case fails, the report carries the canonically first counterexample, from
+the public search of that one matrix (``find_frame_counterexample``,
+``check_regularity``), so a report's bytes do not depend on which witness
+the batch found.  The matrices of one lattice come in a run, and each run
+is searched in one batch: one closure decides all its designated sets (see
+``search``).  The lattices of each size are enumerated once per process.
+Each report is built once, when its check has run, and is frozen; it
+passes when it records no failure.
 
 Universe conventions, chosen to mirror each property's hypotheses: the
 designated sets range over non-empty upward-closed subsets, except for
@@ -64,7 +72,8 @@ from .search import (
     BOX_DISJUNCTION_DIST,
     BOX_P,
     _find_counterexamples,
-    _regularity_witnesses,
+    _regularity_pair_witnesses,
+    check_regularity,
     construct_witness,
     find_frame_counterexample,
 )
@@ -105,9 +114,9 @@ class HarnessConfig(Record):
     unsafe_bounds: bool = False
 
 
-def _lattice_universe(size_bound: int) -> Iterator[Lattice]:
+def _lattice_universe(size_bound: int, unsafe_bounds: bool) -> Iterator[Lattice]:
     for n in range(1, size_bound + 1):
-        yield from enumerate_lattices(n)
+        yield from enumerate_lattices(n, unsafe_bounds=unsafe_bounds)
 
 
 def _case_id(lattice: Lattice, designated: frozenset[int]) -> dict:
@@ -126,14 +135,15 @@ def _upset_matrices(lattices: Iterable[Lattice]) -> Iterator[tuple[Matrix, dict]
                 yield Matrix(lat, upset), _case_id(lat, upset)
 
 
-def _eq1_matrices(size_bound: int) -> Iterator[tuple[Matrix, dict]]:
+def _eq1_matrices(size_bound: int, unsafe_bounds: bool) -> Iterator[tuple[Matrix, dict]]:
     return _upset_matrices(
-        lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1)) for lat in _lattice_universe(size_bound)
+        lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1))
+        for lat in _lattice_universe(size_bound, unsafe_bounds)
     )
 
 
-def _k_material_matrices(size_bound: int) -> Iterator[tuple[Matrix, dict]]:
-    for lat in _lattice_universe(size_bound):
+def _k_material_matrices(size_bound: int, unsafe_bounds: bool) -> Iterator[tuple[Matrix, dict]]:
+    for lat in _lattice_universe(size_bound, unsafe_bounds):
         if not check_lattice_properties(lat).down_distribution:
             continue
         for neg in enumerate_complementations(lat, "antimonotone_involutions"):
@@ -155,9 +165,9 @@ def _twist_matrices(max_atoms: int) -> Iterator[tuple[Matrix, dict]]:
             yield Matrix(lat, upset), {**_case_id(lat, upset), "atoms": atoms, "ones": ones}
 
 
-def _verify_eq1_implicative(size_bound: int) -> TheoremReport:
+def _verify_eq1_implicative(size_bound: int, unsafe_bounds: bool) -> TheoremReport:
     cases, failures = 0, []
-    for matrix, case in _eq1_matrices(size_bound):
+    for matrix, case in _eq1_matrices(size_bound, unsafe_bounds):
         cases += 1
         props = check_designated(matrix)
         if props.is_implicative is not True:
@@ -175,6 +185,7 @@ def _verify_biconditional(
     formula,
     classify: Callable[[dict, DesignatedProperties], tuple[bool, str | None]],
     search: Callable[[list[Matrix]], list],
+    first: Callable[[Matrix], object],
     matrices: Iterator[tuple[Matrix, dict]],
     world_bound: int,
     scale: int,
@@ -184,14 +195,17 @@ def _verify_biconditional(
 ) -> TheoremReport:
     """Shared driver: structural predicate <=> no semantic witness in bound.
 
-    ``search`` gives each matrix of a run of one lattice its first semantic
-    witness within the world bound, or None; a witness has ``recheck`` and
-    ``to_dict``.  ``classify`` gives a case's structural verdict, from its
-    case id and its ``check_designated`` result, and the kind of the
-    canonical witness that must falsify ``formula`` when the verdict is
-    false (None when no witness applies).  That result is computed once per
-    matrix and also given to ``construct_witness``.  The defect direction is
-    asserted only at a world bound of at least ``scale``, the proof scale.
+    ``search`` gives each matrix of a run of one lattice a semantic witness
+    within the world bound, or None; a witness has ``recheck`` and
+    ``to_dict``.  ``first`` gives one matrix its canonically first witness,
+    which a failing case records, so that the bytes of a report do not
+    depend on the witness ``search`` found.  ``classify`` gives a case's
+    structural verdict, from its case id and its ``check_designated``
+    result, and the kind of the canonical witness that must falsify
+    ``formula`` when the verdict is false (None when no witness applies).
+    That result is computed once per matrix and also given to
+    ``construct_witness``.  The defect direction is asserted only at a
+    world bound of at least ``scale``, the proof scale.
     The report's universe adds the world bound to ``universe`` and, with
     ``split``, the formula and the counts of structurally true and false
     cases.
@@ -228,7 +242,7 @@ def _verify_biconditional(
             if not ok:
                 entry = {**case, "structural": structural, "semantic": semantic}
                 if witness is not None:
-                    entry["counterexample"] = witness.to_dict()
+                    entry["counterexample"] = first(matrix).to_dict()
                 failures.append(entry)
     universe = {**universe, "world_bound": world_bound}
     if split:
@@ -291,15 +305,18 @@ def verify_theorem(
     if world_bound < 1:
         raise InvalidInput(f"world bound must be at least 1, got {world_bound}")
     if theorem == "eq1_implicative":
-        return _verify_eq1_implicative(size_bound)
+        return _verify_eq1_implicative(size_bound, unsafe_bounds)
     if theorem == "regularity":
         # on a non-empty set, a filter holds its big meet
         return _verify_biconditional(
             theorem,
             BOX_P,
             lambda case, props: (props.is_filter, "nonfilter"),
-            lambda run: _regularity_witnesses(run, world_bound, unsafe_bounds),
-            _upset_matrices(_lattice_universe(size_bound)),
+            lambda run: _regularity_pair_witnesses(run, world_bound, unsafe_bounds),
+            lambda matrix: check_regularity(
+                matrix, world_bound, unsafe_bounds=unsafe_bounds
+            ).witness,
+            _upset_matrices(_lattice_universe(size_bound, unsafe_bounds)),
             world_bound,
             _REGULARITY_SCALE,
             {"max_lattice_size": size_bound, "designated": "non-empty upsets"},
@@ -307,11 +324,11 @@ def verify_theorem(
         )
     eq1 = {"max_lattice_size": size_bound, "implication": f"strictly deductive ({DEDUCTIVE_EQ1})"}
     if theorem == "disj_dist":
-        formula, matrices = BOX_DISJUNCTION_DIST, _eq1_matrices(size_bound)
+        formula, matrices = BOX_DISJUNCTION_DIST, _eq1_matrices(size_bound, unsafe_bounds)
         classify = lambda case, props: (props.is_implicative is True, "nonimplicative")
         universe = {**eq1, "designated": "non-empty upsets"}
     elif theorem == "k_linear":
-        formula, matrices = AXIOM_K, _eq1_matrices(size_bound)
+        formula, matrices = AXIOM_K, _eq1_matrices(size_bound, unsafe_bounds)
         # the canonical non-linearity witness applies to filters only
         classify = lambda case, props: (
             props.is_filter and props.linear_outside,
@@ -319,7 +336,7 @@ def verify_theorem(
         )
         universe = {**eq1, "designated": "non-empty upsets; structural side requires a filter"}
     elif theorem == "k_material":
-        formula, matrices = AXIOM_K, _k_material_matrices(size_bound)
+        formula, matrices = AXIOM_K, _k_material_matrices(size_bound, unsafe_bounds)
         classify = lambda case, props: (props.is_implicative is True, "nonimplicative_k_material")
         universe = {
             "max_lattice_size": size_bound,
@@ -349,7 +366,10 @@ def verify_theorem(
         formula,
         classify,
         lambda run: _find_counterexamples(
-            run, formula, world_bound, BoxMode.NORMAL_MEET, unsafe_bounds
+            run, formula, world_bound, BoxMode.NORMAL_MEET, unsafe_bounds, canonical=False
+        ),
+        lambda matrix: find_frame_counterexample(
+            matrix, formula, world_bound, unsafe_bounds=unsafe_bounds
         ),
         matrices,
         world_bound,

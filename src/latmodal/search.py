@@ -33,16 +33,24 @@ harness asks: one closure, grown until every set is settled, and one pass
 over the canonical frames, which computes each frame's root values once and
 gives each set still open its own first failure.  ``check_regularity`` is
 batched the same way: each frame's []p values are computed once per
-lattice.  The public searches are the batches of one.
+lattice.  The public searches are the batches of one.  The harness, which
+needs a witness of each failure but not the canonically first one, scans
+no frame: see the fans below, and ``_regularity_pair_witnesses``, a closure
+of ([]p, "p at every successor") pairs.
 
 At modal depth <= 1, t(s, c) = t(s) and round m - 1 decides the frames of
 at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
 irreflexive world and t(s) meet such a meet at a reflexive one, and each
 such (s, c) occurs on a fan of at most m worlds.  So the frame scan of a
 failing formula of depth <= 1 starts at the world count of the first round
-that fails.  A deeper formula that fails the closure may still hold within
-the bound; for it, as for every failing formula, the frame scan decides and
-finds the canonically first counterexample.
+that fails.  There the rounds also record, for each tuple, the tuple of
+the round before and the valuation s' whose t(s') it was met with, and for
+each root value the first (s, c) that attains it, with or without the
+root among its own successors: a failure unfolds from them into its fan
+(``_fan``), which the harness takes as its witness instead of scanning.  A
+deeper formula that fails the closure may still hold within the bound; for
+it, as for every failing formula of ``find_frame_counterexample``, the
+frame scan decides and finds the canonically first counterexample.
 
 The closure and the frame scan each have two backends that give the same
 results: a scalar one on Python lists and an array one on numpy.  The
@@ -193,7 +201,7 @@ _CLOSURE_BLOCK = 1 << 20  # about the most values one array of the closure holds
 _SCALAR_CLOSURE_BOUND = 1 << 13
 
 
-def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
+def _closure_rounds(lat: Lattice, f: Formula) -> _Closure:
     """The closure of box-value tuples of f on the lattice (see the module
     docstring), one round at a time: after each, whether each value, by
     index, is a root value so far (at modal depth <= 1 also with the root
@@ -201,7 +209,8 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
     evaluate, which is the fixpoint.  None, and no further round, once the
     rows evaluated and met exceed MAX_VALUATION_SPACE: the closure can grow
     exponentially with the modal depth.  Reads no designated set.  Needs
-    every connective of f defined.
+    every connective of f defined.  At modal depth <= 1 the rounds also
+    record where each root value comes from (``_Closure``).
 
     Two backends give the same rounds: on Python sets where numpy is not
     loaded yet and the closure is small (``_SCALAR_CLOSURE_BOUND``), so that
@@ -210,14 +219,39 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round | None]:
     plan = _plan_for(lat, f)
     width = sum(kind == BOX for kind, _, _ in plan.nodes)
     if "numpy" not in sys.modules and plan.n ** (len(plan.names) + width) <= _SCALAR_CLOSURE_BOUND:
-        return _scalar_closure_rounds(plan)
-    return _array_closure_rounds(plan)
+        return _Closure(plan, _scalar_closure_rounds)
+    return _Closure(plan, _array_closure_rounds)
 
 
-def _scalar_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
+class _Closure:
+    """The rounds of ``_closure_rounds``, an iterator, and at modal depth
+    <= 1 their provenance, from which ``_fan`` unfolds a counterexample.
+    There a row of round h >= 1 is a meet of h generators t(s), and
+    ``parents[h - 1]`` holds, per row of round h, the index of the row of
+    round h - 1 and the index of the valuation s whose t(s) it was met
+    with (two sequences); ``cells`` maps each root value attained to the
+    first cell that attains it: (round, whether the root is its own
+    successor, row, valuation).  Valuations are indexed in the order of
+    ``itertools.product``, the last variable fastest."""
+
+    def __init__(self, plan: _Plan, backend):
+        self.plan = plan
+        self.parents: list[tuple] = []
+        self.cells: dict[int, tuple[int, bool, int, int]] = {}
+        self._rounds = backend(plan, self if modal_depth(plan.formula) <= 1 else None)
+
+    def __iter__(self) -> _Closure:
+        return self
+
+    def __next__(self) -> _Round | None:
+        return next(self._rounds)
+
+
+def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterator[_Round | None]:
     """``_closure_rounds`` with the tuples in Python sets, evaluated through
     ``node_values`` on lists, one entry per (tuple, valuation); the values
-    attained are a list of bools."""
+    attained are a list of bools.  Records its provenance in ``trace``, if
+    given (at modal depth <= 1 only)."""
     lat, nodes, names, n = plan.lattice, plan.nodes, plan.names, plan.n
     meet, connective = lat.meet_table, plan.list_connective
     # every valuation s of the variables, last one fastest, and its columns
@@ -231,7 +265,7 @@ def _scalar_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
     closure, new, generators = {top}, [top], set()
     collect = bool(box_ids)
     attained, work = [False] * n, 0
-    while True:
+    for h in itertools.count():
         work += len(new) * len(valuations)
         if work > MAX_VALUATION_SPACE:
             yield None
@@ -246,13 +280,20 @@ def _scalar_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
             roots.update(loop[-1])
         for v in roots:
             attained[v] = True
-        found = set(zip(*(values[nodes[i][1]] for i in box_ids))) if collect else set()
+        if trace is not None:
+            for looped, column in ((False, values[-1]), (True, loop[-1])):
+                for v in set(column) - trace.cells.keys():
+                    trace.cells[v] = (h, looped, *divmod(column.index(v), len(valuations)))
+        tuples = list(zip(*(values[nodes[i][1]] for i in box_ids))) if collect else []
         yield attained.copy(), not new
         if not box_ids:
             new = []
             continue
+        if trace is not None and collect:
+            # round 0 evaluates the one row all-top, so each tuple's index is its valuation's
+            origin = {t: s for s, t in enumerate(tuples)}
         collect = not bounded
-        fresh = found - closure  # the closure holds every generator
+        fresh = set(tuples) - closure  # the closure holds every generator
         work += len(new) * len(generators) + len(closure) * len(fresh)
         if work > MAX_VALUATION_SPACE:
             yield None
@@ -260,16 +301,25 @@ def _scalar_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
         pairs = itertools.chain(
             itertools.product(new, generators), itertools.product(closure, fresh)
         )
-        meets = {tuple([meet[a][b] for a, b in zip(x, y)]) for x, y in pairs}
+        # each meet, with one pair it is the meet of
+        meets = {tuple([meet[a][b] for a, b in zip(x, y)]): (x, y) for x, y in pairs}
         generators |= fresh
-        new = list(meets - closure)
-        closure |= meets
+        if trace is not None:
+            # at depth <= 1 the pairs are new x generators, and in round 0,
+            # where new is the closure, closure x fresh
+            row = {c: j for j, c in enumerate(new)}
+        new = [c for c in meets if c not in closure]
+        closure.update(new)
+        if trace is not None:
+            sources = [meets[c] for c in new]
+            trace.parents.append(([row[x] for x, _ in sources], [origin[y] for _, y in sources]))
 
 
-def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
+def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterator[_Round | None]:
     """``_closure_rounds`` on numpy arrays of tuples, each round's new
     tuples evaluated in blocks by ``node_values`` over broadcasting arrays;
-    the values attained are a boolean array."""
+    the values attained are a boolean array.  Records its provenance in
+    ``trace``, if given (at modal depth <= 1 only)."""
     import numpy as np
 
     lat, nodes, names, dtype, n = plan.lattice, plan.nodes, plan.names, plan.dtype, plan.n
@@ -287,7 +337,7 @@ def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
     collect = width > 0
     chunk = max(1, _CLOSURE_BLOCK // grid.shape[1])
     attained, work = np.zeros(n, dtype=bool), 0
-    while True:
+    for h in itertools.count():
         work += len(new) * grid.shape[1]
         if work > MAX_VALUATION_SPACE:
             yield None
@@ -301,6 +351,15 @@ def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
                 # a root among its own successors
                 loop = plan.node_values(own, lambda i, arg: plan.connective(AND, arg, c[column[i]]))
                 attained[loop[-1]] = True
+            if trace is not None:
+                for looped, roots in ((False, values[-1]), (True, loop[-1])):
+                    # (valuation, row) -> root value
+                    roots = np.broadcast_to(roots, (grid.shape[1], c.shape[1]))
+                    for v in set(np.flatnonzero(attained).tolist()) - trace.cells.keys():
+                        hits = (roots == v).ravel()
+                        if hits.any():
+                            s, j = divmod(int(np.argmax(hits)), c.shape[1])
+                            trace.cells[v] = (h, looped, start + j, s)
             if collect:
                 tuples = np.stack(np.broadcast_arrays(*(values[nodes[i][1]] for i in box_ids)), -1)
                 found.append(_merge(none, tuples.reshape(-1, width), n)[0])
@@ -308,20 +367,95 @@ def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
         if not width:
             new = none
             continue
-        collect = not bounded
         grown, fresh = _merge(generators, _merge(closure, np.concatenate(found), n)[1], n)
+        if trace is not None and collect:
+            # round 0 evaluates the one row all-top, so each tuple's index is its valuation's
+            origin = _locate(grown, tuples.reshape(-1, width), n)
+        collect = not bounded
         work += len(new) * len(generators) + len(closure) * len(fresh)
         if work > MAX_VALUATION_SPACE:
             yield None
             return
-        meets = [none]
-        for x, y in ((new, generators), (closure, fresh)):
+        # at depth <= 1 these are new x grown: in round 0 there are no
+        # generators yet and new is the closure, later nothing is fresh
+        pairs = ((new, grown),) if bounded else ((new, generators), (closure, fresh))
+        meets, sources = [none], [np.zeros(0, np.int64)]
+        for x, y in pairs:
             step = max(1, _CLOSURE_BLOCK // max(1, len(y) * width))
             for start in range(0, len(x), step):
                 block = plan.connective(AND, x[start : start + step, None], y[None])
-                meets.append(_merge(none, block.reshape(-1, width), n)[0])
+                block = block.reshape(-1, width)
+                if trace is None:
+                    meets.append(_merge(none, block, n)[0])
+                else:
+                    first = _first_rows(block, n)
+                    meets.append(block[first])
+                    sources.append(start * len(y) + first)
         generators = grown
-        closure, new = _merge(closure, np.concatenate(meets), n)
+        meets = np.concatenate(meets)
+        closure, new = _merge(closure, meets, n)
+        if trace is not None:
+            # the flat index in new x grown of one pair that each new row is the meet of
+            at = np.concatenate(sources)[_locate(new, meets, n)]
+            trace.parents.append((at // len(grown), origin[at % len(grown)]))
+
+
+def _codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row of values below n as one integer, its digits in base n."""
+    import numpy as np
+
+    return rows @ n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def _first_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The index of the first occurrence of each distinct row."""
+    import numpy as np
+
+    codes = _codes(rows, n)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return order[keep]
+
+
+def _locate(rows: np.ndarray, among: np.ndarray, n: int) -> np.ndarray:
+    """For each row, the index of one equal row of among, which holds
+    every row."""
+    import numpy as np
+
+    codes = _codes(among, n)
+    order = np.argsort(codes)
+    return order[np.searchsorted(codes[order], _codes(rows, n))]
+
+
+def _fan(closure: _Closure, matrix: Matrix) -> CounterexampleReport:
+    """The counterexample that the first cell attaining a root value outside
+    the matrix's designated set unfolds into, at modal depth <= 1: a fan,
+    whose root w0 takes the cell's valuation, with one leaf for each
+    generator t(s) its row is the meet of, taking s, and the root among its
+    own successors for a loop cell.  A cell of round h gives h + 1 worlds,
+    so a failure that the closure finds by round m - 1 gets a witness of at
+    most m worlds."""
+    plan = closure.plan
+    value, (h, loop, row, s) = min(
+        ((v, cell) for v, cell in closure.cells.items() if v not in matrix.designated),
+        key=lambda item: item[1],
+    )
+    valuations = [s]
+    for parent, valuation in reversed(closure.parents[:h]):
+        valuations.append(int(valuation[row]))
+        row = int(parent[row])
+    k, n = len(plan.names), plan.n
+    assignment = {
+        (w, name): t // n ** (k - 1 - j) % n
+        for w, t in enumerate(valuations)
+        for j, name in enumerate(plan.names)
+    }
+    worlds = tuple(f"w{w}" for w in range(len(valuations)))
+    rel = {(0, w) for w in range(0 if loop else 1, len(worlds))}
+    model = KripkeModel(Frame(worlds, frozenset(rel)), plan.lattice, assignment)
+    return CounterexampleReport(matrix, model, plan.formula, 0, value, BoxMode.NORMAL_MEET)
 
 
 def find_frame_counterexample(
@@ -350,13 +484,22 @@ def find_frame_counterexample(
 
 
 def _find_counterexamples(
-    matrices: Sequence[Matrix], f: Formula, max_worlds: int, mode: BoxMode, unsafe_bounds: bool
+    matrices: Sequence[Matrix],
+    f: Formula,
+    max_worlds: int,
+    mode: BoxMode,
+    unsafe_bounds: bool,
+    *,
+    canonical: bool = True,
 ) -> list[CounterexampleReport | None]:
     """``find_frame_counterexample`` of each matrix, all of one lattice: one
     closure settles every designated set that passes it, and one frame scan
     computes each frame's root values once for the sets still open, each
     taking its own first failure.  Raises what the first of them to raise
-    alone would."""
+    alone would.  Without ``canonical``, where the closure decides a formula
+    of modal depth <= 1 each failing set gets the fan that the closure
+    unfolds (``_fan``) instead, within the world bound, and no frame is
+    scanned."""
     lat, n_vars = matrices[0].lattice, len(variables(f))
     _check_world_bound(max_worlds, unsafe_bounds)
     scan = list(range(len(matrices)))
@@ -383,7 +526,8 @@ def _find_counterexamples(
     if exact:
         # at depth <= 1 round m decides the frames of at most m worlds; the
         # root values attained only grow, so a set once failed stays failed
-        for worlds, round_ in enumerate(_closure_rounds(lat, f), 1):
+        closure = _closure_rounds(lat, f)
+        for worlds, round_ in enumerate(closure, 1):
             if round_ is None:
                 break
             attained = frozenset(itertools.compress(range(lat.n), round_[0]))
@@ -391,6 +535,8 @@ def _find_counterexamples(
             if bounded and not any(failed):
                 start = worlds + 1
             if all(failed) or round_[1] or bounded and worlds == max_worlds:
+                if bounded and not canonical:
+                    return [_fan(closure, m) if was else None for was, m in zip(failed, matrices)]
                 scan = [i for i, was in enumerate(failed) if was]
                 break
     frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)
@@ -560,6 +706,56 @@ def _regularity_witnesses(
         if not scan:
             break
     return witnesses
+
+
+def _regularity_pair_witnesses(
+    matrices: Sequence[Matrix], max_worlds: int, unsafe_bounds: bool
+) -> list[RegularityWitness | None]:
+    """``check_regularity``'s verdict on each matrix, by a closure instead
+    of a frame scan: a world's []p and "p at every successor" are the pair
+    (meet S, whether S lies in D) of the multiset S of its successors'
+    values of p.  A world of a frame of at most m worlds has at most m
+    successors, and every multiset of m values is that of the root of the
+    reflexive fan w0 -> {w0, ..., w(m-1)}; a world without successors gives
+    (top, True).  So the closure of those pairs under the componentwise
+    (meet, and), over multisets of at most max_worlds values, decides the
+    bound exactly, and a pair (m, b) with (m in D) != b is a defect.  The
+    witness is the fan of the first defect found, fewest values first."""
+    _check_world_bound(max_worlds, unsafe_bounds)
+    return [_regularity_pair_witness(matrix, max_worlds) for matrix in matrices]
+
+
+def _regularity_pair_witness(matrix: Matrix, max_worlds: int) -> RegularityWitness | None:
+    lat, designated = matrix.lattice, matrix.designated
+    meet = lat.meet_table
+    # the pairs first reached by k values, each with those values; k = 0 is a dead end
+    layer, reached = {(lat.top, True): ()}, set()
+    for _ in range(max_worlds + 1):
+        for (box, holds), values in layer.items():
+            if (box in designated) != holds:
+                return _regularity_fan(matrix, values, box, holds)
+        reached.update(layer)
+        extended = (
+            ((meet[box][x], holds and x in designated), (*values, x))
+            for (box, holds), values in layer.items()
+            for x in range(lat.n)
+        )
+        layer = {pair: values for pair, values in extended if pair not in reached}
+    return None
+
+
+def _regularity_fan(
+    matrix: Matrix, values: tuple[int, ...], box: int, holds: bool
+) -> RegularityWitness:
+    """The witness of the pair that the multiset ``values`` reaches: w0
+    with the k values as its successors, itself the first of them, or a
+    world without successors for none."""
+    lat = matrix.lattice
+    worlds = tuple(f"w{w}" for w in range(max(1, len(values))))
+    frame = Frame(worlds, frozenset((0, w) for w in range(len(values))))
+    valuation = {(w, "p"): x for w, x in enumerate(values or (lat.top,))}
+    model = KripkeModel(frame, lat, valuation)
+    return RegularityWitness(matrix, model, 0, box, _DIRECTIONS[holds])
 
 
 # ---------------------------------------------------------------------------

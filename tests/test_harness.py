@@ -2,6 +2,7 @@ import pytest
 
 from latmodal import (
     DEDUCTIVE_EQ1,
+    BoundTooLarge,
     ImplicationTable,
     Matrix,
     build_implication,
@@ -65,7 +66,7 @@ def test_k_linear_reports_a_failing_nonlinearity_witness(broken_witness):
 def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
     import latmodal.harness
 
-    search = latmodal.harness._regularity_witnesses
+    search = latmodal.harness._regularity_pair_witnesses
 
     def corrupted(matrices, max_worlds, unsafe):
         return [
@@ -73,7 +74,7 @@ def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
             for w in search(matrices, max_worlds, unsafe)
         ]
 
-    monkeypatch.setattr(latmodal.harness, "_regularity_witnesses", corrupted)
+    monkeypatch.setattr(latmodal.harness, "_regularity_pair_witnesses", corrupted)
     report = verify_theorem("regularity", 4, 2)
     assert not report.passed
     assert report.failures
@@ -170,6 +171,36 @@ def test_run_suite_fails_on_corrupted_k5(corrupted_k5):
     assert status == 1
     k5_report = [r for r in reports if r.theorem == "k5_regression"][0]
     assert not k5_report.passed
+
+
+def test_run_suite_scans_no_frame(monkeypatch):
+    """Every check of the default suite is decided by a closure: with the
+    frame scan and the regularity frame scan made to raise, it still passes
+    with the reports of the golden file."""
+    import json
+    from pathlib import Path
+
+    import latmodal.search
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the suite scanned frames")
+
+    monkeypatch.setattr(latmodal.search, "frame_root_values", no_scan)
+    monkeypatch.setattr(latmodal.search, "_regularity_witnesses", no_scan)
+    reports, status = run_suite()
+    assert status == 0
+    golden = Path(__file__).parent / "data" / "verify_all_compact.json"
+    assert [r.to_dict() for r in reports] == json.loads(golden.read_text())["reports"]
+
+
+def test_unsafe_bounds_reach_the_lattice_enumeration(monkeypatch):
+    import latmodal.enumeration
+
+    monkeypatch.setattr(latmodal.enumeration, "MAX_ENUM_SIZE", 3)
+    for theorem in ("regularity", "eq1_implicative", "disj_dist", "k_linear", "k_material"):
+        assert verify_theorem(theorem, 4, 2, unsafe_bounds=True).passed, theorem
+        with pytest.raises(BoundTooLarge):
+            verify_theorem(theorem, 4, 2)
 
 
 def test_unknown_theorem_id():

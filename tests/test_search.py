@@ -267,6 +267,30 @@ def test_regularity_matches_the_model_scan():
     assert witnesses > 0
 
 
+def test_regularity_pair_closure_matches_the_frame_scan():
+    """The harness's regularity search, by the closure of the pairs
+    ([]p, "p at every successor"), against the frame scan: every upset of
+    every lattice of at most 5 elements, the empty one included, at bounds
+    1 to 3; each witness re-checks itself and fits the bound."""
+    from latmodal import enumerate_lattices, enumerate_upsets
+
+    verdicts = {True: 0, False: 0}
+    for n in range(1, 6):
+        for lat in enumerate_lattices(n):
+            matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat)]
+            assert frozenset() in [m.designated for m in matrices]
+            for bound in (1, 2, 3):
+                scanned = latmodal.search._regularity_witnesses(matrices, bound, False)
+                closed = latmodal.search._regularity_pair_witnesses(matrices, bound, False)
+                for matrix, scan, witness in zip(matrices, scanned, closed):
+                    assert (scan is None) == (witness is None), (matrix, bound)
+                    if witness is not None:
+                        assert witness.recheck(), (matrix, bound)
+                        assert len(witness.model.frame.worlds) <= bound
+                    verdicts[witness is None] += 1
+    assert verdicts == {True: 126, False: 48}
+
+
 # ---------------------------------------------------------------------------
 # construct_witness
 
@@ -766,7 +790,53 @@ def test_each_lattice_and_frame_is_evaluated_once_per_check(monkeypatch):
     monkeypatch.setattr(latmodal.search, "frame_root_values", counted)
     report = verify_theorem("k_linear", 5, 3)
     assert report.passed and report.universe["structural_false_cases"] > 0
-    # a search per matrix evaluated 162 (lattice, frame) pairs; every failing
-    # matrix fails the closure's round 1 first, so no one-world frame is scanned
-    assert len(calls) == len({(id(lat), frame) for lat, frame in calls}) == 20
-    assert {len(frame.worlds) for _, frame in calls} == {2}
+    # a search per matrix evaluated 162 (lattice, frame) pairs, and a frame
+    # scan of the failing matrices 20; their counterexamples are now the
+    # fans that the closure unfolds, so no frame is scanned
+    assert calls == []
+
+
+@pytest.mark.parametrize("backend", ["chosen", "scalar"])
+def test_closure_fans_match_the_frame_scan(monkeypatch, backend):
+    """The harness's batches, whose failing matrices get the fans that the
+    closure unfolds, against the canonical search: on the universes of
+    disj_dist, k_linear, k_material and twist_k and on every upset of every
+    lattice of at most 4 elements, for three formulas of modal depth 1 at
+    bounds 1 to 3, the same matrices fail, and each fan re-checks itself and
+    fits the bound.  The scalar closure runs where forced to (this process
+    has numpy loaded)."""
+    from latmodal import enumerate_upsets
+    from latmodal import harness
+
+    if backend == "scalar":
+        monkeypatch.setattr(
+            latmodal.search,
+            "_closure_rounds",
+            lambda lat, f: latmodal.search._Closure(
+                kripke._plan_for(lat, f), _scalar_closure_rounds
+            ),
+        )
+    universes = itertools.chain(
+        harness._eq1_matrices(5, False),
+        harness._k_material_matrices(5, False),
+        harness._twist_matrices(2),
+    )
+    runs = [
+        [matrix for matrix, _ in run]
+        for _, run in itertools.groupby(universes, key=lambda item: item[0].lattice)
+    ]
+    runs += [[Matrix(lat, upset) for upset in enumerate_upsets(lat)] for lat in _lattices_up_to(4)]
+    counts = {"failing": 0, "passing": 0}
+    for matrices, f, bound in itertools.product(
+        runs, [AXIOM_K, BOX_DISJUNCTION_DIST, parse("[]p -> p")], (1, 2, 3)
+    ):
+        args = (matrices, f, bound, BoxMode.NORMAL_MEET, False)
+        scanned = latmodal.search._find_counterexamples(*args)
+        fans = latmodal.search._find_counterexamples(*args, canonical=False)
+        for matrix, scan, fan in zip(matrices, scanned, fans):
+            assert (scan is None) == (fan is None), (matrix, f, bound)
+            if fan is not None:
+                assert fan.recheck() and len(fan.model.frame.worlds) <= bound, (matrix, f, bound)
+                assert fan.model.frame.rel <= {(0, w) for w in range(bound)}
+            counts["passing" if fan is None else "failing"] += 1
+    assert counts["failing"] > 0 and counts["passing"] > 0
