@@ -43,11 +43,11 @@ at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
 irreflexive world and t(s) meet such a meet at a reflexive one, and each
 such (s, c) occurs on a fan of at most m worlds.  So the frame scan of a
 failing formula of depth <= 1 starts at the world count of the first round
-that fails.  There the rounds also record, for each tuple, the tuple of
-the round before and the valuation s' whose t(s') it was met with, and for
-each root value the first (s, c) that attains it, with or without the
-root among its own successors: a failure unfolds from them into its fan
-(``_fan``), which the harness takes as its witness instead of scanning.  A
+that fails.  There the closure also keeps each round's tuples and the
+t(s) of each valuation s, so that a root value outside D unfolds into the
+fan that attains it (``_fan``): its first (s, c) in the first round that
+attains it, with c traced back, one t(s') at a time, to all-top.  The
+harness takes that fan as its witness instead of scanning frames.  A
 deeper formula that fails the closure may still hold within the bound; for
 it, as for every failing formula of ``find_frame_counterexample``, the
 frame scan decides and finds the canonically first counterexample.
@@ -72,7 +72,7 @@ import functools
 import itertools
 import operator
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import BoundTooLarge, InvalidInput, MissingOperation, WitnessNotApplicable
 from .formula import (
@@ -226,32 +226,40 @@ def _closure_rounds(lat: Lattice, f: Formula) -> _Closure:
 class _Closure:
     """The rounds of ``_closure_rounds``, an iterator, and at modal depth
     <= 1 their provenance, from which ``_fan`` unfolds a counterexample.
-    There a row of round h >= 1 is a meet of h generators t(s), and
-    ``parents[h - 1]`` holds, per row of round h, the index of the row of
-    round h - 1 and the index of the valuation s whose t(s) it was met
-    with (two sequences); ``cells`` maps each root value attained to the
-    first cell that attains it: (round, whether the root is its own
-    successor, row, valuation).  Valuations are indexed in the order of
-    ``itertools.product``, the last variable fastest."""
+    There a row (box-value tuple) of round h >= 1 is the meet of a row of
+    round h - 1 and a generator t(s).  ``attained`` keeps what each round
+    yielded of the values attained.  The backend keeps each round's rows
+    and the tuple t(s) of each valuation s, and sets two functions that
+    search them: ``cell(h, v)``, the first cell of round h attaining v, as
+    (whether the root is its own successor, row, valuation), and
+    ``parent(h, row)``, one (row of round h - 1, valuation s) whose meet
+    with t(s) the row is.  Rows are indexed within their round and
+    valuations in the order of ``itertools.product``, the last variable
+    fastest.  Only the cells and rows that a fan unfolds are searched, each
+    once, so a closure that fails no matrix pays for nothing more."""
 
     def __init__(self, plan: _Plan, backend):
         self.plan = plan
-        self.parents: list[tuple] = []
-        self.cells: dict[int, tuple[int, bool, int, int]] = {}
-        self._rounds = backend(plan, self if modal_depth(plan.formula) <= 1 else None)
+        self.attained: list = []
+        self.cell: Callable[[int, int], tuple[bool, int, int]] | None = None
+        self.parent: Callable[[int, int], tuple[int, int]] | None = None
+        self._rounds = backend(plan, self)
 
     def __iter__(self) -> _Closure:
         return self
 
     def __next__(self) -> _Round | None:
-        return next(self._rounds)
+        round_ = next(self._rounds)
+        if round_ is not None:
+            self.attained.append(round_[0])
+        return round_
 
 
 def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterator[_Round | None]:
     """``_closure_rounds`` with the tuples in Python sets, evaluated through
     ``node_values`` on lists, one entry per (tuple, valuation); the values
-    attained are a list of bools.  Records its provenance in ``trace``, if
-    given (at modal depth <= 1 only)."""
+    attained are a list of bools.  At modal depth <= 1 keeps its
+    provenance in ``trace``, if given."""
     lat, nodes, names, n = plan.lattice, plan.nodes, plan.names, plan.n
     meet, connective = lat.meet_table, plan.list_connective
     # every valuation s of the variables, last one fastest, and its columns
@@ -259,41 +267,62 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
     columns = dict(zip(names, map(list, zip(*valuations))))
     box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
     bounded = modal_depth(plan.formula) <= 1
+    trace = trace if bounded else None
+
+    def root_values(rows: list[tuple[int, ...]]) -> tuple[list, list[int]]:
+        """The values of every node at each (row, valuation), the valuation
+        fastest, and at depth <= 1 the root's with the root among its own
+        successors (else none)."""
+        own = {name: column * len(rows) for name, column in columns.items()}
+        boxed = {i: [c[j] for c in rows for _ in valuations] for j, i in enumerate(box_ids)}
+        values = plan.node_values(own, lambda i, arg: boxed[i], connective)
+        if not bounded:
+            return values, []
+        loop = plan.node_values(own, lambda i, arg: connective(AND, arg, boxed[i]), connective)
+        return values, loop[-1]
+
     # the box-value tuples reached and those not yet evaluated; generators
     # are the tuples t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
     top = (lat.top,) * len(box_ids)
     closure, new, generators = {top}, [top], set()
     collect = bool(box_ids)
     attained, work = [False] * n, 0
-    for h in itertools.count():
+    if trace is not None:
+        rows: list[list[tuple[int, ...]]] = []  # each round's
+        t_of: list[tuple[int, ...]] = []  # t(s) by valuation index s
+
+        def cell(h: int, v: int) -> tuple[bool, int, int]:
+            values, loop = root_values(rows[h])
+            looped = v not in values[-1]
+            return looped, *divmod((loop if looped else values[-1]).index(v), len(valuations))
+
+        def parent(h: int, j: int) -> tuple[int, int]:
+            for i, x in enumerate(rows[h - 1]):
+                for y in generators:
+                    if tuple([meet[a][b] for a, b in zip(x, y)]) == rows[h][j]:
+                        return i, t_of.index(y)
+            raise AssertionError("a row of the closure is no meet of the round before")
+
+        trace.cell, trace.parent = functools.cache(cell), functools.cache(parent)
+    while True:
         work += len(new) * len(valuations)
         if work > MAX_VALUATION_SPACE:
             yield None
             return
-        own = {name: column * len(new) for name, column in columns.items()}
-        boxed = {i: [c[j] for c in new for _ in valuations] for j, i in enumerate(box_ids)}
-        values = plan.node_values(own, lambda i, arg: boxed[i], connective)
-        roots = set(values[-1])
-        if bounded:
-            # a root among its own successors
-            loop = plan.node_values(own, lambda i, arg: connective(AND, arg, boxed[i]), connective)
-            roots.update(loop[-1])
+        values, loop = root_values(new)  # loop: a root among its own successors
+        roots = set(values[-1]).union(loop)
         for v in roots:
             attained[v] = True
+        found = list(zip(*(values[nodes[i][1]] for i in box_ids))) if collect else []
         if trace is not None:
-            for looped, column in ((False, values[-1]), (True, loop[-1])):
-                for v in set(column) - trace.cells.keys():
-                    trace.cells[v] = (h, looped, *divmod(column.index(v), len(valuations)))
-        tuples = list(zip(*(values[nodes[i][1]] for i in box_ids))) if collect else []
+            rows.append(new)
+            t_of += found  # round 0 evaluates the one row all-top, at each valuation
         yield attained.copy(), not new
         if not box_ids:
             new = []
             continue
-        if trace is not None and collect:
-            # round 0 evaluates the one row all-top, so each tuple's index is its valuation's
-            origin = {t: s for s, t in enumerate(tuples)}
         collect = not bounded
-        fresh = set(tuples) - closure  # the closure holds every generator
+        fresh = set(found) - closure  # the closure holds every generator
         work += len(new) * len(generators) + len(closure) * len(fresh)
         if work > MAX_VALUATION_SPACE:
             yield None
@@ -301,25 +330,17 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
         pairs = itertools.chain(
             itertools.product(new, generators), itertools.product(closure, fresh)
         )
-        # each meet, with one pair it is the meet of
-        meets = {tuple([meet[a][b] for a, b in zip(x, y)]): (x, y) for x, y in pairs}
+        meets = {tuple([meet[a][b] for a, b in zip(x, y)]) for x, y in pairs}
         generators |= fresh
-        if trace is not None:
-            # at depth <= 1 the pairs are new x generators, and in round 0,
-            # where new is the closure, closure x fresh
-            row = {c: j for j, c in enumerate(new)}
-        new = [c for c in meets if c not in closure]
-        closure.update(new)
-        if trace is not None:
-            sources = [meets[c] for c in new]
-            trace.parents.append(([row[x] for x, _ in sources], [origin[y] for _, y in sources]))
+        new = list(meets - closure)
+        closure |= meets
 
 
 def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterator[_Round | None]:
     """``_closure_rounds`` on numpy arrays of tuples, each round's new
     tuples evaluated in blocks by ``node_values`` over broadcasting arrays;
-    the values attained are a boolean array.  Records its provenance in
-    ``trace``, if given (at modal depth <= 1 only)."""
+    the values attained are a boolean array.  At modal depth <= 1 keeps
+    its provenance in ``trace``, if given."""
     import numpy as np
 
     lat, nodes, names, dtype, n = plan.lattice, plan.nodes, plan.names, plan.dtype, plan.n
@@ -330,6 +351,18 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
     column = {i: j for j, i in enumerate(box_ids)}
     width = len(box_ids)
     bounded = modal_depth(plan.formula) <= 1
+    trace = trace if bounded else None
+
+    def root_values(c: np.ndarray) -> tuple[list, np.ndarray | None]:
+        """The values of every node at each (valuation, row) of the block of
+        rows c, one per column, and at depth <= 1 the root's with the root
+        among its own successors (else None)."""
+        values = plan.node_values(own, lambda i, arg: c[column[i]])
+        if not bounded:
+            return values, None
+        loop = plan.node_values(own, lambda i, arg: plan.connective(AND, arg, c[column[i]]))
+        return values, loop[-1]
+
     # the box-value tuples reached and those not yet evaluated; generators
     # are the tuples t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
     closure = new = np.full((1, width), lat.top, dtype)
@@ -337,7 +370,32 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
     collect = width > 0
     chunk = max(1, _CLOSURE_BLOCK // grid.shape[1])
     attained, work = np.zeros(n, dtype=bool), 0
-    for h in itertools.count():
+    if trace is not None:
+        rows: list[np.ndarray] = []  # each round's
+
+        def cell(h: int, v: int) -> tuple[bool, int, int]:
+            for start in range(0, len(rows[h]), chunk):
+                c = rows[h][start : start + chunk].T
+                values, loop = root_values(c)
+                for looped, roots in ((False, values[-1]), (True, loop)):
+                    hits = np.broadcast_to(roots == v, (grid.shape[1], c.shape[1])).ravel()
+                    if hits.any():
+                        s, j = divmod(int(np.argmax(hits)), c.shape[1])
+                        return looped, start + j, s
+            raise AssertionError("a value of the closure is attained in no cell of its round")
+
+        def parent(h: int, j: int) -> tuple[int, int]:
+            step = max(1, _CLOSURE_BLOCK // max(1, len(generators) * width))
+            for start in range(0, len(rows[h - 1]), step):
+                x = rows[h - 1][start : start + step, None]
+                hits = (plan.connective(AND, x, generators[None]) == rows[h][j]).all(-1)
+                if hits.any():
+                    i, g = divmod(int(np.argmax(hits)), len(generators))
+                    return start + i, int(np.argmax((t_of == generators[g]).all(-1)))
+            raise AssertionError("a row of the closure is no meet of the round before")
+
+        trace.cell, trace.parent = functools.cache(cell), functools.cache(parent)
+    while True:
         work += len(new) * grid.shape[1]
         if work > MAX_VALUATION_SPACE:
             yield None
@@ -345,107 +403,58 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
         found = [none]
         for start in range(0, len(new), chunk):
             c = new[start : start + chunk].T
-            values = plan.node_values(own, lambda i, arg: c[column[i]])
+            values, loop = root_values(c)  # loop: a root among its own successors
             attained[values[-1]] = True
-            if bounded:
-                # a root among its own successors
-                loop = plan.node_values(own, lambda i, arg: plan.connective(AND, arg, c[column[i]]))
-                attained[loop[-1]] = True
-            if trace is not None:
-                for looped, roots in ((False, values[-1]), (True, loop[-1])):
-                    # (valuation, row) -> root value
-                    roots = np.broadcast_to(roots, (grid.shape[1], c.shape[1]))
-                    for v in set(np.flatnonzero(attained).tolist()) - trace.cells.keys():
-                        hits = (roots == v).ravel()
-                        if hits.any():
-                            s, j = divmod(int(np.argmax(hits)), c.shape[1])
-                            trace.cells[v] = (h, looped, start + j, s)
+            if loop is not None:
+                attained[loop] = True
             if collect:
                 tuples = np.stack(np.broadcast_arrays(*(values[nodes[i][1]] for i in box_ids)), -1)
                 found.append(_merge(none, tuples.reshape(-1, width), n)[0])
+        if trace is not None:
+            rows.append(new)
+            if collect:
+                # round 0 evaluates the one row all-top, at each valuation
+                t_of = tuples.reshape(-1, width)
         yield attained.copy(), not len(new)
         if not width:
             new = none
             continue
-        grown, fresh = _merge(generators, _merge(closure, np.concatenate(found), n)[1], n)
-        if trace is not None and collect:
-            # round 0 evaluates the one row all-top, so each tuple's index is its valuation's
-            origin = _locate(grown, tuples.reshape(-1, width), n)
         collect = not bounded
+        grown, fresh = _merge(generators, _merge(closure, np.concatenate(found), n)[1], n)
         work += len(new) * len(generators) + len(closure) * len(fresh)
         if work > MAX_VALUATION_SPACE:
             yield None
             return
-        # at depth <= 1 these are new x grown: in round 0 there are no
-        # generators yet and new is the closure, later nothing is fresh
-        pairs = ((new, grown),) if bounded else ((new, generators), (closure, fresh))
-        meets, sources = [none], [np.zeros(0, np.int64)]
-        for x, y in pairs:
+        meets = [none]
+        for x, y in ((new, generators), (closure, fresh)):
             step = max(1, _CLOSURE_BLOCK // max(1, len(y) * width))
             for start in range(0, len(x), step):
                 block = plan.connective(AND, x[start : start + step, None], y[None])
-                block = block.reshape(-1, width)
-                if trace is None:
-                    meets.append(_merge(none, block, n)[0])
-                else:
-                    first = _first_rows(block, n)
-                    meets.append(block[first])
-                    sources.append(start * len(y) + first)
+                meets.append(_merge(none, block.reshape(-1, width), n)[0])
         generators = grown
-        meets = np.concatenate(meets)
-        closure, new = _merge(closure, meets, n)
-        if trace is not None:
-            # the flat index in new x grown of one pair that each new row is the meet of
-            at = np.concatenate(sources)[_locate(new, meets, n)]
-            trace.parents.append((at // len(grown), origin[at % len(grown)]))
-
-
-def _codes(rows: np.ndarray, n: int) -> np.ndarray:
-    """Each row of values below n as one integer, its digits in base n."""
-    import numpy as np
-
-    return rows @ n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-
-
-def _first_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """The index of the first occurrence of each distinct row."""
-    import numpy as np
-
-    codes = _codes(rows, n)
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    keep = np.ones(len(codes), dtype=bool)
-    keep[1:] = codes[1:] != codes[:-1]
-    return order[keep]
-
-
-def _locate(rows: np.ndarray, among: np.ndarray, n: int) -> np.ndarray:
-    """For each row, the index of one equal row of among, which holds
-    every row."""
-    import numpy as np
-
-    codes = _codes(among, n)
-    order = np.argsort(codes)
-    return order[np.searchsorted(codes[order], _codes(rows, n))]
+        closure, new = _merge(closure, np.concatenate(meets), n)
 
 
 def _fan(closure: _Closure, matrix: Matrix) -> CounterexampleReport:
-    """The counterexample that the first cell attaining a root value outside
-    the matrix's designated set unfolds into, at modal depth <= 1: a fan,
-    whose root w0 takes the cell's valuation, with one leaf for each
-    generator t(s) its row is the meet of, taking s, and the root among its
-    own successors for a loop cell.  A cell of round h gives h + 1 worlds,
-    so a failure that the closure finds by round m - 1 gets a witness of at
-    most m worlds."""
+    """The counterexample that a root value outside the matrix's designated
+    set unfolds into, at modal depth <= 1: of the values attained first,
+    the least, and its first cell.  The counterexample is a fan, whose root
+    w0 takes the cell's valuation, with one leaf for each generator t(s)
+    its row is the meet of, taking s, and the root among its own successors
+    for a loop cell.  A cell of round h gives h + 1 worlds, so a failure
+    that the closure finds by round m - 1 gets a witness of at most m
+    worlds."""
     plan = closure.plan
-    value, (h, loop, row, s) = min(
-        ((v, cell) for v, cell in closure.cells.items() if v not in matrix.designated),
-        key=lambda item: item[1],
-    )
+    for h, attained in enumerate(closure.attained):
+        failing = set(itertools.compress(range(plan.n), attained)) - matrix.designated
+        if failing:
+            break
+    value = min(failing)
+    loop, row, s = closure.cell(h, value)
     valuations = [s]
-    for parent, valuation in reversed(closure.parents[:h]):
-        valuations.append(int(valuation[row]))
-        row = int(parent[row])
+    for h in range(h, 0, -1):
+        row, s = closure.parent(h, row)
+        valuations.append(s)
     k, n = len(plan.names), plan.n
     assignment = {
         (w, name): t // n ** (k - 1 - j) % n
