@@ -42,6 +42,7 @@ top-if-below implication.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator
 
@@ -156,9 +157,15 @@ def _k_material_matrices(size_bound: int, unsafe_bounds: bool) -> Iterator[tuple
                 yield matrix, {**case, "neg": case_neg}
 
 
+@functools.cache
+def _restricted_twist(atoms: int) -> Matrix:
+    """Built once per process and shared, like the enumerated lattices."""
+    return twist(boolean_algebra(atoms), restrict_p=True)
+
+
 def _twist_matrices(max_atoms: int) -> Iterator[tuple[Matrix, dict]]:
     for atoms in range(1, max_atoms + 1):
-        base_matrix = twist(boolean_algebra(atoms), restrict_p=True)
+        base_matrix = _restricted_twist(atoms)
         lat = base_matrix.lattice
         ones = [lat.elements[i] for i in sorted(base_matrix.designated)]
         for upset in enumerate_upsets(lat):

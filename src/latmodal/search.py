@@ -230,18 +230,19 @@ class _Closure:
     round h - 1 and a generator t(s).  ``attained`` keeps what each round
     yielded of the values attained.  The backend keeps each round's rows
     and the tuple t(s) of each valuation s, and sets two functions that
-    search them: ``cell(h, v)``, the first cell of round h attaining v, as
-    (whether the root is its own successor, row, valuation), and
-    ``parent(h, row)``, one (row of round h - 1, valuation s) whose meet
-    with t(s) the row is.  Rows are indexed within their round and
-    valuations in the order of ``itertools.product``, the last variable
-    fastest.  Only the cells and rows that a fan unfolds are searched, each
-    once, so a closure that fails no matrix pays for nothing more."""
+    search them: ``cells(h)``, which maps each value that round h attains
+    to its first cell there, (whether the root is its own successor, row,
+    valuation), and ``parent(h, row)``, one (row of round h - 1, valuation
+    s) whose meet with t(s) the row is.  Rows are indexed within their
+    round and valuations in the order of ``itertools.product``, the last
+    variable fastest.  Only the rounds and rows that a fan unfolds are
+    searched, each once, so a closure that fails no matrix pays for nothing
+    more."""
 
     def __init__(self, plan: _Plan, backend):
         self.plan = plan
         self.attained: list = []
-        self.cell: Callable[[int, int], tuple[bool, int, int]] | None = None
+        self.cells: Callable[[int], dict[int, tuple[bool, int, int]]] | None = None
         self.parent: Callable[[int, int], tuple[int, int]] | None = None
         self._rounds = backend(plan, self)
 
@@ -267,7 +268,7 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
     columns = dict(zip(names, map(list, zip(*valuations))))
     box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
     bounded = modal_depth(plan.formula) <= 1
-    trace = trace if bounded else None
+    traced = bounded and trace is not None
 
     def root_values(rows: list[tuple[int, ...]]) -> tuple[list, list[int]]:
         """The values of every node at each (row, valuation), the valuation
@@ -287,14 +288,17 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
     closure, new, generators = {top}, [top], set()
     collect = bool(box_ids)
     attained, work = [False] * n, 0
-    if trace is not None:
+    if traced:
         rows: list[list[tuple[int, ...]]] = []  # each round's
         t_of: list[tuple[int, ...]] = []  # t(s) by valuation index s
 
-        def cell(h: int, v: int) -> tuple[bool, int, int]:
+        def cells(h: int) -> dict[int, tuple[bool, int, int]]:
             values, loop = root_values(rows[h])
-            looped = v not in values[-1]
-            return looped, *divmod((loop if looped else values[-1]).index(v), len(valuations))
+            found: dict[int, tuple[bool, int, int]] = {}
+            for looped, roots in ((False, values[-1]), (True, loop)):
+                for v in set(roots) - found.keys():
+                    found[v] = (looped, *divmod(roots.index(v), len(valuations)))
+            return found
 
         def parent(h: int, j: int) -> tuple[int, int]:
             for i, x in enumerate(rows[h - 1]):
@@ -303,7 +307,8 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
                         return i, t_of.index(y)
             raise AssertionError("a row of the closure is no meet of the round before")
 
-        trace.cell, trace.parent = functools.cache(cell), functools.cache(parent)
+        trace.cells, trace.parent = functools.cache(cells), functools.cache(parent)
+    del trace  # it holds this generator: no reference back, so no cycle to collect
     while True:
         work += len(new) * len(valuations)
         if work > MAX_VALUATION_SPACE:
@@ -314,7 +319,7 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
         for v in roots:
             attained[v] = True
         found = list(zip(*(values[nodes[i][1]] for i in box_ids))) if collect else []
-        if trace is not None:
+        if traced:
             rows.append(new)
             t_of += found  # round 0 evaluates the one row all-top, at each valuation
         yield attained.copy(), not new
@@ -351,7 +356,7 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
     column = {i: j for j, i in enumerate(box_ids)}
     width = len(box_ids)
     bounded = modal_depth(plan.formula) <= 1
-    trace = trace if bounded else None
+    traced = bounded and trace is not None
 
     def root_values(c: np.ndarray) -> tuple[list, np.ndarray | None]:
         """The values of every node at each (valuation, row) of the block of
@@ -370,19 +375,25 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
     collect = width > 0
     chunk = max(1, _CLOSURE_BLOCK // grid.shape[1])
     attained, work = np.zeros(n, dtype=bool), 0
-    if trace is not None:
+    if traced:
         rows: list[np.ndarray] = []  # each round's
 
-        def cell(h: int, v: int) -> tuple[bool, int, int]:
+        def cells(h: int) -> dict[int, tuple[bool, int, int]]:
+            found: dict[int, tuple[bool, int, int]] = {}
             for start in range(0, len(rows[h]), chunk):
                 c = rows[h][start : start + chunk].T
                 values, loop = root_values(c)
                 for looped, roots in ((False, values[-1]), (True, loop)):
-                    hits = np.broadcast_to(roots == v, (grid.shape[1], c.shape[1])).ravel()
-                    if hits.any():
-                        s, j = divmod(int(np.argmax(hits)), c.shape[1])
-                        return looped, start + j, s
-            raise AssertionError("a value of the closure is attained in no cell of its round")
+                    # the first (valuation, row) of each value: a stable sort
+                    # keeps the flat indices of equal values in order
+                    roots = np.broadcast_to(roots, (grid.shape[1], c.shape[1])).ravel()
+                    order = np.argsort(roots, kind="stable")
+                    roots = roots[order]
+                    firsts = np.flatnonzero(np.concatenate(([True], roots[1:] != roots[:-1])))
+                    for v, k in zip(roots[firsts].tolist(), order[firsts].tolist()):
+                        s, j = divmod(k, c.shape[1])
+                        found.setdefault(v, (looped, start + j, s))
+            return found
 
         def parent(h: int, j: int) -> tuple[int, int]:
             step = max(1, _CLOSURE_BLOCK // max(1, len(generators) * width))
@@ -394,7 +405,8 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
                     return start + i, int(np.argmax((t_of == generators[g]).all(-1)))
             raise AssertionError("a row of the closure is no meet of the round before")
 
-        trace.cell, trace.parent = functools.cache(cell), functools.cache(parent)
+        trace.cells, trace.parent = functools.cache(cells), functools.cache(parent)
+    del trace  # it holds this generator: no reference back, so no cycle to collect
     while True:
         work += len(new) * grid.shape[1]
         if work > MAX_VALUATION_SPACE:
@@ -410,7 +422,7 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
             if collect:
                 tuples = np.stack(np.broadcast_arrays(*(values[nodes[i][1]] for i in box_ids)), -1)
                 found.append(_merge(none, tuples.reshape(-1, width), n)[0])
-        if trace is not None:
+        if traced:
             rows.append(new)
             if collect:
                 # round 0 evaluates the one row all-top, at each valuation
@@ -450,7 +462,7 @@ def _fan(closure: _Closure, matrix: Matrix) -> CounterexampleReport:
         if failing:
             break
     value = min(failing)
-    loop, row, s = closure.cell(h, value)
+    loop, row, s = closure.cells(h)[value]
     valuations = [s]
     for h in range(h, 0, -1):
         row, s = closure.parent(h, row)
