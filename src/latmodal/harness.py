@@ -25,9 +25,9 @@ the public search of that one matrix (``find_frame_counterexample``,
 ``check_regularity``), so a report's bytes do not depend on which witness
 the batch found.  The matrices of one lattice come in a run, and each run
 is searched in one batch: one closure decides all its designated sets (see
-``search``).  The lattices of each size are enumerated once per process.
-Each report is built once, when its check has run, and is frozen; it
-passes when it records no failure.
+``search``).  The lattices of each size are enumerated once per process,
+and the restricted twists built once.  Each report is built once, when its
+check has run, and is frozen; it passes when it records no failure.
 
 Universe conventions, chosen to mirror each property's hypotheses: the
 designated sets range over non-empty upward-closed subsets, except for
