@@ -24,7 +24,7 @@ needed, for ``interpret`` and for ``kripke.frame_valid``.
 
 from __future__ import annotations
 
-from .errors import FormulaSyntaxError
+from .errors import FormulaSyntaxError, MissingOperation
 from .record import Record
 
 
@@ -186,8 +186,10 @@ def compile_formula(f: Formula) -> tuple[tuple, ...]:
 def needed_worlds(nodes, roots, successors) -> list[set[int]]:
     """Per node of a compiled formula, the worlds at which computing the
     root at the given worlds needs its value: the root at those worlds, the
-    child of a box at the successors of the box's worlds, the children of a
-    connective at the connective's worlds.  One top-down pass."""
+    child of a box at the successors of the box's worlds (successors[w], or
+    the box's own world where successors is None, the local box), the
+    children of a connective at the connective's worlds.  One top-down
+    pass."""
     needed: list[set[int]] = [set() for _ in nodes]
     needed[-1].update(roots)
     for i in range(len(nodes) - 1, -1, -1):
@@ -195,9 +197,10 @@ def needed_worlds(nodes, roots, successors) -> list[set[int]]:
         worlds = needed[i]
         if kind == VAR or not worlds:
             continue
-        if kind == BOX:
+        if kind == BOX and successors is not None:
+            below = needed[a]
             for w in worlds:
-                needed[a].update(successors(w))
+                below.update(successors[w])
         else:
             needed[a] |= worlds
             if b is not None:
@@ -205,38 +208,63 @@ def needed_worlds(nodes, roots, successors) -> list[set[int]]:
     return needed
 
 
-def interpret(nodes, world: int, value_of, successors, lattice) -> int:
+def interpret(nodes, world: int, valuation, unbound, successors, lattice) -> int:
     """Value at a world of a compiled formula over a lattice (meet, join,
     negation and implication tables): the scalar semantics.
 
-    value_of(w, name) gives a variable's value at a world and successors(w)
-    the worlds whose meet a box at w takes.  ``needed_worlds`` records the
-    worlds at which each node is needed; a bottom-up pass then computes
-    each node at its worlds in ascending order, so only the worlds the
-    formula reaches are visited, and a missing value or operation is
-    reported only where it is needed.
+    valuation maps (world, variable name) to a value, and unbound(w, name)
+    gives the exception to raise for the first pair the formula needs that
+    it lacks.  successors[w] gives the worlds whose meet a box at w takes;
+    successors is None for the local box, which takes its argument's value
+    at the same world.  ``needed_worlds`` records the worlds at which each
+    node is needed; then each node in turn, bottom-up, fills its column, a
+    dict from those worlds to its values, from its children's columns.  So
+    only the worlds the formula reaches are visited, a missing value is
+    reported at the first needed pair (node post order, worlds ascending),
+    and a missing operation only where a node that uses it is needed.
     """
     needed = needed_worlds(nodes, (world,), successors)
-    meet, join, top = lattice.meet_table, lattice.join_table, lattice.top
-    values: dict[tuple[int, int], int] = {}  # (node id, world) -> value
+    meet, top = lattice.meet_table, lattice.top
+    columns: list[dict[int, int]] = []  # per node: needed world -> value
     for i, (kind, a, b) in enumerate(nodes):
-        for w in sorted(needed[i]):
-            if kind == VAR:
-                value = value_of(w, a)
-            elif kind == NOT:
-                value = lattice.negate(values[a, w])
-            elif kind == AND:
-                value = meet[values[a, w]][values[b, w]]
-            elif kind == OR:
-                value = join[values[a, w]][values[b, w]]
-            elif kind == IMP:
-                value = lattice.implies(values[a, w], values[b, w])
+        worlds = needed[i]
+        if not worlds:
+            column = {}
+        elif kind == VAR:
+            try:
+                column = {w: valuation[w, a] for w in worlds}
+            except KeyError:
+                missing = min(w for w in worlds if (w, a) not in valuation)
+                raise unbound(missing, a) from None
+        elif kind == BOX:
+            x = columns[a]
+            if successors is None:
+                column = x
             else:
-                value = top
-                for w2 in successors(w):
-                    value = meet[value][values[a, w2]]
-            values[i, w] = value
-    return values[len(nodes) - 1, world]
+                column = {}
+                for w in worlds:
+                    value = top
+                    for w2 in successors[w]:
+                        value = meet[value][x[w2]]
+                    column[w] = value
+        elif kind == NOT:
+            if lattice.neg is None:
+                raise MissingOperation("neg")
+            neg, x = lattice.neg, columns[a]
+            column = {w: neg[x[w]] for w in worlds}
+        else:
+            if kind == AND:
+                table = meet
+            elif kind == OR:
+                table = lattice.join_table
+            elif lattice.imp is None:
+                raise MissingOperation("imp")
+            else:
+                table = lattice.imp.table
+            x, y = columns[a], columns[b]
+            column = {w: table[x[w]][y[w]] for w in worlds}
+        columns.append(column)
+    return columns[-1][world]
 
 
 def variables(f: Formula) -> frozenset[str]:

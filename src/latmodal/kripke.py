@@ -100,9 +100,10 @@ class Frame(Record):
 
     @functools.cached_property
     def _successor_table(self) -> dict[int, tuple[int, ...]]:
-        table: dict[int, list[int]] = {}
+        """Each world's successors in ascending order, () for a dead end."""
+        table: dict[int, list[int]] = {i: [] for i in range(len(self.worlds))}
         for i, j in sorted(self.rel):
-            table.setdefault(i, []).append(j)
+            table[i].append(j)
         return {i: tuple(js) for i, js in table.items()}
 
     def successors(self, w: int) -> tuple[int, ...]:
@@ -167,17 +168,13 @@ def evaluate(
     worlds = model.frame.worlds
     if not 0 <= world < len(worlds):
         raise InvalidInput(f"world index {world} out of range")
-    valuation = model.valuation
 
-    def value_of(w: int, name: str) -> int:
-        try:
-            return valuation[(w, name)]
-        except KeyError:
-            raise UnboundVariable(worlds[w], name) from None
+    def unbound(w: int, name: str) -> UnboundVariable:
+        return UnboundVariable(worlds[w], name)
 
     # the local box takes the meet over the world itself: its own value
-    successors = model.frame.successors if mode is BoxMode.NORMAL_MEET else lambda w: (w,)
-    return interpret(compile_formula(f), world, value_of, successors, model.lattice)
+    successors = model.frame._successor_table if mode is BoxMode.NORMAL_MEET else None
+    return interpret(compile_formula(f), world, model.valuation, unbound, successors, model.lattice)
 
 
 def world_satisfies(
@@ -206,7 +203,13 @@ def model_satisfies(
 
 
 def _check_same_lattice(matrix: Matrix, model: KripkeModel) -> None:
-    if matrix.lattice.elements != model.lattice.elements or matrix.lattice.leq != model.lattice.leq:
+    """The model evaluates with its own lattice's operations, so the matrix's
+    carrier, order, negation and implication must all be the model's."""
+
+    def operations(lat: Lattice) -> tuple:
+        return lat.elements, lat.leq, lat.neg, None if lat.imp is None else lat.imp.table
+
+    if operations(matrix.lattice) != operations(model.lattice):
         raise InvalidInput("model and matrix use different lattices")
 
 
@@ -422,9 +425,9 @@ def frame_root_values(
     nodes = plan.nodes
     local = mode is BoxMode.LOCAL
     # the local box takes the meet over the world itself: its own value
-    successors = [(w,) if local else frame.successors(w) for w in range(n_worlds)]
+    successors = None if local else frame._successor_table
     values: dict[tuple[int, int], list | np.ndarray] = {}  # (node id, world) -> values
-    for i, worlds in enumerate(needed_worlds(nodes, range(n_worlds), successors.__getitem__)):
+    for i, worlds in enumerate(needed_worlds(nodes, range(n_worlds), successors)):
         kind, a, b = nodes[i]
         for w in worlds:
             if kind == VAR:

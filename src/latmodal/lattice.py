@@ -596,12 +596,11 @@ def propositional_value(lattice: Lattice, assignment: dict[str, int], f: Formula
     if not is_modal_free(f):
         raise ModalFormulaRejected("box operators have no propositional value")
 
-    def value_of(_world: int, name: str) -> int:
-        if name not in assignment:
-            raise InvalidInput(f"no value assigned to variable {name!r}")
-        return assignment[name]
+    def unbound(_world: int, name: str) -> InvalidInput:
+        return InvalidInput(f"no value assigned to variable {name!r}")
 
-    return interpret(compile_formula(f), 0, value_of, None, lattice)
+    valuation = {(0, name): value for name, value in assignment.items()}
+    return interpret(compile_formula(f), 0, valuation, unbound, {}, lattice)
 
 
 class EntailmentResult(Record):

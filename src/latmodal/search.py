@@ -60,10 +60,12 @@ on lists over the whole valuation space.  A scalar backend runs only while
 numpy is not loaded in the process and its work stays within its bound:
 2^13 (valuation, tuple) pairs for the closure, ``_SCALAR_SCAN_BOUND``
 values for the scan, which moves to arrays from the frame that would pass
-it.  So a desk-scale ``valid`` query never imports numpy; once numpy is
+it.  So a desk-scale ``valid`` query never imports numpy.  Once numpy is
 loaded (by ``entails``, ``check_regularity`` or the harness), the array
-backends always run.  numpy is imported inside the functions that build
-arrays, so importing this module does not load it.
+scan always runs, and the array closure does past 2^10 pairs, below which
+the fixed cost of its rounds makes the scalar closure the faster one.
+numpy is imported inside the functions that build arrays, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -199,6 +201,14 @@ _CLOSURE_BLOCK = 1 << 20  # about the most values one array of the closure holds
 # ([]([]p -> q) & []([]q -> p) -> ([][]p -> [][]q) on the 3-element chain,
 # 3^8 pairs), and one at 2^14 pairs took 280 ms (the array closure: 18 ms).
 _SCALAR_CLOSURE_BOUND = 1 << 13
+# Once numpy is loaded, the scalar closure still runs up to this many pairs,
+# where the arrays' fixed cost per round outweighs their speed: three rounds
+# took 0.03-0.25 ms on sets against 0.22-0.54 ms on arrays up to 3^5 pairs
+# (box-K on the 3-element chain), about even at 3^6 and 4^5, and 1.4 against
+# 0.6 ms at 5^5.  With numpy loaded, run_suite took 12% less time with this
+# bound than with the arrays alone, and 23% less than with a bound of 5^5
+# (medians of 25 in-process runs, same VM, numpy 2.4).
+_LOADED_SCALAR_CLOSURE_BOUND = 1 << 10
 
 
 def _closure_rounds(lat: Lattice, f: Formula) -> _Closure:
@@ -212,13 +222,16 @@ def _closure_rounds(lat: Lattice, f: Formula) -> _Closure:
     every connective of f defined.  At modal depth <= 1 the rounds also
     record where each root value comes from (``_Closure``).
 
-    Two backends give the same rounds: on Python sets where numpy is not
-    loaded yet and the closure is small (``_SCALAR_CLOSURE_BOUND``), so that
-    a query the closure settles never imports it, and on numpy arrays
+    Two backends give the same rounds, chosen by the number of (valuation,
+    box-value tuple) pairs that can occur, n^(variables + box nodes): on
+    Python sets up to ``_SCALAR_CLOSURE_BOUND`` where numpy is not loaded
+    yet, so that a query the closure settles never imports it, or up to
+    ``_LOADED_SCALAR_CLOSURE_BOUND`` once it is, and on numpy arrays
     otherwise."""
     plan = _plan_for(lat, f)
     width = sum(kind == BOX for kind, _, _ in plan.nodes)
-    if "numpy" not in sys.modules and plan.n ** (len(plan.names) + width) <= _SCALAR_CLOSURE_BOUND:
+    bound = _LOADED_SCALAR_CLOSURE_BOUND if "numpy" in sys.modules else _SCALAR_CLOSURE_BOUND
+    if plan.n ** (len(plan.names) + width) <= bound:
         return _Closure(plan, _scalar_closure_rounds)
     return _Closure(plan, _array_closure_rounds)
 

@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 These deliberately avoid the package's evaluation and search code paths:
-the classical evaluator works on plain booleans, the naive frame scan uses
+the classical evaluator works on plain booleans, the many-valued evaluator
+recurses over the formula objects with the lattice's tables instead of
+running the compiled node list, the naive frame scan uses
 itertools plus the scalar reference evaluator ``evaluate`` (which shares
 only the formula compiler with ``frame_valid``), the entailment and
 regularity scans loop over valuations and models where the package decides
@@ -40,6 +42,90 @@ def classical_satisfies(successors, valuation, world, formula):
         classical_satisfies(successors, valuation, w2, formula.child)
         for w2 in successors[world]
     )
+
+
+def _children(g):
+    if isinstance(g, Var):
+        return ()
+    return (g.child,) if isinstance(g, (Not, Box)) else (g.left, g.right)
+
+
+def _box_successors(model, world, mode):
+    if mode is BoxMode.LOCAL:
+        return [world]
+    return sorted(j for i, j in model.frame.rel if i == world)
+
+
+def many_valued_value(model, world, formula, mode=BoxMode.NORMAL_MEET):
+    """Value of a formula at a world by recursion over the formula objects,
+    reading the lattice's tables directly; each (subformula object, world)
+    is computed once, so shared subformulas cost no more than in a DAG."""
+    lat = model.lattice
+    memo = {}
+
+    def value(w, g):
+        key = (id(g), w)
+        if key not in memo:
+            if isinstance(g, Var):
+                memo[key] = model.valuation[(w, g.name)]
+            elif isinstance(g, Not):
+                memo[key] = lat.neg[value(w, g.child)]
+            elif isinstance(g, Box):
+                result = lat.top
+                for w2 in _box_successors(model, w, mode):
+                    result = lat.meet_table[result][value(w2, g.child)]
+                memo[key] = result
+            else:
+                x, y = value(w, g.left), value(w, g.right)
+                if isinstance(g, And):
+                    memo[key] = lat.meet_table[x][y]
+                elif isinstance(g, Or):
+                    memo[key] = lat.join_table[x][y]
+                else:
+                    memo[key] = lat.imp.table[x][y]
+        return memo[key]
+
+    return value(world, formula)
+
+
+def first_evaluation_error(model, world, formula, mode=BoxMode.NORMAL_MEET):
+    """The error that evaluating the formula at a world must raise, or None:
+    over the distinct subformulas in post order (left child first, equal
+    subformulas once, at their first occurrence), the first that fails at a
+    world where it is needed, where a variable fails at its needed worlds in
+    ascending order.  Returns ("unbound", world name, variable) or
+    ("missing", operation)."""
+    subformulas = []
+
+    def visit(g):
+        for c in _children(g):
+            visit(c)
+        if g not in subformulas:
+            subformulas.append(g)
+
+    visit(formula)
+    needed = [set() for _ in subformulas]
+    needed[-1].add(world)
+    # every parent follows its children in post order
+    for k in range(len(subformulas) - 1, -1, -1):
+        g = subformulas[k]
+        for c in _children(g):
+            below = needed[subformulas.index(c)]
+            for w in needed[k]:
+                below.update(_box_successors(model, w, mode) if isinstance(g, Box) else [w])
+    lat = model.lattice
+    for g, worlds in zip(subformulas, needed):
+        if not worlds:
+            continue
+        if isinstance(g, Var):
+            for w in sorted(worlds):
+                if (w, g.name) not in model.valuation:
+                    return ("unbound", model.frame.worlds[w], g.name)
+        elif isinstance(g, Not) and lat.neg is None:
+            return ("missing", "neg")
+        elif isinstance(g, Imp) and lat.imp is None:
+            return ("missing", "imp")
+    return None
 
 
 def _frame_mask_key(mask, n, perms):

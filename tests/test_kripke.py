@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,16 @@ from latmodal import (
     BoundTooLarge,
     BoxMode,
     Frame,
+    MATERIAL,
     InvalidInput,
     KripkeModel,
     Matrix,
+    MissingOperation,
     UnboundVariable,
+    belnap_four,
+    boolean_algebra,
     build_implication,
+    chain,
     enumerate_frames,
     enumerate_lattices,
     evaluate,
@@ -23,11 +29,12 @@ from latmodal import (
     parse,
     world_satisfies,
 )
-from latmodal.formula import And, Box, Not, Or, Var, modal_depth, render, substitute, variables
+from latmodal.formula import And, Box, Imp, Not, Or, Var, modal_depth, render, substitute, variables
 from latmodal.lattice import propositional_value
 
-from oracles import naive_frame_counterexample
+from oracles import first_evaluation_error, many_valued_value, naive_frame_counterexample
 
+DATA = Path(__file__).parent / "data"
 FAN = Frame(("w1", "w2", "w3"), frozenset(((0, 1), (0, 2))))
 
 
@@ -77,6 +84,27 @@ def test_world_satisfies_examples(b2, c3, m2):
     chainy = Frame(("w1", "w2"), frozenset(((0, 1),)))
     model = KripkeModel(chainy, m2, {(1, "p"): m2.index("a")})
     assert not world_satisfies(matrix_from_names(m2, ["1"]), model, 0, parse("[]p"))
+
+
+def test_a_model_on_other_operations_is_rejected(c3, c3_eq1):
+    # same carrier and order as the matrix, but material implication: at
+    # p = h, q = 0 the model gives p -> q the value h, the matrix's table 0
+    material = c3.with_imp(build_implication(c3, MATERIAL))
+    frame = Frame(("w",), frozenset())
+    model = KripkeModel(frame, material, {(0, "p"): c3.index("h"), (0, "q"): c3.index("0")})
+    assert evaluate(model, 0, parse("p -> q")) == c3.index("h")
+    assert c3_eq1.lattice.implies(c3.index("h"), c3.index("0")) == c3.index("0")
+    other_neg = KripkeModel(frame, c3_eq1.lattice.with_neg([2, 2, 0]), model.valuation)
+    for bad in (model, other_neg):
+        with pytest.raises(InvalidInput, match="model and matrix use different lattices"):
+            world_satisfies(c3_eq1, bad, 0, parse("p -> q"))
+        with pytest.raises(InvalidInput, match="model and matrix use different lattices"):
+            model_satisfies(c3_eq1, bad, parse("p -> q"))
+    # an equal lattice built apart is the same lattice
+    rebuilt = chain(3, "flip")
+    rebuilt = rebuilt.with_imp(build_implication(rebuilt, DEDUCTIVE_EQ1))
+    same = KripkeModel(frame, rebuilt, model.valuation)
+    assert not world_satisfies(c3_eq1, same, 0, parse("p -> q"))
 
 
 def test_model_satisfies_reports_first_failing_world(c3_eq1):
@@ -160,6 +188,133 @@ def test_consecutive_evaluations_match_fresh_ones(c3_eq1):
         fresh.append(evaluate(*call))
     assert consecutive == fresh
     assert len(set(fresh)) == 3
+
+
+def _with_imp(lat, mode):
+    return lat.with_imp(build_implication(lat, mode))
+
+
+# with and without each of neg and imp, on 2 to 5 elements
+EVAL_LATTICES = [
+    _with_imp(chain(3, "flip"), DEDUCTIVE_EQ1),
+    _with_imp(boolean_algebra(2), MATERIAL),
+    _with_imp(chain(5, "flip"), MATERIAL),
+    _with_imp(chain(3, "none"), DEDUCTIVE_EQ1),
+    belnap_four(),
+    chain(2),
+    *enumerate_lattices(4),
+    *enumerate_lattices(5),
+]
+FULL_LATTICES = [lat for lat in EVAL_LATTICES if lat.neg is not None and lat.imp is not None]
+EVAL_VARS = ("p", "q", "r")
+
+
+@st.composite
+def eval_formulas(draw):
+    """A formula of modal depth at most 4 built bottom-up from earlier
+    steps, so that subformula objects are shared, and equal ones built
+    apart occur too."""
+    built = [(Var(x), 0) for x in draw(st.lists(st.sampled_from(EVAL_VARS), min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from([Box, Not, Box, And, Or, Imp]))
+        # mostly on the last step, so that boxes nest
+        child, depth = draw(st.sampled_from(built)) if draw(st.booleans()) else built[-1]
+        if kind is Box and depth < 4:
+            built.append((Box(child), depth + 1))
+        elif kind is Not or kind is Box:
+            built.append((Not(child), depth))
+        else:
+            other, other_depth = draw(st.sampled_from(built))
+            built.append((kind(child, other), max(depth, other_depth)))
+    return built[-1][0]
+
+
+@st.composite
+def eval_models(draw, complete):
+    """A model of at most 6 worlds on any relation (cycles, self-loops and
+    dead ends): complete, on a lattice with every connective, or with some
+    (world, variable) pairs unbound, on any lattice."""
+    lat = draw(st.sampled_from(EVAL_LATTICES if not complete else FULL_LATTICES))
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    rel = frozenset(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    valuation = {}
+    for w in range(n):
+        for x in EVAL_VARS:
+            if complete or draw(st.integers(0, 5)):
+                valuation[w, x] = draw(st.integers(0, lat.n - 1))
+    return KripkeModel(Frame(tuple(f"w{w}" for w in range(n)), rel), lat, valuation)
+
+
+def _outcome(model, world, f, mode):
+    try:
+        return evaluate(model, world, f, mode)
+    except UnboundVariable as exc:
+        return ("unbound", exc.world, exc.variable)
+    except MissingOperation as exc:
+        return ("missing", exc.operation)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(eval_models(complete=False), eval_formulas(), st.sampled_from(BoxMode))
+def test_evaluate_matches_the_recursive_oracle(model, f, mode):
+    """At every world: the value of the recursive evaluator, or the error
+    the contract names, the first needed (world, variable) or the first
+    needed operation in node post order; unbound pairs and missing
+    operations where the formula does not reach are never read."""
+    for w in range(len(model.frame.worlds)):
+        expected = first_evaluation_error(model, w, f, mode)
+        if expected is None:
+            expected = many_valued_value(model, w, f, mode)
+        assert _outcome(model, w, f, mode) == expected, (render(f), w)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(eval_models(complete=True), eval_formulas(), st.sampled_from(BoxMode))
+def test_evaluate_on_complete_models_matches_the_recursive_oracle(model, f, mode):
+    for w in range(len(model.frame.worlds)):
+        expected = first_evaluation_error(model, w, f, mode) or many_valued_value(model, w, f, mode)
+        assert _outcome(model, w, f, mode) == expected, (render(f), w)
+
+
+def test_the_first_needed_unbound_pair_is_named(c3):
+    # w1 -> w3, w1 -> w2; p is unbound at w3 and w2, q at w1
+    frame = Frame(("w1", "w2", "w3"), frozenset(((0, 2), (0, 1))))
+    model = KripkeModel(frame, c3, {(1, "q"): 0, (2, "q"): 0})
+    # node post order before world order: p (at w2, w3) comes before q (at w1)
+    for text, named in (("[]p & q", ("w2", "p")), ("q & []p", ("w1", "q"))):
+        with pytest.raises(UnboundVariable) as exc:
+            evaluate(model, 0, parse(text))
+        assert (exc.value.world, exc.value.variable) == named, text
+    # the local box needs p at w1 only
+    with pytest.raises(UnboundVariable) as exc:
+        evaluate(model, 0, parse("[]p & q"), BoxMode.LOCAL)
+    assert (exc.value.world, exc.value.variable) == ("w1", "p")
+
+
+def test_a_missing_operation_is_raised_only_where_reached():
+    bare = chain(3, "none")  # neither neg nor imp
+    frame = Frame(("w1", "w2"), frozenset(((0, 1),)))
+    model = KripkeModel(frame, bare, {(w, x): 1 for w in range(2) for x in "pq"})
+    # w2 is a dead end: the box's argument is needed nowhere
+    assert evaluate(model, 1, parse("[]~p & [](p -> q)")) == bare.top
+    assert evaluate(model, 1, parse("q | [][]~p")) == bare.top
+    for text, operation in (("[]~p", "neg"), ("[](p -> q)", "imp"), ("p & ~q", "neg")):
+        with pytest.raises(MissingOperation) as exc:
+            evaluate(model, 0, parse(text))
+        assert exc.value.operation == operation, text
+
+
+def test_eval_matches_the_golden_files(capsys):
+    from latmodal.cli import main
+
+    formula = "[]([]~p -> [](q | [][]~r)) & ~[](p & []q) -> [][]([]p | ~q)"
+    for box in ("normal", "local"):
+        argv = ["eval", "--model", str(DATA / "model_n5_40.json"), "--formula", formula]
+        code = main([*argv, "--box", box, "--compact"])
+        out = capsys.readouterr().out
+        assert code == 1, box
+        assert out.encode("utf-8") == (DATA / f"eval_model_n5_40_{box}.json").read_bytes(), box
 
 
 def test_conservativity_on_box_free_formulas(c3_eq1):

@@ -485,12 +485,18 @@ def test_scalar_and_array_closures_give_up_after_the_same_rounds(monkeypatch):
     assert ends["fixpoint"] > 0 and ends["gave up"] > 0
 
 
-def test_the_array_closure_runs_once_numpy_is_loaded(c3_eq1):
+def test_once_numpy_is_loaded_the_closure_backend_follows_the_closure_size():
+    """With numpy loaded, n^(variables + box nodes) picks the backend: the
+    scalar closure up to _LOADED_SCALAR_CLOSURE_BOUND, the arrays past it."""
     import numpy as np
 
-    # a small closure: the scalar one would run, were numpy not loaded yet
-    attained, _ = next(_closure_rounds(c3_eq1.lattice, AXIOM_K))
-    assert isinstance(attained, np.ndarray)
+    bound = latmodal.search._LOADED_SCALAR_CLOSURE_BOUND
+    assert 4**5 <= bound < 5**5
+    # box-K has 2 variables and 3 box nodes
+    for size in (2, 3, 4, 5):
+        lat = chain(size).with_imp(build_implication(chain(size), DEDUCTIVE_EQ1))
+        attained, _ = next(_closure_rounds(lat, AXIOM_K))
+        assert isinstance(attained, list if size**5 <= bound else np.ndarray), size
 
 
 def test_list_and_array_frame_scans_agree():
