@@ -17,9 +17,11 @@ and rejects them nested deeper than ``MAX_PAREN_DEPTH``.
 ``compile_formula`` is the one walk over a formula that the semantics uses:
 it lists the unique subformulas in post order.  ``interpret`` runs that list
 with scalar lattice values, the reference semantics of both ``kripke.evaluate``
-and ``lattice.propositional_value``; ``variables`` and ``modal_depth`` read
-the same list, and ``needed_worlds`` finds the worlds at which each node is
-needed, for ``interpret`` and for ``kripke.frame_valid``.
+and ``lattice.propositional_value``: one node at a time, each filling a
+column of values over the worlds at which it is needed, read from its
+children's columns with the node's table picked once.  ``variables`` and
+``modal_depth`` read the same list, and ``needed_worlds`` finds the worlds at
+which each node is needed, for ``interpret`` and for ``kripke.frame_valid``.
 """
 
 from __future__ import annotations
@@ -218,23 +220,24 @@ def interpret(nodes, world: int, valuation, unbound, successors, lattice) -> int
     successors is None for the local box, which takes its argument's value
     at the same world.  ``needed_worlds`` records the worlds at which each
     node is needed; then each node in turn, bottom-up, fills its column, a
-    dict from those worlds to its values, from its children's columns.  So
-    only the worlds the formula reaches are visited, a missing value is
-    reported at the first needed pair (node post order, worlds ascending),
-    and a missing operation only where a node that uses it is needed.
+    dict from those worlds, in ascending order, to its values, from its
+    children's columns.  So only the worlds the formula reaches are visited,
+    the valuation is read in the order of the pairs (node post order, worlds
+    ascending) and a missing value is reported at the first needed pair, and
+    a missing operation only where a node that uses it is needed.
     """
     needed = needed_worlds(nodes, (world,), successors)
     meet, top = lattice.meet_table, lattice.top
     columns: list[dict[int, int]] = []  # per node: needed world -> value
     for i, (kind, a, b) in enumerate(nodes):
-        worlds = needed[i]
+        worlds = sorted(needed[i])
         if not worlds:
             column = {}
         elif kind == VAR:
             try:
                 column = {w: valuation[w, a] for w in worlds}
             except KeyError:
-                missing = min(w for w in worlds if (w, a) not in valuation)
+                missing = next(w for w in worlds if (w, a) not in valuation)
                 raise unbound(missing, a) from None
         elif kind == BOX:
             x = columns[a]

@@ -9,8 +9,11 @@ the meet semantics.
 
 Both evaluators run on one compiled form of the formula, the post-order
 list of its unique subformulas from ``formula.compile_formula``.
-``evaluate`` is the scalar reference: it runs ``formula.interpret``, which
-touches only the worlds the formula reaches from the queried one.
+``evaluate`` is the scalar reference: it runs ``formula.interpret`` on the
+model's valuation mapping and the frame's successor table, computing one
+node at a time over the column of worlds at which the node is needed, so it
+touches only the worlds the formula reaches from the queried one.  It keeps
+nothing from one call to the next but the compiled formula.
 ``frame_valid`` quantifies over every valuation of the formula's variables
 on a frame; it evaluates all valuations at once, bottom-up over the node
 list at the worlds ``formula.needed_worlds`` gives, on numpy arrays or on
@@ -164,7 +167,11 @@ def evaluate(
     mode: BoxMode = BoxMode.NORMAL_MEET,
 ) -> int:
     """Value of f at a world, computed on the compiled formula at only the
-    worlds it reaches."""
+    worlds it reaches, one node at a time over those worlds.  A variable
+    without a value at a world it needs raises ``UnboundVariable`` for the
+    first such (world, variable) in node post order, worlds ascending; a
+    missing negation or implication raises ``MissingOperation`` only where a
+    node that uses it is needed."""
     worlds = model.frame.worlds
     if not 0 <= world < len(worlds):
         raise InvalidInput(f"world index {world} out of range")
