@@ -188,10 +188,8 @@ def compile_formula(f: Formula) -> tuple[tuple, ...]:
 def needed_worlds(nodes, roots, successors) -> list[set[int]]:
     """Per node of a compiled formula, the worlds at which computing the
     root at the given worlds needs its value: the root at those worlds, the
-    child of a box at the successors of the box's worlds (successors[w], or
-    the box's own world where successors is None, the local box), the
-    children of a connective at the connective's worlds.  One top-down
-    pass."""
+    child of a box at the successors of the box's worlds, the children of a
+    connective at the connective's worlds.  One top-down pass."""
     needed: list[set[int]] = [set() for _ in nodes]
     needed[-1].update(roots)
     for i in range(len(nodes) - 1, -1, -1):
@@ -199,10 +197,9 @@ def needed_worlds(nodes, roots, successors) -> list[set[int]]:
         worlds = needed[i]
         if kind == VAR or not worlds:
             continue
-        if kind == BOX and successors is not None:
-            below = needed[a]
+        if kind == BOX:
             for w in worlds:
-                below.update(successors[w])
+                needed[a].update(successors(w))
         else:
             needed[a] |= worlds
             if b is not None:
@@ -216,17 +213,24 @@ def interpret(nodes, world: int, valuation, unbound, successors, lattice) -> int
 
     valuation maps (world, variable name) to a value, and unbound(w, name)
     gives the exception to raise for the first pair the formula needs that
-    it lacks.  successors[w] gives the worlds whose meet a box at w takes;
-    successors is None for the local box, which takes its argument's value
-    at the same world.  ``needed_worlds`` records the worlds at which each
-    node is needed; then each node in turn, bottom-up, fills its column, a
-    dict from those worlds, in ascending order, to its values, from its
-    children's columns.  So only the worlds the formula reaches are visited,
-    the valuation is read in the order of the pairs (node post order, worlds
-    ascending) and a missing value is reported at the first needed pair, and
-    a missing operation only where a node that uses it is needed.
+    it lacks.  successors(w) gives the worlds whose meet a box at w takes,
+    fetched once per world.  ``needed_worlds`` records the worlds at which
+    each node is needed; then each node in turn, bottom-up, fills its
+    column, a dict from those worlds, in ascending order, to its values,
+    from its children's columns with the node's table picked once.  So only
+    the worlds the formula reaches are visited, the valuation is read pair
+    by pair in node post order, worlds ascending, a missing value is
+    reported at the first needed pair, and a missing operation only where a
+    node that uses it is needed.
     """
-    needed = needed_worlds(nodes, (world,), successors)
+    fetched: dict[int, tuple[int, ...]] = {}  # box world -> its successors
+
+    def fetch(w: int) -> tuple[int, ...]:
+        if w not in fetched:
+            fetched[w] = successors(w)
+        return fetched[w]
+
+    needed = needed_worlds(nodes, (world,), fetch)
     meet, top = lattice.meet_table, lattice.top
     columns: list[dict[int, int]] = []  # per node: needed world -> value
     for i, (kind, a, b) in enumerate(nodes):
@@ -240,16 +244,12 @@ def interpret(nodes, world: int, valuation, unbound, successors, lattice) -> int
                 missing = next(w for w in worlds if (w, a) not in valuation)
                 raise unbound(missing, a) from None
         elif kind == BOX:
-            x = columns[a]
-            if successors is None:
-                column = x
-            else:
-                column = {}
-                for w in worlds:
-                    value = top
-                    for w2 in successors[w]:
-                        value = meet[value][x[w2]]
-                    column[w] = value
+            x, column = columns[a], {}
+            for w in worlds:
+                value = top
+                for w2 in fetched[w]:
+                    value = meet[value][x[w2]]
+                column[w] = value
         elif kind == NOT:
             if lattice.neg is None:
                 raise MissingOperation("neg")

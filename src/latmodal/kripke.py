@@ -10,10 +10,11 @@ the meet semantics.
 Both evaluators run on one compiled form of the formula, the post-order
 list of its unique subformulas from ``formula.compile_formula``.
 ``evaluate`` is the scalar reference: it runs ``formula.interpret`` on the
-model's valuation mapping and the frame's successor table, computing one
-node at a time over the column of worlds at which the node is needed, so it
-touches only the worlds the formula reaches from the queried one.  It keeps
-nothing from one call to the next but the compiled formula.
+model's valuation mapping, reading each needed world's successors once,
+and computes one node at a time over the column of worlds at which the
+node is needed, so it touches only the worlds the formula reaches from the
+queried one.  It keeps nothing from one call to the next but the compiled
+formula.
 ``frame_valid`` quantifies over every valuation of the formula's variables
 on a frame; it evaluates all valuations at once, bottom-up over the node
 list at the worlds ``formula.needed_worlds`` gives, on numpy arrays or on
@@ -103,10 +104,9 @@ class Frame(Record):
 
     @functools.cached_property
     def _successor_table(self) -> dict[int, tuple[int, ...]]:
-        """Each world's successors in ascending order, () for a dead end."""
-        table: dict[int, list[int]] = {i: [] for i in range(len(self.worlds))}
+        table: dict[int, list[int]] = {}
         for i, j in sorted(self.rel):
-            table[i].append(j)
+            table.setdefault(i, []).append(j)
         return {i: tuple(js) for i, js in table.items()}
 
     def successors(self, w: int) -> tuple[int, ...]:
@@ -180,7 +180,7 @@ def evaluate(
         return UnboundVariable(worlds[w], name)
 
     # the local box takes the meet over the world itself: its own value
-    successors = model.frame._successor_table if mode is BoxMode.NORMAL_MEET else None
+    successors = model.frame.successors if mode is BoxMode.NORMAL_MEET else lambda w: (w,)
     return interpret(compile_formula(f), world, model.valuation, unbound, successors, model.lattice)
 
 
@@ -432,9 +432,9 @@ def frame_root_values(
     nodes = plan.nodes
     local = mode is BoxMode.LOCAL
     # the local box takes the meet over the world itself: its own value
-    successors = None if local else frame._successor_table
+    successors = [(w,) if local else frame.successors(w) for w in range(n_worlds)]
     values: dict[tuple[int, int], list | np.ndarray] = {}  # (node id, world) -> values
-    for i, worlds in enumerate(needed_worlds(nodes, range(n_worlds), successors)):
+    for i, worlds in enumerate(needed_worlds(nodes, range(n_worlds), successors.__getitem__)):
         kind, a, b = nodes[i]
         for w in worlds:
             if kind == VAR:

@@ -600,7 +600,7 @@ def propositional_value(lattice: Lattice, assignment: dict[str, int], f: Formula
         return InvalidInput(f"no value assigned to variable {name!r}")
 
     valuation = {(0, name): value for name, value in assignment.items()}
-    return interpret(compile_formula(f), 0, valuation, unbound, {}, lattice)
+    return interpret(compile_formula(f), 0, valuation, unbound, None, lattice)
 
 
 class EntailmentResult(Record):
