@@ -204,10 +204,11 @@ _SCALAR_CLOSURE_BOUND = 1 << 13
 # Once numpy is loaded, the scalar closure still runs up to this many pairs,
 # where the arrays' fixed cost per round outweighs their speed: three rounds
 # took 0.03-0.25 ms on sets against 0.22-0.54 ms on arrays up to 3^5 pairs
-# (box-K on the 3-element chain), about even at 3^6 and 4^5, and 1.4 against
-# 0.6 ms at 5^5.  With numpy loaded, run_suite took 12% less time with this
-# bound than with the arrays alone, and 23% less than with a bound of 5^5
-# (medians of 25 in-process runs, same VM, numpy 2.4).
+# (box-K on the 3-element chain), 0.77 against 0.62 ms at 3^6, 0.63 against
+# 0.59 ms at 4^5, and 1.4 against 0.6 ms at 5^5.  With numpy loaded,
+# run_suite took 12% less time with this bound than with the arrays alone,
+# and 23% less than with a bound of 5^5 (medians of 25 in-process runs, same
+# VM, numpy 2.4).
 _LOADED_SCALAR_CLOSURE_BOUND = 1 << 10
 
 
