@@ -25,9 +25,10 @@ the public search of that one matrix (``find_frame_counterexample``,
 ``check_regularity``), so a report's bytes do not depend on which witness
 the batch found.  The matrices of one lattice come in a run, and each run
 is searched in one batch: one closure decides all its designated sets (see
-``search``).  The lattices of each size are enumerated once per process,
-and the restricted twists built once.  Each report is built once, when its
-check has run, and is frozen; it passes when it records no failure.
+``search``).  The lattices of each size and the upsets of each order are
+enumerated once per process, and the restricted twists built once.  Each
+report is built once, when its check has run, and is frozen; it passes
+when it records no failure.
 
 Universe conventions, chosen to mirror each property's hypotheses: the
 designated sets range over non-empty upward-closed subsets, except for
@@ -128,10 +129,22 @@ def _case_id(lattice: Lattice, designated: frozenset[int]) -> dict:
     }
 
 
+_UPSETS: dict[tuple[tuple[bool, ...], ...], tuple[frozenset[int], ...]] = {}
+
+
+def _upsets(lat: Lattice) -> tuple[frozenset[int], ...]:
+    """The upsets of the lattice's order, enumerated once per process, like
+    the lattices, and shared by every negation and implication on it."""
+    upsets = _UPSETS.get(lat.leq)
+    if upsets is None:
+        upsets = _UPSETS[lat.leq] = tuple(enumerate_upsets(lat))
+    return upsets
+
+
 def _upset_matrices(lattices: Iterable[Lattice]) -> Iterator[tuple[Matrix, dict]]:
     """Each lattice with each of its non-empty upsets designated."""
     for lat in lattices:
-        for upset in enumerate_upsets(lat):
+        for upset in _upsets(lat):
             if upset:
                 yield Matrix(lat, upset), _case_id(lat, upset)
 
@@ -168,7 +181,7 @@ def _twist_matrices(max_atoms: int) -> Iterator[tuple[Matrix, dict]]:
         base_matrix = _restricted_twist(atoms)
         lat = base_matrix.lattice
         ones = [lat.elements[i] for i in sorted(base_matrix.designated)]
-        for upset in enumerate_upsets(lat):
+        for upset in _upsets(lat):
             yield Matrix(lat, upset), {**_case_id(lat, upset), "atoms": atoms, "ones": ones}
 
 

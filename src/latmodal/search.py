@@ -53,17 +53,23 @@ it, as for every failing formula of ``find_frame_counterexample``, the
 frame scan decides and finds the canonically first counterexample.
 
 The closure and the frame scan each have two backends that give the same
-results: a scalar one on Python lists and an array one on numpy.  The
-scalar closure keeps the tuples in Python sets and evaluates through the
-plan's ``node_values`` on lists; the scalar scan runs ``frame_root_values``
-on lists over the whole valuation space.  A scalar backend runs only while
-numpy is not loaded in the process and its work stays within its bound:
-2^13 (valuation, tuple) pairs for the closure, ``_SCALAR_SCAN_BOUND``
-values for the scan, which moves to arrays from the frame that would pass
-it.  So a desk-scale ``valid`` query never imports numpy.  Once numpy is
-loaded (by ``entails``, ``check_regularity`` or the harness), the array
-scan always runs, and the array closure does past 2^10 pairs, below which
-the fixed cost of its rounds makes the scalar closure the faster one.
+results: a scalar one in plain Python and an array one on numpy.  The
+scalar closure keeps each tuple as one int, the down-set codes of its
+values packed side by side, so that a meet is a bitwise and and the closure
+a set of ints; at modal depth <= 1 it evaluates the part of the formula
+above the boxes once per distinct (outer variables' values, tuple), and
+deeper it decodes each round's new tuples and evaluates them through the
+plan's ``node_values`` on lists.  The scalar scan runs ``frame_root_values``
+on lists over the whole valuation space.  At modal depth <= 1 the scalar
+closure runs wherever at most 2^16 (valuation, tuple) pairs can occur,
+n^(variables + box nodes), numpy loaded or not, which covers every closure
+of ``run_suite`` at its default bounds.  Deeper it runs up to 2^13 pairs
+while numpy is not loaded and up to 2^10 once it is (by ``entails``,
+``check_regularity`` or an array kernel that ran before).  The scalar scan
+runs while numpy is not loaded and the values it computes stay within
+``_SCALAR_SCAN_BOUND``, and moves to arrays from the frame that would pass
+it.  So ``run_suite`` at its default bounds, and every ``valid`` query
+whose closure and scan stay within these bounds, never import numpy.
 numpy is imported inside the functions that build arrays, so importing
 this module does not load it.
 """
@@ -84,9 +90,11 @@ from .formula import (
     NOT,
     Box,
     Formula,
+    VAR,
     Var,
     compile_formula,
     modal_depth,
+    needed_worlds,
     parse,
     variables,
 )
@@ -193,22 +201,28 @@ def _merge(rows: np.ndarray, more: np.ndarray, n: int) -> tuple[np.ndarray, np.n
 
 _CLOSURE_BLOCK = 1 << 20  # about the most values one array of the closure holds
 
-# The scalar closure runs where numpy is not loaded yet and at most this many
-# (valuation, box-value tuple) pairs can occur, n^(variables + box nodes).
-# It is 5-15 times slower than the array closure, but importing numpy takes
-# about 140 ms.  On a 2-vCPU Xeon VM with Python 3.11, the slowest scalar
-# closure to its fixpoint measured within this bound took 20 ms
-# ([]([]p -> q) & []([]q -> p) -> ([][]p -> [][]q) on the 3-element chain,
-# 3^8 pairs), and one at 2^14 pairs took 280 ms (the array closure: 18 ms).
+# Measured on a 2-vCPU Xeon VM with Python 3.11 and numpy 2.4, in one
+# process with numpy loaded (medians of 7), n^(variables + box nodes) pairs.
+# At modal depth <= 1 the scalar closure runs up to this many pairs whether
+# numpy is loaded or not.  Three rounds took 0.15-0.3 ms on codes against
+# 0.3-0.5 ms on arrays up to 5^5 pairs (box-K on 4- and 5-element lattices,
+# a 3-variable formula at 3^6), 0.8-1.1 against 0.5 ms at 8^5, 1.7-1.9
+# against 0.7-0.9 ms at 9^5 (twist_k's closure), 0.9-1.1 against 0.7-1.0 ms
+# at 4^8 = 2^16, and 2.1-3.3 against 0.8-0.9 ms at 10^5.  Importing numpy
+# costs about 0.1 s and 12 MB in a fresh process, so the codes run to a bound
+# that covers run_suite's largest closure; the 30 closures of one run_suite
+# took 6.3 ms on codes against 10.9 ms on arrays alone.
+_CODED_CLOSURE_BOUND = 1 << 16
+# Deeper, the scalar closure runs up to this many pairs where numpy is not
+# loaded yet.  There it evaluates every (tuple, valuation) on lists: to the
+# fixpoint it took 2.0 ms against 1.1 ms on arrays at 3^8 pairs
+# ([]([]p -> q) & []([]q -> p) -> ([][]p -> [][]q) on the 3-element chain)
+# and 10 ms against 4 ms at 2^14.
 _SCALAR_CLOSURE_BOUND = 1 << 13
-# Once numpy is loaded, the scalar closure still runs up to this many pairs,
-# where the arrays' fixed cost per round outweighs their speed: three rounds
-# took 0.03-0.25 ms on sets against 0.22-0.54 ms on arrays up to 3^5 pairs
-# (box-K on the 3-element chain), 0.77 against 0.62 ms at 3^6, 0.63 against
-# 0.59 ms at 4^5, and 1.4 against 0.6 ms at 5^5.  With numpy loaded,
-# run_suite took 12% less time with this bound than with the arrays alone,
-# and 23% less than with a bound of 5^5 (medians of 25 in-process runs, same
-# VM, numpy 2.4).
+# Once numpy is loaded, the deeper scalar closure still runs up to this many
+# pairs, where the arrays' fixed cost per round outweighs their speed: to the
+# fixpoint it took 0.3 against 0.5 ms at 3^6 ([]([]p -> q) -> ([][]p -> []q)
+# on the 3-element chain) and 1.2 against 0.75 ms at 4^6.
 _LOADED_SCALAR_CLOSURE_BOUND = 1 << 10
 
 
@@ -225,13 +239,21 @@ def _closure_rounds(lat: Lattice, f: Formula) -> _Closure:
 
     Two backends give the same rounds, chosen by the number of (valuation,
     box-value tuple) pairs that can occur, n^(variables + box nodes): on
-    Python sets up to ``_SCALAR_CLOSURE_BOUND`` where numpy is not loaded
-    yet, so that a query the closure settles never imports it, or up to
-    ``_LOADED_SCALAR_CLOSURE_BOUND`` once it is, and on numpy arrays
-    otherwise."""
+    sets of packed down-set codes at modal depth <= 1 up to
+    ``_CODED_CLOSURE_BOUND``, within which the closures measured took at
+    most about 2 ms, far less than importing numpy; deeper, on the same
+    sets up to ``_SCALAR_CLOSURE_BOUND`` while numpy is not loaded, or
+    once it is up to ``_LOADED_SCALAR_CLOSURE_BOUND``, about where the
+    arrays overtake them; on numpy arrays otherwise.  The crossovers
+    measured are noted at the bounds."""
     plan = _plan_for(lat, f)
     width = sum(kind == BOX for kind, _, _ in plan.nodes)
-    bound = _LOADED_SCALAR_CLOSURE_BOUND if "numpy" in sys.modules else _SCALAR_CLOSURE_BOUND
+    if modal_depth(f) <= 1:
+        bound = _CODED_CLOSURE_BOUND
+    elif "numpy" in sys.modules:
+        bound = _LOADED_SCALAR_CLOSURE_BOUND
+    else:
+        bound = _SCALAR_CLOSURE_BOUND
     if plan.n ** (len(plan.names) + width) <= bound:
         return _Closure(plan, _scalar_closure_rounds)
     return _Closure(plan, _array_closure_rounds)
@@ -271,54 +293,124 @@ class _Closure:
 
 
 def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterator[_Round | None]:
-    """``_closure_rounds`` with the tuples in Python sets, evaluated through
-    ``node_values`` on lists, one entry per (tuple, valuation); the values
-    attained are a list of bools.  At modal depth <= 1 keeps its
-    provenance in ``trace``, if given."""
+    """``_closure_rounds`` with each row (box-value tuple) one int: the
+    down-set codes of its values, n bits each (bit x of a value's code is
+    set for each x below it), packed box by box.  The code of a meet is the
+    bitwise and of the codes, so two rows meet with one ``&`` and the
+    closure keeps sets of ints; the values attained are a list of bools.
+
+    At modal depth <= 1 the box arguments hold no box, so they are
+    evaluated once, at every valuation s, for the generators t(s).  Above
+    the boxes the formula reads only its outer variables, those that occur
+    outside every box, so its value at a cell (s, c) is that of the key
+    (o(s), c), o(s) the outer variables' values at s; a loop cell, whose
+    root is among its own successors, takes the key (o(s), c & t(s)).
+    Each key is evaluated once, in batches through ``list_connective``,
+    and its value kept while the closure lives.  The rows of a round's
+    loop keys are its meets with every generator, so they are the next
+    round's meets, computed once.  Deeper formulas decode each round's new
+    rows and evaluate them through the plan's ``node_values`` on lists, one
+    entry per (row, valuation).  At modal depth <= 1 keeps its provenance
+    in ``trace``, if given."""
     lat, nodes, names, n = plan.lattice, plan.nodes, plan.names, plan.n
-    meet, connective = lat.meet_table, plan.list_connective
+    connective = plan.list_connective
+    box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
+    shifts = [j * n for j in range(len(box_ids))]
+    down = [sum(1 << x for x in range(n) if lat.leq[x][a]) for a in range(n)]
+    element, field = {code: a for a, code in enumerate(down)}, (1 << n) - 1
+    row_bits = n * len(box_ids)
+    top = (1 << row_bits) - 1  # every value top: down(top) is every element
     # every valuation s of the variables, last one fastest, and its columns
     valuations = list(itertools.product(range(n), repeat=len(names)))
     columns = dict(zip(names, map(list, zip(*valuations))))
-    box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
     bounded = modal_depth(plan.formula) <= 1
     traced = bounded and trace is not None
 
-    def root_values(rows: list[tuple[int, ...]]) -> tuple[list, list[int]]:
-        """The values of every node at each (row, valuation), the valuation
-        fastest, and at depth <= 1 the root's with the root among its own
-        successors (else none)."""
-        own = {name: column * len(rows) for name, column in columns.items()}
-        boxed = {i: [c[j] for c in rows for _ in valuations] for j, i in enumerate(box_ids)}
-        values = plan.node_values(own, lambda i, arg: boxed[i], connective)
-        if not bounded:
-            return values, []
-        loop = plan.node_values(own, lambda i, arg: connective(AND, arg, boxed[i]), connective)
-        return values, loop[-1]
+    def encode(values: list, size: int) -> list[int]:
+        """The row of box-argument values at each of the size positions."""
+        fields = [
+            [down[v] << shift for v in values[nodes[i][1]]] for i, shift in zip(box_ids, shifts)
+        ]
+        return list(map(sum, zip(*fields))) if fields else [0] * size
 
-    # the box-value tuples reached and those not yet evaluated; generators
-    # are the tuples t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
-    top = (lat.top,) * len(box_ids)
-    closure, new, generators = {top}, [top], set()
-    collect = bool(box_ids)
+    def decode(rows: list[int], shift: int, repeat: int = 1) -> list[int]:
+        """The values of one box in each row, each repeated."""
+        return [v for c in rows for v in [element[c >> shift & field]] * repeat]
+
+    if bounded:
+        # the nodes above the boxes, needed at a world without successors,
+        # and the variables among them
+        above = needed_worlds(nodes, (0,), lambda w: ())
+        outer = [i for i, worlds in enumerate(above) if worlds]
+        outer_names = sorted({nodes[i][1] for i in outer if nodes[i][0] == VAR})
+        # a key is o(s), the index of the outer variables' values, above a row
+        outer_values = list(itertools.product(range(n), repeat=len(outer_names)))
+        index = {o: k << row_bits for k, o in enumerate(outer_values)}
+        o_of = [index[tuple(s[names.index(x)] for x in outer_names)] for s in valuations]
+        o_keys = list(index.values())
+        # the box arguments at each valuation (each box takes its argument's
+        # values here, a placeholder that no box argument reads)
+        t_of = encode(plan.node_values(columns, lambda i, arg: arg, connective), len(valuations))
+        # the generators at the valuations of each o(s)
+        t_by_o: dict[int, set[int]] = {}
+        for o, t in zip(o_of, t_of):
+            t_by_o.setdefault(o, set()).add(t)
+        values_of: dict[int, int] = {}  # the root value of each key evaluated
+
+        def evaluate(keys: set[int]) -> None:
+            keys = list(keys - values_of.keys())
+            values: dict[int, list[int]] = {}
+            for i in outer:
+                kind, a, b = nodes[i]
+                if kind == VAR:
+                    k = outer_names.index(a)
+                    values[i] = [outer_values[key >> row_bits][k] for key in keys]
+                elif kind == BOX:
+                    values[i] = decode(keys, shifts[box_ids.index(i)])
+                else:
+                    values[i] = connective(kind, values[a], None if b is None else values[b])
+            values_of.update(zip(keys, values[len(nodes) - 1]))
+
+    def root_values(rows: list[int]) -> tuple[set[int], list[int], set[int]]:
+        """The root values of the cells of the rows, the box-argument rows
+        to collect, and at depth <= 1 the rows of the loop keys."""
+        if bounded:
+            plain = {o | c for c in rows for o in o_keys}
+            loops, meets = set(), set()
+            for o, ts in t_by_o.items():
+                met = {c & t for c in rows for t in ts}
+                meets |= met
+                loops.update({o | m for m in met} if o else met)
+            evaluate(plain | loops)
+            roots = set(map(values_of.__getitem__, plain)).union(map(values_of.__getitem__, loops))
+            return roots, [], meets
+        own = {name: column * len(rows) for name, column in columns.items()}
+        boxed = {i: decode(rows, shift, len(valuations)) for i, shift in zip(box_ids, shifts)}
+        values = plan.node_values(own, lambda i, arg: boxed[i], connective)
+        return set(values[-1]), encode(values, len(values[-1])), set()
+
+    # the rows reached and those not yet evaluated; generators are the rows
+    # t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
+    closure, new = {top}, [top]
+    # at depth <= 1 every t(s) from the start, which round 0 meets with all-top
+    generators = set(t_of) - closure if bounded else set()
     attained, work = [False] * n, 0
     if traced:
-        rows: list[list[tuple[int, ...]]] = []  # each round's
-        t_of: list[tuple[int, ...]] = []  # t(s) by valuation index s
+        rows: list[list[int]] = []  # each round's
 
         def cells(h: int) -> dict[int, tuple[bool, int, int]]:
-            values, loop = root_values(rows[h])
             found: dict[int, tuple[bool, int, int]] = {}
-            for looped, roots in ((False, values[-1]), (True, loop)):
-                for v in set(roots) - found.keys():
-                    found[v] = (looped, *divmod(roots.index(v), len(valuations)))
+            for looped in (False, True):
+                for j, c in enumerate(rows[h]):
+                    for s, (o, t) in enumerate(zip(o_of, t_of)):
+                        found.setdefault(values_of[o | (c & t if looped else c)], (looped, j, s))
             return found
 
         def parent(h: int, j: int) -> tuple[int, int]:
             for i, x in enumerate(rows[h - 1]):
-                for y in generators:
-                    if tuple([meet[a][b] for a, b in zip(x, y)]) == rows[h][j]:
-                        return i, t_of.index(y)
+                for t in generators:
+                    if x & t == rows[h][j]:
+                        return i, t_of.index(t)
             raise AssertionError("a row of the closure is no meet of the round before")
 
         trace.cells, trace.parent = functools.cache(cells), functools.cache(parent)
@@ -328,28 +420,20 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
         if work > MAX_VALUATION_SPACE:
             yield None
             return
-        values, loop = root_values(new)  # loop: a root among its own successors
-        roots = set(values[-1]).union(loop)
+        roots, found, meets = root_values(new)
         for v in roots:
             attained[v] = True
-        found = list(zip(*(values[nodes[i][1]] for i in box_ids))) if collect else []
         if traced:
             rows.append(new)
-            t_of += found  # round 0 evaluates the one row all-top, at each valuation
         yield attained.copy(), not new
-        if not box_ids:
-            new = []
-            continue
-        collect = not bounded
         fresh = set(found) - closure  # the closure holds every generator
         work += len(new) * len(generators) + len(closure) * len(fresh)
         if work > MAX_VALUATION_SPACE:
             yield None
             return
-        pairs = itertools.chain(
-            itertools.product(new, generators), itertools.product(closure, fresh)
-        )
-        meets = {tuple([meet[a][b] for a, b in zip(x, y)]) for x, y in pairs}
+        if not bounded:
+            meets = {x & y for x in new for y in generators}
+            meets.update(x & y for x in closure for y in fresh)
         generators |= fresh
         new = list(meets - closure)
         closure |= meets
@@ -549,7 +633,7 @@ def _find_counterexamples(
     exact = (
         (NOT not in kinds or lat.neg is not None)
         and (IMP not in kinds or lat.imp is not None)
-        and lat.n ** kinds.count(BOX) < 1 << 63  # box-value tuples have int64 codes
+        and lat.n ** kinds.count(BOX) < 1 << 63  # the array closure codes tuples in int64
     )
     try:
         _guard_valuation_space(lat.n, max_worlds, n_vars, unsafe_bounds)

@@ -12,6 +12,7 @@ from latmodal.serialize import dumps
 DATA = Path(__file__).parent / "data"
 BOX_K = "[](p -> q) -> ([]p -> []q)"
 WIDE = "[]([]p & []q & []r) -> [][]p & [][]q & [][]r"
+WIDE_DEPTH1 = "[](p -> q) & [](q -> r) & []p -> []q & []r & [](p & q) & [](q | r)"
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +270,7 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
         ["valid", "--lattice", lattice, "--formula", BOX_K, "--max-worlds", "4"],
         ["valid", "--lattice", lattice, "--formula", "[]p -> p", "--max-worlds", "2"],
         ["valid", "--lattice", lattice, "--formula", BOX_K, "--max-worlds", "4", "--box", "local"],
+        ["valid", "--lattice", lattice, "--formula", WIDE_DEPTH1, "--max-worlds", "2"],
         ["valid", "--lattice", lattice, "--formula", WIDE, "--max-worlds", "2"],
     ) == [
         "import False",
@@ -282,9 +284,17 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
         "valid 1 False",
         # the local box: one world without successors, on lists
         "valid 0 False",
-        # valid too, but 3^10 (valuation, tuple) pairs: the array closure runs
+        # valid, of modal depth 1 and 3^10 (valuation, tuple) pairs: the
+        # coded closure runs
+        "valid 0 False",
+        # valid too, but of modal depth 2 and 3^10 pairs: the array closure runs
         "valid 0 True",
     ]
+    # of modal depth 1 and 3^11 pairs, past the coded closure's bound
+    past = WIDE_DEPTH1 + " & [](p | r)"
+    assert _loaded_after_each(
+        ["valid", "--lattice", lattice, "--formula", past, "--max-worlds", "2"]
+    ) == ["import False", "valid 0 True"]
     # failing, and the first 3-world frame alone has 4^9 valuations x 3 worlds
     # x 13 nodes, past the scan's budget: deferred to arrays, not dropped
     b4 = _write_boolean4(tmp_path, capsys)

@@ -193,6 +193,21 @@ def test_run_suite_scans_no_frame(monkeypatch):
     assert [r.to_dict() for r in reports] == json.loads(golden.read_text())["reports"]
 
 
+def test_run_suite_at_the_default_bounds_loads_no_numpy():
+    """Every closure of the default suite is within the coded closure's
+    bound, and nothing else in it builds an array: in a fresh process it
+    passes without importing numpy."""
+    from test_cli import run_fresh
+
+    script = (
+        "import sys\n"
+        "from latmodal.harness import HarnessConfig, run_suite\n"
+        "reports, status = run_suite(HarnessConfig())\n"
+        "print(status, 'numpy' in sys.modules)\n"
+    )
+    assert run_fresh(script) == ["0 False"]
+
+
 def test_unsafe_bounds_reach_the_lattice_enumeration(monkeypatch):
     import latmodal.enumeration
 

@@ -448,16 +448,23 @@ def _rounds_to_fixpoint(rounds):
 
 
 def test_scalar_and_array_closures_agree_round_by_round():
+    """On every lattice of at most 5 elements and the restricted twists of
+    twist_k, for formulas with no variable above a box, with one there and
+    of modal depth 2."""
+    from latmodal import harness
+
     formulas = [
         AXIOM_K,
         BOX_DISJUNCTION_DIST,
         parse("[](p & q) -> ([]p & []q)"),
         parse("[]p -> p"),
+        parse("p & []q -> []p"),
         parse("~[]p -> []~p"),
         DEPTH2_FORMULAS[0],
     ]
+    twists = dict.fromkeys(matrix.lattice for matrix, _ in harness._twist_matrices(2))
     compared = 0
-    for lat in _lattices_up_to(5):
+    for lat in [*_lattices_up_to(5), *twists]:
         for f in formulas:
             kinds = {kind for kind, _, _ in formula.compile_formula(f)}
             if lat.neg is None and formula.NOT in kinds:
@@ -466,15 +473,16 @@ def test_scalar_and_array_closures_agree_round_by_round():
             scalar = _rounds_to_fixpoint(_scalar_closure_rounds(plan))
             assert scalar == _rounds_to_fixpoint(_array_closure_rounds(plan)), (lat, f)
             compared += 1
-    assert compared == 122
+    assert compared == 158
 
 
 def test_scalar_and_array_closures_give_up_after_the_same_rounds(monkeypatch):
     """Both count the rows they evaluate and meet alike, so under any budget
-    they give up after the same rounds."""
+    they give up after the same rounds, at modal depth 1 too, where the
+    coded closure evaluates keys instead of rows."""
     ends = {"fixpoint": 0, "gave up": 0}
     for lat in _lattices_up_to(4):
-        for f in DEPTH2_FORMULAS:
+        for f in [AXIOM_K, parse("p & []q -> []p"), *DEPTH2_FORMULAS]:
             plan = kripke._Plan(lat, f)
             for budget in (1 << e for e in range(2, 17)):
                 monkeypatch.setattr(latmodal.search, "MAX_VALUATION_SPACE", budget)
@@ -486,17 +494,24 @@ def test_scalar_and_array_closures_give_up_after_the_same_rounds(monkeypatch):
 
 
 def test_once_numpy_is_loaded_the_closure_backend_follows_the_closure_size():
-    """With numpy loaded, n^(variables + box nodes) picks the backend: the
-    scalar closure up to _LOADED_SCALAR_CLOSURE_BOUND, the arrays past it."""
+    """With numpy loaded, n^(variables + box nodes) picks the backend: at
+    modal depth <= 1 the coded closure up to _CODED_CLOSURE_BOUND, as where
+    numpy is not loaded, and deeper the scalar closure up to
+    _LOADED_SCALAR_CLOSURE_BOUND; the arrays past each."""
     import numpy as np
 
-    bound = latmodal.search._LOADED_SCALAR_CLOSURE_BOUND
-    assert 4**5 <= bound < 5**5
-    # box-K has 2 variables and 3 box nodes
-    for size in (2, 3, 4, 5):
-        lat = chain(size).with_imp(build_implication(chain(size), DEDUCTIVE_EQ1))
-        attained, _ = next(_closure_rounds(lat, AXIOM_K))
-        assert isinstance(attained, list if size**5 <= bound else np.ndarray), size
+    coded = latmodal.search._CODED_CLOSURE_BOUND
+    loaded = latmodal.search._LOADED_SCALAR_CLOSURE_BOUND
+    assert 9**5 <= coded < 10**5 and 3**6 <= loaded < 4**6
+    # box-K has 2 variables and 3 box nodes, the depth-2 formula 2 and 4
+    for f, exponent, sizes, bound in (
+        (AXIOM_K, 5, (2, 5, 9, 10), coded),
+        (DEPTH2_FORMULAS[0], 6, (3, 4), loaded),
+    ):
+        for size in sizes:
+            lat = chain(size).with_imp(build_implication(chain(size), DEDUCTIVE_EQ1))
+            attained, _ = next(_closure_rounds(lat, f))
+            assert isinstance(attained, list if size**exponent <= bound else np.ndarray), (f, size)
 
 
 def test_list_and_array_frame_scans_agree():
@@ -802,25 +817,24 @@ def test_each_lattice_and_frame_is_evaluated_once_per_check(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("backend", ["chosen", "scalar"])
+@pytest.mark.parametrize("backend", ["chosen", "scalar", "array"])
 def test_closure_fans_match_the_frame_scan(monkeypatch, backend):
     """The harness's batches, whose failing matrices get the fans that the
     closure unfolds, against the canonical search: on the universes of
     disj_dist, k_linear, k_material and twist_k and on every upset of every
     lattice of at most 4 elements, for three formulas of modal depth 1 at
     bounds 1 to 3, the same matrices fail, and each fan re-checks itself and
-    fits the bound.  The scalar closure runs where forced to (this process
-    has numpy loaded)."""
+    fits the bound.  Each closure runs where forced to (all of these are
+    within the coded closure's bound)."""
     from latmodal import enumerate_upsets
     from latmodal import harness
 
-    if backend == "scalar":
+    if backend != "chosen":
+        rounds = _scalar_closure_rounds if backend == "scalar" else _array_closure_rounds
         monkeypatch.setattr(
             latmodal.search,
             "_closure_rounds",
-            lambda lat, f: latmodal.search._Closure(
-                kripke._plan_for(lat, f), _scalar_closure_rounds
-            ),
+            lambda lat, f: latmodal.search._Closure(kripke._plan_for(lat, f), rounds),
         )
     universes = itertools.chain(
         harness._eq1_matrices(5, False),
