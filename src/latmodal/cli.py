@@ -10,7 +10,7 @@ given.
 
 The search, the harness and the lattice builders and enumerators are
 imported inside the commands that use them, so a command compiles and loads
-only the modules it runs.
+only the modules it runs, and a command builds only its own parser.
 """
 
 from __future__ import annotations
@@ -292,96 +292,89 @@ def _cmd_verify(args) -> int:
     return status
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--compact", action="store_true", help="single-line JSON output")
-    bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument(
-        "--unsafe-bounds",
-        action="store_true",
-        help="override the built-in size guards",
-    )
+# each command, run by _cmd_<name>: its help, whether it takes
+# --unsafe-bounds, and its own arguments in the order of its usage line
+_COMMANDS = {
+    "lattice": ("validate and report on a lattice file", False, [
+        ("action", {"choices": ["check"]}),
+        ("file", {}),
+        ("--down-distribution", {
+            "choices": ["fast", "exhaustive"], "default": "fast",
+            "help": "how to check down-distribution",
+        }),
+    ]),
+    "eval": ("evaluate a formula on a model file", False, [
+        ("--model", {"required": True}),
+        ("--formula", {"required": True}),
+        ("--world", {}),
+        ("--box", {"choices": sorted(_BOX_MODES), "default": "normal"}),
+    ]),
+    "valid": ("search frames for a counterexample", True, [
+        ("--lattice", {"required": True}),
+        ("--formula", {"required": True}),
+        ("--max-worlds", {"type": int, "required": True}),
+        ("--box", {"choices": sorted(_BOX_MODES), "default": "normal"}),
+    ]),
+    "entails": ("brute-force the consequence relation", True, [
+        ("--lattice", {"required": True}),
+        ("--premises", {"nargs": "*", "default": []}),
+        ("--conclusion", {"required": True}),
+    ]),
+    "regular": ("check necessity-means-all-successors", True, [
+        ("--lattice", {"required": True}),
+        ("--max-worlds", {"type": int, "default": 2}),
+    ]),
+    "enumerate": ("emit lattices as JSON lines", True, [
+        ("--size", {"type": int, "required": True}),
+        ("--neg", {"choices": ["antimonotone-involutions", "all-maps"]}),
+    ]),
+    "construct": ("emit a built-in lattice", False, [
+        ("--kind", {"required": True}),
+        ("--designated", {
+            "nargs": "+", "help": "element names to designate (space- or comma-separated)",
+        }),
+        ("--imp", {"choices": [MATERIAL, DEDUCTIVE_EQ1]}),
+    ]),
+    "verify": ("run the verification harness", True, [
+        ("--theorem", {"choices": list(THEOREM_IDS)}),
+        ("--all", {"action": "store_true"}),
+        ("--max-size", {"type": int, "default": 5}),
+        ("--max-worlds", {"type": int, "default": 3}),
+    ]),
+}
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone where it names
+    one.  argparse translates each help string through ``gettext`` as it
+    builds a parser, so a process builds only the parser it runs."""
     parser = argparse.ArgumentParser(
         prog="latmodal",
         description="Finite lattice-based logics, modal evaluation, and desk-scale verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lattice", parents=[common], help="validate and report on a lattice file")
-    p.add_argument("action", choices=["check"])
-    p.add_argument("file")
-    p.add_argument(
-        "--down-distribution",
-        choices=["fast", "exhaustive"],
-        default="fast",
-        help="how to check down-distribution",
-    )
-    p.set_defaults(func=_cmd_lattice)
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate a formula on a model file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--world")
-    p.add_argument("--box", choices=sorted(_BOX_MODES), default="normal")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser(
-        "valid", parents=[common, bounded], help="search frames for a counterexample"
-    )
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--max-worlds", type=int, required=True)
-    p.add_argument("--box", choices=sorted(_BOX_MODES), default="normal")
-    p.set_defaults(func=_cmd_valid)
-
-    p = sub.add_parser(
-        "entails", parents=[common, bounded], help="brute-force the consequence relation"
-    )
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--premises", nargs="*", default=[])
-    p.add_argument("--conclusion", required=True)
-    p.set_defaults(func=_cmd_entails)
-
-    p = sub.add_parser(
-        "regular", parents=[common, bounded], help="check necessity-means-all-successors"
-    )
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--max-worlds", type=int, default=2)
-    p.set_defaults(func=_cmd_regular)
-
-    p = sub.add_parser(
-        "enumerate", parents=[common, bounded], help="emit lattices as JSON lines"
-    )
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--neg", choices=["antimonotone-involutions", "all-maps"])
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("construct", parents=[common], help="emit a built-in lattice")
-    p.add_argument("--kind", required=True)
-    p.add_argument(
-        "--designated",
-        nargs="+",
-        help="element names to designate (space- or comma-separated)",
-    )
-    p.add_argument("--imp", choices=[MATERIAL, DEDUCTIVE_EQ1])
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser(
-        "verify", parents=[common, bounded], help="run the verification harness"
-    )
-    p.add_argument("--theorem", choices=list(THEOREM_IDS))
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--max-size", type=int, default=5)
-    p.add_argument("--max-worlds", type=int, default=3)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (text, bounded, arguments) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--compact", action="store_true", help="single-line JSON output")
+        if bounded:
+            p.add_argument(
+                "--unsafe-bounds", action="store_true", help="override the built-in size guards"
+            )
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=globals()[f"_cmd_{name}"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command's own parser; the full one answers for no command, an
+    # unknown one or --help, and reports arguments that the command rejects
+    args, rejected = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if rejected:
+        build_parser().parse_args(argv)
     try:
         return args.func(args)
     except LatModalError as exc:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import BoundTooLarge, InvalidInput, MissingOperation, UnboundVariable
 from .formula import (
@@ -92,15 +92,21 @@ class Frame(Record):
         object.__setattr__(self, "rel", rel)
 
     @classmethod
-    def from_names(cls, worlds: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Frame":
+    def from_names(cls, worlds: Iterable[str], pairs: Iterable[Sequence[str]]) -> "Frame":
+        """The frame of the named worlds and pairs of names, each pair read
+        once, into the set of index pairs."""
         worlds = tuple(worlds)
         index = {w: i for i, w in enumerate(worlds)}
-        rel = set()
-        for a, b in pairs:
+
+        def indices(pair: Sequence[str]) -> tuple[int, int]:
+            a, b = pair
             if a not in index or b not in index:
                 raise InvalidInput(f"relation pair ({a!r}, {b!r}) references an unknown world")
-            rel.add((index[a], index[b]))
-        return cls(worlds, frozenset(rel))
+            return index[a], index[b]
+
+        # a frozenset copied from a set gets a table sized to fit, half that of
+        # one grown pair by pair
+        return cls(worlds, frozenset(set(map(indices, pairs))))
 
     @functools.cached_property
     def _successor_table(self) -> dict[int, tuple[int, ...]]:

@@ -31,12 +31,14 @@ frame scan decides instead.
 The search decides the designated sets of one lattice in one batch, as the
 harness asks: one closure, grown until every set is settled, and one pass
 over the canonical frames, which computes each frame's root values once and
-gives each set still open its own first failure.  ``check_regularity`` is
-batched the same way: each frame's []p values are computed once per
-lattice.  The public searches are the batches of one.  The harness, which
-needs a witness of each failure but not the canonically first one, scans
-no frame: see the fans below, and ``_regularity_pair_witnesses``, a closure
-of ([]p, "p at every successor") pairs.
+gives each set still open its own first failure.  ``check_regularity`` runs
+the same frame scan on the formula []p, where a set's test on a frame is
+its first world at which "[]p designated" and "p designated at every
+successor" differ.  The public searches are the batches of one.  The
+harness, which needs a witness of each failure but not the canonically
+first one, scans no frame: see the fans below, and
+``_regularity_pair_witnesses``, a closure of ([]p, "p at every successor")
+pairs.
 
 At modal depth <= 1, t(s, c) = t(s) and round m - 1 decides the frames of
 at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
@@ -60,16 +62,15 @@ a set of ints; at modal depth <= 1 it evaluates the part of the formula
 above the boxes once per distinct (outer variables' values, tuple), and
 deeper it decodes each round's new tuples and evaluates them through the
 plan's ``node_values`` on lists.  The scalar scan runs ``frame_root_values``
-on lists over the whole valuation space.  At modal depth <= 1 the scalar
-closure runs wherever at most 2^16 (valuation, tuple) pairs can occur,
-n^(variables + box nodes), numpy loaded or not, which covers every closure
-of ``run_suite`` at its default bounds.  Deeper it runs up to 2^13 pairs
-while numpy is not loaded and up to 2^10 once it is (by ``entails``,
-``check_regularity`` or an array kernel that ran before).  The scalar scan
-runs while numpy is not loaded and the values it computes stay within
-``_SCALAR_SCAN_BOUND``, and moves to arrays from the frame that would pass
-it.  So ``run_suite`` at its default bounds, and every ``valid`` query
-whose closure and scan stay within these bounds, never import numpy.
+on lists over the whole valuation space.  The closure's backend is chosen
+by size alone: the scalar closure runs wherever at most 2^16 (valuation,
+tuple) pairs can occur, n^(variables + box nodes), at every modal depth,
+which covers every closure of ``run_suite`` at its default bounds.  The
+scalar scan runs while numpy is not loaded and the values it computes stay
+within ``_SCALAR_SCAN_BOUND``, and moves to arrays from the frame that
+would pass it; the regularity scan is that scan.  So ``run_suite`` at its
+default bounds, ``latmodal regular`` at desk scale, and every ``valid``
+query whose closure and scan stay within these bounds, never import numpy.
 numpy is imported inside the functions that build arrays, so importing
 this module does not load it.
 """
@@ -201,29 +202,21 @@ def _merge(rows: np.ndarray, more: np.ndarray, n: int) -> tuple[np.ndarray, np.n
 
 _CLOSURE_BLOCK = 1 << 20  # about the most values one array of the closure holds
 
-# Measured on a 2-vCPU Xeon VM with Python 3.11 and numpy 2.4, in one
-# process with numpy loaded (medians of 7), n^(variables + box nodes) pairs.
-# At modal depth <= 1 the scalar closure runs up to this many pairs whether
-# numpy is loaded or not.  Three rounds took 0.15-0.3 ms on codes against
-# 0.3-0.5 ms on arrays up to 5^5 pairs (box-K on 4- and 5-element lattices,
-# a 3-variable formula at 3^6), 0.8-1.1 against 0.5 ms at 8^5, 1.7-1.9
-# against 0.7-0.9 ms at 9^5 (twist_k's closure), 0.9-1.1 against 0.7-1.0 ms
-# at 4^8 = 2^16, and 2.1-3.3 against 0.8-0.9 ms at 10^5.  Importing numpy
-# costs about 0.1 s and 12 MB in a fresh process, so the codes run to a bound
-# that covers run_suite's largest closure; the 30 closures of one run_suite
-# took 6.3 ms on codes against 10.9 ms on arrays alone.
+# The closure runs on codes up to this many pairs, n^(variables + box
+# nodes), and on numpy arrays past it.  Measured on a 2-vCPU Xeon VM with
+# Python 3.11 and numpy 2.4.  In fresh processes without a bytecode cache,
+# where the arrays first import numpy (0.19 s against 0.045 s for a bare
+# interpreter), the codes win within the bound: a valid depth-2 query at
+# 3^10 pairs ([]([]p & []q & []r) -> [][]p & [][]q & [][]r on the 3-element
+# chain) ran in 0.175 s on codes against 0.28 s on arrays (medians of 15).
+# In one process with numpy already loaded (medians of 7), three rounds at
+# modal depth <= 1 took 0.15-0.3 ms on codes against 0.3-0.5 ms on arrays up
+# to 5^5 pairs, but 0.8-1.1 against 0.5 ms at 8^5, 1.7-1.9 against 0.7-0.9 ms
+# at 9^5 (twist_k's closure) and 0.9-1.1 against 0.7-1.0 ms at 4^8 = 2^16;
+# the 3^10 closure above took 55 ms to its fixpoint on codes against 21-30 ms
+# on arrays.  A valid query runs its closure before anything that loads
+# numpy, so the bound follows the fresh processes.
 _CODED_CLOSURE_BOUND = 1 << 16
-# Deeper, the scalar closure runs up to this many pairs where numpy is not
-# loaded yet.  There it evaluates every (tuple, valuation) on lists: to the
-# fixpoint it took 2.0 ms against 1.1 ms on arrays at 3^8 pairs
-# ([]([]p -> q) & []([]q -> p) -> ([][]p -> [][]q) on the 3-element chain)
-# and 10 ms against 4 ms at 2^14.
-_SCALAR_CLOSURE_BOUND = 1 << 13
-# Once numpy is loaded, the deeper scalar closure still runs up to this many
-# pairs, where the arrays' fixed cost per round outweighs their speed: to the
-# fixpoint it took 0.3 against 0.5 ms at 3^6 ([]([]p -> q) -> ([][]p -> []q)
-# on the 3-element chain) and 1.2 against 0.75 ms at 4^6.
-_LOADED_SCALAR_CLOSURE_BOUND = 1 << 10
 
 
 def _closure_rounds(lat: Lattice, f: Formula) -> _Closure:
@@ -238,23 +231,13 @@ def _closure_rounds(lat: Lattice, f: Formula) -> _Closure:
     record where each root value comes from (``_Closure``).
 
     Two backends give the same rounds, chosen by the number of (valuation,
-    box-value tuple) pairs that can occur, n^(variables + box nodes): on
-    sets of packed down-set codes at modal depth <= 1 up to
-    ``_CODED_CLOSURE_BOUND``, within which the closures measured took at
-    most about 2 ms, far less than importing numpy; deeper, on the same
-    sets up to ``_SCALAR_CLOSURE_BOUND`` while numpy is not loaded, or
-    once it is up to ``_LOADED_SCALAR_CLOSURE_BOUND``, about where the
-    arrays overtake them; on numpy arrays otherwise.  The crossovers
-    measured are noted at the bounds."""
+    box-value tuple) pairs that can occur, n^(variables + box nodes), at
+    every modal depth: on sets of packed down-set codes up to
+    ``_CODED_CLOSURE_BOUND``, and on numpy arrays past it.  The timings
+    behind the bound are noted at it."""
     plan = _plan_for(lat, f)
     width = sum(kind == BOX for kind, _, _ in plan.nodes)
-    if modal_depth(f) <= 1:
-        bound = _CODED_CLOSURE_BOUND
-    elif "numpy" in sys.modules:
-        bound = _LOADED_SCALAR_CLOSURE_BOUND
-    else:
-        bound = _SCALAR_CLOSURE_BOUND
-    if plan.n ** (len(plan.names) + width) <= bound:
+    if plan.n ** (len(plan.names) + width) <= _CODED_CLOSURE_BOUND:
         return _Closure(plan, _scalar_closure_rounds)
     return _Closure(plan, _array_closure_rounds)
 
@@ -684,15 +667,18 @@ def _scan_frames(
     frames: Iterable[Frame],
     mode: BoxMode,
     unsafe_bounds: bool,
-) -> list[CounterexampleReport | None]:
-    """The first counterexample on the frames, in order, of each matrix in
+    first: Callable = first_failure,
+) -> list:
+    """What ``first`` finds first on the frames, in order, for each matrix in
     scan (by index; all of one lattice), or None: each frame's root values
-    are computed once, for the sets still open.  They are lists while numpy
-    is not loaded and the values computed stay within
+    are computed once, for the sets still open, and ``first`` reads them as
+    ``first_failure`` does, giving a set's first counterexample on the frame
+    (or ``_first_defect`` its first regularity defect).  The values are
+    lists while numpy is not loaded and the values computed stay within
     ``_SCALAR_SCAN_BOUND``, and arrays from the frame that would pass it."""
     lat = matrices[0].lattice
     plan = _plan_for(lat, f)
-    reports: list[CounterexampleReport | None] = [None] * len(matrices)
+    reports: list = [None] * len(matrices)
     lists, spent = "numpy" not in sys.modules, 0
     for frame in frames if scan else ():
         k = len(frame.worlds)
@@ -700,7 +686,7 @@ def _scan_frames(
         lists = lists and spent <= _SCALAR_SCAN_BOUND
         roots = frame_root_values(lat, frame, f, mode, unsafe_bounds=unsafe_bounds, lists=lists)
         for i in scan:
-            reports[i] = first_failure(matrices[i], frame, f, roots, mode)
+            reports[i] = first(matrices[i], frame, f, roots, mode)
         scan = [i for i in scan if reports[i] is None]
         if not scan:
             break
@@ -768,14 +754,20 @@ def check_regularity(
     """Scan all one-variable models within the world bound for a world where
     []p is designated but p fails at some successor, or the reverse; the
     first such world in canonical order (frames, then valuations with the
-    last world fastest, then worlds) is the witness.  Each world count is
-    scanned only if ``frame_valid``'s valuation guard admits it.
+    last world fastest, then worlds) is the witness.  The scan is the frame
+    scan of ``find_frame_counterexample`` on the formula []p, with
+    ``_first_defect`` in place of ``first_failure``, so it has the same
+    backends and guards: each world count is scanned only if
+    ``frame_valid``'s valuation guard admits it.
 
     The structural side (designated set closed under meet, with its big meet
     designated) is computed independently; on finite lattices the two
     verdicts must coincide.
     """
-    witness = _regularity_witnesses([matrix], max_worlds, unsafe_bounds)[0]
+    frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)
+    witness = _scan_frames(
+        [matrix], [0], BOX_P, frames, BoxMode.NORMAL_MEET, unsafe_bounds, _first_defect
+    )[0]
     return RegularityResult(
         regular=witness is None,
         is_filter=check_designated(matrix).is_filter,
@@ -784,47 +776,42 @@ def check_regularity(
     )
 
 
-def _regularity_witnesses(
-    matrices: Sequence[Matrix], max_worlds: int, unsafe_bounds: bool
-) -> list[RegularityWitness | None]:
-    """The ``check_regularity`` witness of each matrix, all of one lattice,
-    or None: each frame's []p values are computed once, and each set still
-    open compares them with its successor test."""
-    import numpy as np
+def _first_defect(
+    matrix: Matrix, frame: Frame, f: Formula, roots: list, mode: BoxMode
+) -> RegularityWitness | None:
+    """The first regularity defect on the frame, from the values of f = []p
+    that ``frame_root_values`` gives, lists or arrays: the lowest flat
+    valuation index, then the lowest world, where "[]p designated" and "p
+    designated at every successor" differ, or None."""
+    lat, k = matrix.lattice, len(frame.worlds)
+    lists = isinstance(roots[0], list)
+    slots, p, _, strides = _plan_for(lat, f).layout(k, lists)
+    defects = []  # (flat index, world) of the first defect at each world
+    if lists:
+        designated = [x in matrix.designated for x in range(lat.n)]
+        for w, box in enumerate(roots):
+            columns = [map(designated.__getitem__, p[w2, "p"]) for w2 in frame.successors(w)]
+            holds = map(all, zip(*columns)) if columns else itertools.repeat(True)
+            differ = [designated[x] != h for x, h in zip(box, holds)]
+            if True in differ:
+                defects.append((differ.index(True), w))
+    else:
+        import numpy as np
 
-    lat = matrices[0].lattice
-    meet = np.array(lat.meet_table)
-    designated = np.array([m.designated_mask() for m in matrices])
-    witnesses: list[RegularityWitness | None] = [None] * len(matrices)
-    scan = list(range(len(matrices)))
-    for frame in enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds):
-        k = len(frame.worlds)
-        _guard_valuation_space(lat.n, k, 1, unsafe_bounds)
-        # one column per valuation of p, the last world fastest
-        grid = np.indices((lat.n,) * k).reshape(k, -1)
-        box = np.full(grid.shape, lat.top)
-        for w, w2 in frame.rel:
-            box[w] = meet[box[w], grid[w2]]
-        # per open set (first axis): whether p holds at each world, and at
-        # every successor of each world
-        sets = designated[scan]
-        p_holds = sets[:, grid]
-        holds = np.ones(p_holds.shape, dtype=bool)
-        for w, w2 in frame.rel:
-            holds[:, w] &= p_holds[:, w2]
-        differ = sets[:, box] != holds
-        for j in np.flatnonzero(differ.any(axis=(1, 2))).tolist():
-            combo = int(np.argmax(differ[j].any(axis=0)))
-            w = int(np.argmax(differ[j, :, combo]))
-            model = KripkeModel(frame, lat, {(v, "p"): int(grid[v, combo]) for v in range(k)})
-            i = scan[j]
-            witnesses[i] = RegularityWitness(
-                matrices[i], model, w, int(box[w, combo]), _DIRECTIONS[int(holds[j, w, combo])]
-            )
-        scan = [i for i in scan if witnesses[i] is None]
-        if not scan:
-            break
-    return witnesses
+        designated = matrix.designated_mask()
+        for w, box in enumerate(roots):
+            holds = True  # at every successor, of none too
+            for w2 in frame.successors(w):
+                holds = holds & designated[p[w2, "p"]]
+            differ = np.broadcast_to(designated[box] != holds, (lat.n,) * k).ravel()
+            if differ.any():
+                defects.append((int(np.argmax(differ)), w))
+    if not defects:
+        return None
+    s, w = min(defects)
+    model = KripkeModel(frame, lat, {slot: s // strides[j] % lat.n for j, slot in enumerate(slots)})
+    box = evaluate(model, w, f, mode)
+    return RegularityWitness(matrix, model, w, box, _DIRECTIONS[box not in matrix.designated])
 
 
 def _regularity_pair_witnesses(

@@ -21,6 +21,7 @@ keys, and the same input always produces byte-identical output.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import FileFormatError, LatModalError, NotALattice, NotAPoset
@@ -36,7 +37,7 @@ from .lattice import (
 
 _LATTICE_KEYS = {"name", "elements", "leq", "neg", "imp", "designated"}
 _IMP_KEYS = {"mode", "table"}
-_MODEL_KEYS = {"lattice", "worlds", "rel", "valuation"}
+_MODEL_KEYS = ("lattice", "worlds", "rel", "valuation")  # the order missing keys are named in
 
 
 def dumps(payload, compact: bool = False) -> str:
@@ -45,8 +46,8 @@ def dumps(payload, compact: bool = False) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _reject_unknown(data: dict, allowed: set[str], what: str) -> None:
-    unknown = set(data) - allowed
+def _reject_unknown(data: dict, allowed: Iterable[str], what: str) -> None:
+    unknown = set(data).difference(allowed)
     if unknown:
         raise FileFormatError(f"unknown {what} keys: {sorted(unknown)}")
 
@@ -156,7 +157,7 @@ def model_from_dict(
     ):
         raise FileFormatError('"valuation" must map worlds to {variable: element}')
     try:
-        frame = Frame.from_names(worlds, [tuple(p) for p in rel])
+        frame = Frame.from_names(worlds, rel)
         model = KripkeModel.from_names(frame, lat, valuation)
     except LatModalError as exc:
         raise FileFormatError(str(exc)) from exc

@@ -179,25 +179,36 @@ def naive_entailment_witness(matrix, premises, conclusion):
     return None
 
 
+def naive_regularity_defect(matrix, frame):
+    """First (model, world, box value, direction) on the frame where []p and
+    "p at every successor" disagree, valuations in canonical order (the
+    last world fastest), then worlds, or None; []p is the meet of the
+    successors' values, read from the lattice's meet table."""
+    lat, n_worlds = matrix.lattice, len(frame.worlds)
+    for combo in itertools.product(range(lat.n), repeat=n_worlds):
+        for w in range(n_worlds):
+            box = lat.top
+            for v in frame.successors(w):
+                box = lat.meet_table[box][combo[v]]
+            successors_hold = all(combo[v] in matrix.designated for v in frame.successors(w))
+            if (box in matrix.designated) != successors_hold:
+                direction = (
+                    "successors_hold_but_box_fails"
+                    if successors_hold
+                    else "box_holds_but_successor_fails"
+                )
+                model = KripkeModel(frame, lat, {(v, "p"): x for v, x in enumerate(combo)})
+                return model, w, box, direction
+    return None
+
+
 def naive_regularity_witness(matrix, max_worlds):
-    """First (model, world, box value, direction) where []p and "p at every
-    successor" disagree, over the one-variable models within the bound in
-    canonical order (frames, valuations with the last world fastest,
-    worlds), or None."""
+    """The first ``naive_regularity_defect`` over the frames within the
+    bound, in canonical order, or None."""
     for frame in enumerate_frames(max_worlds):
-        n_worlds = len(frame.worlds)
-        for combo in itertools.product(range(matrix.lattice.n), repeat=n_worlds):
-            model = KripkeModel(frame, matrix.lattice, {(w, "p"): v for w, v in enumerate(combo)})
-            for w in range(n_worlds):
-                box = evaluate(model, w, Box(Var("p")))
-                successors_hold = all(combo[v] in matrix.designated for v in frame.successors(w))
-                if (box in matrix.designated) != successors_hold:
-                    direction = (
-                        "successors_hold_but_box_fails"
-                        if successors_hold
-                        else "box_holds_but_successor_fails"
-                    )
-                    return model, w, box, direction
+        found = naive_regularity_defect(matrix, frame)
+        if found is not None:
+            return found
     return None
 
 

@@ -272,6 +272,8 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
         ["valid", "--lattice", lattice, "--formula", BOX_K, "--max-worlds", "4", "--box", "local"],
         ["valid", "--lattice", lattice, "--formula", WIDE_DEPTH1, "--max-worlds", "2"],
         ["valid", "--lattice", lattice, "--formula", WIDE, "--max-worlds", "2"],
+        ["regular", "--lattice", str(DATA / "boolean2_a_b_1.json")],
+        ["regular", "--lattice", str(DATA / "chain3_0_1.json")],
     ) == [
         "import False",
         "eval 1 False",
@@ -287,14 +289,18 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
         # valid, of modal depth 1 and 3^10 (valuation, tuple) pairs: the
         # coded closure runs
         "valid 0 False",
-        # valid too, but of modal depth 2 and 3^10 pairs: the array closure runs
-        "valid 0 True",
+        # valid too, of modal depth 2 and 3^10 pairs: the coded closure runs
+        "valid 0 False",
+        # the regularity scan, on lists, finds a defect in each
+        "regular 1 False",
+        "regular 1 False",
     ]
-    # of modal depth 1 and 3^11 pairs, past the coded closure's bound
-    past = WIDE_DEPTH1 + " & [](p | r)"
-    assert _loaded_after_each(
-        ["valid", "--lattice", lattice, "--formula", past, "--max-worlds", "2"]
-    ) == ["import False", "valid 0 True"]
+    # 3^11 pairs, past the coded closure's bound, at modal depth 1 and 2
+    # (a conjunct more in the antecedent keeps WIDE valid)
+    for past in (WIDE_DEPTH1 + " & [](p | r)", WIDE.replace(" ->", " & [](p | q) ->", 1)):
+        assert _loaded_after_each(
+            ["valid", "--lattice", lattice, "--formula", past, "--max-worlds", "2"]
+        ) == ["import False", "valid 0 True"], past
     # failing, and the first 3-world frame alone has 4^9 valuations x 3 worlds
     # x 13 nodes, past the scan's budget: deferred to arrays, not dropped
     b4 = _write_boolean4(tmp_path, capsys)
@@ -302,6 +308,39 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
     assert _loaded_after_each(
         ["valid", "--lattice", b4, "--formula", wide_scan, "--max-worlds", "3"]
     ) == ["import False", "valid 1 True"]
+
+
+def test_a_command_parses_alike_on_its_own_parser_and_on_the_full_one(monkeypatch, capsys):
+    """main builds only the invoked command's parser, and the full one for
+    help, no command, an unknown command or a rejected argument: every
+    outcome is that of the full parser alone."""
+    import latmodal.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    lattice = str(DATA / "chain3_eq1_h_1.json")
+    argvs = [
+        ["--help"], [], ["foo"], ["--compact", "valid"],
+        *([name, "--help"] for name in cli._COMMANDS),
+        *([name] for name in cli._COMMANDS),
+        ["valid", "--lattice", lattice, "--formula", "p", "--max-worlds", "one"],
+        ["valid", "--lattice", lattice, "--formula", "p", "--max-worlds", "1", "--bogus"],
+        ["enumerate", "--size", "2", "extra"],
+        ["construct", "--kind", "chain:2", "--compact"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    own = [outcome(argv) for argv in argvs]
+    assert cli.build_parser("valid").format_usage() == "usage: latmodal [-h] {valid} ...\n"
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert [outcome(argv) for argv in argvs] == own
+    assert {code for code, _, _ in own} == {0, 2}
 
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():

@@ -175,8 +175,8 @@ def test_run_suite_fails_on_corrupted_k5(corrupted_k5):
 
 def test_run_suite_scans_no_frame(monkeypatch):
     """Every check of the default suite is decided by a closure: with the
-    frame scan and the regularity frame scan made to raise, it still passes
-    with the reports of the golden file."""
+    frame scan, which the regularity scan shares, made to raise, it still
+    passes with the reports of the golden file."""
     import json
     from pathlib import Path
 
@@ -186,7 +186,6 @@ def test_run_suite_scans_no_frame(monkeypatch):
         raise AssertionError("the suite scanned frames")
 
     monkeypatch.setattr(latmodal.search, "frame_root_values", no_scan)
-    monkeypatch.setattr(latmodal.search, "_regularity_witnesses", no_scan)
     reports, status = run_suite()
     assert status == 0
     golden = Path(__file__).parent / "data" / "verify_all_compact.json"

@@ -31,12 +31,15 @@ from latmodal import formula, kripke
 from latmodal.search import (
     AXIOM_K,
     BOX_DISJUNCTION_DIST,
+    BOX_P,
     _array_closure_rounds,
     _closure_rounds,
+    _first_defect,
     _scalar_closure_rounds,
+    _scan_frames,
 )
 
-from oracles import canonical_frame_key, naive_regularity_witness
+from oracles import canonical_frame_key, naive_regularity_defect, naive_regularity_witness
 
 
 def test_frame_counts():
@@ -244,6 +247,14 @@ def test_regularity_structural_matches_semantic_small():
                 assert result.regular == result.structural_regular
 
 
+def _regularity_scan(matrices, bound):
+    """check_regularity's frame scan, batched over the matrices of one
+    lattice."""
+    scan = list(range(len(matrices)))
+    frames = enumerate_frames(bound)
+    return _scan_frames(matrices, scan, BOX_P, frames, BoxMode.NORMAL_MEET, False, _first_defect)
+
+
 def test_regularity_matches_the_model_scan():
     """check_regularity on each matrix, and the batch of the upsets of each
     lattice, against the scan of the one-variable models."""
@@ -254,7 +265,7 @@ def test_regularity_matches_the_model_scan():
         for lat in enumerate_lattices(n):
             matrices = [Matrix(lat, upset) for upset in [*enumerate_upsets(lat), frozenset()]]
             for bound in (1, 2, 3) if n <= 3 else (1, 2):
-                batch = latmodal.search._regularity_witnesses(matrices, bound, False)
+                batch = _regularity_scan(matrices, bound)
                 for matrix, in_batch in zip(matrices, batch):
                     result = check_regularity(matrix, bound)
                     w = result.witness
@@ -280,7 +291,7 @@ def test_regularity_pair_closure_matches_the_frame_scan():
             matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat)]
             assert frozenset() in [m.designated for m in matrices]
             for bound in (1, 2, 3):
-                scanned = latmodal.search._regularity_witnesses(matrices, bound, False)
+                scanned = _regularity_scan(matrices, bound)
                 closed = latmodal.search._regularity_pair_witnesses(matrices, bound, False)
                 for matrix, scan, witness in zip(matrices, scanned, closed):
                     assert (scan is None) == (witness is None), (matrix, bound)
@@ -494,24 +505,32 @@ def test_scalar_and_array_closures_give_up_after_the_same_rounds(monkeypatch):
 
 
 def test_once_numpy_is_loaded_the_closure_backend_follows_the_closure_size():
-    """With numpy loaded, n^(variables + box nodes) picks the backend: at
-    modal depth <= 1 the coded closure up to _CODED_CLOSURE_BOUND, as where
-    numpy is not loaded, and deeper the scalar closure up to
-    _LOADED_SCALAR_CLOSURE_BOUND; the arrays past each."""
+    """n^(variables + box nodes) alone picks the backend, at every modal
+    depth: the coded closure up to _CODED_CLOSURE_BOUND, the arrays past
+    it, whether numpy is loaded (this process) or not (a fresh one, where
+    the closures within the bound run first and leave it unloaded)."""
+    from test_cli import run_fresh
+
+    assert max(9**5, 6**6) <= latmodal.search._CODED_CLOSURE_BOUND < min(10**5, 7**6)
+    # box-K has 2 variables and 3 box nodes, the depth-2 formula 2 and 4
+    cases = [(AXIOM_K, 9), (DEPTH2_FORMULAS[0], 6), (AXIOM_K, 10), (DEPTH2_FORMULAS[0], 7)]
+    expected = ["list", "list", "ndarray", "ndarray"]
+    script = (
+        "import sys\n"
+        "from latmodal import DEDUCTIVE_EQ1, build_implication, chain, parse\n"
+        "from latmodal.search import _closure_rounds\n"
+        f"for text, size in {[(formula.render(f), size) for f, size in cases]!r}:\n"
+        "    lat = chain(size).with_imp(build_implication(chain(size), DEDUCTIVE_EQ1))\n"
+        "    attained, _ = next(_closure_rounds(lat, parse(text)))\n"
+        "    print(type(attained).__name__, 'numpy' in sys.modules)\n"
+    )
+    assert run_fresh(script) == [f"{kind} {kind == 'ndarray'}" for kind in expected]
     import numpy as np
 
-    coded = latmodal.search._CODED_CLOSURE_BOUND
-    loaded = latmodal.search._LOADED_SCALAR_CLOSURE_BOUND
-    assert 9**5 <= coded < 10**5 and 3**6 <= loaded < 4**6
-    # box-K has 2 variables and 3 box nodes, the depth-2 formula 2 and 4
-    for f, exponent, sizes, bound in (
-        (AXIOM_K, 5, (2, 5, 9, 10), coded),
-        (DEPTH2_FORMULAS[0], 6, (3, 4), loaded),
-    ):
-        for size in sizes:
-            lat = chain(size).with_imp(build_implication(chain(size), DEDUCTIVE_EQ1))
-            attained, _ = next(_closure_rounds(lat, f))
-            assert isinstance(attained, list if size**exponent <= bound else np.ndarray), (f, size)
+    for (f, size), kind in zip(cases, expected):
+        lat = chain(size).with_imp(build_implication(chain(size), DEDUCTIVE_EQ1))
+        attained, _ = next(_closure_rounds(lat, f))
+        assert isinstance(attained, list if kind == "list" else np.ndarray), (f, size)
 
 
 def test_list_and_array_frame_scans_agree():
@@ -519,16 +538,23 @@ def test_list_and_array_frame_scans_agree():
     numpy loaded, so a search would take the arrays): on every matrix of at
     most 4 elements and every canonical frame of at most 3 worlds, in both
     box modes, the root values agree and each matrix gets the same first
-    failure from either, or None from both."""
+    failure from either, or None from both.  On the values of []p under
+    the normal box, every designated set, upset or not, gets the same first
+    regularity defect from either as from the oracle, or None from all."""
     import numpy as np
     from latmodal import enumerate_upsets
 
     frames = list(enumerate_frames(3))
     cases = {"failing": 0, "passing": 0}
+    defects = {"defect": 0, "regular": 0}
     for lat in _lattices_up_to(4):
         matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat)]
+        subsets = [
+            Matrix(lat, frozenset(itertools.compress(range(lat.n), bits)))
+            for bits in itertools.product((False, True), repeat=lat.n)
+        ]
         for f, frame, mode in itertools.product(
-            [AXIOM_K, BOX_DISJUNCTION_DIST, *DEPTH2_FORMULAS], frames, BoxMode
+            [AXIOM_K, BOX_DISJUNCTION_DIST, BOX_P, *DEPTH2_FORMULAS], frames, BoxMode
         ):
             lists = kripke.frame_root_values(lat, frame, f, mode, lists=True)
             arrays = kripke.frame_root_values(lat, frame, f, mode)
@@ -539,7 +565,16 @@ def test_list_and_array_frame_scans_agree():
                 report = _dict(kripke.first_failure(matrix, frame, f, lists, mode))
                 assert report == _dict(kripke.first_failure(matrix, frame, f, arrays, mode))
                 cases["passing" if report is None else "failing"] += 1
+            for matrix in subsets if f is BOX_P and mode is BoxMode.NORMAL_MEET else ():
+                defect = _first_defect(matrix, frame, f, lists, mode)
+                assert _dict(defect) == _dict(_first_defect(matrix, frame, f, arrays, mode))
+                found = defect if defect is None else (
+                    defect.model, defect.world, defect.box_value, defect.direction
+                )
+                assert found == naive_regularity_defect(matrix, frame), (matrix, frame)
+                defects["regular" if defect is None else "defect"] += 1
     assert cases["failing"] > 0 and cases["passing"] > 0
+    assert defects["defect"] > 0 and defects["regular"] > 0
 
 
 def _first_failing_world_count(matrix, f, frames):

@@ -120,6 +120,26 @@ def test_model_missing_keys():
         model_from_dict({"worlds": ["w"], "rel": [], "valuation": {}})
 
 
+def test_a_missing_model_key_is_named_alike_under_every_hash_seed(tmp_path):
+    """The keys are checked in their documented order (lattice, worlds,
+    rel, valuation), not in the order of a set, which follows the hash
+    seed: a file holding only "lattice" names "worlds" in each process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "model.json"
+    path.write_text(dumps({"lattice": chain(3, "flip").to_dict()}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        argv = [sys.executable, "-m", "latmodal.cli", "eval", "--model", str(path), "--formula", "p"]
+        run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert (run.returncode, run.stdout) == (2, ""), seed
+        assert run.stderr == "error: FileFormatError: model description needs key 'worlds'\n"
+
+
 def test_model_unknown_world_rejected():
     with pytest.raises(FileFormatError):
         model_from_dict(
