@@ -19,14 +19,17 @@ it lists the unique subformulas in post order.  ``interpret`` runs that list
 with scalar lattice values, the reference semantics of both ``kripke.evaluate``
 and ``lattice.propositional_value``: one node at a time, each filling a
 column of values over the worlds at which it is needed, read from its
-children's columns with the node's table picked once.  ``variables`` and
-``modal_depth`` read the same list, and ``needed_worlds`` finds the worlds at
-which each node is needed, for ``interpret`` and for ``kripke.frame_valid``.
+children's columns with the node's table, from ``Lattice.operation``, picked
+once.  The vectorized semantics, ``kripke._Plan.node_values``, runs the same
+list.  ``variables`` and ``modal_depth`` read it too, and ``needed_worlds``
+finds the worlds at which each node is needed: for ``interpret``, for
+``kripke.frame_root_values``, and, at a world without successors, the nodes
+above the boxes that the search's coded closure evaluates.
 """
 
 from __future__ import annotations
 
-from .errors import FormulaSyntaxError, MissingOperation
+from .errors import FormulaSyntaxError
 from .record import Record
 
 
@@ -208,8 +211,8 @@ def needed_worlds(nodes, roots, successors) -> list[set[int]]:
 
 
 def interpret(nodes, world: int, valuation, unbound, successors, lattice) -> int:
-    """Value at a world of a compiled formula over a lattice (meet, join,
-    negation and implication tables): the scalar semantics.
+    """Value at a world of a compiled formula over a lattice, whose
+    ``operation`` gives each connective's table: the scalar semantics.
 
     valuation maps (world, variable name) to a value, and unbound(w, name)
     gives the exception to raise for the first pair the formula needs that
@@ -251,20 +254,10 @@ def interpret(nodes, world: int, valuation, unbound, successors, lattice) -> int
                     value = meet[value][x[w2]]
                 column[w] = value
         elif kind == NOT:
-            if lattice.neg is None:
-                raise MissingOperation("neg")
-            neg, x = lattice.neg, columns[a]
+            neg, x = lattice.operation(NOT), columns[a]
             column = {w: neg[x[w]] for w in worlds}
         else:
-            if kind == AND:
-                table = meet
-            elif kind == OR:
-                table = lattice.join_table
-            elif lattice.imp is None:
-                raise MissingOperation("imp")
-            else:
-                table = lattice.imp.table
-            x, y = columns[a], columns[b]
+            table, x, y = lattice.operation(kind), columns[a], columns[b]
             column = {w: table[x[w]][y[w]] for w in worlds}
         columns.append(column)
     return columns[-1][world]

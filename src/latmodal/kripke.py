@@ -16,8 +16,7 @@ node is needed, so it touches only the worlds the formula reaches from the
 queried one.  It keeps nothing from one call to the next but the compiled
 formula.
 ``frame_valid`` quantifies over every valuation of the formula's variables
-on a frame; it evaluates all valuations at once, bottom-up over the node
-list at the worlds ``formula.needed_worlds`` gives, on numpy arrays or on
+on a frame; it evaluates all valuations at once, on numpy arrays or on
 lists over the whole valuation space, but reports the counterexample that
 comes first in canonical enumeration order (worlds in listed order,
 variables sorted, elements in index order, last slot fastest) and
@@ -28,12 +27,16 @@ designated set, so a search of several sets computes each frame's values
 once.  It builds the lattice tables once; that plan is kept for the next
 call while the lattice and formula objects stay the same, as they do across
 the frames of one search and across the designated sets of one lattice.
-The plan's ``node_values`` runs the node list at one world on broadcasting
-arrays: the type closure of ``search.find_frame_counterexample`` runs it over
-valuations and box-value tuples, ``lattice.entails`` over valuations.  With
-``list_connective`` it runs on equal-length lists instead, read from the
-lattice's own tables, for the scalar backends of the search's closure and
-frame scan.  numpy is imported inside the functions that build arrays (the
+The plan's ``node_values`` is the one vectorized walk of the semantics.
+It runs the node list bottom-up, each node at the worlds a per-node list
+gives (by default at one world), a variable's and a box's values given by
+the caller and each connective read from its table in
+``Lattice.operation``, on broadcasting arrays (``connective``) or on
+equal-length lists (``list_connective``).  ``frame_root_values`` runs it at
+the worlds ``formula.needed_worlds`` gives, a box taking the meet over the
+world's successors; the type closure of ``search.find_frame_counterexample``
+runs it over valuations and box-value tuples, and ``lattice.entails`` over
+valuations.  numpy is imported inside the functions that build arrays (the
 plan's array tables and layouts, and ``first_failure`` on arrays): building a
 plan loads none, and ``evaluate`` and model checking never load it.
 """
@@ -45,13 +48,11 @@ import functools
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import BoundTooLarge, InvalidInput, MissingOperation, UnboundVariable
+from .errors import BoundTooLarge, InvalidInput, UnboundVariable
 from .formula import (
     AND,
     BOX,
-    IMP,
     NOT,
-    OR,
     VAR,
     Formula,
     compile_formula,
@@ -286,6 +287,7 @@ class _Plan:
         self.names = sorted({a for kind, a, _ in self.nodes if kind == VAR})
         self.n = lat.n
         self._layouts: dict[tuple[int, bool], tuple] = {}
+        self._array_tables: dict[int, np.ndarray] = {}  # connective kind -> flat table
 
     @functools.cached_property
     def dtype(self) -> type:
@@ -297,67 +299,45 @@ class _Plan:
         n = self.n
         return next(t for t in (np.int8, np.int16, np.int32) if n * n <= np.iinfo(t).max + 1)
 
-    @functools.cached_property
-    def _array_tables(self) -> tuple:
-        """The table index scale, the negation array and the flat arrays of
-        the binary connectives (None where the lattice lacks one)."""
-        import numpy as np
-
-        lat, dtype = self.lattice, self.dtype
-        flat = {
-            AND: np.array(lat.meet_table, dtype=dtype).ravel(),
-            OR: np.array(lat.join_table, dtype=dtype).ravel(),
-            IMP: np.array(lat.imp.table, dtype=dtype).ravel() if lat.imp is not None else None,
-        }
-        neg = np.array(lat.neg, dtype=dtype) if lat.neg is not None else None
-        return dtype(self.n), neg, flat
-
     def connective(self, kind: int, x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
         """Elementwise value of a connective node on value arrays, which
-        broadcast against each other."""
-        scale, neg, flat = self._array_tables
-        if kind == NOT:
-            if neg is None:
-                raise MissingOperation("neg")
-            return neg[x]
-        table = flat[kind]
+        broadcast against each other, read from the flat array of the
+        lattice's table, made on first use and kept on the plan."""
+        table = self._array_tables.get(kind)
         if table is None:
-            raise MissingOperation("imp")
-        return table.take(x * scale + y)
+            import numpy as np
+
+            table = np.array(self.lattice.operation(kind), dtype=self.dtype).ravel()
+            self._array_tables[kind] = table
+        return table[x] if kind == NOT else table.take(x * self.n + y)
 
     def list_connective(self, kind: int, x: list[int], y: list[int] | None) -> list[int]:
         """Elementwise value of a connective node on equal-length lists of
         values, read from the lattice's own tables."""
-        lat = self.lattice
+        table = self.lattice.operation(kind)
         if kind == NOT:
-            neg = lat.neg
-            if neg is None:
-                raise MissingOperation("neg")
-            return [neg[a] for a in x]
-        if kind == IMP:
-            if lat.imp is None:
-                raise MissingOperation("imp")
-            table = lat.imp.table
-        else:
-            table = lat.meet_table if kind == AND else lat.join_table
+            return [table[a] for a in x]
         return [table[a][b] for a, b in zip(x, y)]
 
-    def node_values(self, var_values, box_value, connective=None) -> list:
-        """The values of every node at one world, bottom-up: a variable
-        takes var_values[name], box node i takes box_value(i, values of its
-        argument), and a connective node ``connective`` of its arguments'
-        values.  With the default, ``connective`` above, values are arrays
-        that broadcast against each other; with ``list_connective`` they are
-        lists of one length."""
+    def node_values(self, var_value, box_value, connective=None, needed=None) -> dict:
+        """The values of the nodes, bottom-up, keyed by (node id, world):
+        node i at each world of needed[i], a list of the shape
+        ``formula.needed_worlds`` gives, or by default at world 0 alone.  A
+        variable takes var_value(name, w), box node i box_value(i, w, the
+        values so far), and a connective node ``connective`` of its
+        arguments' values at w.  With the default, ``connective`` above,
+        values are arrays that broadcast against each other; with
+        ``list_connective`` they are lists of one length."""
         connective = connective or self.connective
-        values: list = []
+        values: dict = {}
         for i, (kind, a, b) in enumerate(self.nodes):
-            if kind == VAR:
-                values.append(var_values[a])
-            elif kind == BOX:
-                values.append(box_value(i, values[a]))
-            else:
-                values.append(connective(kind, values[a], None if b is None else values[b]))
+            for w in (0,) if needed is None else needed[i]:
+                if kind == VAR:
+                    values[i, w] = var_value(a, w)
+                elif kind == BOX:
+                    values[i, w] = box_value(i, w, values)
+                else:
+                    values[i, w] = connective(kind, values[a, w], None if b is None else values[b, w])
         return values
 
     def layout(self, n_worlds: int, lists: bool = False) -> tuple:
@@ -436,26 +416,18 @@ def frame_root_values(
     _, var_values, top, _ = plan.layout(n_worlds, lists)
     connective = plan.list_connective if lists else plan.connective
     nodes = plan.nodes
-    local = mode is BoxMode.LOCAL
     # the local box takes the meet over the world itself: its own value
-    successors = [(w,) if local else frame.successors(w) for w in range(n_worlds)]
-    values: dict[tuple[int, int], list | np.ndarray] = {}  # (node id, world) -> values
-    for i, worlds in enumerate(needed_worlds(nodes, range(n_worlds), successors.__getitem__)):
-        kind, a, b = nodes[i]
-        for w in worlds:
-            if kind == VAR:
-                out = var_values[(w, a)]
-            elif kind != BOX:
-                out = connective(kind, values[a, w], None if b is None else values[b, w])
-            elif local:
-                out = values[a, w]
-            else:
-                out = top  # the meet of no values; top meet v is v
-                for w2 in successors[w]:
-                    out = values[a, w2] if out is top else connective(AND, out, values[a, w2])
-            values[i, w] = out
-    root = len(nodes) - 1
-    return [values[root, w] for w in range(n_worlds)]
+    successors = [(w,) if mode is BoxMode.LOCAL else frame.successors(w) for w in range(n_worlds)]
+
+    def meet(i: int, w: int, values: dict) -> list | np.ndarray:
+        out, a = top, nodes[i][1]  # the meet of no values; top meet v is v
+        for w2 in successors[w]:
+            out = values[a, w2] if out is top else connective(AND, out, values[a, w2])
+        return out
+
+    needed = needed_worlds(nodes, range(n_worlds), successors.__getitem__)
+    values = plan.node_values(lambda name, w: var_values[w, name], meet, connective, needed)
+    return [values[len(nodes) - 1, w] for w in range(n_worlds)]
 
 
 def first_failure(

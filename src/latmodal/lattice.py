@@ -30,7 +30,7 @@ from .errors import (
     NotALattice,
     NotAPoset,
 )
-from .formula import Formula, compile_formula, interpret, is_modal_free, variables
+from .formula import AND, IMP, NOT, OR, Formula, compile_formula, interpret, is_modal_free, variables
 from .record import Record
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -90,14 +90,27 @@ class Lattice(Record):
         return self.join_table[a][b]
 
     def negate(self, a: int) -> int:
-        if self.neg is None:
-            raise MissingOperation("neg")
-        return self.neg[a]
+        return self.operation(NOT)[a]
 
     def implies(self, a: int, b: int) -> int:
+        return self.operation(IMP)[a][b]
+
+    def operation(self, kind: int) -> tuple:
+        """The table of a connective kind of ``formula``: the negation table
+        for NOT, the binary table for AND, OR and IMP.  Every evaluator reads
+        its tables here, so a lattice without negation or implication raises
+        ``MissingOperation`` alike everywhere."""
+        if kind == AND:
+            return self.meet_table
+        if kind == OR:
+            return self.join_table
+        if kind == NOT:
+            if self.neg is None:
+                raise MissingOperation("neg")
+            return self.neg
         if self.imp is None:
             raise MissingOperation("imp")
-        return self.imp.table[a][b]
+        return self.imp.table
 
     def with_neg(self, table: Sequence[int]) -> "Lattice":
         neg = tuple(int(x) for x in table)
@@ -520,11 +533,8 @@ def build_implication(lattice: Lattice, mode: str) -> ImplicationTable:
     implication table."""
     n = lattice.n
     if mode == MATERIAL:
-        if lattice.neg is None:
-            raise MissingOperation("neg")
-        table = tuple(
-            tuple(lattice.join_table[lattice.neg[a]][b] for b in range(n)) for a in range(n)
-        )
+        neg = lattice.operation(NOT)
+        table = tuple(tuple(lattice.join_table[neg[a]][b] for b in range(n)) for a in range(n))
         return ImplicationTable(table, MATERIAL)
     if mode == DEDUCTIVE_EQ1:
         table = tuple(
@@ -548,10 +558,8 @@ def classify_implication(matrix: Matrix) -> ImplicationClassification:
     (a imp b) = b.  Strictly deductive additionally pins a <= b to the top.
     """
     lat = matrix.lattice
-    if lat.imp is None:
-        raise MissingOperation("imp")
+    table = lat.operation(IMP)
     n = lat.n
-    table = lat.imp.table
     d = matrix.designated
 
     deductive_witness = None
@@ -647,7 +655,8 @@ def entails(
     fails = np.ones((1,) * len(names), dtype=bool)
     for plan in plans:
         if fails.any():
-            holds = designated[plan.node_values(var_values, None)[-1]]
+            values = plan.node_values(lambda name, w: var_values[name], None)
+            holds = designated[values[len(plan.nodes) - 1, 0]]
             fails = fails & (~holds if plan is plans[-1] else holds)
     if fails.any():
         fails = np.broadcast_to(fails, (lat.n,) * len(names))

@@ -59,9 +59,11 @@ results: a scalar one in plain Python and an array one on numpy.  The
 scalar closure keeps each tuple as one int, the down-set codes of its
 values packed side by side, so that a meet is a bitwise and and the closure
 a set of ints; at modal depth <= 1 it evaluates the part of the formula
-above the boxes once per distinct (outer variables' values, tuple), and
-deeper it decodes each round's new tuples and evaluates them through the
-plan's ``node_values`` on lists.  The scalar scan runs ``frame_root_values``
+above the boxes, the nodes ``formula.needed_worlds`` gives at a world
+without successors, once per distinct (outer variables' values, tuple), and
+deeper it decodes each round's new tuples and evaluates every node at them,
+both through the plan's ``node_values`` on lists.  The array closure runs
+the same walk on arrays.  The scalar scan runs ``frame_root_values``
 on lists over the whole valuation space.  The closure's backend is chosen
 by size alone: the scalar closure runs wherever at most 2^16 (valuation,
 tuple) pairs can occur, n^(variables + box nodes), at every modal depth,
@@ -83,7 +85,7 @@ import operator
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .errors import BoundTooLarge, InvalidInput, MissingOperation, WitnessNotApplicable
+from .errors import BoundTooLarge, InvalidInput, WitnessNotApplicable
 from .formula import (
     AND,
     BOX,
@@ -127,14 +129,6 @@ if TYPE_CHECKING:
 AXIOM_K = parse("[](p -> q) -> ([]p -> []q)")
 BOX_P = parse("[]p")
 BOX_DISJUNCTION_DIST = parse("([]p | []q) -> [](p | q)")
-
-WITNESS_KINDS = (
-    "nonfilter",
-    "nonimplicative",
-    "nonlinear_k",
-    "nonimplicative_k_material",
-)
-
 
 @functools.cache
 def _canonical_masks(n_worlds: int) -> tuple[int, ...]:
@@ -224,11 +218,12 @@ def _closure_rounds(lat: Lattice, f: Formula) -> _Closure:
     docstring), one round at a time: after each, whether each value, by
     index, is a root value so far (at modal depth <= 1 also with the root
     among its own successors), and whether the round had no new tuple to
-    evaluate, which is the fixpoint.  None, and no further round, once the
-    rows evaluated and met exceed MAX_VALUATION_SPACE: the closure can grow
-    exponentially with the modal depth.  Reads no designated set.  Needs
-    every connective of f defined.  At modal depth <= 1 the rounds also
-    record where each root value comes from (``_Closure``).
+    evaluate, which is the fixpoint and the last round.  None, and no
+    further round, once the rows evaluated and met exceed
+    MAX_VALUATION_SPACE: the closure can grow exponentially with the modal
+    depth.  Reads no designated set.  Needs every connective of f defined.
+    At modal depth <= 1 the rounds also record where each root value comes
+    from (``_Closure``).
 
     Two backends give the same rounds, chosen by the number of (valuation,
     box-value tuple) pairs that can occur, n^(variables + box nodes), at
@@ -288,15 +283,16 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
     outside every box, so its value at a cell (s, c) is that of the key
     (o(s), c), o(s) the outer variables' values at s; a loop cell, whose
     root is among its own successors, takes the key (o(s), c & t(s)).
-    Each key is evaluated once, in batches through ``list_connective``,
-    and its value kept while the closure lives.  The rows of a round's
+    Each key is evaluated once, in batches through the plan's
+    ``node_values`` on lists over the nodes above the boxes, and its value
+    kept while the closure lives.  The rows of a round's
     loop keys are its meets with every generator, so they are the next
     round's meets, computed once.  Deeper formulas decode each round's new
     rows and evaluate them through the plan's ``node_values`` on lists, one
     entry per (row, valuation).  At modal depth <= 1 keeps its provenance
     in ``trace``, if given."""
     lat, nodes, names, n = plan.lattice, plan.nodes, plan.names, plan.n
-    connective = plan.list_connective
+    connective, root = plan.list_connective, len(nodes) - 1
     box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
     shifts = [j * n for j in range(len(box_ids))]
     down = [sum(1 << x for x in range(n) if lat.leq[x][a]) for a in range(n)]
@@ -309,31 +305,41 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
     bounded = modal_depth(plan.formula) <= 1
     traced = bounded and trace is not None
 
-    def encode(values: list, size: int) -> list[int]:
+    def encode(values: dict, size: int) -> list[int]:
         """The row of box-argument values at each of the size positions."""
         fields = [
-            [down[v] << shift for v in values[nodes[i][1]]] for i, shift in zip(box_ids, shifts)
+            [down[v] << shift for v in values[nodes[i][1], 0]] for i, shift in zip(box_ids, shifts)
         ]
         return list(map(sum, zip(*fields))) if fields else [0] * size
 
-    def decode(rows: list[int], shift: int, repeat: int = 1) -> list[int]:
-        """The values of one box in each row, each repeated."""
-        return [v for c in rows for v in [element[c >> shift & field]] * repeat]
+    def decode(rows: list[int], repeat: int = 1) -> Callable:
+        """The box values of ``node_values``: a box's values in each row,
+        each repeated."""
+
+        def box_value(i: int, w: int, values: dict) -> list[int]:
+            shift = shifts[box_ids.index(i)]
+            return [v for c in rows for v in [element[c >> shift & field]] * repeat]
+
+        return box_value
 
     if bounded:
         # the nodes above the boxes, needed at a world without successors,
         # and the variables among them
         above = needed_worlds(nodes, (0,), lambda w: ())
-        outer = [i for i, worlds in enumerate(above) if worlds]
-        outer_names = sorted({nodes[i][1] for i in outer if nodes[i][0] == VAR})
+        outer_names = sorted({a for (kind, a, _), w in zip(nodes, above) if w and kind == VAR})
         # a key is o(s), the index of the outer variables' values, above a row
         outer_values = list(itertools.product(range(n), repeat=len(outer_names)))
         index = {o: k << row_bits for k, o in enumerate(outer_values)}
         o_of = [index[tuple(s[names.index(x)] for x in outer_names)] for s in valuations]
         o_keys = list(index.values())
+        def argument(i: int, w: int, values: dict) -> list[int]:
+            return values[nodes[i][1], w]
+
         # the box arguments at each valuation (each box takes its argument's
         # values here, a placeholder that no box argument reads)
-        t_of = encode(plan.node_values(columns, lambda i, arg: arg, connective), len(valuations))
+        t_of = encode(
+            plan.node_values(lambda name, w: columns[name], argument, connective), len(valuations)
+        )
         # the generators at the valuations of each o(s)
         t_by_o: dict[int, set[int]] = {}
         for o, t in zip(o_of, t_of):
@@ -342,17 +348,13 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
 
         def evaluate(keys: set[int]) -> None:
             keys = list(keys - values_of.keys())
-            values: dict[int, list[int]] = {}
-            for i in outer:
-                kind, a, b = nodes[i]
-                if kind == VAR:
-                    k = outer_names.index(a)
-                    values[i] = [outer_values[key >> row_bits][k] for key in keys]
-                elif kind == BOX:
-                    values[i] = decode(keys, shifts[box_ids.index(i)])
-                else:
-                    values[i] = connective(kind, values[a], None if b is None else values[b])
-            values_of.update(zip(keys, values[len(nodes) - 1]))
+
+            def outer_value(name: str, w: int) -> list[int]:
+                k = outer_names.index(name)
+                return [outer_values[key >> row_bits][k] for key in keys]
+
+            values = plan.node_values(outer_value, decode(keys), connective, above)
+            values_of.update(zip(keys, values[root, 0]))
 
     def root_values(rows: list[int]) -> tuple[set[int], list[int], set[int]]:
         """The root values of the cells of the rows, the box-argument rows
@@ -367,10 +369,10 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
             evaluate(plain | loops)
             roots = set(map(values_of.__getitem__, plain)).union(map(values_of.__getitem__, loops))
             return roots, [], meets
-        own = {name: column * len(rows) for name, column in columns.items()}
-        boxed = {i: decode(rows, shift, len(valuations)) for i, shift in zip(box_ids, shifts)}
-        values = plan.node_values(own, lambda i, arg: boxed[i], connective)
-        return set(values[-1]), encode(values, len(values[-1])), set()
+        values = plan.node_values(
+            lambda name, w: columns[name] * len(rows), decode(rows, len(valuations)), connective
+        )
+        return set(values[root, 0]), encode(values, len(rows) * len(valuations)), set()
 
     # the rows reached and those not yet evaluated; generators are the rows
     # t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
@@ -409,6 +411,8 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
         if traced:
             rows.append(new)
         yield attained.copy(), not new
+        if not new:
+            return
         fresh = set(found) - closure  # the closure holds every generator
         work += len(new) * len(generators) + len(closure) * len(fresh)
         if work > MAX_VALUATION_SPACE:
@@ -430,6 +434,7 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
     import numpy as np
 
     lat, nodes, names, dtype, n = plan.lattice, plan.nodes, plan.names, plan.dtype, plan.n
+    root = len(nodes) - 1
     # every valuation s of the variables, one row each, last one fastest
     grid = np.indices((n,) * len(names), dtype=dtype).reshape(len(names), -1, 1)
     own = dict(zip(names, grid))
@@ -439,15 +444,18 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
     bounded = modal_depth(plan.formula) <= 1
     traced = bounded and trace is not None
 
-    def root_values(c: np.ndarray) -> tuple[list, np.ndarray | None]:
+    def root_values(c: np.ndarray) -> tuple[dict, np.ndarray | None]:
         """The values of every node at each (valuation, row) of the block of
         rows c, one per column, and at depth <= 1 the root's with the root
         among its own successors (else None)."""
-        values = plan.node_values(own, lambda i, arg: c[column[i]])
+
+        def own_successor(i: int, w: int, values: dict) -> np.ndarray:
+            return plan.connective(AND, values[nodes[i][1], w], c[column[i]])
+
+        values = plan.node_values(lambda name, w: own[name], lambda i, w, values: c[column[i]])
         if not bounded:
             return values, None
-        loop = plan.node_values(own, lambda i, arg: plan.connective(AND, arg, c[column[i]]))
-        return values, loop[-1]
+        return values, plan.node_values(lambda name, w: own[name], own_successor)[root, 0]
 
     # the box-value tuples reached and those not yet evaluated; generators
     # are the tuples t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
@@ -464,7 +472,7 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
             for start in range(0, len(rows[h]), chunk):
                 c = rows[h][start : start + chunk].T
                 values, loop = root_values(c)
-                for looped, roots in ((False, values[-1]), (True, loop)):
+                for looped, roots in ((False, values[root, 0]), (True, loop)):
                     # the first (valuation, row) of each value: a stable sort
                     # keeps the flat indices of equal values in order
                     roots = np.broadcast_to(roots, (grid.shape[1], c.shape[1])).ravel()
@@ -497,11 +505,11 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
         for start in range(0, len(new), chunk):
             c = new[start : start + chunk].T
             values, loop = root_values(c)  # loop: a root among its own successors
-            attained[values[-1]] = True
+            attained[values[root, 0]] = True
             if loop is not None:
                 attained[loop] = True
             if collect:
-                tuples = np.stack(np.broadcast_arrays(*(values[nodes[i][1]] for i in box_ids)), -1)
+                tuples = np.stack(np.broadcast_arrays(*(values[nodes[i][1], 0] for i in box_ids)), -1)
                 found.append(_merge(none, tuples.reshape(-1, width), n)[0])
         if traced:
             rows.append(new)
@@ -509,6 +517,8 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
                 # round 0 evaluates the one row all-top, at each valuation
                 t_of = tuples.reshape(-1, width)
         yield attained.copy(), not len(new)
+        if not len(new):
+            return
         if not width:
             new = none
             continue
@@ -909,8 +919,7 @@ def construct_witness(
 
     frame = Frame(("w0", "w1", "w2"), frozenset(((0, 1), (0, 2))))
     if kind == "nonimplicative":
-        if lat.imp is None:
-            raise MissingOperation("imp")
+        lat.operation(IMP)  # MissingOperation without an implication
         pair = props.implicative_witness
         if pair is None:
             raise WitnessNotApplicable("designated set is implicative")
@@ -929,10 +938,8 @@ def construct_witness(
         )
         target = AXIOM_K
     elif kind == "nonimplicative_k_material":
-        if lat.neg is None:
-            raise MissingOperation("neg")
-        if lat.imp is None:
-            raise MissingOperation("imp")
+        neg = lat.operation(NOT)  # MissingOperation without a negation
+        lat.operation(IMP)  # or without an implication
         pair = props.implicative_witness
         if pair is None:
             raise WitnessNotApplicable("designated set is implicative")
@@ -940,7 +947,7 @@ def construct_witness(
         model = KripkeModel(
             frame,
             lat,
-            {(1, "p"): lat.neg[a], (1, "q"): a, (2, "p"): lat.neg[b], (2, "q"): a},
+            {(1, "p"): neg[a], (1, "q"): a, (2, "p"): neg[b], (2, "q"): a},
         )
         target = AXIOM_K
     else:

@@ -30,6 +30,7 @@ from latmodal import (
     world_satisfies,
 )
 from latmodal.formula import And, Box, Imp, Not, Or, Var, modal_depth, render, substitute, variables
+from latmodal.kripke import frame_root_values
 from latmodal.lattice import propositional_value
 
 from oracles import first_evaluation_error, many_valued_value, naive_frame_counterexample
@@ -286,16 +287,33 @@ def test_the_first_needed_unbound_pair_is_named(c3):
 
 
 def test_a_missing_operation_is_raised_only_where_reached():
+    """Alike by every evaluator: evaluate at the first world, and
+    frame_root_values on lists and on arrays, raise it for the same
+    operation on w1 -> w2, and on one world without successors only for
+    the formula that needs it outside a box."""
     bare = chain(3, "none")  # neither neg nor imp
-    frame = Frame(("w1", "w2"), frozenset(((0, 1),)))
-    model = KripkeModel(frame, bare, {(w, x): 1 for w in range(2) for x in "pq"})
+    edge = Frame(("w1", "w2"), frozenset(((0, 1),)))
+    model = KripkeModel(edge, bare, {(w, x): 1 for w in range(2) for x in "pq"})
     # w2 is a dead end: the box's argument is needed nowhere
     assert evaluate(model, 1, parse("[]~p & [](p -> q)")) == bare.top
     assert evaluate(model, 1, parse("q | [][]~p")) == bare.top
+    alone = Frame(("w1",), frozenset())
     for text, operation in (("[]~p", "neg"), ("[](p -> q)", "imp"), ("p & ~q", "neg")):
-        with pytest.raises(MissingOperation) as exc:
-            evaluate(model, 0, parse(text))
-        assert exc.value.operation == operation, text
+        f = parse(text)
+        for frame, needed in ((edge, True), (alone, text == "p & ~q")):
+            valuation = {(w, x): 1 for w in range(len(frame.worlds)) for x in "pq"}
+            evaluators = (
+                lambda: evaluate(KripkeModel(frame, bare, valuation), 0, f),
+                lambda: frame_root_values(bare, frame, f, lists=True),
+                lambda: frame_root_values(bare, frame, f),
+            )
+            for run in evaluators:
+                if not needed:
+                    run()
+                    continue
+                with pytest.raises(MissingOperation) as exc:
+                    run()
+                assert exc.value.operation == operation, (text, frame)
 
 
 def test_eval_matches_the_golden_files(capsys):

@@ -487,6 +487,26 @@ def test_scalar_and_array_closures_agree_round_by_round():
     assert compared == 158
 
 
+def test_each_closure_backend_ends_at_its_fixpoint():
+    """Each backend's rounds end with exactly one fixpoint round, and both
+    give the same rounds: on box-K, on a formula without a box (the arrays
+    then evaluate tuples of width 0) and at modal depth 2.  At most 50
+    rounds are taken, so a backend that kept yielding fails instead of
+    running on."""
+    lat = chain(3).with_imp(build_implication(chain(3), DEDUCTIVE_EQ1))
+    for f in (AXIOM_K, parse("p -> p"), DEPTH2_FORMULAS[0]):
+        plan = kripke._Plan(lat, f)
+        rounds = []
+        for backend in (_scalar_closure_rounds, _array_closure_rounds):
+            found = [
+                ([bool(hit) for hit in attained], fixpoint)
+                for attained, fixpoint in itertools.islice(backend(plan), 50)
+            ]
+            assert [fixpoint for _, fixpoint in found] == [False] * (len(found) - 1) + [True], f
+            rounds.append(found)
+        assert rounds[0] == rounds[1], f
+
+
 def test_scalar_and_array_closures_give_up_after_the_same_rounds(monkeypatch):
     """Both count the rows they evaluate and meet alike, so under any budget
     they give up after the same rounds, at modal depth 1 too, where the
@@ -593,7 +613,9 @@ def test_exact_depth1_check_matches_frame_scan():
             kinds = {kind for kind, _, _ in formula.compile_formula(f)}
             if matrix.lattice.neg is None and formula.NOT in kinds:
                 continue
-            exact = [verdict for verdict, _ in itertools.islice(_round_verdicts(matrix, f), 3)]
+            rounds = [verdict for verdict, _ in itertools.islice(_round_verdicts(matrix, f), 3)]
+            # the rounds end at the fixpoint, whose verdict holds at every bound
+            exact = rounds + rounds[-1:] * (3 - len(rounds))
             first_failing = _first_failing_world_count(matrix, f, frames)
             scanned = [first_failing is None or first_failing > m for m in (1, 2, 3)]
             assert exact == scanned, (matrix, f)
