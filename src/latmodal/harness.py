@@ -12,23 +12,26 @@ frame") is necessarily bounded by the world bound and reported as such.
 One driver runs all five biconditional checks, and one dispatch in
 ``verify_theorem`` states, for each, its formula, structural verdict,
 semantic search, matrices, proof scale and recorded universe.  The semantic
-side is a batch search that scans no frame.  For a box formula it is the
-closure of box-value tuples, which decides each world bound exactly at modal
-depth <= 1, as all four box formulas are, and unfolds a failing matrix's
-counterexample, a fan within the world bound, from the cell that attains a
-value outside its designated set; the frame scan remains the fallback where
-the closure is not exact.  For regularity it is the closure of the pairs
-([]p, "p at every successor"), whose defect unfolds into a reflexive fan.
+side is a batch search that scans no frame at desk scale.  For a box
+formula it is the closure of box-value tuples, which decides each world
+bound exactly at modal depth <= 1, as all four box formulas are.  On packed
+codes, which run every closure of these formulas on lattices of at most 9
+elements, it unfolds a failing matrix's counterexample, a fan within the
+world bound, from the cell that attains a value outside its designated set;
+the frame scan remains the fallback past that, and where the closure is not
+exact.  For regularity it is the closure of the pairs ([]p, "p at every
+successor") of each matrix, the one ``check_regularity`` decides by, whose
+defect unfolds into a reflexive fan.
 Every witness re-checks itself through the reference evaluator.  Where a
 case fails, the report carries the canonically first counterexample, from
 the public search of that one matrix (``find_frame_counterexample``,
 ``check_regularity``), so a report's bytes do not depend on which witness
 the batch found.  The matrices of one lattice come in a run, and each run
-is searched in one batch: one closure decides all its designated sets (see
-``search``).  The lattices of each size and the upsets of each order are
-enumerated once per process, and the restricted twists built once.  Each
-report is built once, when its check has run, and is frozen; it passes
-when it records no failure.
+of a box check is searched in one batch: one closure decides all its
+designated sets (see ``search``).  The lattices of each size and the
+upsets of each order are enumerated once per process, and the restricted
+twists built once.  Each report is built once, when its check has run, and
+is frozen; it passes when it records no failure.
 
 Universe conventions, chosen to mirror each property's hypotheses: the
 designated sets range over non-empty upward-closed subsets, except for
@@ -73,8 +76,9 @@ from .search import (
     AXIOM_K,
     BOX_DISJUNCTION_DIST,
     BOX_P,
+    _check_world_bound,
     _find_counterexamples,
-    _regularity_pair_witnesses,
+    _regularity_pair_witness,
     check_regularity,
     construct_witness,
     find_frame_counterexample,
@@ -327,12 +331,13 @@ def verify_theorem(
     if theorem == "eq1_implicative":
         return _verify_eq1_implicative(size_bound, unsafe_bounds)
     if theorem == "regularity":
+        _check_world_bound(world_bound, unsafe_bounds)
         # on a non-empty set, a filter holds its big meet
         return _verify_biconditional(
             theorem,
             BOX_P,
             lambda case, props: (props.is_filter, "nonfilter"),
-            lambda run: _regularity_pair_witnesses(run, world_bound, unsafe_bounds),
+            lambda run: [_regularity_pair_witness(matrix, world_bound) for matrix in run],
             lambda matrix: check_regularity(
                 matrix, world_bound, unsafe_bounds=unsafe_bounds
             ).witness,

@@ -31,47 +31,51 @@ frame scan decides instead.
 The search decides the designated sets of one lattice in one batch, as the
 harness asks: one closure, grown until every set is settled, and one pass
 over the canonical frames, which computes each frame's root values once and
-gives each set still open its own first failure.  ``check_regularity`` runs
-the same frame scan on the formula []p, where a set's test on a frame is
-its first world at which "[]p designated" and "p designated at every
-successor" differ.  The public searches are the batches of one.  The
-harness, which needs a witness of each failure but not the canonically
-first one, scans no frame: see the fans below, and
-``_regularity_pair_witnesses``, a closure of ([]p, "p at every successor")
-pairs.
+gives each set still open its own first failure.  The public search is the
+batch of one.  The harness, which needs a witness of each failure but not
+the canonically first one, takes it from the coded closure and scans no
+frame: see the fans below.
+
+``check_regularity`` is decided by a closure of its own, of the pairs
+([]p, "p at every successor") (``_regularity_pair_witness``), which is
+exact within the world bound; the harness maps it over each run.  Only a
+failing set is scanned for its canonically first defect, on lists, over
+the frames of at most two worlds, which hold it at every bound.
 
 At modal depth <= 1, t(s, c) = t(s) and round m - 1 decides the frames of
 at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
 irreflexive world and t(s) meet such a meet at a reflexive one, and each
 such (s, c) occurs on a fan of at most m worlds.  So the frame scan of a
 failing formula of depth <= 1 starts at the world count of the first round
-that fails.  There the closure also keeps each round's tuples and the
-t(s) of each valuation s, so that a root value outside D unfolds into the
-fan that attains it (``_fan``): its first (s, c) in the first round that
-attains it, with c traced back, one t(s') at a time, to all-top.  The
-harness takes that fan as its witness instead of scanning frames.  A
-deeper formula that fails the closure may still hold within the bound; for
-it, as for every failing formula of ``find_frame_counterexample``, the
-frame scan decides and finds the canonically first counterexample.
+that fails.  There the coded closure also keeps each round's tuples and
+the t(s) of each valuation s, so that a root value outside D unfolds into
+the fan that attains it (``_fan``): its first (s, c) in the first round
+that attains it, with c traced back, one t(s') at a time, to all-top.  The
+harness takes that fan as its witness instead of scanning frames; past the
+coded closure's bound it scans.  A deeper formula that fails the closure
+may still hold within the bound; for it, as for every failing formula of
+``find_frame_counterexample``, the frame scan decides and finds the
+canonically first counterexample.
 
-The closure and the frame scan each have two backends that give the same
-results: a scalar one in plain Python and an array one on numpy.  The
-scalar closure keeps each tuple as one int, the down-set codes of its
-values packed side by side, so that a meet is a bitwise and and the closure
-a set of ints; at modal depth <= 1 it evaluates the part of the formula
-above the boxes, the nodes ``formula.needed_worlds`` gives at a world
-without successors, once per distinct (outer variables' values, tuple), and
-deeper it decodes each round's new tuples and evaluates every node at them,
-both through the plan's ``node_values`` on lists.  The array closure runs
-the same walk on arrays.  The scalar scan runs ``frame_root_values``
-on lists over the whole valuation space.  The closure's backend is chosen
-by size alone: the scalar closure runs wherever at most 2^16 (valuation,
-tuple) pairs can occur, n^(variables + box nodes), at every modal depth,
-which covers every closure of ``run_suite`` at its default bounds.  The
-scalar scan runs while numpy is not loaded and the values it computes stay
-within ``_SCALAR_SCAN_BOUND``, and moves to arrays from the frame that
-would pass it; the regularity scan is that scan.  So ``run_suite`` at its
-default bounds, ``latmodal regular`` at desk scale, and every ``valid``
+The closure and the frame scan of ``find_frame_counterexample`` each have
+two backends that give the same results: a scalar one in plain Python and
+an array one on numpy.  The scalar closure keeps each tuple as one int, the
+down-set codes of its values packed side by side, so that a meet is a
+bitwise and and the closure a set of ints; at modal depth <= 1 it evaluates
+the part of the formula above the boxes, the nodes ``formula.needed_worlds``
+gives at a world without successors, once per distinct (outer variables'
+values, tuple), and deeper it decodes each round's new tuples and evaluates
+every node at them, both through the plan's ``node_values`` on lists.  The
+array closure runs the same walk on arrays and keeps no provenance.  The
+scalar scan runs ``frame_root_values`` on lists over the whole valuation
+space.  The closure's backend is chosen by size alone: the scalar closure
+runs wherever at most 2^16 (valuation, tuple) pairs can occur,
+n^(variables + box nodes), at every modal depth, which covers every closure
+of ``run_suite`` at its default bounds.  The scalar scan runs while numpy
+is not loaded and the values it computes stay within
+``_SCALAR_SCAN_BOUND``, and moves to arrays from the frame that would pass
+it; the regularity scan runs on lists alone.  So ``run_suite`` at its
+default bounds, ``latmodal regular`` at every bound, and every ``valid``
 query whose closure and scan stay within these bounds, never import numpy.
 numpy is imported inside the functions that build arrays, so importing
 this module does not load it.
@@ -222,43 +226,41 @@ def _closure_rounds(lat: Lattice, f: Formula) -> _Closure:
     further round, once the rows evaluated and met exceed
     MAX_VALUATION_SPACE: the closure can grow exponentially with the modal
     depth.  Reads no designated set.  Needs every connective of f defined.
-    At modal depth <= 1 the rounds also record where each root value comes
-    from (``_Closure``).
 
     Two backends give the same rounds, chosen by the number of (valuation,
     box-value tuple) pairs that can occur, n^(variables + box nodes), at
     every modal depth: on sets of packed down-set codes up to
     ``_CODED_CLOSURE_BOUND``, and on numpy arrays past it.  The timings
-    behind the bound are noted at it."""
+    behind the bound are noted at it.  Only the coded closure records, at
+    modal depth <= 1, where each root value comes from (``_Closure``)."""
     plan = _plan_for(lat, f)
     width = sum(kind == BOX for kind, _, _ in plan.nodes)
-    if plan.n ** (len(plan.names) + width) <= _CODED_CLOSURE_BOUND:
-        return _Closure(plan, _scalar_closure_rounds)
-    return _Closure(plan, _array_closure_rounds)
+    return _Closure(plan, plan.n ** (len(plan.names) + width) <= _CODED_CLOSURE_BOUND)
 
 
 class _Closure:
-    """The rounds of ``_closure_rounds``, an iterator, and at modal depth
-    <= 1 their provenance, from which ``_fan`` unfolds a counterexample.
+    """The rounds of ``_closure_rounds``, an iterator, on codes if
+    ``coded`` and on arrays if not.  On codes at modal depth <= 1 it also
+    keeps their provenance, from which ``_fan`` unfolds a counterexample.
     There a row (box-value tuple) of round h >= 1 is the meet of a row of
     round h - 1 and a generator t(s).  ``attained`` keeps what each round
-    yielded of the values attained.  The backend keeps each round's rows
-    and the tuple t(s) of each valuation s, and sets two functions that
-    search them: ``cells(h)``, which maps each value that round h attains
-    to its first cell there, (whether the root is its own successor, row,
-    valuation), and ``parent(h, row)``, one (row of round h - 1, valuation
-    s) whose meet with t(s) the row is.  Rows are indexed within their
-    round and valuations in the order of ``itertools.product``, the last
-    variable fastest.  Only the rounds and rows that a fan unfolds are
-    searched, each once, so a closure that fails no matrix pays for nothing
-    more."""
+    yielded of the values attained.  The coded backend keeps each round's
+    rows and the tuple t(s) of each valuation s, and sets two functions
+    that search them: ``cells(h)``, which maps each value that round h
+    attains to its first cell there, (whether the root is its own
+    successor, row, valuation), and ``parent(h, row)``, one (row of round
+    h - 1, valuation s) whose meet with t(s) the row is; elsewhere both
+    stay None.  Rows are indexed within their round and valuations in the
+    order of ``itertools.product``, the last variable fastest.  Only the
+    rounds and rows that a fan unfolds are searched, each once, so a
+    closure that fails no matrix pays for nothing more."""
 
-    def __init__(self, plan: _Plan, backend):
+    def __init__(self, plan: _Plan, coded: bool):
         self.plan = plan
         self.attained: list = []
         self.cells: Callable[[int], dict[int, tuple[bool, int, int]]] | None = None
         self.parent: Callable[[int, int], tuple[int, int]] | None = None
-        self._rounds = backend(plan, self)
+        self._rounds = _scalar_closure_rounds(plan, self) if coded else _array_closure_rounds(plan)
 
     def __iter__(self) -> _Closure:
         return self
@@ -426,11 +428,10 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
         closure |= meets
 
 
-def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterator[_Round | None]:
+def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
     """``_closure_rounds`` on numpy arrays of tuples, each round's new
     tuples evaluated in blocks by ``node_values`` over broadcasting arrays;
-    the values attained are a boolean array.  At modal depth <= 1 keeps
-    its provenance in ``trace``, if given."""
+    the values attained are a boolean array.  Keeps no provenance."""
     import numpy as np
 
     lat, nodes, names, dtype, n = plan.lattice, plan.nodes, plan.names, plan.dtype, plan.n
@@ -442,7 +443,6 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
     column = {i: j for j, i in enumerate(box_ids)}
     width = len(box_ids)
     bounded = modal_depth(plan.formula) <= 1
-    traced = bounded and trace is not None
 
     def root_values(c: np.ndarray) -> tuple[dict, np.ndarray | None]:
         """The values of every node at each (valuation, row) of the block of
@@ -464,38 +464,6 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
     collect = width > 0
     chunk = max(1, _CLOSURE_BLOCK // grid.shape[1])
     attained, work = np.zeros(n, dtype=bool), 0
-    if traced:
-        rows: list[np.ndarray] = []  # each round's
-
-        def cells(h: int) -> dict[int, tuple[bool, int, int]]:
-            found: dict[int, tuple[bool, int, int]] = {}
-            for start in range(0, len(rows[h]), chunk):
-                c = rows[h][start : start + chunk].T
-                values, loop = root_values(c)
-                for looped, roots in ((False, values[root, 0]), (True, loop)):
-                    # the first (valuation, row) of each value: a stable sort
-                    # keeps the flat indices of equal values in order
-                    roots = np.broadcast_to(roots, (grid.shape[1], c.shape[1])).ravel()
-                    order = np.argsort(roots, kind="stable")
-                    roots = roots[order]
-                    firsts = np.flatnonzero(np.concatenate(([True], roots[1:] != roots[:-1])))
-                    for v, k in zip(roots[firsts].tolist(), order[firsts].tolist()):
-                        s, j = divmod(k, c.shape[1])
-                        found.setdefault(v, (looped, start + j, s))
-            return found
-
-        def parent(h: int, j: int) -> tuple[int, int]:
-            step = max(1, _CLOSURE_BLOCK // max(1, len(generators) * width))
-            for start in range(0, len(rows[h - 1]), step):
-                x = rows[h - 1][start : start + step, None]
-                hits = (plan.connective(AND, x, generators[None]) == rows[h][j]).all(-1)
-                if hits.any():
-                    i, g = divmod(int(np.argmax(hits)), len(generators))
-                    return start + i, int(np.argmax((t_of == generators[g]).all(-1)))
-            raise AssertionError("a row of the closure is no meet of the round before")
-
-        trace.cells, trace.parent = functools.cache(cells), functools.cache(parent)
-    del trace  # it holds this generator: no reference back, so no cycle to collect
     while True:
         work += len(new) * grid.shape[1]
         if work > MAX_VALUATION_SPACE:
@@ -511,11 +479,6 @@ def _array_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterato
             if collect:
                 tuples = np.stack(np.broadcast_arrays(*(values[nodes[i][1], 0] for i in box_ids)), -1)
                 found.append(_merge(none, tuples.reshape(-1, width), n)[0])
-        if traced:
-            rows.append(new)
-            if collect:
-                # round 0 evaluates the one row all-top, at each valuation
-                t_of = tuples.reshape(-1, width)
         yield attained.copy(), not len(new)
         if not len(new):
             return
@@ -608,10 +571,14 @@ def _find_counterexamples(
     closure settles every designated set that passes it, and one frame scan
     computes each frame's root values once for the sets still open, each
     taking its own first failure.  Raises what the first of them to raise
-    alone would.  Without ``canonical``, where the closure decides a formula
-    of modal depth <= 1 each failing set gets the fan that the closure
-    unfolds (``_fan``) instead, within the world bound, and no frame is
-    scanned."""
+    alone would.  Without ``canonical``, where the coded closure decides a
+    formula of modal depth <= 1 each failing set gets the fan that the
+    closure unfolds (``_fan``) instead, within the world bound, and no
+    frame is scanned.  The coded closure runs every closure of the
+    harness's formulas, of 2 variables and 3 box nodes, on a lattice of at
+    most 9 elements (9^5 <= 2^16 pairs); past that the array closure
+    decides, keeps no provenance, and the failing sets get the canonical
+    scan."""
     lat, n_vars = matrices[0].lattice, len(variables(f))
     _check_world_bound(max_worlds, unsafe_bounds)
     scan = list(range(len(matrices)))
@@ -647,7 +614,7 @@ def _find_counterexamples(
             if bounded and not any(failed):
                 start = worlds + 1
             if all(failed) or round_[1] or bounded and worlds == max_worlds:
-                if bounded and not canonical:
+                if closure.cells is not None and not canonical:
                     return [_fan(closure, m) if was else None for was, m in zip(failed, matrices)]
                 scan = [i for i, was in enumerate(failed) if was]
                 break
@@ -677,14 +644,12 @@ def _scan_frames(
     frames: Iterable[Frame],
     mode: BoxMode,
     unsafe_bounds: bool,
-    first: Callable = first_failure,
-) -> list:
-    """What ``first`` finds first on the frames, in order, for each matrix in
+) -> list[CounterexampleReport | None]:
+    """The first counterexample on the frames, in order, for each matrix in
     scan (by index; all of one lattice), or None: each frame's root values
-    are computed once, for the sets still open, and ``first`` reads them as
-    ``first_failure`` does, giving a set's first counterexample on the frame
-    (or ``_first_defect`` its first regularity defect).  The values are
-    lists while numpy is not loaded and the values computed stay within
+    are computed once, for the sets still open, and ``first_failure`` gives
+    each its first counterexample on the frame.  The values are lists while
+    numpy is not loaded and the values computed stay within
     ``_SCALAR_SCAN_BOUND``, and arrays from the frame that would pass it."""
     lat = matrices[0].lattice
     plan = _plan_for(lat, f)
@@ -696,7 +661,7 @@ def _scan_frames(
         lists = lists and spent <= _SCALAR_SCAN_BOUND
         roots = frame_root_values(lat, frame, f, mode, unsafe_bounds=unsafe_bounds, lists=lists)
         for i in scan:
-            reports[i] = first(matrices[i], frame, f, roots, mode)
+            reports[i] = first_failure(matrices[i], frame, f, roots, mode)
         scan = [i for i in scan if reports[i] is None]
         if not scan:
             break
@@ -761,92 +726,81 @@ class RegularityResult(Record):
 def check_regularity(
     matrix: Matrix, max_worlds: int = 2, *, unsafe_bounds: bool = False
 ) -> RegularityResult:
-    """Scan all one-variable models within the world bound for a world where
-    []p is designated but p fails at some successor, or the reverse; the
-    first such world in canonical order (frames, then valuations with the
-    last world fastest, then worlds) is the witness.  The scan is the frame
-    scan of ``find_frame_counterexample`` on the formula []p, with
-    ``_first_defect`` in place of ``first_failure``, so it has the same
-    backends and guards: each world count is scanned only if
-    ``frame_valid``'s valuation guard admits it.
+    """Whether some world of a one-variable model within the world bound
+    has []p designated but p failing at some successor, or the reverse.
+    The closure of ``_regularity_pair_witness`` decides it exactly.  The
+    witness of a failing matrix is the first such world in canonical order
+    (frames, then valuations with the last world fastest, then worlds),
+    which a scan of the frames of at most two worlds finds
+    (``_first_defect``): an empty designated set fails on one world without
+    successors, and a set that fails otherwise fails on two successor
+    values, so on the reflexive fan of two worlds, and those frames come
+    first.  The world-bound errors of ``enumerate_frames`` are raised
+    first, then the lattice size guard of the frame scan, whatever the
+    verdict.
 
     The structural side (designated set closed under meet, with its big meet
     designated) is computed independently; on finite lattices the two
     verdicts must coincide.
     """
-    frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)
-    witness = _scan_frames(
-        [matrix], [0], BOX_P, frames, BoxMode.NORMAL_MEET, unsafe_bounds, _first_defect
-    )[0]
+    lat = matrix.lattice
+    _check_world_bound(max_worlds, unsafe_bounds)
+    _guard_valuation_space(lat.n, 1, 1, unsafe_bounds)  # of the lattice size alone
+    witness = None
+    if _regularity_pair_witness(matrix, max_worlds) is not None:
+        for frame in enumerate_frames(min(max_worlds, 2), unsafe_bounds=unsafe_bounds):
+            roots = frame_root_values(lat, frame, BOX_P, unsafe_bounds=unsafe_bounds, lists=True)
+            witness = _first_defect(matrix, frame, roots)
+            if witness is not None:
+                break
     return RegularityResult(
         regular=witness is None,
         is_filter=check_designated(matrix).is_filter,
-        meet_in_designated=big_meet(matrix.lattice, matrix.designated) in matrix.designated,
+        meet_in_designated=big_meet(lat, matrix.designated) in matrix.designated,
         witness=witness,
     )
 
 
-def _first_defect(
-    matrix: Matrix, frame: Frame, f: Formula, roots: list, mode: BoxMode
-) -> RegularityWitness | None:
-    """The first regularity defect on the frame, from the values of f = []p
-    that ``frame_root_values`` gives, lists or arrays: the lowest flat
-    valuation index, then the lowest world, where "[]p designated" and "p
-    designated at every successor" differ, or None."""
+def _first_defect(matrix: Matrix, frame: Frame, roots: list) -> RegularityWitness | None:
+    """The first regularity defect on the frame, from the values of []p
+    that ``frame_root_values`` gives on lists: the lowest flat valuation
+    index, then the lowest world, where "[]p designated" and "p designated
+    at every successor" differ, or None."""
     lat, k = matrix.lattice, len(frame.worlds)
-    lists = isinstance(roots[0], list)
-    slots, p, _, strides = _plan_for(lat, f).layout(k, lists)
+    slots, p, _, strides = _plan_for(lat, BOX_P).layout(k, lists=True)
+    designated = [x in matrix.designated for x in range(lat.n)]
     defects = []  # (flat index, world) of the first defect at each world
-    if lists:
-        designated = [x in matrix.designated for x in range(lat.n)]
-        for w, box in enumerate(roots):
-            columns = [map(designated.__getitem__, p[w2, "p"]) for w2 in frame.successors(w)]
-            holds = map(all, zip(*columns)) if columns else itertools.repeat(True)
-            differ = [designated[x] != h for x, h in zip(box, holds)]
-            if True in differ:
-                defects.append((differ.index(True), w))
-    else:
-        import numpy as np
-
-        designated = matrix.designated_mask()
-        for w, box in enumerate(roots):
-            holds = True  # at every successor, of none too
-            for w2 in frame.successors(w):
-                holds = holds & designated[p[w2, "p"]]
-            differ = np.broadcast_to(designated[box] != holds, (lat.n,) * k).ravel()
-            if differ.any():
-                defects.append((int(np.argmax(differ)), w))
+    for w, box in enumerate(roots):
+        columns = [map(designated.__getitem__, p[w2, "p"]) for w2 in frame.successors(w)]
+        holds = map(all, zip(*columns)) if columns else itertools.repeat(True)
+        differ = [designated[x] != h for x, h in zip(box, holds)]
+        if True in differ:
+            defects.append((differ.index(True), w))
     if not defects:
         return None
     s, w = min(defects)
     model = KripkeModel(frame, lat, {slot: s // strides[j] % lat.n for j, slot in enumerate(slots)})
-    box = evaluate(model, w, f, mode)
+    box = evaluate(model, w, BOX_P)
     return RegularityWitness(matrix, model, w, box, _DIRECTIONS[box not in matrix.designated])
 
 
-def _regularity_pair_witnesses(
-    matrices: Sequence[Matrix], max_worlds: int, unsafe_bounds: bool
-) -> list[RegularityWitness | None]:
-    """``check_regularity``'s verdict on each matrix, by a closure instead
-    of a frame scan: a world's []p and "p at every successor" are the pair
-    (meet S, whether S lies in D) of the multiset S of its successors'
-    values of p.  A world of a frame of at most m worlds has at most m
-    successors, and every multiset of m values is that of the root of the
-    reflexive fan w0 -> {w0, ..., w(m-1)}; a world without successors gives
-    (top, True).  So the closure of those pairs under the componentwise
-    (meet, and), over multisets of at most max_worlds values, decides the
-    bound exactly, and a pair (m, b) with (m in D) != b is a defect.  The
-    witness is the fan of the first defect found, fewest values first."""
-    _check_world_bound(max_worlds, unsafe_bounds)
-    return [_regularity_pair_witness(matrix, max_worlds) for matrix in matrices]
-
-
 def _regularity_pair_witness(matrix: Matrix, max_worlds: int) -> RegularityWitness | None:
+    """``check_regularity``'s verdict by a closure instead of a frame scan:
+    a world's []p and "p at every successor" are the pair (meet S, whether
+    S lies in D) of the multiset S of its successors' values of p.  A world
+    of a frame of at most m worlds has at most m successors, and every
+    multiset of m values is that of the root of the reflexive fan
+    w0 -> {w0, ..., w(m-1)}; a world without successors gives (top, True).
+    So the closure of those pairs under the componentwise (meet, and), over
+    multisets of at most max_worlds values, decides the bound exactly, and
+    a pair (m, b) with (m in D) != b is a defect.  The witness is the fan
+    of the first defect found, fewest values first; None if there is none.
+    The closure ends at its fixpoint, so a large bound costs nothing more."""
     lat, designated = matrix.lattice, matrix.designated
     meet = lat.meet_table
     # the pairs first reached by k values, each with those values; k = 0 is a dead end
     layer, reached = {(lat.top, True): ()}, set()
-    for _ in range(max_worlds + 1):
+    while layer:
         for (box, holds), values in layer.items():
             if (box in designated) != holds:
                 return _regularity_fan(matrix, values, box, holds)
@@ -854,6 +808,7 @@ def _regularity_pair_witness(matrix: Matrix, max_worlds: int) -> RegularityWitne
         extended = (
             ((meet[box][x], holds and x in designated), (*values, x))
             for (box, holds), values in layer.items()
+            if len(values) < max_worlds
             for x in range(lat.n)
         )
         layer = {pair: values for pair, values in extended if pair not in reached}

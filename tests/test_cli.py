@@ -291,7 +291,7 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
         "valid 0 False",
         # valid too, of modal depth 2 and 3^10 pairs: the coded closure runs
         "valid 0 False",
-        # the regularity scan, on lists, finds a defect in each
+        # the pair closure fails each, and the witness scan runs on lists
         "regular 1 False",
         "regular 1 False",
     ]
@@ -595,6 +595,27 @@ def test_regular_matches_the_golden_files(capsys):
         )
         assert code == 1
         assert out.encode("utf-8") == (data / f"regular_{name}.json").read_bytes()
+
+
+def test_regular_at_four_worlds_matches_its_golden_files_without_numpy():
+    """On a regular matrix and a failing one, each of 5 elements, in one
+    fresh process: the pair closure decides, the failing matrix alone is
+    scanned, on lists, and numpy stays unloaded."""
+    names = {"chain5_1": 0, "k5_a_b_1": 1}
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from latmodal.cli import main\n"
+        f"for name in {list(names)!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        f"        code = main(['regular', '--lattice', {str(DATA)!r} + f'/{{name}}.json',"
+        " '--compact', '--max-worlds', '4'])\n"
+        "    print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules]))\n"
+    )
+    for (name, expected), line in zip(names.items(), run_fresh(script), strict=True):
+        code, out, numpy_loaded = json.loads(line)
+        assert (code, numpy_loaded) == (expected, False), name
+        assert out.encode("utf-8") == (DATA / f"regular_w4_{name}.json").read_bytes()
 
 
 def test_outputs_are_byte_identical(tmp_path, capsys):

@@ -66,15 +66,13 @@ def test_k_linear_reports_a_failing_nonlinearity_witness(broken_witness):
 def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
     import latmodal.harness
 
-    search = latmodal.harness._regularity_pair_witnesses
+    search = latmodal.harness._regularity_pair_witness
 
-    def corrupted(matrices, max_worlds, unsafe):
-        return [
-            w and w._replace(box_value=(w.box_value + 1) % w.matrix.lattice.n)
-            for w in search(matrices, max_worlds, unsafe)
-        ]
+    def corrupted(matrix, max_worlds):
+        w = search(matrix, max_worlds)
+        return w and w._replace(box_value=(w.box_value + 1) % w.matrix.lattice.n)
 
-    monkeypatch.setattr(latmodal.harness, "_regularity_pair_witnesses", corrupted)
+    monkeypatch.setattr(latmodal.harness, "_regularity_pair_witness", corrupted)
     report = verify_theorem("regularity", 4, 2)
     assert not report.passed
     assert report.failures
@@ -228,3 +226,9 @@ def test_report_serialization():
     assert d["theorem"] == "eq1_implicative"
     assert d["passed"] is True
     assert isinstance(d["cases"], int)
+
+
+def test_regularity_refuses_a_world_bound_over_the_guard():
+    with pytest.raises(BoundTooLarge, match="frame enumeration is guarded to 4 worlds"):
+        verify_theorem("regularity", 2, 5)
+    assert verify_theorem("regularity", 2, 5, unsafe_bounds=True).passed

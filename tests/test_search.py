@@ -36,10 +36,14 @@ from latmodal.search import (
     _closure_rounds,
     _first_defect,
     _scalar_closure_rounds,
-    _scan_frames,
 )
 
-from oracles import canonical_frame_key, naive_regularity_defect, naive_regularity_witness
+from oracles import (
+    canonical_frame_key,
+    naive_regularity_defect,
+    naive_regularity_witness,
+    scanned_regularity_witness,
+)
 
 
 def test_frame_counts():
@@ -247,17 +251,9 @@ def test_regularity_structural_matches_semantic_small():
                 assert result.regular == result.structural_regular
 
 
-def _regularity_scan(matrices, bound):
-    """check_regularity's frame scan, batched over the matrices of one
-    lattice."""
-    scan = list(range(len(matrices)))
-    frames = enumerate_frames(bound)
-    return _scan_frames(matrices, scan, BOX_P, frames, BoxMode.NORMAL_MEET, False, _first_defect)
-
-
 def test_regularity_matches_the_model_scan():
-    """check_regularity on each matrix, and the batch of the upsets of each
-    lattice, against the scan of the one-variable models."""
+    """check_regularity on each matrix, and the frame scan it ran before a
+    closure decided it, against the scan of the one-variable models."""
     from latmodal import enumerate_lattices, enumerate_upsets
 
     witnesses = 0
@@ -265,15 +261,14 @@ def test_regularity_matches_the_model_scan():
         for lat in enumerate_lattices(n):
             matrices = [Matrix(lat, upset) for upset in [*enumerate_upsets(lat), frozenset()]]
             for bound in (1, 2, 3) if n <= 3 else (1, 2):
-                batch = _regularity_scan(matrices, bound)
-                for matrix, in_batch in zip(matrices, batch):
+                for matrix in matrices:
                     result = check_regularity(matrix, bound)
                     w = result.witness
                     found = None if w is None else (w.model, w.world, w.box_value, w.direction)
                     assert found == naive_regularity_witness(matrix, bound), (matrix, bound)
                     assert result.regular == (w is None)
                     assert w is None or w.recheck()
-                    assert in_batch == w
+                    assert scanned_regularity_witness(matrix, bound) == w
                     witnesses += w is not None
     assert witnesses > 0
 
@@ -290,16 +285,78 @@ def test_regularity_pair_closure_matches_the_frame_scan():
         for lat in enumerate_lattices(n):
             matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat)]
             assert frozenset() in [m.designated for m in matrices]
-            for bound in (1, 2, 3):
-                scanned = _regularity_scan(matrices, bound)
-                closed = latmodal.search._regularity_pair_witnesses(matrices, bound, False)
-                for matrix, scan, witness in zip(matrices, scanned, closed):
-                    assert (scan is None) == (witness is None), (matrix, bound)
-                    if witness is not None:
-                        assert witness.recheck(), (matrix, bound)
-                        assert len(witness.model.frame.worlds) <= bound
-                    verdicts[witness is None] += 1
+            for matrix, bound in itertools.product(matrices, (1, 2, 3)):
+                scan = scanned_regularity_witness(matrix, bound)
+                witness = latmodal.search._regularity_pair_witness(matrix, bound)
+                assert (scan is None) == (witness is None), (matrix, bound)
+                if witness is not None:
+                    assert witness.recheck(), (matrix, bound)
+                    assert len(witness.model.frame.worlds) <= bound
+                verdicts[witness is None] += 1
     assert verdicts == {True: 126, False: 48}
+
+
+def test_regularity_matches_the_scan_of_every_frame_within_the_bound():
+    """check_regularity, decided by the pair closure and scanning at most
+    two worlds for a failing set's witness, against the scan of every frame
+    within the bound that it ran before: every designated set, upsets or
+    not, the empty one included, of every lattice of at most 4 elements at
+    bounds 1 to 3, and of at most 3 elements at bound 4, gets the same
+    verdict and the same witness."""
+    from latmodal import enumerate_lattices
+
+    verdicts = {True: 0, False: 0}
+    for n in (1, 2, 3, 4):
+        for lat in enumerate_lattices(n):
+            for bits in itertools.product((False, True), repeat=n):
+                matrix = Matrix(lat, frozenset(itertools.compress(range(n), bits)))
+                for bound in (1, 2, 3, 4) if n <= 3 else (1, 2, 3):
+                    result = check_regularity(matrix, bound)
+                    scan = scanned_regularity_witness(matrix, bound)
+                    assert result.regular == (scan is None), (matrix, bound)
+                    assert _dict(result.witness) == _dict(scan), (matrix, bound)
+                    verdicts[result.regular] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_regularity_scans_at_most_two_worlds_at_every_bound(monkeypatch):
+    """At bound 6, past the world guard, check_regularity asks the frame
+    enumeration for at most 2 worlds and returns what bound 2 returns; the
+    guards still raise as before, whatever the verdict."""
+    requested = []
+    enumerate_frames = latmodal.search.enumerate_frames
+
+    def recorded(max_worlds, **kwargs):
+        requested.append(max_worlds)
+        return enumerate_frames(max_worlds, **kwargs)
+
+    monkeypatch.setattr(latmodal.search, "enumerate_frames", recorded)
+    b2, c3 = boolean_algebra(2), chain(3)
+    matrices = [
+        matrix_from_names(b2, ["a", "b", "1"]),
+        matrix_from_names(c3, ["0", "1"]),
+        Matrix(c3, frozenset()),
+        matrix_from_names(c3, ["h", "1"]),
+    ]
+    for matrix in matrices:
+        requested.clear()
+        result = check_regularity(matrix, 6, unsafe_bounds=True)
+        assert requested == ([] if result.regular else [2])
+        assert result == check_regularity(matrix, 2)
+    assert [check_regularity(m, 6, unsafe_bounds=True).regular for m in matrices] == [
+        False, False, False, True,
+    ]
+    for matrix in matrices[::3]:
+        with pytest.raises(BoundTooLarge, match="frame enumeration is guarded to 4 worlds"):
+            check_regularity(matrix, 5)
+        with pytest.raises(InvalidInput, match="world bound must be at least 1, got 0"):
+            check_regularity(matrix, 0)
+    c13 = chain(13)
+    for designated in ({12}, {0, 12}):
+        matrix = Matrix(c13, frozenset(designated))
+        with pytest.raises(BoundTooLarge, match=r"lattice size 13 exceeds the guard \(12\)"):
+            check_regularity(matrix, 2)
+        assert check_regularity(matrix, 2, unsafe_bounds=True).regular == (designated == {12})
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +615,9 @@ def test_list_and_array_frame_scans_agree():
     numpy loaded, so a search would take the arrays): on every matrix of at
     most 4 elements and every canonical frame of at most 3 worlds, in both
     box modes, the root values agree and each matrix gets the same first
-    failure from either, or None from both.  On the values of []p under
-    the normal box, every designated set, upset or not, gets the same first
-    regularity defect from either as from the oracle, or None from all."""
+    failure from either, or None from both.  On the list values of []p
+    under the normal box, every designated set, upset or not, gets the same
+    first regularity defect as from the oracle, or None from both."""
     import numpy as np
     from latmodal import enumerate_upsets
 
@@ -586,8 +643,7 @@ def test_list_and_array_frame_scans_agree():
                 assert report == _dict(kripke.first_failure(matrix, frame, f, arrays, mode))
                 cases["passing" if report is None else "failing"] += 1
             for matrix in subsets if f is BOX_P and mode is BoxMode.NORMAL_MEET else ():
-                defect = _first_defect(matrix, frame, f, lists, mode)
-                assert _dict(defect) == _dict(_first_defect(matrix, frame, f, arrays, mode))
+                defect = _first_defect(matrix, frame, lists)
                 found = defect if defect is None else (
                     defect.model, defect.world, defect.box_value, defect.direction
                 )
@@ -882,16 +938,16 @@ def test_closure_fans_match_the_frame_scan(monkeypatch, backend):
     lattice of at most 4 elements, for three formulas of modal depth 1 at
     bounds 1 to 3, the same matrices fail, and each fan re-checks itself and
     fits the bound.  Each closure runs where forced to (all of these are
-    within the coded closure's bound)."""
+    within the coded closure's bound).  The array closure keeps no
+    provenance, so there the failing matrices get the canonical reports."""
     from latmodal import enumerate_upsets
     from latmodal import harness
 
     if backend != "chosen":
-        rounds = _scalar_closure_rounds if backend == "scalar" else _array_closure_rounds
         monkeypatch.setattr(
             latmodal.search,
             "_closure_rounds",
-            lambda lat, f: latmodal.search._Closure(kripke._plan_for(lat, f), rounds),
+            lambda lat, f: latmodal.search._Closure(kripke._plan_for(lat, f), backend == "scalar"),
         )
     universes = itertools.chain(
         harness._eq1_matrices(5, False),
@@ -910,6 +966,8 @@ def test_closure_fans_match_the_frame_scan(monkeypatch, backend):
         args = (matrices, f, bound, BoxMode.NORMAL_MEET, False)
         scanned = latmodal.search._find_counterexamples(*args)
         fans = latmodal.search._find_counterexamples(*args, canonical=False)
+        if backend == "array":
+            assert list(map(_dict, fans)) == list(map(_dict, scanned)), (matrices, f, bound)
         for matrix, scan, fan in zip(matrices, scanned, fans):
             assert (scan is None) == (fan is None), (matrix, f, bound)
             if fan is not None:
