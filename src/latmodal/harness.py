@@ -22,16 +22,15 @@ the frame scan remains the fallback past that, and where the closure is not
 exact.  For regularity it is the closure of the pairs ([]p, "p at every
 successor") of each matrix, the one ``check_regularity`` decides by, whose
 defect unfolds into a reflexive fan.
-Every witness re-checks itself through the reference evaluator.  Where a
-case fails, the report carries the canonically first counterexample, from
-the public search of that one matrix (``find_frame_counterexample``,
-``check_regularity``), so a report's bytes do not depend on which witness
-the batch found.  The matrices of one lattice come in a run, and each run
-of a box check is searched in one batch: one closure decides all its
-designated sets (see ``search``).  The lattices of each size and the
-upsets of each order are enumerated once per process, and the restricted
-twists built once.  Each report is built once, when its check has run, and
-is frozen; it passes when it records no failure.
+Every witness re-checks itself through the reference evaluator, and a case
+that fails records the very witness its batch found and re-checked: a fan,
+or the scanned report where no fan exists.  ``k5_regression`` takes its
+witness from the same batch search.  The matrices of one lattice come in a
+run, and each run of a box check is searched in one batch: one closure
+decides all its designated sets (see ``search``).  The lattices of each
+size and the upsets of each order are enumerated once per process, and the
+restricted twists built once.  Each report is built once, when its check
+has run, and is frozen; it passes when it records no failure.
 
 Universe conventions, chosen to mirror each property's hypotheses: the
 designated sets range over non-empty upward-closed subsets, except for
@@ -79,9 +78,7 @@ from .search import (
     _check_world_bound,
     _find_counterexamples,
     _regularity_pair_witness,
-    check_regularity,
     construct_witness,
-    find_frame_counterexample,
 )
 
 # The restricted twist of the k-atom Boolean algebra has 3^k elements; this
@@ -209,7 +206,6 @@ def _verify_biconditional(
     formula,
     classify: Callable[[dict, DesignatedProperties], tuple[bool, str | None]],
     search: Callable[[list[Matrix]], list],
-    first: Callable[[Matrix], object],
     matrices: Iterator[tuple[Matrix, dict]],
     world_bound: int,
     scale: int,
@@ -221,9 +217,8 @@ def _verify_biconditional(
 
     ``search`` gives each matrix of a run of one lattice a semantic witness
     within the world bound, or None; a witness has ``recheck`` and
-    ``to_dict``.  ``first`` gives one matrix its canonically first witness,
-    which a failing case records, so that the bytes of a report do not
-    depend on the witness ``search`` found.  ``classify`` gives a case's
+    ``to_dict``.  A failing case records that witness, the one re-checked,
+    so a report shows what its search found.  ``classify`` gives a case's
     structural verdict, from its case id and its ``check_designated``
     result, and the kind of the canonical witness that must falsify
     ``formula`` when the verdict is false (None when no witness applies).
@@ -266,7 +261,7 @@ def _verify_biconditional(
             if not ok:
                 entry = {**case, "structural": structural, "semantic": semantic}
                 if witness is not None:
-                    entry["counterexample"] = first(matrix).to_dict()
+                    entry["counterexample"] = witness.to_dict()
                 failures.append(entry)
     universe = {**universe, "world_bound": world_bound}
     if split:
@@ -288,11 +283,13 @@ def _verify_biconditional(
 
 def k5_regression(world_bound: int = 3, *, unsafe_bounds: bool = False) -> TheoremReport:
     """The five-element antichain example: box-K frame-valid within the
-    bound while the lattice is not linear outside the designated set."""
+    bound while the lattice is not linear outside the designated set.  A
+    counterexample is the one the harness's batch search finds: the fan the
+    closure unfolds, or the scanned report where no fan exists."""
     matrix = antichain_k5()
     failures, notes = [], []
-    counterexample = find_frame_counterexample(
-        matrix, AXIOM_K, world_bound, unsafe_bounds=unsafe_bounds
+    (counterexample,) = _find_counterexamples(
+        [matrix], AXIOM_K, world_bound, BoxMode.NORMAL_MEET, unsafe_bounds, canonical=False
     )
     if counterexample is not None:
         failures.append(
@@ -338,9 +335,6 @@ def verify_theorem(
             BOX_P,
             lambda case, props: (props.is_filter, "nonfilter"),
             lambda run: [_regularity_pair_witness(matrix, world_bound) for matrix in run],
-            lambda matrix: check_regularity(
-                matrix, world_bound, unsafe_bounds=unsafe_bounds
-            ).witness,
             _upset_matrices(_lattice_universe(size_bound, unsafe_bounds)),
             world_bound,
             _REGULARITY_SCALE,
@@ -392,9 +386,6 @@ def verify_theorem(
         classify,
         lambda run: _find_counterexamples(
             run, formula, world_bound, BoxMode.NORMAL_MEET, unsafe_bounds, canonical=False
-        ),
-        lambda matrix: find_frame_counterexample(
-            matrix, formula, world_bound, unsafe_bounds=unsafe_bounds
         ),
         matrices,
         world_bound,

@@ -38,9 +38,11 @@ frame: see the fans below.
 
 ``check_regularity`` is decided by a closure of its own, of the pairs
 ([]p, "p at every successor") (``_regularity_pair_witness``), which is
-exact within the world bound; the harness maps it over each run.  Only a
-failing set is scanned for its canonically first defect, on lists, over
-the frames of at most two worlds, which hold it at every bound.
+exact within the world bound; the harness maps it over each run and takes
+its fans as witnesses.  Only a failing set is scanned for its canonically
+first defect, over the frames of at most two worlds, which hold it at
+every bound, one valuation of p at a time, with []p read from the meet
+table.
 
 At modal depth <= 1, t(s, c) = t(s) and round m - 1 decides the frames of
 at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
@@ -74,9 +76,9 @@ n^(variables + box nodes), at every modal depth, which covers every closure
 of ``run_suite`` at its default bounds.  The scalar scan runs while numpy
 is not loaded and the values it computes stay within
 ``_SCALAR_SCAN_BOUND``, and moves to arrays from the frame that would pass
-it; the regularity scan runs on lists alone.  So ``run_suite`` at its
-default bounds, ``latmodal regular`` at every bound, and every ``valid``
-query whose closure and scan stay within these bounds, never import numpy.
+it.  So ``run_suite`` at its default bounds, ``latmodal regular`` at every
+bound, and every ``valid`` query whose closure and scan stay within these
+bounds, never import numpy.
 numpy is imported inside the functions that build arrays, so importing
 this module does not load it.
 """
@@ -272,7 +274,7 @@ class _Closure:
         return round_
 
 
-def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterator[_Round | None]:
+def _scalar_closure_rounds(plan: _Plan, trace: _Closure) -> Iterator[_Round | None]:
     """``_closure_rounds`` with each row (box-value tuple) one int: the
     down-set codes of its values, n bits each (bit x of a value's code is
     set for each x below it), packed box by box.  The code of a meet is the
@@ -292,7 +294,7 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
     round's meets, computed once.  Deeper formulas decode each round's new
     rows and evaluate them through the plan's ``node_values`` on lists, one
     entry per (row, valuation).  At modal depth <= 1 keeps its provenance
-    in ``trace``, if given."""
+    in ``trace``."""
     lat, nodes, names, n = plan.lattice, plan.nodes, plan.names, plan.n
     connective, root = plan.list_connective, len(nodes) - 1
     box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
@@ -305,7 +307,6 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
     valuations = list(itertools.product(range(n), repeat=len(names)))
     columns = dict(zip(names, map(list, zip(*valuations))))
     bounded = modal_depth(plan.formula) <= 1
-    traced = bounded and trace is not None
 
     def encode(values: dict, size: int) -> list[int]:
         """The row of box-argument values at each of the size positions."""
@@ -382,7 +383,7 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
     # at depth <= 1 every t(s) from the start, which round 0 meets with all-top
     generators = set(t_of) - closure if bounded else set()
     attained, work = [False] * n, 0
-    if traced:
+    if bounded:
         rows: list[list[int]] = []  # each round's
 
         def cells(h: int) -> dict[int, tuple[bool, int, int]]:
@@ -410,7 +411,7 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure | None = None) -> Iterat
         roots, found, meets = root_values(new)
         for v in roots:
             attained[v] = True
-        if traced:
+        if bounded:
             rows.append(new)
         yield attained.copy(), not new
         if not new:
@@ -731,13 +732,12 @@ def check_regularity(
     The closure of ``_regularity_pair_witness`` decides it exactly.  The
     witness of a failing matrix is the first such world in canonical order
     (frames, then valuations with the last world fastest, then worlds),
-    which a scan of the frames of at most two worlds finds
-    (``_first_defect``): an empty designated set fails on one world without
-    successors, and a set that fails otherwise fails on two successor
-    values, so on the reflexive fan of two worlds, and those frames come
-    first.  The world-bound errors of ``enumerate_frames`` are raised
-    first, then the lattice size guard of the frame scan, whatever the
-    verdict.
+    which ``_first_defect`` finds on the frames of at most two worlds: an
+    empty designated set fails on one world without successors, and a set
+    that fails otherwise fails on two successor values, so on the reflexive
+    fan of two worlds, and those frames come first.  The world-bound errors
+    of ``enumerate_frames`` are raised first, then the lattice size guard
+    of the valuation space, whatever the verdict.
 
     The structural side (designated set closed under meet, with its big meet
     designated) is computed independently; on finite lattices the two
@@ -749,8 +749,7 @@ def check_regularity(
     witness = None
     if _regularity_pair_witness(matrix, max_worlds) is not None:
         for frame in enumerate_frames(min(max_worlds, 2), unsafe_bounds=unsafe_bounds):
-            roots = frame_root_values(lat, frame, BOX_P, unsafe_bounds=unsafe_bounds, lists=True)
-            witness = _first_defect(matrix, frame, roots)
+            witness = _first_defect(matrix, frame)
             if witness is not None:
                 break
     return RegularityResult(
@@ -761,27 +760,22 @@ def check_regularity(
     )
 
 
-def _first_defect(matrix: Matrix, frame: Frame, roots: list) -> RegularityWitness | None:
-    """The first regularity defect on the frame, from the values of []p
-    that ``frame_root_values`` gives on lists: the lowest flat valuation
-    index, then the lowest world, where "[]p designated" and "p designated
-    at every successor" differ, or None."""
-    lat, k = matrix.lattice, len(frame.worlds)
-    slots, p, _, strides = _plan_for(lat, BOX_P).layout(k, lists=True)
-    designated = [x in matrix.designated for x in range(lat.n)]
-    defects = []  # (flat index, world) of the first defect at each world
-    for w, box in enumerate(roots):
-        columns = [map(designated.__getitem__, p[w2, "p"]) for w2 in frame.successors(w)]
-        holds = map(all, zip(*columns)) if columns else itertools.repeat(True)
-        differ = [designated[x] != h for x, h in zip(box, holds)]
-        if True in differ:
-            defects.append((differ.index(True), w))
-    if not defects:
-        return None
-    s, w = min(defects)
-    model = KripkeModel(frame, lat, {slot: s // strides[j] % lat.n for j, slot in enumerate(slots)})
-    box = evaluate(model, w, BOX_P)
-    return RegularityWitness(matrix, model, w, box, _DIRECTIONS[box not in matrix.designated])
+def _first_defect(matrix: Matrix, frame: Frame) -> RegularityWitness | None:
+    """The first regularity defect on the frame: over the valuations of p,
+    the last world fastest, then the worlds, the first where "[]p
+    designated" and "p designated at every successor" differ, or None.
+    []p is the meet of the successors' values, read from the meet table."""
+    lat, designated = matrix.lattice, matrix.designated
+    successors = [frame.successors(w) for w in range(len(frame.worlds))]
+    for values in itertools.product(range(lat.n), repeat=len(successors)):
+        for w, succ in enumerate(successors):
+            box, holds = lat.top, True
+            for v in succ:
+                box, holds = lat.meet_table[box][values[v]], holds and values[v] in designated
+            if (box in designated) != holds:
+                model = KripkeModel(frame, lat, {(v, "p"): x for v, x in enumerate(values)})
+                return RegularityWitness(matrix, model, w, box, _DIRECTIONS[holds])
+    return None
 
 
 def _regularity_pair_witness(matrix: Matrix, max_worlds: int) -> RegularityWitness | None:

@@ -5,15 +5,14 @@ the classical evaluator works on plain booleans, the many-valued evaluator
 recurses over the formula objects with the lattice's tables instead of
 running the compiled node list, the naive frame scan uses
 itertools plus the scalar reference evaluator ``evaluate`` (which shares
-only the formula compiler with ``frame_valid``), the entailment and
-regularity scans loop over valuations and models where the package decides
-on arrays and value sets, the canonical frame key relabels relation
-bitmasks one pair at a time where the package's frame filter marks whole
-classes of masks through lookup tables, and the box-K decision procedure
-closes value triples under componentwise meet instead of touching frames.
-One oracle runs the package's own code: ``scanned_regularity_witness`` is
-the frame scan that ``check_regularity`` ran before a closure decided it,
-and ``naive_regularity_witness`` cross-checks that scan.
+only the formula compiler with ``frame_valid``), the entailment scan loops
+over valuations where the package decides on arrays, the regularity scan
+covers every frame within the bound where the package decides by a closure
+of value pairs and scans at most two worlds, the canonical frame key
+relabels relation bitmasks one pair at a time where the package's frame
+filter marks whole classes of masks through lookup tables, and the box-K
+decision procedure closes value triples under componentwise meet instead
+of touching frames.
 """
 
 import itertools
@@ -210,21 +209,6 @@ def naive_regularity_witness(matrix, max_worlds):
     bound, in canonical order, or None."""
     for frame in enumerate_frames(max_worlds):
         found = naive_regularity_defect(matrix, frame)
-        if found is not None:
-            return found
-    return None
-
-
-def scanned_regularity_witness(matrix, max_worlds):
-    """``check_regularity``'s witness by a scan of every frame within the
-    bound, in canonical order: the first defect that ``_first_defect``
-    reads off the list values of []p on a frame, or None."""
-    from latmodal.kripke import frame_root_values
-    from latmodal.search import BOX_P, _first_defect
-
-    for frame in enumerate_frames(max_worlds):
-        roots = frame_root_values(matrix.lattice, frame, BOX_P, lists=True)
-        found = _first_defect(matrix, frame, roots)
         if found is not None:
             return found
     return None

@@ -291,7 +291,7 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
         "valid 0 False",
         # valid too, of modal depth 2 and 3^10 pairs: the coded closure runs
         "valid 0 False",
-        # the pair closure fails each, and the witness scan runs on lists
+        # the pair closure fails each, and the witness scan reads one valuation at a time
         "regular 1 False",
         "regular 1 False",
     ]
@@ -575,7 +575,13 @@ def test_verify_at_other_bounds_matches_the_golden_files(capsys):
 
 
 def test_failing_reports_match_the_golden_files(corrupted_k5, request):
+    """The reports match their goldens, and each failure's counterexample,
+    re-read from its JSON, takes its reported undesignated value under the
+    oracle's evaluator, on a frame within the world bound."""
     from latmodal.harness import HarnessConfig, run_suite, verify_theorem
+    from latmodal.serialize import model_from_dict
+    from latmodal import parse
+    from oracles import many_valued_value
 
     reports, status = run_suite(HarnessConfig(size_bound=2, world_bound=3))
     payload = {"status": status, "reports": [r.to_dict() for r in reports]}
@@ -584,6 +590,20 @@ def test_failing_reports_match_the_golden_files(corrupted_k5, request):
     report = verify_theorem("k_linear", 4, 3)
     golden = (DATA / "k_linear_broken_witness.json").read_text()
     assert dumps(report.to_dict(), compact=True) + "\n" == golden
+    checked = 0
+    for report in [*reports, report]:
+        for failure in report.failures:
+            cx = failure.get("counterexample")
+            if cx is None:
+                continue
+            model, _ = model_from_dict(
+                {key: cx[key] for key in ("lattice", "worlds", "rel", "valuation")}
+            )
+            assert len(model.frame.worlds) <= report.universe["world_bound"]
+            value = many_valued_value(model, cx["worlds"].index(cx["world"]), parse(cx["formula"]))
+            assert cx["value"] == model.lattice.elements[value] not in cx["designated"]
+            checked += 1
+    assert checked == 4
 
 
 def test_regular_matches_the_golden_files(capsys):
@@ -600,7 +620,7 @@ def test_regular_matches_the_golden_files(capsys):
 def test_regular_at_four_worlds_matches_its_golden_files_without_numpy():
     """On a regular matrix and a failing one, each of 5 elements, in one
     fresh process: the pair closure decides, the failing matrix alone is
-    scanned, on lists, and numpy stays unloaded."""
+    scanned for its witness, and numpy stays unloaded."""
     names = {"chain5_1": 0, "k5_a_b_1": 1}
     script = (
         "import contextlib, io, json, sys\n"

@@ -64,19 +64,40 @@ def test_k_linear_reports_a_failing_nonlinearity_witness(broken_witness):
 
 
 def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
+    """A witness that fails its recheck fails its case, and the case records
+    that very witness: each regularity fan with its []p value moved, and one
+    box-K fan with its root value moved."""
     import latmodal.harness
 
-    search = latmodal.harness._regularity_pair_witness
+    pair_witness = latmodal.harness._regularity_pair_witness
+    find = latmodal.harness._find_counterexamples
+    corrupted = []
 
-    def corrupted(matrix, max_worlds):
-        w = search(matrix, max_worlds)
-        return w and w._replace(box_value=(w.box_value + 1) % w.matrix.lattice.n)
+    def corrupted_pair_witness(matrix, max_worlds):
+        w = pair_witness(matrix, max_worlds)
+        if w is not None:
+            w = w._replace(box_value=(w.box_value + 1) % w.matrix.lattice.n)
+            corrupted.append(w.to_dict())
+        return w
 
-    monkeypatch.setattr(latmodal.harness, "_regularity_pair_witness", corrupted)
-    report = verify_theorem("regularity", 4, 2)
-    assert not report.passed
-    assert report.failures
-    assert all(f["error"] == "counterexample failed self-certification" for f in report.failures)
+    def one_corrupted_fan(matrices, *args, **kwargs):
+        reports = find(matrices, *args, **kwargs)
+        for i, r in enumerate(reports):
+            if r is not None and not corrupted:
+                reports[i] = r._replace(value=(r.value + 1) % r.matrix.lattice.n)
+                corrupted.append(reports[i].to_dict())
+        return reports
+
+    monkeypatch.setattr(latmodal.harness, "_regularity_pair_witness", corrupted_pair_witness)
+    monkeypatch.setattr(latmodal.harness, "_find_counterexamples", one_corrupted_fan)
+    for theorem, world_bound in (("regularity", 2), ("k_linear", 3)):
+        corrupted.clear()
+        report = verify_theorem(theorem, 4, world_bound)
+        assert not report.passed and corrupted, theorem
+        assert [f["counterexample"] for f in report.failures] == corrupted, theorem
+        for failure in report.failures:
+            assert failure["error"] == "counterexample failed self-certification"
+    assert len(corrupted) == 1
 
 
 def test_designated_properties_computed_once_per_matrix(monkeypatch):
@@ -173,8 +194,8 @@ def test_run_suite_fails_on_corrupted_k5(corrupted_k5):
 
 def test_run_suite_scans_no_frame(monkeypatch):
     """Every check of the default suite is decided by a closure: with the
-    frame scan, which the regularity scan shares, made to raise, it still
-    passes with the reports of the golden file."""
+    frame scan made to raise, it still passes with the reports of the
+    golden file."""
     import json
     from pathlib import Path
 
