@@ -41,7 +41,7 @@ def build_lattice():
 def box_k_valid(matrix) -> bool:
     """Box-K on all frames: every root value of the closure's fixpoint is
     designated."""
-    for attained, fixpoint in _closure_rounds(matrix.lattice, AXIOM_K):
+    for attained, fixpoint, _ in _closure_rounds(matrix.lattice, AXIOM_K):
         if fixpoint:
             return all(v in matrix.designated for v, hit in enumerate(attained) if hit)
 

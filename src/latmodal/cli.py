@@ -54,6 +54,14 @@ def _names(lattice, witness):
     ]
 
 
+def _section(lattice, record) -> dict:
+    """A record's fields by name, each witness's elements named."""
+    return {
+        field: _names(lattice, value) if field.endswith("_witness") else value
+        for field, value in zip(record._fields, record._values(record))
+    }
+
+
 def _require_matrix(path: str) -> Matrix:
     lattice, designated = load_lattice(path)
     if designated is None:
@@ -78,38 +86,15 @@ def _cmd_lattice(args) -> int:
         "elements": list(lattice.elements),
         "top": lattice.elements[lattice.top],
         "bottom": lattice.elements[lattice.bottom],
-        "properties": {
-            "anti_monotone": props.anti_monotone,
-            "anti_monotone_witness": _names(lattice, props.anti_monotone_witness),
-            "involutive": props.involutive,
-            "involutive_witness": _names(lattice, props.involutive_witness),
-            "down_distribution": props.down_distribution,
-            "down_distribution_witness": _names(lattice, props.down_distribution_witness),
-        },
+        "properties": _section(lattice, props),
     }
     if designated is not None:
         matrix = Matrix(lattice, designated)
-        dprops = check_designated(matrix)
         payload["designated"] = matrix.designated_names()
-        payload["designated_properties"] = {
-            "upward_closed": dprops.upward_closed,
-            "upward_witness": _names(lattice, dprops.upward_witness),
-            "is_filter": dprops.is_filter,
-            "filter_witness": _names(lattice, dprops.filter_witness),
-            "is_implicative": dprops.is_implicative,
-            "implicative_witness": _names(lattice, dprops.implicative_witness),
-            "linear_outside": dprops.linear_outside,
-            "linear_witness": _names(lattice, dprops.linear_witness),
-        }
+        payload["designated_properties"] = _section(lattice, check_designated(matrix))
         if lattice.imp is not None:
-            cls = classify_implication(matrix)
-            payload["implication"] = {
-                "mode": lattice.imp.mode,
-                "deductive": cls.deductive,
-                "deductive_witness": _names(lattice, cls.deductive_witness),
-                "strictly_deductive": cls.strictly_deductive,
-                "strict_witness": _names(lattice, cls.strict_witness),
-            }
+            implication = _section(lattice, classify_implication(matrix))
+            payload["implication"] = {"mode": lattice.imp.mode, **implication}
     _emit(args, payload)
     return 0
 

@@ -26,7 +26,7 @@ designated set D.  The closure reads no D: it depends only on the lattice
 and the formula, and a matrix's verdict is the inclusion of the root values
 attained in its D.  Each round meets only the new tuples with the others.
 C can grow exponentially with the modal depth, so past a budget of rows the
-frame scan decides instead.
+closure ends without a fixpoint round and the frame scan decides instead.
 
 The search decides the designated sets of one lattice in one batch, as the
 harness asks: one closure, grown until every set is settled, and one pass
@@ -49,12 +49,12 @@ at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
 irreflexive world and t(s) meet such a meet at a reflexive one, and each
 such (s, c) occurs on a fan of at most m worlds.  So the frame scan of a
 failing formula of depth <= 1 starts at the world count of the first round
-that fails.  There the coded closure also keeps each round's tuples and
-the t(s) of each valuation s, so that a root value outside D unfolds into
-the fan that attains it (``_fan``): its first (s, c) in the first round
-that attains it, with c traced back, one t(s') at a time, to all-top.  The
-harness takes that fan as its witness instead of scanning frames; past the
-coded closure's bound it scans.  A deeper formula that fails the closure
+that fails.  There each round of the coded closure unfolds, over its
+tuples and the t(s) of each valuation s, a root value outside D into the
+fan that attains it (``_fan``): its first (s, c) in the first round that
+attains it, with c traced back, one t(s') at a time, to all-top.  The
+harness takes that fan as its witness instead of scanning frames; past
+the coded closure's bound it scans.  A deeper formula that fails the closure
 may still hold within the bound; for it, as for every failing formula of
 ``find_frame_counterexample``, the frame scan decides and finds the
 canonically first counterexample.
@@ -68,9 +68,10 @@ the part of the formula above the boxes, the nodes ``formula.needed_worlds``
 gives at a world without successors, once per distinct (outer variables'
 values, tuple), and deeper it decodes each round's new tuples and evaluates
 every node at them, both through the plan's ``node_values`` on lists.  The
-array closure runs the same walk on arrays and keeps no provenance.  The
-scalar scan runs ``frame_root_values`` on lists over the whole valuation
-space.  The closure's backend is chosen by size alone: the scalar closure
+array closure runs the same walk on arrays and keeps no provenance, so its
+rounds unfold nothing.  The scalar scan runs ``frame_root_values`` on
+lists over the whole valuation space.  ``_closure_rounds`` returns the
+generator of the closure backend chosen by size alone: the scalar closure
 runs wherever at most 2^16 (valuation, tuple) pairs can occur,
 n^(variables + box nodes), at every modal depth, which covers every closure
 of ``run_suite`` at its default bounds.  The scalar scan runs while numpy
@@ -129,8 +130,8 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
-    # (whether each value is a root value attained, fixpoint reached)
-    _Round = tuple[np.ndarray | list[bool], bool]
+    # (whether each value is a root value attained, fixpoint reached, unfold)
+    _Round = tuple[np.ndarray | list[bool], bool, Callable[[int], tuple[bool, list[int]]] | None]
 
 AXIOM_K = parse("[](p -> q) -> ([]p -> []q)")
 BOX_P = parse("[]p")
@@ -219,62 +220,31 @@ _CLOSURE_BLOCK = 1 << 20  # about the most values one array of the closure holds
 _CODED_CLOSURE_BOUND = 1 << 16
 
 
-def _closure_rounds(lat: Lattice, f: Formula) -> _Closure:
+def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round]:
     """The closure of box-value tuples of f on the lattice (see the module
-    docstring), one round at a time: after each, whether each value, by
-    index, is a root value so far (at modal depth <= 1 also with the root
-    among its own successors), and whether the round had no new tuple to
-    evaluate, which is the fixpoint and the last round.  None, and no
-    further round, once the rows evaluated and met exceed
-    MAX_VALUATION_SPACE: the closure can grow exponentially with the modal
-    depth.  Reads no designated set.  Needs every connective of f defined.
+    docstring), one round (attained, fixpoint, unfold) at a time: whether
+    each value, by index, is a root value so far (at modal depth <= 1 also
+    with the root among its own successors), whether the round had no new
+    tuple to evaluate, which is the fixpoint and the last round, and the
+    round's unfold of a value into its fan, None but on codes at modal
+    depth <= 1.  The rounds end without a fixpoint once the rows evaluated
+    and met exceed MAX_VALUATION_SPACE: the closure can grow exponentially
+    with the modal depth.  Reads no designated set.  Needs every connective
+    of f defined.
 
     Two backends give the same rounds, chosen by the number of (valuation,
     box-value tuple) pairs that can occur, n^(variables + box nodes), at
     every modal depth: on sets of packed down-set codes up to
     ``_CODED_CLOSURE_BOUND``, and on numpy arrays past it.  The timings
-    behind the bound are noted at it.  Only the coded closure records, at
-    modal depth <= 1, where each root value comes from (``_Closure``)."""
+    behind the bound are noted at it."""
     plan = _plan_for(lat, f)
     width = sum(kind == BOX for kind, _, _ in plan.nodes)
-    return _Closure(plan, plan.n ** (len(plan.names) + width) <= _CODED_CLOSURE_BOUND)
+    if plan.n ** (len(plan.names) + width) <= _CODED_CLOSURE_BOUND:
+        return _scalar_closure_rounds(plan)
+    return _array_closure_rounds(plan)
 
 
-class _Closure:
-    """The rounds of ``_closure_rounds``, an iterator, on codes if
-    ``coded`` and on arrays if not.  On codes at modal depth <= 1 it also
-    keeps their provenance, from which ``_fan`` unfolds a counterexample.
-    There a row (box-value tuple) of round h >= 1 is the meet of a row of
-    round h - 1 and a generator t(s).  ``attained`` keeps what each round
-    yielded of the values attained.  The coded backend keeps each round's
-    rows and the tuple t(s) of each valuation s, and sets two functions
-    that search them: ``cells(h)``, which maps each value that round h
-    attains to its first cell there, (whether the root is its own
-    successor, row, valuation), and ``parent(h, row)``, one (row of round
-    h - 1, valuation s) whose meet with t(s) the row is; elsewhere both
-    stay None.  Rows are indexed within their round and valuations in the
-    order of ``itertools.product``, the last variable fastest.  Only the
-    rounds and rows that a fan unfolds are searched, each once, so a
-    closure that fails no matrix pays for nothing more."""
-
-    def __init__(self, plan: _Plan, coded: bool):
-        self.plan = plan
-        self.attained: list = []
-        self.cells: Callable[[int], dict[int, tuple[bool, int, int]]] | None = None
-        self.parent: Callable[[int, int], tuple[int, int]] | None = None
-        self._rounds = _scalar_closure_rounds(plan, self) if coded else _array_closure_rounds(plan)
-
-    def __iter__(self) -> _Closure:
-        return self
-
-    def __next__(self) -> _Round | None:
-        round_ = next(self._rounds)
-        if round_ is not None:
-            self.attained.append(round_[0])
-        return round_
-
-
-def _scalar_closure_rounds(plan: _Plan, trace: _Closure) -> Iterator[_Round | None]:
+def _scalar_closure_rounds(plan: _Plan) -> Iterator[_Round]:
     """``_closure_rounds`` with each row (box-value tuple) one int: the
     down-set codes of its values, n bits each (bit x of a value's code is
     set for each x below it), packed box by box.  The code of a meet is the
@@ -293,8 +263,14 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure) -> Iterator[_Round | No
     loop keys are its meets with every generator, so they are the next
     round's meets, computed once.  Deeper formulas decode each round's new
     rows and evaluate them through the plan's ``node_values`` on lists, one
-    entry per (row, valuation).  At modal depth <= 1 keeps its provenance
-    in ``trace``."""
+    entry per (row, valuation).
+
+    At modal depth <= 1, where a row of round h >= 1 is the meet of a row
+    of round h - 1 and a generator t(s), a round's ``unfold(value)`` gives
+    (whether the root is its own successor, the fan's valuations): those of
+    the value's first cell in the round (unlooped cells first, then rows,
+    then valuations), then the s of each t(s) the row traces back through.
+    Each round's cells and each value are searched once, on demand."""
     lat, nodes, names, n = plan.lattice, plan.nodes, plan.names, plan.n
     connective, root = plan.list_connective, len(nodes) - 1
     box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
@@ -383,43 +359,51 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure) -> Iterator[_Round | No
     # at depth <= 1 every t(s) from the start, which round 0 meets with all-top
     generators = set(t_of) - closure if bounded else set()
     attained, work = [False] * n, 0
-    if bounded:
-        rows: list[list[int]] = []  # each round's
+    rows: list[list[int]] = []  # each round's, at depth <= 1
 
-        def cells(h: int) -> dict[int, tuple[bool, int, int]]:
-            found: dict[int, tuple[bool, int, int]] = {}
-            for looped in (False, True):
-                for j, c in enumerate(rows[h]):
-                    for s, (o, t) in enumerate(zip(o_of, t_of)):
-                        found.setdefault(values_of[o | (c & t if looped else c)], (looped, j, s))
-            return found
+    @functools.cache
+    def parent(h: int, j: int) -> tuple[int, int]:
+        for i, x in enumerate(rows[h - 1]):
+            for t in generators:
+                if x & t == rows[h][j]:
+                    return i, t_of.index(t)
+        raise AssertionError("a row of the closure is no meet of the round before")
 
-        def parent(h: int, j: int) -> tuple[int, int]:
-            for i, x in enumerate(rows[h - 1]):
-                for t in generators:
-                    if x & t == rows[h][j]:
-                        return i, t_of.index(t)
-            raise AssertionError("a row of the closure is no meet of the round before")
+    def unfolder(h: int) -> Callable[[int], tuple[bool, list[int]]]:
+        cells: dict[int, tuple[bool, int, int]] = {}  # value: its first (loop, row, s)
 
-        trace.cells, trace.parent = functools.cache(cells), functools.cache(parent)
-    del trace  # it holds this generator: no reference back, so no cycle to collect
+        @functools.cache
+        def unfold(value: int) -> tuple[bool, list[int]]:
+            if not cells:  # the round's cells, searched on its first unfold
+                for looped in (False, True):
+                    for j, c in enumerate(rows[h]):
+                        for s, (o, t) in enumerate(zip(o_of, t_of)):
+                            key = o | (c & t if looped else c)
+                            cells.setdefault(values_of[key], (looped, j, s))
+            loop, j, s = cells[value]
+            fan = [s]
+            for k in range(h, 0, -1):
+                j, s = parent(k, j)
+                fan.append(s)
+            return loop, fan
+
+        return unfold
+
     while True:
         work += len(new) * len(valuations)
         if work > MAX_VALUATION_SPACE:
-            yield None
             return
         roots, found, meets = root_values(new)
         for v in roots:
             attained[v] = True
         if bounded:
             rows.append(new)
-        yield attained.copy(), not new
+        yield attained.copy(), not new, unfolder(len(rows) - 1) if bounded else None
         if not new:
             return
         fresh = set(found) - closure  # the closure holds every generator
         work += len(new) * len(generators) + len(closure) * len(fresh)
         if work > MAX_VALUATION_SPACE:
-            yield None
             return
         if not bounded:
             meets = {x & y for x in new for y in generators}
@@ -429,7 +413,7 @@ def _scalar_closure_rounds(plan: _Plan, trace: _Closure) -> Iterator[_Round | No
         closure |= meets
 
 
-def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
+def _array_closure_rounds(plan: _Plan) -> Iterator[_Round]:
     """``_closure_rounds`` on numpy arrays of tuples, each round's new
     tuples evaluated in blocks by ``node_values`` over broadcasting arrays;
     the values attained are a boolean array.  Keeps no provenance."""
@@ -468,7 +452,6 @@ def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
     while True:
         work += len(new) * grid.shape[1]
         if work > MAX_VALUATION_SPACE:
-            yield None
             return
         found = [none]
         for start in range(0, len(new), chunk):
@@ -480,7 +463,7 @@ def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
             if collect:
                 tuples = np.stack(np.broadcast_arrays(*(values[nodes[i][1], 0] for i in box_ids)), -1)
                 found.append(_merge(none, tuples.reshape(-1, width), n)[0])
-        yield attained.copy(), not len(new)
+        yield attained.copy(), not len(new), None
         if not len(new):
             return
         if not width:
@@ -490,7 +473,6 @@ def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
         grown, fresh = _merge(generators, _merge(closure, np.concatenate(found), n)[1], n)
         work += len(new) * len(generators) + len(closure) * len(fresh)
         if work > MAX_VALUATION_SPACE:
-            yield None
             return
         meets = [none]
         for x, y in ((new, generators), (closure, fresh)):
@@ -502,26 +484,21 @@ def _array_closure_rounds(plan: _Plan) -> Iterator[_Round | None]:
         closure, new = _merge(closure, np.concatenate(meets), n)
 
 
-def _fan(closure: _Closure, matrix: Matrix) -> CounterexampleReport:
+def _fan(plan: _Plan, rounds: Sequence[_Round], matrix: Matrix) -> CounterexampleReport:
     """The counterexample that a root value outside the matrix's designated
-    set unfolds into, at modal depth <= 1: of the values attained first,
-    the least, and its first cell.  The counterexample is a fan, whose root
-    w0 takes the cell's valuation, with one leaf for each generator t(s)
-    its row is the meet of, taking s, and the root among its own successors
-    for a loop cell.  A cell of round h gives h + 1 worlds, so a failure
-    that the closure finds by round m - 1 gets a witness of at most m
-    worlds."""
-    plan = closure.plan
-    for h, attained in enumerate(closure.attained):
+    set unfolds into, at modal depth <= 1: of the values that the coded
+    closure's rounds attain first, the least, unfolded by its round.  The
+    counterexample is a fan, whose root w0 takes the valuation of the
+    value's first cell, with one leaf for each generator t(s) its row is
+    the meet of, taking s, and the root among its own successors for a
+    loop cell.  A cell of round h gives h + 1 worlds, so a failure that
+    the closure finds by round m - 1 gets a witness of at most m worlds."""
+    for attained, _, unfold in rounds:
         failing = set(itertools.compress(range(plan.n), attained)) - matrix.designated
         if failing:
             break
     value = min(failing)
-    loop, row, s = closure.cells(h)[value]
-    valuations = [s]
-    for h in range(h, 0, -1):
-        row, s = closure.parent(h, row)
-        valuations.append(s)
+    loop, valuations = unfold(value)
     k, n = len(plan.names), plan.n
     assignment = {
         (w, name): t // n ** (k - 1 - j) % n
@@ -574,12 +551,13 @@ def _find_counterexamples(
     taking its own first failure.  Raises what the first of them to raise
     alone would.  Without ``canonical``, where the coded closure decides a
     formula of modal depth <= 1 each failing set gets the fan that the
-    closure unfolds (``_fan``) instead, within the world bound, and no
-    frame is scanned.  The coded closure runs every closure of the
+    closure's rounds unfold (``_fan``) instead, within the world bound, and
+    no frame is scanned.  The coded closure runs every closure of the
     harness's formulas, of 2 variables and 3 box nodes, on a lattice of at
     most 9 elements (9^5 <= 2^16 pairs); past that the array closure
     decides, keeps no provenance, and the failing sets get the canonical
-    scan."""
+    scan.  Only the canonical search needs the valuation guard to admit
+    max_worlds before the closure runs; a scan raises its error itself."""
     lat, n_vars = matrices[0].lattice, len(variables(f))
     _check_world_bound(max_worlds, unsafe_bounds)
     scan = list(range(len(matrices)))
@@ -596,27 +574,29 @@ def _find_counterexamples(
         and (IMP not in kinds or lat.imp is not None)
         and lat.n ** kinds.count(BOX) < 1 << 63  # the array closure codes tuples in int64
     )
-    try:
-        _guard_valuation_space(lat.n, max_worlds, n_vars, unsafe_bounds)
-    except BoundTooLarge:
-        exact = False  # the scan raises it, or finds a counterexample first
+    if canonical:
+        try:
+            _guard_valuation_space(lat.n, max_worlds, n_vars, unsafe_bounds)
+        except BoundTooLarge:
+            exact = False  # the scan raises it, or finds a counterexample first
     failed = [False] * len(matrices)
     bounded = modal_depth(f) <= 1
     start = 1  # the fewest worlds of a frame that may hold a first counterexample
     if exact:
         # at depth <= 1 round m decides the frames of at most m worlds; the
-        # root values attained only grow, so a set once failed stays failed
-        closure = _closure_rounds(lat, f)
-        for worlds, round_ in enumerate(closure, 1):
-            if round_ is None:
-                break
-            attained = frozenset(itertools.compress(range(lat.n), round_[0]))
+        # root values attained only grow, so a set once failed stays failed.
+        # Rounds that end without a fixpoint leave every set to the scan.
+        rounds = []
+        for worlds, (hits, fixpoint, unfold) in enumerate(_closure_rounds(lat, f), 1):
+            rounds.append((hits, fixpoint, unfold))
+            attained = frozenset(itertools.compress(range(lat.n), hits))
             failed = [was or not attained <= m.designated for was, m in zip(failed, matrices)]
             if bounded and not any(failed):
                 start = worlds + 1
-            if all(failed) or round_[1] or bounded and worlds == max_worlds:
-                if closure.cells is not None and not canonical:
-                    return [_fan(closure, m) if was else None for was, m in zip(failed, matrices)]
+            if all(failed) or fixpoint or bounded and worlds == max_worlds:
+                if unfold is not None and not canonical:
+                    fan = functools.partial(_fan, _plan_for(lat, f), rounds)
+                    return [fan(m) if was else None for was, m in zip(failed, matrices)]
                 scan = [i for i, was in enumerate(failed) if was]
                 break
     frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)

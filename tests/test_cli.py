@@ -80,6 +80,23 @@ def test_lattice_check_reports_violation(tmp_path, capsys):
     assert payload["valid"] is False and payload["error"] == "NotALattice"
 
 
+def test_lattice_check_matches_the_golden_files(capsys):
+    # witnesses of pairs, of element sets and, on the 3-element chain whose
+    # negation is not involutive, of one element
+    for name, lattice, mode in (
+        ("k5_a_b_1", "k5_a_b_1", "fast"),
+        ("k5_a_b_1_exhaustive", "k5_a_b_1", "exhaustive"),
+        ("chain3_0_1", "chain3_0_1", "fast"),
+        ("chain3_pseudo_h_1", "chain3_pseudo_h_1", "fast"),
+    ):
+        code, out, _ = run_cli(
+            capsys, "lattice", "check", str(DATA / f"{lattice}.json"),
+            "--down-distribution", mode, "--compact",
+        )
+        assert code == 0, name
+        assert out.encode("utf-8") == (DATA / f"lattice_{name}.json").read_bytes(), name
+
+
 def test_lattice_check_malformed_file(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text('{"elements": ["x"], "nonsense": true}')
@@ -562,12 +579,14 @@ def test_verify_all_compact_matches_the_golden_file(capsys):
 
 
 def test_verify_at_other_bounds_matches_the_golden_files(capsys):
-    # below and above each check's proof scale, and the twist clamp
+    # below and above each check's proof scale, the twist clamp, and 4
+    # worlds, where twist_k's closure gives fans past the valuation guard
     for name, argv in (
         ("all_size3_worlds1", ["--all", "--max-size", "3", "--max-worlds", "1"]),
         ("all_size1_worlds2", ["--all", "--max-size", "1", "--max-worlds", "2"]),
         ("regularity_size4_worlds1", ["--theorem", "regularity", "--max-size", "4", "--max-worlds", "1"]),
         ("twist_k_size1", ["--theorem", "twist_k", "--max-size", "1"]),
+        ("all_size5_worlds4", ["--all", "--max-worlds", "4"]),
     ):
         code, out, _ = run_cli(capsys, "verify", *argv, "--compact")
         assert code == 0, name
@@ -764,3 +783,14 @@ def test_valid_exit_codes_and_messages_at_the_bounds(tmp_path, capsys):
             assert json.loads(out)["counterexample"]["value"] == "0"
         else:
             assert out == "" if code == 2 else json.loads(out)["valid"] is True
+
+
+def test_the_k5_implication_script_reads_the_closure_rounds():
+    """scripts/search_k5_implications.py, which runs the closure itself:
+    no middle-pair variant keeps box-K, and the shipped table does."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "search_k5_implications.py"
+    lines = run_fresh(f"import runpy; runpy.run_path({str(script)!r}, run_name='__main__')")
+    assert "0 of 64 middle-pair variants keep box-K" in lines
+    assert (
+        "full damp + (a imp a)=f: box-K valid | implicative: True | linear outside: False" in lines
+    )

@@ -34,7 +34,7 @@ from latmodal.search import (
     BOX_P,
     _array_closure_rounds,
     _closure_rounds,
-    _Closure,
+    _scalar_closure_rounds,
 )
 
 from oracles import canonical_frame_key, naive_regularity_witness
@@ -486,31 +486,30 @@ DEPTH2_FORMULAS = [
 
 def _round_verdicts(matrix, f):
     """Per round of the closure: whether every root value attained so far
-    is designated (None once the closure gives up), and whether the round
-    is the fixpoint."""
+    is designated, and whether the round is the fixpoint.  The rounds end
+    without a fixpoint if the closure gives up."""
     undesignated = ~matrix.designated_mask()
-    for round_ in _closure_rounds(matrix.lattice, f):
-        yield (None, True) if round_ is None else (not (round_[0] & undesignated).any(), round_[1])
+    for attained, fixpoint, _ in _closure_rounds(matrix.lattice, f):
+        yield not (attained & undesignated).any(), fixpoint
 
 
 def _closure_verdict(matrix, f):
     """Whether f holds on all frames by the closure: the verdict of its
     fixpoint or of its first failing round, or None if it gives up."""
-    return next(verdict for verdict, fixpoint in _round_verdicts(matrix, f) if fixpoint or not verdict)
+    verdicts = _round_verdicts(matrix, f)
+    return next((verdict for verdict, fixpoint in verdicts if fixpoint or not verdict), None)
 
 
 def _rounds_to_fixpoint(rounds):
     """Per round of a closure up to its fixpoint: the values attained, as a
-    list of bools by index, and whether the round is the fixpoint; None
-    last if the closure gives up."""
+    list of bools by index, and whether the round is the fixpoint.  A
+    closure that gives up ends without a fixpoint round."""
     found = []
-    for round_ in rounds:
-        if round_ is None:
-            return found + [None]
-        attained, fixpoint = round_
+    for attained, fixpoint, _ in rounds:
         found.append(([bool(hit) for hit in attained], fixpoint))
         if fixpoint:
-            return found
+            break
+    return found
 
 
 def test_scalar_and_array_closures_agree_round_by_round():
@@ -536,7 +535,7 @@ def test_scalar_and_array_closures_agree_round_by_round():
             if lat.neg is None and formula.NOT in kinds:
                 continue
             plan = kripke._Plan(lat, f)
-            scalar = _rounds_to_fixpoint(_Closure(plan, True))
+            scalar = _rounds_to_fixpoint(_scalar_closure_rounds(plan))
             assert scalar == _rounds_to_fixpoint(_array_closure_rounds(plan)), (lat, f)
             compared += 1
     assert compared == 158
@@ -552,10 +551,10 @@ def test_each_closure_backend_ends_at_its_fixpoint():
     for f in (AXIOM_K, parse("p -> p"), DEPTH2_FORMULAS[0]):
         plan = kripke._Plan(lat, f)
         rounds = []
-        for backend in (_Closure(plan, True), _array_closure_rounds(plan)):
+        for backend in (_scalar_closure_rounds(plan), _array_closure_rounds(plan)):
             found = [
                 ([bool(hit) for hit in attained], fixpoint)
-                for attained, fixpoint in itertools.islice(backend, 50)
+                for attained, fixpoint, _ in itertools.islice(backend, 50)
             ]
             assert [fixpoint for _, fixpoint in found] == [False] * (len(found) - 1) + [True], f
             rounds.append(found)
@@ -565,17 +564,21 @@ def test_each_closure_backend_ends_at_its_fixpoint():
 def test_scalar_and_array_closures_give_up_after_the_same_rounds(monkeypatch):
     """Both count the rows they evaluate and meet alike, so under any budget
     they give up after the same rounds, at modal depth 1 too, where the
-    coded closure evaluates keys instead of rows."""
+    coded closure evaluates keys instead of rows: each ends, without a
+    fixpoint round and without a round of None, where the budget runs out."""
     ends = {"fixpoint": 0, "gave up": 0}
     for lat in _lattices_up_to(4):
         for f in [AXIOM_K, parse("p & []q -> []p"), *DEPTH2_FORMULAS]:
             plan = kripke._Plan(lat, f)
             for budget in (1 << e for e in range(2, 17)):
                 monkeypatch.setattr(latmodal.search, "MAX_VALUATION_SPACE", budget)
-                scalar = _rounds_to_fixpoint(_Closure(plan, True))
-                array = _rounds_to_fixpoint(_array_closure_rounds(plan))
-                assert scalar == array, (lat, f, budget)
-                ends["gave up" if scalar[-1] is None else "fixpoint"] += 1
+                scalar = list(_scalar_closure_rounds(plan))
+                array = list(_array_closure_rounds(plan))
+                assert None not in scalar and None not in array, (lat, f, budget)
+                assert _rounds_to_fixpoint(scalar) == _rounds_to_fixpoint(array), (lat, f, budget)
+                fixpoints = [fixpoint for _, fixpoint, _ in scalar]
+                assert fixpoints == [False] * len(scalar) or fixpoints[-1:] == [True]
+                ends["fixpoint" if True in fixpoints else "gave up"] += 1
     assert ends["fixpoint"] > 0 and ends["gave up"] > 0
 
 
@@ -596,7 +599,7 @@ def test_once_numpy_is_loaded_the_closure_backend_follows_the_closure_size():
         "from latmodal.search import _closure_rounds\n"
         f"for text, size in {[(formula.render(f), size) for f, size in cases]!r}:\n"
         "    lat = chain(size).with_imp(build_implication(chain(size), DEDUCTIVE_EQ1))\n"
-        "    attained, _ = next(_closure_rounds(lat, parse(text)))\n"
+        "    attained, _, _ = next(_closure_rounds(lat, parse(text)))\n"
         "    print(type(attained).__name__, 'numpy' in sys.modules)\n"
     )
     assert run_fresh(script) == [f"{kind} {kind == 'ndarray'}" for kind in expected]
@@ -604,7 +607,7 @@ def test_once_numpy_is_loaded_the_closure_backend_follows_the_closure_size():
 
     for (f, size), kind in zip(cases, expected):
         lat = chain(size).with_imp(build_implication(chain(size), DEDUCTIVE_EQ1))
-        attained, _ = next(_closure_rounds(lat, f))
+        attained, _, _ = next(_closure_rounds(lat, f))
         assert isinstance(attained, list if kind == "list" else np.ndarray), (f, size)
 
 
@@ -930,7 +933,9 @@ def test_closure_fans_match_the_frame_scan(monkeypatch, backend):
         monkeypatch.setattr(
             latmodal.search,
             "_closure_rounds",
-            lambda lat, f: latmodal.search._Closure(kripke._plan_for(lat, f), backend == "scalar"),
+            lambda lat, f: getattr(latmodal.search, f"_{backend}_closure_rounds")(
+                kripke._plan_for(lat, f)
+            ),
         )
     universes = itertools.chain(
         harness._eq1_matrices(5, False),
@@ -958,3 +963,20 @@ def test_closure_fans_match_the_frame_scan(monkeypatch, backend):
                 assert fan.model.frame.rel <= {(0, w) for w in range(bound)}
             counts["passing" if fan is None else "failing"] += 1
     assert counts["failing"] > 0 and counts["passing"] > 0
+
+
+def test_a_closure_fan_is_its_first_cell_traced_back():
+    """The fan of a failing value starts from the first cell that attains
+    it, unlooped cells before looped ones, then rows, then valuations, and
+    traces its row back one t(s) at a time.  On the 2-element chain,
+    p & []q -> []p takes 0 at w0 both on the looped cell of one world
+    with p = q = 1 reaching the world where p = 0, and on the unlooped
+    cell below, which comes first."""
+    two = chain(2, "none")
+    matrix = matrix_from_names(two.with_imp(build_implication(two, DEDUCTIVE_EQ1)), ["1"])
+    (fan,) = latmodal.search._find_counterexamples(
+        [matrix], parse("p & []q -> []p"), 2, BoxMode.NORMAL_MEET, False, canonical=False
+    )
+    assert fan.recheck() and (fan.world, fan.value) == (0, 0)
+    assert fan.model.frame.rel == {(0, 1)}
+    assert dict(fan.model.valuation) == {(0, "p"): 1, (0, "q"): 0, (1, "p"): 0, (1, "q"): 1}
