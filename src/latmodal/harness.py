@@ -19,9 +19,8 @@ codes, which run every closure of these formulas on lattices of at most 9
 elements, it unfolds a failing matrix's counterexample, a fan within the
 world bound, from the cell that attains a value outside its designated set;
 the frame scan remains the fallback past that, and where the closure is not
-exact.  For regularity it is the closure of the pairs ([]p, "p at every
-successor") of each matrix, the one ``check_regularity`` decides by, whose
-defect unfolds into a reflexive fan.
+exact.  For regularity it is the first defect of each matrix on the one
+frame that ``check_regularity`` decides by.
 Every witness re-checks itself through the reference evaluator, and a case
 that fails records the very witness its batch found and re-checked: a fan,
 or the scanned report where no fan exists.  ``k5_regression`` takes its
@@ -77,7 +76,8 @@ from .search import (
     BOX_P,
     _check_world_bound,
     _find_counterexamples,
-    _regularity_pair_witness,
+    _first_defect,
+    _regularity_frame,
     construct_witness,
 )
 
@@ -329,12 +329,13 @@ def verify_theorem(
         return _verify_eq1_implicative(size_bound, unsafe_bounds)
     if theorem == "regularity":
         _check_world_bound(world_bound, unsafe_bounds)
+        frame = _regularity_frame(world_bound)
         # on a non-empty set, a filter holds its big meet
         return _verify_biconditional(
             theorem,
             BOX_P,
             lambda case, props: (props.is_filter, "nonfilter"),
-            lambda run: [_regularity_pair_witness(matrix, world_bound) for matrix in run],
+            lambda run: [_first_defect(matrix, frame) for matrix in run],
             _upset_matrices(_lattice_universe(size_bound, unsafe_bounds)),
             world_bound,
             _REGULARITY_SCALE,

@@ -36,13 +36,11 @@ batch of one.  The harness, which needs a witness of each failure but not
 the canonically first one, takes it from the coded closure and scans no
 frame: see the fans below.
 
-``check_regularity`` is decided by a closure of its own, of the pairs
-([]p, "p at every successor") (``_regularity_pair_witness``), which is
-exact within the world bound; the harness maps it over each run and takes
-its fans as witnesses.  Only a failing set is scanned for its canonically
-first defect, over the frames of at most two worlds, which hold it at
-every bound, one valuation of p at a time, with []p read from the meet
-table.
+``check_regularity`` is decided by ``_first_defect`` on the one frame that
+holds a defect of every frame within the bound (``_regularity_frame``),
+which the harness asks of each matrix too.  Only a failing set is scanned
+for its canonically first defect, over the frames of at most two worlds,
+one valuation of p at a time, with []p read from the meet table.
 
 At modal depth <= 1, t(s, c) = t(s) and round m - 1 decides the frames of
 at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
@@ -708,16 +706,13 @@ def check_regularity(
     matrix: Matrix, max_worlds: int = 2, *, unsafe_bounds: bool = False
 ) -> RegularityResult:
     """Whether some world of a one-variable model within the world bound
-    has []p designated but p failing at some successor, or the reverse.
-    The closure of ``_regularity_pair_witness`` decides it exactly.  The
+    has []p designated but p failing at some successor, or the reverse:
+    whether ``_first_defect`` finds a defect on ``_regularity_frame``.  The
     witness of a failing matrix is the first such world in canonical order
-    (frames, then valuations with the last world fastest, then worlds),
-    which ``_first_defect`` finds on the frames of at most two worlds: an
-    empty designated set fails on one world without successors, and a set
-    that fails otherwise fails on two successor values, so on the reflexive
-    fan of two worlds, and those frames come first.  The world-bound errors
-    of ``enumerate_frames`` are raised first, then the lattice size guard
-    of the valuation space, whatever the verdict.
+    (frames, then valuations with the last world fastest, then worlds), on
+    the frames of at most two worlds, which hold every defect and come
+    first.  The world-bound errors of ``enumerate_frames`` are raised first,
+    then the lattice size guard of the valuation space, whatever the verdict.
 
     The structural side (designated set closed under meet, with its big meet
     designated) is computed independently; on finite lattices the two
@@ -727,17 +722,31 @@ def check_regularity(
     _check_world_bound(max_worlds, unsafe_bounds)
     _guard_valuation_space(lat.n, 1, 1, unsafe_bounds)  # of the lattice size alone
     witness = None
-    if _regularity_pair_witness(matrix, max_worlds) is not None:
-        for frame in enumerate_frames(min(max_worlds, 2), unsafe_bounds=unsafe_bounds):
-            witness = _first_defect(matrix, frame)
-            if witness is not None:
-                break
+    if _first_defect(matrix, _regularity_frame(max_worlds)) is not None:
+        frames = enumerate_frames(min(max_worlds, 2), unsafe_bounds=unsafe_bounds)
+        witness = next(w for w in (_first_defect(matrix, f) for f in frames) if w is not None)
     return RegularityResult(
         regular=witness is None,
         is_filter=check_designated(matrix).is_filter,
         meet_in_designated=big_meet(lat, matrix.designated) in matrix.designated,
         witness=witness,
     )
+
+
+def _regularity_frame(max_worlds: int) -> Frame:
+    """The frame that has a regularity defect iff some frame within the
+    bound has one.  A world's []p and "p at every successor" are the pair
+    (meet S, whether S lies in D) of its successors' values S.  Without
+    successors it is (top, True), a defect iff top is not in D; on one
+    world that is the only defect, as a loop gives (x, x in D).  A defect of
+    any S shows on two values: if S lies in D but its meet does not, the
+    running meet leaves D at some a meet s with a and s in D; if the meet
+    lies in D but some s does not, take the meet and s.  The reflexive fan
+    w0 -> {w0, w1} gives every (x meet y, x and y in D) at w0, (top, True)
+    at w1."""
+    if max_worlds == 1:
+        return Frame(("w0",), frozenset())
+    return Frame(("w0", "w1"), frozenset(((0, 0), (0, 1))))
 
 
 def _first_defect(matrix: Matrix, frame: Frame) -> RegularityWitness | None:
@@ -756,51 +765,6 @@ def _first_defect(matrix: Matrix, frame: Frame) -> RegularityWitness | None:
                 model = KripkeModel(frame, lat, {(v, "p"): x for v, x in enumerate(values)})
                 return RegularityWitness(matrix, model, w, box, _DIRECTIONS[holds])
     return None
-
-
-def _regularity_pair_witness(matrix: Matrix, max_worlds: int) -> RegularityWitness | None:
-    """``check_regularity``'s verdict by a closure instead of a frame scan:
-    a world's []p and "p at every successor" are the pair (meet S, whether
-    S lies in D) of the multiset S of its successors' values of p.  A world
-    of a frame of at most m worlds has at most m successors, and every
-    multiset of m values is that of the root of the reflexive fan
-    w0 -> {w0, ..., w(m-1)}; a world without successors gives (top, True).
-    So the closure of those pairs under the componentwise (meet, and), over
-    multisets of at most max_worlds values, decides the bound exactly, and
-    a pair (m, b) with (m in D) != b is a defect.  The witness is the fan
-    of the first defect found, fewest values first; None if there is none.
-    The closure ends at its fixpoint, so a large bound costs nothing more."""
-    lat, designated = matrix.lattice, matrix.designated
-    meet = lat.meet_table
-    # the pairs first reached by k values, each with those values; k = 0 is a dead end
-    layer, reached = {(lat.top, True): ()}, set()
-    while layer:
-        for (box, holds), values in layer.items():
-            if (box in designated) != holds:
-                return _regularity_fan(matrix, values, box, holds)
-        reached.update(layer)
-        extended = (
-            ((meet[box][x], holds and x in designated), (*values, x))
-            for (box, holds), values in layer.items()
-            if len(values) < max_worlds
-            for x in range(lat.n)
-        )
-        layer = {pair: values for pair, values in extended if pair not in reached}
-    return None
-
-
-def _regularity_fan(
-    matrix: Matrix, values: tuple[int, ...], box: int, holds: bool
-) -> RegularityWitness:
-    """The witness of the pair that the multiset ``values`` reaches: w0
-    with the k values as its successors, itself the first of them, or a
-    world without successors for none."""
-    lat = matrix.lattice
-    worlds = tuple(f"w{w}" for w in range(max(1, len(values))))
-    frame = Frame(worlds, frozenset((0, w) for w in range(len(values))))
-    valuation = {(w, "p"): x for w, x in enumerate(values or (lat.top,))}
-    model = KripkeModel(frame, lat, valuation)
-    return RegularityWitness(matrix, model, 0, box, _DIRECTIONS[holds])
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ files:
     { "lattice": <lattice object or file path>, "worlds": [str...],
       "rel": [[str, str]...], "valuation": {world: {var: element}} }
 
-Unknown keys are rejected in both formats.  Dumps are deterministic: sorted
-keys, and the same input always produces byte-identical output.
+Unknown keys are rejected in both formats, and a file longer than 64 MiB
+is too, so that a file without end such as /dev/zero is an input error.
+Dumps are deterministic: sorted keys, and the same input always produces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .lattice import (
 _LATTICE_KEYS = {"name", "elements", "leq", "neg", "imp", "designated"}
 _IMP_KEYS = {"mode", "table"}
 _MODEL_KEYS = ("lattice", "worlds", "rel", "valuation")  # the order missing keys are named in
+# far above the largest files read (a 500-world model file is about 1 MB)
+_MAX_FILE_BYTES = 64 << 20
 
 
 def dumps(payload, compact: bool = False) -> str:
@@ -115,13 +119,22 @@ def _imp_from_dict(data, lat: Lattice) -> ImplicationTable:
     return ImplicationTable(tuple(rows), "custom")
 
 
-def load_lattice(path: str | Path) -> tuple[Lattice, frozenset[int] | None]:
-    path = Path(path)
+def _read_json(path: Path, what: str):
+    """The JSON value of a lattice or model file, read as ``Path.read_text``
+    would, newlines translated, up to ``_MAX_FILE_BYTES``; a longer file is
+    a ``FileFormatError``, like an unreadable one."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        with path.open("rb") as handle:
+            raw = handle.read(_MAX_FILE_BYTES + 1)
+        if len(raw) > _MAX_FILE_BYTES:
+            raise ValueError(f"longer than {_MAX_FILE_BYTES} bytes")
+        return json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except (OSError, ValueError, RecursionError) as exc:  # undecodable bytes and bad JSON too
-        raise FileFormatError(f"cannot read lattice file {path}: {exc}") from exc
-    return lattice_from_dict(data)
+        raise FileFormatError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def load_lattice(path: str | Path) -> tuple[Lattice, frozenset[int] | None]:
+    return lattice_from_dict(_read_json(Path(path), "lattice"))
 
 
 def model_from_dict(
@@ -166,8 +179,4 @@ def model_from_dict(
 
 def load_model(path: str | Path) -> tuple[KripkeModel, frozenset[int] | None]:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # undecodable bytes and bad JSON too
-        raise FileFormatError(f"cannot read model file {path}: {exc}") from exc
-    return model_from_dict(data, base_dir=path.parent)
+    return model_from_dict(_read_json(path, "model"), base_dir=path.parent)

@@ -308,7 +308,7 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
         "valid 0 False",
         # valid too, of modal depth 2 and 3^10 pairs: the coded closure runs
         "valid 0 False",
-        # the pair closure fails each, and the witness scan reads one valuation at a time
+        # the one frame fails each, and the witness scan reads one valuation at a time
         "regular 1 False",
         "regular 1 False",
     ]
@@ -636,9 +636,20 @@ def test_regular_matches_the_golden_files(capsys):
         assert out.encode("utf-8") == (data / f"regular_{name}.json").read_bytes()
 
 
+def test_entails_matches_the_golden_files(capsys):
+    # a consequence that holds, and one that fails with its witness valuation
+    for name, code, argv in (
+        ("k5_a_b_1", 0, ["--premises", "p -> q", "p", "--conclusion", "q"]),
+        ("chain3_0_1", 1, ["--conclusion", "p | ~p"]),
+    ):
+        got, out, _ = run_cli(capsys, "entails", "--lattice", str(DATA / f"{name}.json"), *argv)
+        assert got == code, name
+        assert out.encode("utf-8") == (DATA / f"entails_{name}.json").read_bytes(), name
+
+
 def test_regular_at_four_worlds_matches_its_golden_files_without_numpy():
     """On a regular matrix and a failing one, each of 5 elements, in one
-    fresh process: the pair closure decides, the failing matrix alone is
+    fresh process: the one frame decides, the failing matrix alone is
     scanned for its witness, and numpy stays unloaded."""
     names = {"chain5_1": 0, "k5_a_b_1": 1}
     script = (

@@ -69,12 +69,12 @@ def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
     box-K fan with its root value moved."""
     import latmodal.harness
 
-    pair_witness = latmodal.harness._regularity_pair_witness
+    first_defect = latmodal.harness._first_defect
     find = latmodal.harness._find_counterexamples
     corrupted = []
 
-    def corrupted_pair_witness(matrix, max_worlds):
-        w = pair_witness(matrix, max_worlds)
+    def corrupted_first_defect(matrix, frame):
+        w = first_defect(matrix, frame)
         if w is not None:
             w = w._replace(box_value=(w.box_value + 1) % w.matrix.lattice.n)
             corrupted.append(w.to_dict())
@@ -88,7 +88,7 @@ def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
                 corrupted.append(reports[i].to_dict())
         return reports
 
-    monkeypatch.setattr(latmodal.harness, "_regularity_pair_witness", corrupted_pair_witness)
+    monkeypatch.setattr(latmodal.harness, "_first_defect", corrupted_first_defect)
     monkeypatch.setattr(latmodal.harness, "_find_counterexamples", one_corrupted_fan)
     for theorem, world_bound in (("regularity", 2), ("k_linear", 3)):
         corrupted.clear()

@@ -270,12 +270,12 @@ def test_regularity_matches_the_model_scan():
     assert witnesses > 0
 
 
-def test_regularity_pair_closure_matches_the_frame_scan():
-    """The harness's regularity search, by the closure of the pairs
-    ([]p, "p at every successor"), against the scan of the one-variable
-    models: every upset of every lattice of at most 5 elements, the empty
-    one included, at bounds 1 to 3; each witness re-checks itself and fits
-    the bound."""
+def test_regularity_frame_decides_as_the_frame_scan():
+    """The harness's regularity search, the first defect on the one frame
+    of ``_regularity_frame``, against the scan of the one-variable models:
+    every upset of every lattice of at most 5 elements, the empty one
+    included, at bounds 1 to 3; each witness re-checks itself and has at
+    most min(bound, 2) worlds."""
     from latmodal import enumerate_lattices, enumerate_upsets
 
     verdicts = {True: 0, False: 0}
@@ -285,18 +285,19 @@ def test_regularity_pair_closure_matches_the_frame_scan():
             assert frozenset() in [m.designated for m in matrices]
             for matrix, bound in itertools.product(matrices, (1, 2, 3)):
                 scan = naive_regularity_witness(matrix, bound)
-                witness = latmodal.search._regularity_pair_witness(matrix, bound)
+                frame = latmodal.search._regularity_frame(bound)
+                witness = latmodal.search._first_defect(matrix, frame)
                 assert (scan is None) == (witness is None), (matrix, bound)
                 if witness is not None:
                     assert witness.recheck(), (matrix, bound)
-                    assert len(witness.model.frame.worlds) <= bound
+                    assert len(witness.model.frame.worlds) <= min(bound, 2)
                 verdicts[witness is None] += 1
     assert verdicts == {True: 126, False: 48}
 
 
 def test_regularity_matches_the_scan_of_every_frame_within_the_bound():
-    """check_regularity, decided by the pair closure and scanning at most
-    two worlds for a failing set's witness, against the scan of the
+    """check_regularity, decided on one frame and scanning at most two
+    worlds for a failing set's witness, against the scan of the
     one-variable models on every frame within the bound: every designated
     set, upsets or not, the empty one included, of every lattice of at most
     4 elements at bounds 1 to 3, and of at most 3 elements at bound 4, gets

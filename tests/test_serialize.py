@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -138,6 +139,49 @@ def test_a_missing_model_key_is_named_alike_under_every_hash_seed(tmp_path):
         run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
         assert (run.returncode, run.stdout) == (2, ""), seed
         assert run.stderr == "error: FileFormatError: model description needs key 'worlds'\n"
+
+
+def _run_cli(*argv, **kwargs):
+    """The command line run in a fresh interpreter on this checkout."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "latmodal.cli", *argv]
+    return subprocess.run(command, capture_output=True, env=env, timeout=60, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_a_file_without_end_is_an_input_error(tmp_path):
+    """/dev/zero, as a lattice file and as a model's lattice entry, exits 2
+    once a bounded prefix is read.  Under a 1 GiB address-space limit a read
+    without bound fails fast, with a MemoryError, instead of filling memory."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    model = tmp_path / "model.json"
+    model.write_text(dumps({"lattice": "/dev/zero", "worlds": ["w"], "rel": [], "valuation": {}}))
+    for argv in (["lattice", "check", "/dev/zero"], ["eval", "--model", str(model), "--formula", "p"]):
+        run = _run_cli(*argv, text=True, preexec_fn=limit_memory)
+        assert (run.returncode, run.stdout) == (2, ""), (argv, run.stderr)
+        assert run.stderr == (
+            "error: FileFormatError: cannot read lattice file /dev/zero: longer than 67108864 bytes\n"
+        )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_lattice_piped_through_dev_stdin_is_read_whole():
+    from pathlib import Path
+
+    data = Path(__file__).parent / "data"
+    lattice = (data / "chain3_0_1.json").read_bytes()
+    run = _run_cli("lattice", "check", "/dev/stdin", "--compact", input=lattice)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (data / "lattice_chain3_0_1.json").read_bytes()
 
 
 def test_model_unknown_world_rejected():
