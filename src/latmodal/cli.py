@@ -4,7 +4,10 @@ Exit codes are the machine contract: 0 when the checked property holds (or
 plain output succeeded), 1 when a counterexample or property failure was
 found (the report goes to standard output as JSON), 2 for input or usage
 errors, input nested too deeply to process included, and 3 for an internal
-error (any other exception, reported on one line of standard error).  JSON
+error (any other exception, reported on one line of standard error).  A
+reader that closes standard output early changes none of these: the
+command keeps its own exit code and writes nothing to standard error, and
+``enumerate`` stops at the first line that cannot be written.  JSON
 output is deterministic: sorted keys, pretty-printed unless --compact is
 given.
 
@@ -16,6 +19,7 @@ only the modules it runs, and a command builds only its own parser.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import THEOREM_IDS
@@ -37,8 +41,22 @@ from .serialize import dumps, load_lattice, load_model
 _BOX_MODES = {"normal": BoxMode.NORMAL_MEET, "local": BoxMode.LOCAL}
 
 
+def _print(text: str) -> bool:
+    """Write a line to standard output at once; False if its reader has
+    gone.  Standard output is then the null device, so that nothing written
+    later, nor the flush at exit, fails."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
 def _emit(args, payload) -> None:
-    print(dumps(payload, compact=getattr(args, "compact", False)))
+    _print(dumps(payload, compact=getattr(args, "compact", False)))
 
 
 def _names(lattice, witness):
@@ -192,11 +210,13 @@ def _cmd_enumerate(args) -> int:
 
     for lattice in enumerate_lattices(args.size, unsafe_bounds=args.unsafe_bounds):
         if args.neg is None:
-            print(dumps(lattice.to_dict(), compact=True))
-            continue
-        mode = "antimonotone_involutions" if args.neg == "antimonotone-involutions" else "all_maps"
-        for neg in enumerate_complementations(lattice, mode):
-            print(dumps(lattice.with_neg(neg).to_dict(), compact=True))
+            lattices = [lattice]
+        else:
+            mode = "antimonotone_involutions" if args.neg == "antimonotone-involutions" else "all_maps"
+            lattices = map(lattice.with_neg, enumerate_complementations(lattice, mode))
+        for each in lattices:
+            if not _print(dumps(each.to_dict(), compact=True)):
+                return 0  # the reader has gone: the rest would be discarded
     return 0
 
 

@@ -24,7 +24,7 @@ once.  The vectorized semantics, ``kripke._Plan.node_values``, runs the same
 list.  ``variables`` and ``modal_depth`` read it too, and ``needed_worlds``
 finds the worlds at which each node is needed: for ``interpret``, for
 ``kripke.frame_root_values``, and, at a world without successors, the nodes
-above the boxes that the search's coded closure evaluates.
+above the boxes that the search's closure evaluates.
 """
 
 from __future__ import annotations

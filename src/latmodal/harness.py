@@ -14,13 +14,13 @@ One driver runs all five biconditional checks, and one dispatch in
 semantic search, matrices, proof scale and recorded universe.  The semantic
 side is a batch search that scans no frame at desk scale.  For a box
 formula it is the closure of box-value tuples, which decides each world
-bound exactly at modal depth <= 1, as all four box formulas are.  On packed
-codes, which run every closure of these formulas on lattices of at most 9
-elements, it unfolds a failing matrix's counterexample, a fan within the
-world bound, from the cell that attains a value outside its designated set;
-the frame scan remains the fallback past that, and where the closure is not
-exact.  For regularity it is the first defect of each matrix on the one
-frame that ``check_regularity`` decides by.
+bound exactly at modal depth <= 1, as all four box formulas are.  It
+unfolds a failing matrix's counterexample, a fan within the world bound,
+from the cell that attains a value outside its designated set; the frame
+scan remains the fallback where the matrix lacks a connective of the
+formula or the closure outgrows its budget.  For regularity it is the first
+defect of each matrix on the one frame that ``check_regularity`` decides
+by.
 Every witness re-checks itself through the reference evaluator, and a case
 that fails records the very witness its batch found and re-checked: a fan,
 or the scanned report where no fan exists.  ``k5_regression`` takes its

@@ -33,8 +33,8 @@ harness asks: one closure, grown until every set is settled, and one pass
 over the canonical frames, which computes each frame's root values once and
 gives each set still open its own first failure.  The public search is the
 batch of one.  The harness, which needs a witness of each failure but not
-the canonically first one, takes it from the coded closure and scans no
-frame: see the fans below.
+the canonically first one, takes it from the closure and scans no frame:
+see the fans below.
 
 ``check_regularity`` is decided by ``_first_defect`` on the one frame that
 holds a defect of every frame within the bound (``_regularity_frame``),
@@ -47,39 +47,31 @@ at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
 irreflexive world and t(s) meet such a meet at a reflexive one, and each
 such (s, c) occurs on a fan of at most m worlds.  So the frame scan of a
 failing formula of depth <= 1 starts at the world count of the first round
-that fails.  There each round of the coded closure unfolds, over its
-tuples and the t(s) of each valuation s, a root value outside D into the
-fan that attains it (``_fan``): its first (s, c) in the first round that
-attains it, with c traced back, one t(s') at a time, to all-top.  The
-harness takes that fan as its witness instead of scanning frames; past
-the coded closure's bound it scans.  A deeper formula that fails the closure
-may still hold within the bound; for it, as for every failing formula of
-``find_frame_counterexample``, the frame scan decides and finds the
-canonically first counterexample.
+that fails.  There each round of the closure unfolds, over its tuples and
+the t(s) of each valuation s, a root value outside D into the fan that
+attains it (``_fan``): its first (s, c) in the first round that attains
+it, with c traced back, one t(s') at a time, to all-top.  The harness
+takes that fan as its witness instead of scanning frames.  A deeper
+formula that fails the closure may still hold within the bound; for it,
+as for every failing formula of ``find_frame_counterexample``, the frame
+scan decides and finds the canonically first counterexample.
 
-The closure and the frame scan of ``find_frame_counterexample`` each have
-two backends that give the same results: a scalar one in plain Python and
-an array one on numpy.  The scalar closure keeps each tuple as one int, the
+The closure runs in plain Python.  It keeps each tuple as one int, the
 down-set codes of its values packed side by side, so that a meet is a
 bitwise and and the closure a set of ints; at modal depth <= 1 it evaluates
 the part of the formula above the boxes, the nodes ``formula.needed_worlds``
 gives at a world without successors, once per distinct (outer variables'
 values, tuple), and deeper it decodes each round's new tuples and evaluates
 every node at them, both through the plan's ``node_values`` on lists.  The
-array closure runs the same walk on arrays and keeps no provenance, so its
-rounds unfold nothing.  The scalar scan runs ``frame_root_values`` on
-lists over the whole valuation space.  ``_closure_rounds`` returns the
-generator of the closure backend chosen by size alone: the scalar closure
-runs wherever at most 2^16 (valuation, tuple) pairs can occur,
-n^(variables + box nodes), at every modal depth, which covers every closure
-of ``run_suite`` at its default bounds.  The scalar scan runs while numpy
-is not loaded and the values it computes stay within
+frame scan of ``find_frame_counterexample`` has two backends that give the
+same results: a scalar one, ``frame_root_values`` on lists over the whole
+valuation space, and an array one on numpy.  The scalar scan runs while
+numpy is not loaded and the values it computes stay within
 ``_SCALAR_SCAN_BOUND``, and moves to arrays from the frame that would pass
 it.  So ``run_suite`` at its default bounds, ``latmodal regular`` at every
-bound, and every ``valid`` query whose closure and scan stay within these
-bounds, never import numpy.
-numpy is imported inside the functions that build arrays, so importing
-this module does not load it.
+bound, and every ``valid`` query that the closure settles, or whose scan
+stays within that bound, never import numpy.  This module imports numpy
+nowhere; the array scan's functions in ``kripke`` import it when they run.
 """
 
 from __future__ import annotations
@@ -126,10 +118,8 @@ from .record import Record
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
-    import numpy as np
-
     # (whether each value is a root value attained, fixpoint reached, unfold)
-    _Round = tuple[np.ndarray | list[bool], bool, Callable[[int], tuple[bool, list[int]]] | None]
+    _Round = tuple[list[bool], bool, Callable[[int], tuple[bool, list[int]]] | None]
 
 AXIOM_K = parse("[](p -> q) -> ([]p -> []q)")
 BOX_P = parse("[]p")
@@ -180,74 +170,23 @@ def enumerate_frames(max_worlds: int, *, unsafe_bounds: bool = False) -> Iterato
             yield Frame(worlds, rel)
 
 
-def _merge(rows: np.ndarray, more: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of both arrays of values below n, in ascending
-    order, and those of them that the first lacks; rows are compared by
-    their digits in base n."""
-    import numpy as np
-
-    weights = n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    codes = np.concatenate([rows, more]) @ weights
-    # sorted and compared with the code before (np.unique would import numpy.ma)
-    distinct = np.sort(codes)
-    keep = np.ones(len(distinct), dtype=bool)
-    keep[1:] = distinct[1:] != distinct[:-1]
-    distinct = distinct[keep]
-    lacked = np.ones(len(distinct), dtype=bool)
-    lacked[np.searchsorted(distinct, codes[: len(rows)])] = False
-    merged = (distinct[:, None] // weights % n).astype(rows.dtype)
-    return merged, merged[lacked]
-
-
-_CLOSURE_BLOCK = 1 << 20  # about the most values one array of the closure holds
-
-# The closure runs on codes up to this many pairs, n^(variables + box
-# nodes), and on numpy arrays past it.  Measured on a 2-vCPU Xeon VM with
-# Python 3.11 and numpy 2.4.  In fresh processes without a bytecode cache,
-# where the arrays first import numpy (0.19 s against 0.045 s for a bare
-# interpreter), the codes win within the bound: a valid depth-2 query at
-# 3^10 pairs ([]([]p & []q & []r) -> [][]p & [][]q & [][]r on the 3-element
-# chain) ran in 0.175 s on codes against 0.28 s on arrays (medians of 15).
-# In one process with numpy already loaded (medians of 7), three rounds at
-# modal depth <= 1 took 0.15-0.3 ms on codes against 0.3-0.5 ms on arrays up
-# to 5^5 pairs, but 0.8-1.1 against 0.5 ms at 8^5, 1.7-1.9 against 0.7-0.9 ms
-# at 9^5 (twist_k's closure) and 0.9-1.1 against 0.7-1.0 ms at 4^8 = 2^16;
-# the 3^10 closure above took 55 ms to its fixpoint on codes against 21-30 ms
-# on arrays.  A valid query runs its closure before anything that loads
-# numpy, so the bound follows the fresh processes.
-_CODED_CLOSURE_BOUND = 1 << 16
-
-
 def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round]:
     """The closure of box-value tuples of f on the lattice (see the module
     docstring), one round (attained, fixpoint, unfold) at a time: whether
     each value, by index, is a root value so far (at modal depth <= 1 also
-    with the root among its own successors), whether the round had no new
-    tuple to evaluate, which is the fixpoint and the last round, and the
-    round's unfold of a value into its fan, None but on codes at modal
-    depth <= 1.  The rounds end without a fixpoint once the rows evaluated
-    and met exceed MAX_VALUATION_SPACE: the closure can grow exponentially
-    with the modal depth.  Reads no designated set.  Needs every connective
-    of f defined.
+    with the root among its own successors), as a list of bools, whether
+    the round had no new tuple to evaluate, which is the fixpoint and the
+    last round, and the round's unfold of a value into its fan, None at
+    modal depth > 1.  The rounds end without a fixpoint once the rows
+    evaluated and met exceed MAX_VALUATION_SPACE: the closure can grow
+    exponentially with the modal depth.  Reads no designated set.  Needs
+    every connective of f defined.
 
-    Two backends give the same rounds, chosen by the number of (valuation,
-    box-value tuple) pairs that can occur, n^(variables + box nodes), at
-    every modal depth: on sets of packed down-set codes up to
-    ``_CODED_CLOSURE_BOUND``, and on numpy arrays past it.  The timings
-    behind the bound are noted at it."""
-    plan = _plan_for(lat, f)
-    width = sum(kind == BOX for kind, _, _ in plan.nodes)
-    if plan.n ** (len(plan.names) + width) <= _CODED_CLOSURE_BOUND:
-        return _scalar_closure_rounds(plan)
-    return _array_closure_rounds(plan)
-
-
-def _scalar_closure_rounds(plan: _Plan) -> Iterator[_Round]:
-    """``_closure_rounds`` with each row (box-value tuple) one int: the
-    down-set codes of its values, n bits each (bit x of a value's code is
-    set for each x below it), packed box by box.  The code of a meet is the
-    bitwise and of the codes, so two rows meet with one ``&`` and the
-    closure keeps sets of ints; the values attained are a list of bools.
+    Each row (box-value tuple) is one int: the down-set codes of its
+    values, n bits each (bit x of a value's code is set for each x below
+    it), packed box by box.  The code of a meet is the bitwise and of the
+    codes, so two rows meet with one ``&`` and the closure keeps sets of
+    ints.
 
     At modal depth <= 1 the box arguments hold no box, so they are
     evaluated once, at every valuation s, for the generators t(s).  Above
@@ -269,7 +208,8 @@ def _scalar_closure_rounds(plan: _Plan) -> Iterator[_Round]:
     the value's first cell in the round (unlooped cells first, then rows,
     then valuations), then the s of each t(s) the row traces back through.
     Each round's cells and each value are searched once, on demand."""
-    lat, nodes, names, n = plan.lattice, plan.nodes, plan.names, plan.n
+    plan = _plan_for(lat, f)
+    nodes, names, n = plan.nodes, plan.names, plan.n
     connective, root = plan.list_connective, len(nodes) - 1
     box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
     shifts = [j * n for j in range(len(box_ids))]
@@ -411,80 +351,9 @@ def _scalar_closure_rounds(plan: _Plan) -> Iterator[_Round]:
         closure |= meets
 
 
-def _array_closure_rounds(plan: _Plan) -> Iterator[_Round]:
-    """``_closure_rounds`` on numpy arrays of tuples, each round's new
-    tuples evaluated in blocks by ``node_values`` over broadcasting arrays;
-    the values attained are a boolean array.  Keeps no provenance."""
-    import numpy as np
-
-    lat, nodes, names, dtype, n = plan.lattice, plan.nodes, plan.names, plan.dtype, plan.n
-    root = len(nodes) - 1
-    # every valuation s of the variables, one row each, last one fastest
-    grid = np.indices((n,) * len(names), dtype=dtype).reshape(len(names), -1, 1)
-    own = dict(zip(names, grid))
-    box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
-    column = {i: j for j, i in enumerate(box_ids)}
-    width = len(box_ids)
-    bounded = modal_depth(plan.formula) <= 1
-
-    def root_values(c: np.ndarray) -> tuple[dict, np.ndarray | None]:
-        """The values of every node at each (valuation, row) of the block of
-        rows c, one per column, and at depth <= 1 the root's with the root
-        among its own successors (else None)."""
-
-        def own_successor(i: int, w: int, values: dict) -> np.ndarray:
-            return plan.connective(AND, values[nodes[i][1], w], c[column[i]])
-
-        values = plan.node_values(lambda name, w: own[name], lambda i, w, values: c[column[i]])
-        if not bounded:
-            return values, None
-        return values, plan.node_values(lambda name, w: own[name], own_successor)[root, 0]
-
-    # the box-value tuples reached and those not yet evaluated; generators
-    # are the tuples t(s, c) not reached when found (t(s, c) = t(s) at depth <= 1)
-    closure = new = np.full((1, width), lat.top, dtype)
-    none = generators = closure[:0]
-    collect = width > 0
-    chunk = max(1, _CLOSURE_BLOCK // grid.shape[1])
-    attained, work = np.zeros(n, dtype=bool), 0
-    while True:
-        work += len(new) * grid.shape[1]
-        if work > MAX_VALUATION_SPACE:
-            return
-        found = [none]
-        for start in range(0, len(new), chunk):
-            c = new[start : start + chunk].T
-            values, loop = root_values(c)  # loop: a root among its own successors
-            attained[values[root, 0]] = True
-            if loop is not None:
-                attained[loop] = True
-            if collect:
-                tuples = np.stack(np.broadcast_arrays(*(values[nodes[i][1], 0] for i in box_ids)), -1)
-                found.append(_merge(none, tuples.reshape(-1, width), n)[0])
-        yield attained.copy(), not len(new), None
-        if not len(new):
-            return
-        if not width:
-            new = none
-            continue
-        collect = not bounded
-        grown, fresh = _merge(generators, _merge(closure, np.concatenate(found), n)[1], n)
-        work += len(new) * len(generators) + len(closure) * len(fresh)
-        if work > MAX_VALUATION_SPACE:
-            return
-        meets = [none]
-        for x, y in ((new, generators), (closure, fresh)):
-            step = max(1, _CLOSURE_BLOCK // max(1, len(y) * width))
-            for start in range(0, len(x), step):
-                block = plan.connective(AND, x[start : start + step, None], y[None])
-                meets.append(_merge(none, block.reshape(-1, width), n)[0])
-        generators = grown
-        closure, new = _merge(closure, np.concatenate(meets), n)
-
-
 def _fan(plan: _Plan, rounds: Sequence[_Round], matrix: Matrix) -> CounterexampleReport:
     """The counterexample that a root value outside the matrix's designated
-    set unfolds into, at modal depth <= 1: of the values that the coded
+    set unfolds into, at modal depth <= 1: of the values that the
     closure's rounds attain first, the least, unfolded by its round.  The
     counterexample is a fan, whose root w0 takes the valuation of the
     value's first cell, with one leaf for each generator t(s) its row is
@@ -547,15 +416,13 @@ def _find_counterexamples(
     closure settles every designated set that passes it, and one frame scan
     computes each frame's root values once for the sets still open, each
     taking its own first failure.  Raises what the first of them to raise
-    alone would.  Without ``canonical``, where the coded closure decides a
+    alone would.  Without ``canonical``, where the closure decides a
     formula of modal depth <= 1 each failing set gets the fan that the
     closure's rounds unfold (``_fan``) instead, within the world bound, and
-    no frame is scanned.  The coded closure runs every closure of the
-    harness's formulas, of 2 variables and 3 box nodes, on a lattice of at
-    most 9 elements (9^5 <= 2^16 pairs); past that the array closure
-    decides, keeps no provenance, and the failing sets get the canonical
-    scan.  Only the canonical search needs the valuation guard to admit
-    max_worlds before the closure runs; a scan raises its error itself."""
+    no frame is scanned; a closure past its budget leaves every set to the
+    canonical scan.  Only the canonical search needs the valuation guard to
+    admit max_worlds before the closure runs; a scan raises its error
+    itself."""
     lat, n_vars = matrices[0].lattice, len(variables(f))
     _check_world_bound(max_worlds, unsafe_bounds)
     scan = list(range(len(matrices)))
@@ -567,11 +434,7 @@ def _find_counterexamples(
             _guard_valuation_space(lat.n, n_worlds, n_vars, unsafe_bounds)
         return reports
     kinds = [kind for kind, _, _ in compile_formula(f)]
-    exact = (
-        (NOT not in kinds or lat.neg is not None)
-        and (IMP not in kinds or lat.imp is not None)
-        and lat.n ** kinds.count(BOX) < 1 << 63  # the array closure codes tuples in int64
-    )
+    exact = (NOT not in kinds or lat.neg is not None) and (IMP not in kinds or lat.imp is not None)
     if canonical:
         try:
             _guard_valuation_space(lat.n, max_worlds, n_vars, unsafe_bounds)

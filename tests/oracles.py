@@ -7,12 +7,14 @@ running the compiled node list, the naive frame scan uses
 itertools plus the scalar reference evaluator ``evaluate`` (which shares
 only the formula compiler with ``frame_valid``), the entailment scan loops
 over valuations where the package decides on arrays, the regularity scan
-covers every frame within the bound where the package decides by a closure
-of value pairs and scans at most two worlds, the canonical frame key
+covers every frame within the bound where the package decides on one frame
+and scans at most two worlds, the canonical frame key
 relabels relation bitmasks one pair at a time where the package's frame
-filter marks whole classes of masks through lookup tables, and the box-K
+filter marks whole classes of masks through lookup tables, the box-K
 decision procedure closes value triples under componentwise meet instead
-of touching frames.
+of touching frames, and the values attained by frame size take the meets
+of box-argument tuples as tuples of elements, level by level, where the
+package packs each tuple into one int and traces its rounds.
 """
 
 import itertools
@@ -212,6 +214,58 @@ def naive_regularity_witness(matrix, max_worlds):
         if found is not None:
             return found
     return None
+
+
+def values_by_size(lat, formula):
+    """For m = 1, 2, ...: the values that a formula of modal depth <= 1
+    takes at some world of some model on a frame of at most m worlds, until
+    they can grow no more.  A world's value is fixed by its own valuation s
+    and the componentwise meet c of the tuples t(s') of box-argument values
+    at its successors (all-top without successors).  With m worlds, c is a
+    meet of at most m - 1 tuples at an irreflexive world, and t(s) meet such
+    a meet at a reflexive one.  Values are read by recursion over the
+    formula objects with the lattice's tables, each box from c."""
+    boxes = []  # the distinct box subformulas, in the order first visited
+
+    def visit(g, depth):
+        if isinstance(g, Box):
+            if depth:
+                raise ValueError("values by size need modal depth <= 1")
+            if g not in boxes:
+                boxes.append(g)
+        for child in _children(g):
+            visit(child, depth + isinstance(g, Box))
+
+    visit(formula, 0)
+
+    def value(g, env, c):
+        if isinstance(g, Var):
+            return env[g.name]
+        if isinstance(g, Box):
+            return c[boxes.index(g)]
+        if isinstance(g, Not):
+            return lat.neg[value(g.child, env, c)]
+        table = {And: lat.meet_table, Or: lat.join_table}.get(type(g)) or lat.imp.table
+        return table[value(g.left, env, c)][value(g.right, env, c)]
+
+    def meet(c, t):
+        return tuple(lat.meet_table[x][y] for x, y in zip(c, t))
+
+    names = sorted(variables(formula))
+    envs = [dict(zip(names, combo)) for combo in itertools.product(range(lat.n), repeat=len(names))]
+    own = [tuple(value(b.child, env, ()) for b in boxes) for env in envs]
+    level = {(lat.top,) * len(boxes)}  # the meets of at most m - 1 tuples
+    new, values = set(level), set()
+    while new:
+        values |= {
+            value(formula, env, box)
+            for env, t in zip(envs, own)
+            for c in new
+            for box in (c, meet(c, t))
+        }
+        yield frozenset(values)
+        new = {meet(c, t) for c in new for t in own} - level
+        level |= new
 
 
 def axiom_k_valid_all_frames(matrix):

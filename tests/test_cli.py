@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -297,27 +298,27 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
         "lattice 0 False",
         "construct 0 False",
         "enumerate 0 False",
-        # valid by the scalar closure, no frame scanned
+        # valid by the closure, no frame scanned
         "valid 0 False",
         # failing: the frame scan runs on lists
         "valid 1 False",
         # the local box: one world without successors, on lists
         "valid 0 False",
         # valid, of modal depth 1 and 3^10 (valuation, tuple) pairs: the
-        # coded closure runs
+        # closure settles it
         "valid 0 False",
-        # valid too, of modal depth 2 and 3^10 pairs: the coded closure runs
+        # valid too, of modal depth 2 and 3^10 pairs
         "valid 0 False",
         # the one frame fails each, and the witness scan reads one valuation at a time
         "regular 1 False",
         "regular 1 False",
     ]
-    # 3^11 pairs, past the coded closure's bound, at modal depth 1 and 2
-    # (a conjunct more in the antecedent keeps WIDE valid)
-    for past in (WIDE_DEPTH1 + " & [](p | r)", WIDE.replace(" ->", " & [](p | q) ->", 1)):
+    # 3^11 (valuation, tuple) pairs, at modal depth 1 and 2: the closure
+    # settles these too (a conjunct more in the antecedent keeps WIDE valid)
+    for wider in (WIDE_DEPTH1 + " & [](p | r)", WIDE.replace(" ->", " & [](p | q) ->", 1)):
         assert _loaded_after_each(
-            ["valid", "--lattice", lattice, "--formula", past, "--max-worlds", "2"]
-        ) == ["import False", "valid 0 True"], past
+            ["valid", "--lattice", lattice, "--formula", wider, "--max-worlds", "2"]
+        ) == ["import False", "valid 0 False"], wider
     # failing, and the first 3-world frame alone has 4^9 valuations x 3 worlds
     # x 13 nodes, past the scan's budget: deferred to arrays, not dropped
     b4 = _write_boolean4(tmp_path, capsys)
@@ -746,6 +747,36 @@ def test_an_unexpected_exception_exits_3_with_one_line(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "construct", "--kind", "chain:3")
     assert (code, out) == (3, "")
     assert err == "error: internal: ValueError: broken handler\n"
+
+
+def test_a_closed_standard_output_keeps_the_exit_code():
+    """A reader that has gone before the command starts: the command exits
+    with its own code, 1 for a failing valid query and 0 for a holding one
+    and for enumerate, and writes nothing to standard error, at exit
+    included, whether standard output is buffered or not."""
+    lattice = str(DATA / "chain3_eq1_h_1.json")
+    commands = [
+        (1, ["valid", "--lattice", lattice, "--formula", "[]p -> p", "--max-worlds", "2"]),
+        (0, ["valid", "--lattice", lattice, "--formula", BOX_K, "--max-worlds", "2"]),
+        (0, ["enumerate", "--size", "5"]),
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered, (code, argv) in itertools.product(("", "1"), commands):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "latmodal.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env={**env, **({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})},
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (code, b""), (argv, unbuffered)
 
 
 def test_verify_twist_k_at_default_bounds(capsys):

@@ -212,8 +212,8 @@ def test_run_suite_scans_no_frame(monkeypatch):
 
 
 def test_run_suite_at_the_default_bounds_loads_no_numpy():
-    """Every closure of the default suite is within the coded closure's
-    bound, and nothing else in it builds an array: in a fresh process it
+    """The closure never builds an array, and every failure of the default
+    suite unfolds into a fan, so no frame is scanned: in a fresh process it
     passes without importing numpy."""
     from test_cli import run_fresh
 

@@ -28,16 +28,9 @@ from latmodal import (
 )
 import latmodal.search
 from latmodal import formula, kripke
-from latmodal.search import (
-    AXIOM_K,
-    BOX_DISJUNCTION_DIST,
-    BOX_P,
-    _array_closure_rounds,
-    _closure_rounds,
-    _scalar_closure_rounds,
-)
+from latmodal.search import AXIOM_K, BOX_DISJUNCTION_DIST, BOX_P, _closure_rounds
 
-from oracles import canonical_frame_key, naive_regularity_witness
+from oracles import canonical_frame_key, naive_regularity_witness, values_by_size
 
 
 def test_frame_counts():
@@ -513,10 +506,12 @@ def _rounds_to_fixpoint(rounds):
     return found
 
 
-def test_scalar_and_array_closures_agree_round_by_round():
-    """On every lattice of at most 5 elements and the restricted twists of
-    twist_k, for formulas with no variable above a box, with one there and
-    of modal depth 2."""
+def test_closure_rounds_match_the_oracle_round_by_round():
+    """Round m - 1 of the closure attains the values of the frames of at
+    most m worlds, and its fixpoint round repeats the last of them: against
+    the oracle's meets of element tuples, on every lattice of at most 5
+    elements and the restricted twists of twist_k, for formulas of modal
+    depth 1 with no variable above a box and with one there."""
     from latmodal import harness
 
     formulas = [
@@ -526,7 +521,6 @@ def test_scalar_and_array_closures_agree_round_by_round():
         parse("[]p -> p"),
         parse("p & []q -> []p"),
         parse("~[]p -> []~p"),
-        DEPTH2_FORMULAS[0],
     ]
     twists = dict.fromkeys(matrix.lattice for matrix, _ in harness._twist_matrices(2))
     compared = 0
@@ -535,81 +529,47 @@ def test_scalar_and_array_closures_agree_round_by_round():
             kinds = {kind for kind, _, _ in formula.compile_formula(f)}
             if lat.neg is None and formula.NOT in kinds:
                 continue
-            plan = kripke._Plan(lat, f)
-            scalar = _rounds_to_fixpoint(_scalar_closure_rounds(plan))
-            assert scalar == _rounds_to_fixpoint(_array_closure_rounds(plan)), (lat, f)
+            rounds = [
+                (frozenset(itertools.compress(range(lat.n), attained)), fixpoint)
+                for attained, fixpoint, _ in _closure_rounds(lat, f)
+            ]
+            values = list(values_by_size(lat, f))
+            assert rounds == [(v, False) for v in values] + [(values[-1], True)], (lat, f)
             compared += 1
-    assert compared == 158
+    assert compared == 134
 
 
 def test_each_closure_backend_ends_at_its_fixpoint():
-    """Each backend's rounds end with exactly one fixpoint round, and both
-    give the same rounds: on box-K, on a formula without a box (the arrays
-    then evaluate tuples of width 0) and at modal depth 2.  At most 50
-    rounds are taken, so a backend that kept yielding fails instead of
-    running on."""
+    """The closure's rounds end with exactly one fixpoint round: on box-K,
+    on a formula without a box (tuples of width 0) and at modal depth 2.
+    At most 50 rounds are taken, so a closure that kept yielding fails
+    instead of running on."""
     lat = chain(3).with_imp(build_implication(chain(3), DEDUCTIVE_EQ1))
     for f in (AXIOM_K, parse("p -> p"), DEPTH2_FORMULAS[0]):
-        plan = kripke._Plan(lat, f)
-        rounds = []
-        for backend in (_scalar_closure_rounds(plan), _array_closure_rounds(plan)):
-            found = [
-                ([bool(hit) for hit in attained], fixpoint)
-                for attained, fixpoint, _ in itertools.islice(backend, 50)
-            ]
-            assert [fixpoint for _, fixpoint in found] == [False] * (len(found) - 1) + [True], f
-            rounds.append(found)
-        assert rounds[0] == rounds[1], f
+        fixpoints = [fixpoint for _, fixpoint, _ in itertools.islice(_closure_rounds(lat, f), 50)]
+        assert fixpoints == [False] * (len(fixpoints) - 1) + [True], f
 
 
 def test_scalar_and_array_closures_give_up_after_the_same_rounds(monkeypatch):
-    """Both count the rows they evaluate and meet alike, so under any budget
-    they give up after the same rounds, at modal depth 1 too, where the
-    coded closure evaluates keys instead of rows: each ends, without a
-    fixpoint round and without a round of None, where the budget runs out."""
+    """The closure counts the rows it evaluates and meets, at modal depth 1
+    too, where it evaluates keys instead of rows, so under any budget it
+    ends, without a fixpoint round and without a round of None, where the
+    budget runs out, and its rounds so far are those of the closure
+    without a budget."""
     ends = {"fixpoint": 0, "gave up": 0}
     for lat in _lattices_up_to(4):
         for f in [AXIOM_K, parse("p & []q -> []p"), *DEPTH2_FORMULAS]:
-            plan = kripke._Plan(lat, f)
+            unbounded = _rounds_to_fixpoint(_closure_rounds(lat, f))
             for budget in (1 << e for e in range(2, 17)):
                 monkeypatch.setattr(latmodal.search, "MAX_VALUATION_SPACE", budget)
-                scalar = list(_scalar_closure_rounds(plan))
-                array = list(_array_closure_rounds(plan))
-                assert None not in scalar and None not in array, (lat, f, budget)
-                assert _rounds_to_fixpoint(scalar) == _rounds_to_fixpoint(array), (lat, f, budget)
-                fixpoints = [fixpoint for _, fixpoint, _ in scalar]
-                assert fixpoints == [False] * len(scalar) or fixpoints[-1:] == [True]
+                rounds = list(_closure_rounds(lat, f))
+                assert None not in rounds, (lat, f, budget)
+                assert _rounds_to_fixpoint(rounds) == unbounded[: len(rounds)], (lat, f, budget)
+                fixpoints = [fixpoint for _, fixpoint, _ in rounds]
+                assert fixpoints == [False] * len(rounds) or fixpoints[-1:] == [True]
                 ends["fixpoint" if True in fixpoints else "gave up"] += 1
+            monkeypatch.undo()
     assert ends["fixpoint"] > 0 and ends["gave up"] > 0
-
-
-def test_once_numpy_is_loaded_the_closure_backend_follows_the_closure_size():
-    """n^(variables + box nodes) alone picks the backend, at every modal
-    depth: the coded closure up to _CODED_CLOSURE_BOUND, the arrays past
-    it, whether numpy is loaded (this process) or not (a fresh one, where
-    the closures within the bound run first and leave it unloaded)."""
-    from test_cli import run_fresh
-
-    assert max(9**5, 6**6) <= latmodal.search._CODED_CLOSURE_BOUND < min(10**5, 7**6)
-    # box-K has 2 variables and 3 box nodes, the depth-2 formula 2 and 4
-    cases = [(AXIOM_K, 9), (DEPTH2_FORMULAS[0], 6), (AXIOM_K, 10), (DEPTH2_FORMULAS[0], 7)]
-    expected = ["list", "list", "ndarray", "ndarray"]
-    script = (
-        "import sys\n"
-        "from latmodal import DEDUCTIVE_EQ1, build_implication, chain, parse\n"
-        "from latmodal.search import _closure_rounds\n"
-        f"for text, size in {[(formula.render(f), size) for f, size in cases]!r}:\n"
-        "    lat = chain(size).with_imp(build_implication(chain(size), DEDUCTIVE_EQ1))\n"
-        "    attained, _, _ = next(_closure_rounds(lat, parse(text)))\n"
-        "    print(type(attained).__name__, 'numpy' in sys.modules)\n"
-    )
-    assert run_fresh(script) == [f"{kind} {kind == 'ndarray'}" for kind in expected]
-    import numpy as np
-
-    for (f, size), kind in zip(cases, expected):
-        lat = chain(size).with_imp(build_implication(chain(size), DEDUCTIVE_EQ1))
-        attained, _, _ = next(_closure_rounds(lat, f))
-        assert isinstance(attained, list if kind == "list" else np.ndarray), (f, size)
 
 
 def test_list_and_array_frame_scans_agree():
@@ -770,19 +730,18 @@ def test_missing_implication_still_gives_the_first_counterexample(c3):
 
 
 def _closure_within_budget(monkeypatch, matrix, f):
-    """The first closure verdict, and whether the rows the closure hands to
-    _merge (those it evaluates and meets, and their merges) stay within its
-    budget."""
-    merge, rows = latmodal.search._merge, [0]
+    """The first closure verdict, and whether the values that the closure
+    evaluates through ``_Plan.list_connective`` stay within its budget."""
+    list_connective, values = kripke._Plan.list_connective, [0]
 
-    def counting(kept, more, n):
-        rows[0] += len(more)
-        return merge(kept, more, n)
+    def counting(plan, kind, x, y):
+        values[0] += len(x)
+        return list_connective(plan, kind, x, y)
 
-    monkeypatch.setattr(latmodal.search, "_merge", counting)
+    monkeypatch.setattr(kripke._Plan, "list_connective", counting)
     verdict = _closure_verdict(matrix, f)
     monkeypatch.undo()
-    return verdict, rows[0] <= kripke.MAX_VALUATION_SPACE
+    return verdict, values[0] <= kripke.MAX_VALUATION_SPACE
 
 
 def test_deep_box_chain_outgrows_the_closure_and_falls_back_to_the_scan(monkeypatch):
@@ -791,8 +750,9 @@ def test_deep_box_chain_outgrows_the_closure_and_falls_back_to_the_scan(monkeypa
     boxes = "[]" * 10
     valid = parse(f"{boxes}p -> {boxes}p")
     # each round adds about 4 times the tuples of the last: the budget ends
-    # the closure before the meets of a round pass it (0.26 of the budget is
-    # merged; without that check, 4.1)
+    # the closure before the meets of a round pass it (0.001 of the budget is
+    # evaluated; the meets are not counted here, so without that check this
+    # count and the rounds stay the same, and only the run time grows)
     assert _closure_within_budget(monkeypatch, matrix, valid) == (None, True)
     calls = _count_frame_scans(monkeypatch)
     assert find_frame_counterexample(matrix, valid, 3) is None
@@ -800,8 +760,9 @@ def test_deep_box_chain_outgrows_the_closure_and_falls_back_to_the_scan(monkeypa
     failing = parse(f"{boxes}p -> []{boxes}p")
     assert _dict(find_frame_counterexample(matrix, failing, 3)) == _plain_scan(matrix, failing, 3)
     # three variables on 8 values: 46,816 new tuples x 512 valuations would
-    # pass the budget in one evaluation, so it ends before that (0.15 of the
-    # budget is merged; evaluating them anyway, 1.6)
+    # pass the budget in one evaluation, so it ends before that (0.125 of the
+    # budget is evaluated; evaluating them anyway, at 8 connective nodes,
+    # would add 11.4)
     eight = chain(8, "none")
     matrix = matrix_from_names(eight.with_imp(build_implication(eight, DEDUCTIVE_EQ1)), ["1"])
     wide = parse("[]p & []q & []r & [](p | q) & [](q | r) & [][]r -> [][]r")
@@ -917,27 +878,16 @@ def test_each_lattice_and_frame_is_evaluated_once_per_check(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("backend", ["chosen", "scalar", "array"])
-def test_closure_fans_match_the_frame_scan(monkeypatch, backend):
+def test_closure_fans_match_the_frame_scan():
     """The harness's batches, whose failing matrices get the fans that the
     closure unfolds, against the canonical search: on the universes of
     disj_dist, k_linear, k_material and twist_k and on every upset of every
     lattice of at most 4 elements, for three formulas of modal depth 1 at
     bounds 1 to 3, the same matrices fail, and each fan re-checks itself and
-    fits the bound.  Each closure runs where forced to (all of these are
-    within the coded closure's bound).  The array closure keeps no
-    provenance, so there the failing matrices get the canonical reports."""
+    fits the bound."""
     from latmodal import enumerate_upsets
     from latmodal import harness
 
-    if backend != "chosen":
-        monkeypatch.setattr(
-            latmodal.search,
-            "_closure_rounds",
-            lambda lat, f: getattr(latmodal.search, f"_{backend}_closure_rounds")(
-                kripke._plan_for(lat, f)
-            ),
-        )
     universes = itertools.chain(
         harness._eq1_matrices(5, False),
         harness._k_material_matrices(5, False),
@@ -955,8 +905,6 @@ def test_closure_fans_match_the_frame_scan(monkeypatch, backend):
         args = (matrices, f, bound, BoxMode.NORMAL_MEET, False)
         scanned = latmodal.search._find_counterexamples(*args)
         fans = latmodal.search._find_counterexamples(*args, canonical=False)
-        if backend == "array":
-            assert list(map(_dict, fans)) == list(map(_dict, scanned)), (matrices, f, bound)
         for matrix, scan, fan in zip(matrices, scanned, fans):
             assert (scan is None) == (fan is None), (matrix, f, bound)
             if fan is not None:
@@ -964,6 +912,30 @@ def test_closure_fans_match_the_frame_scan(monkeypatch, backend):
                 assert fan.model.frame.rel <= {(0, w) for w in range(bound)}
             counts["passing" if fan is None else "failing"] += 1
     assert counts["failing"] > 0 and counts["passing"] > 0
+
+
+def test_fans_on_a_ten_element_lattice_scan_no_frame(monkeypatch):
+    """The harness's batch of box-K on 0 < a, b < c1 < ... < c6 < 1, under
+    the top-if-below implication, at 3 worlds: 10 of its 11 non-empty upsets
+    fail, as in the canonical search, each gets a fan that re-checks itself
+    within the bound, and no frame is scanned."""
+    from latmodal import enumerate_upsets, validate_lattice
+
+    line = [f"c{i}" for i in range(1, 7)]
+    covers = [("0", "a"), ("0", "b"), ("a", "c1"), ("b", "c1"), *zip(line, [*line[1:], "1"])]
+    lat = validate_lattice(["0", "a", "b", *line, "1"], covers)
+    lat = lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1))
+    matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat) if upset]
+    args = (matrices, AXIOM_K, 3, BoxMode.NORMAL_MEET, False)
+    calls = _count_frame_scans(monkeypatch)
+    fans = latmodal.search._find_counterexamples(*args, canonical=False)
+    assert calls == []
+    scanned = latmodal.search._find_counterexamples(*args)
+    assert [fan is None for fan in fans] == [scan is None for scan in scanned]
+    assert len(matrices) == 11 and sum(fan is not None for fan in fans) == 10
+    for fan in filter(None, fans):
+        assert fan.recheck() and len(fan.model.frame.worlds) <= 3
+        assert fan.model.frame.rel <= {(0, w) for w in range(3)}
 
 
 def test_a_closure_fan_is_its_first_cell_traced_back():
