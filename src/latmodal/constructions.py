@@ -17,6 +17,7 @@ from __future__ import annotations
 from .errors import BoundTooLarge, InvalidInput, NotBoolean
 from .lattice import (
     MATERIAL,
+    MAX_ELEMENTS,
     ImplicationTable,
     Lattice,
     Matrix,
@@ -50,9 +51,12 @@ def boolean_algebra(atoms: int) -> Lattice:
 
 
 def chain(n: int, neg: str = "flip") -> Lattice:
-    """Linear order 0 < ... < 1; "flip" negation maps i to n-1-i."""
+    """Linear order 0 < ... < 1 of 2 to ``MAX_ELEMENTS`` (256) elements;
+    "flip" negation maps i to n-1-i."""
     if n < 2:
         raise InvalidInput("chain needs at least 2 elements")
+    if n > MAX_ELEMENTS:
+        raise BoundTooLarge(f"chain supports at most {MAX_ELEMENTS} elements")
     if n == 2:
         names = ["0", "1"]
     elif n == 3:

@@ -36,9 +36,11 @@ equal-length lists (``list_connective``).  ``frame_root_values`` runs it at
 the worlds ``formula.needed_worlds`` gives, a box taking the meet over the
 world's successors; the type closure of ``search.find_frame_counterexample``
 runs it on lists over valuations and box-value tuples, and
-``lattice.entails`` over valuations.  numpy is imported inside the functions that build arrays (the
-plan's array tables and layouts, and ``first_failure`` on arrays): building a
-plan loads none, and ``evaluate`` and model checking never load it.
+``lattice.entails`` on lists over a block of valuations at a time.  numpy
+is imported inside the functions that build arrays (the plan's array tables
+and layouts, and ``first_failure`` on arrays), so only the array frame scan
+loads it: building a plan loads none, and ``evaluate``, model checking and
+``entails`` never load it.
 """
 
 from __future__ import annotations
@@ -278,8 +280,8 @@ class _Plan:
     lattice tables and, per world count and backend, the valuation-space
     layout.  The box mode and the designated set are read per call.
     Building a plan loads no numpy: its array tables are made on first
-    array use, so the closure and the list scan of the search run on a plan
-    with list tables alone."""
+    array use, so the closure, the list scan of the search and ``entails``
+    run on a plan with list tables alone."""
 
     def __init__(self, lat: Lattice, f: Formula):
         self.lattice, self.formula = lat, f
@@ -450,7 +452,8 @@ def first_failure(
     else:
         import numpy as np
 
-        undesignated, failing = ~matrix.designated_mask(), []
+        undesignated = np.array([v not in matrix.designated for v in range(plan.n)])
+        failing = []
         for values in roots:
             fails = undesignated[values]
             if fails.any():

@@ -13,9 +13,8 @@ else:
 Complementation carries no assumed laws; anti-monotonicity and involutivity
 are checked, never presumed.
 
-Everything here is scalar except ``entails`` and ``Matrix.designated_mask``,
-which import numpy when they run, so the builders and property checks never
-load it.
+Nothing here loads numpy: ``entails`` sweeps its valuations on the list
+walk of ``kripke._Plan``, a block of them at a time.
 """
 
 from __future__ import annotations
@@ -33,16 +32,20 @@ from .errors import (
 from .formula import AND, IMP, NOT, OR, Formula, compile_formula, interpret, is_modal_free, variables
 from .record import Record
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    import numpy as np
-
 MATERIAL = "material"
 DEDUCTIVE_EQ1 = "deductive_eq1"
 CUSTOM = "custom"
 
+# the most elements a lattice from outside input may have: twist:4's 256 is
+# the largest the program builds itself, and checking a lattice grows faster
+# than n^3 (a 256-element chain takes 10 s on a 2-vCPU VM)
+MAX_ELEMENTS = 256
 _EXHAUSTIVE_DOWN_DIST_MAX = 10
-_ENTAILS_GUARD = 1 << 24
+# the most valuations one block of ``entails`` holds: each node's values are
+# a list that long.  A 24-variable query over 2^24 valuations peaked at 16,
+# 21 and 39 MB with blocks of 2^12, 2^14 and 2^16, in 40-49 s each (2-vCPU
+# VM, Python 3.11); numpy on the whole space took 280 MB
+_ENTAILS_BLOCK = 1 << 14
 
 
 class ImplicationTable(Record):
@@ -338,14 +341,6 @@ class Matrix(Record):
     def designated_names(self) -> list[str]:
         return [self.lattice.elements[i] for i in sorted(self.designated)]
 
-    def designated_mask(self) -> np.ndarray:
-        """Whether each element, by index, is designated."""
-        import numpy as np
-
-        mask = np.zeros(self.lattice.n, dtype=bool)
-        mask[sorted(self.designated)] = True
-        return mask
-
     def to_dict(self) -> dict:
         d = self.lattice.to_dict()
         d["designated"] = self.designated_names()
@@ -454,38 +449,29 @@ def check_lattice_properties(
     n = lattice.n
 
     if lattice.neg is None:
-        anti = None
-        anti_witness = None
-        invol = None
-        invol_witness = None
+        anti = anti_witness = invol = invol_witness = None
     else:
-        neg = lattice.neg
-        anti_witness = None
-        for a in range(n):
-            for b in range(n):
-                if lattice.leq[a][b] and not lattice.leq[neg[b]][neg[a]]:
-                    anti_witness = (a, b)
-                    break
-            if anti_witness:
-                break
+        neg, leq = lattice.neg, lattice.leq
+        anti_witness = next(
+            ((a, b) for a in range(n) for b in range(n) if leq[a][b] and not leq[neg[b]][neg[a]]),
+            None,
+        )
         anti = anti_witness is None
         invol_witness = next((a for a in range(n) if neg[neg[a]] != a), None)
         invol = invol_witness is None
 
     if down_distribution_mode == "fast":
-        dd_witness = None
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    lhs = lattice.join_table[a][lattice.meet_table[b][c]]
-                    rhs = lattice.meet_table[lattice.join_table[a][b]][lattice.join_table[a][c]]
-                    if lhs != rhs:
-                        dd_witness = (frozenset((a,)), frozenset((b, c)))
-                        break
-                if dd_witness:
-                    break
-            if dd_witness:
-                break
+        join, meet = lattice.join_table, lattice.meet_table
+        dd_witness = next(
+            (
+                (frozenset((a,)), frozenset((b, c)))
+                for a, join_a in enumerate(join)
+                for b, meet_b in enumerate(meet)
+                for c in range(n)
+                if join_a[meet_b[c]] != meet[join_a[b]][join_a[c]]
+            ),
+            None,
+        )
     elif down_distribution_mode == "exhaustive":
         if n > _EXHAUSTIVE_DOWN_DIST_MAX:
             raise BoundTooLarge(
@@ -562,29 +548,19 @@ def classify_implication(matrix: Matrix) -> ImplicationClassification:
     n = lat.n
     d = matrix.designated
 
-    deductive_witness = None
-    for a in range(n):
-        for b in range(n):
-            t = table[a][b]
-            if lat.leq[a][b]:
-                if not (lat.leq[b][t] and t in d):
-                    deductive_witness = (a, b)
-                    break
-            elif t != b:
-                deductive_witness = (a, b)
-                break
-        if deductive_witness:
-            break
-
-    strict_witness = deductive_witness
-    if strict_witness is None:
-        for a in range(n):
-            for b in range(n):
-                if lat.leq[a][b] and table[a][b] != lat.top:
-                    strict_witness = (a, b)
-                    break
-            if strict_witness:
-                break
+    leq = lat.leq
+    deductive_witness = next(
+        (
+            (a, b)
+            for a in range(n)
+            for b, t in enumerate(table[a])
+            if (not (leq[b][t] and t in d) if leq[a][b] else t != b)
+        ),
+        None,
+    )
+    strict_witness = deductive_witness or next(
+        ((a, b) for a in range(n) for b in range(n) if leq[a][b] and table[a][b] != lat.top), None
+    )
 
     return ImplicationClassification(
         deductive=deductive_witness is None,
@@ -625,42 +601,43 @@ def entails(
 ) -> EntailmentResult:
     """Decide the consequence relation of the matrix by brute force.
 
-    Quantifies over every valuation of the variables occurring in the
-    premises and the conclusion, all at once on numpy arrays, and returns
-    the first valuation (sorted variable order, element-index order, last
-    variable fastest) that designates every premise but not the conclusion,
-    if any.  Box operators are rejected.
+    Sweeps every valuation of the variables occurring in the premises and
+    the conclusion in flat order (sorted variables, element-index order,
+    last variable fastest), a block at a time, and returns the first one
+    that designates every premise but not the conclusion, if any.  In each
+    block every formula in turn runs the plan's list walk at the
+    valuations that designate every premise before it, so a missing
+    connective raises exactly where a valuation reaches it.  Box operators
+    are rejected.
     """
+    from .kripke import MAX_VALUATION_SPACE, _Plan  # kripke builds on this module
+
     premises = list(premises)
     for f in [*premises, conclusion]:
         if not is_modal_free(f):
             raise ModalFormulaRejected("entailment is defined for box-free formulas only")
     names = sorted(set().union(*(variables(f) for f in [*premises, conclusion])))
     lat = matrix.lattice
-    if not unsafe_bounds and lat.n ** max(len(names), 1) > _ENTAILS_GUARD:
+    if not unsafe_bounds and lat.n ** max(len(names), 1) > MAX_VALUATION_SPACE:
         raise BoundTooLarge(
             f"{lat.n}^{len(names)} valuations exceed the guard; "
             "pass unsafe_bounds=True to override"
         )
-    import numpy as np
-
-    from .kripke import _Plan  # kripke builds on this module
-
-    # one array axis per variable; like a scan that stops at the first
-    # undesignated premise, a formula is evaluated only if a valuation reaches it
     plans = [_Plan(lat, f) for f in [*premises, conclusion]]
-    grid = np.indices((lat.n,) * len(names), dtype=plans[0].dtype, sparse=True)
-    var_values = dict(zip(names, grid))
-    designated = matrix.designated_mask()
-    fails = np.ones((1,) * len(names), dtype=bool)
-    for plan in plans:
-        if fails.any():
-            values = plan.node_values(lambda name, w: var_values[name], None)
-            holds = designated[values[len(plan.nodes) - 1, 0]]
-            fails = fails & (~holds if plan is plans[-1] else holds)
-    if fails.any():
-        fails = np.broadcast_to(fails, (lat.n,) * len(names))
-        combo = np.unravel_index(int(np.argmax(fails.ravel())), fails.shape)
-        return EntailmentResult(False, {x: int(v) for x, v in zip(names, combo)})
-    return EntailmentResult(True, None)
+    n, total = lat.n, lat.n ** len(names)
+    strides = {x: n ** (len(names) - 1 - k) for k, x in enumerate(names)}
 
+    def var_value(name: str, _w: int) -> list[int]:
+        return [i // strides[name] % n for i in alive]
+
+    for start in range(0, total, _ENTAILS_BLOCK):
+        alive = range(start, min(start + _ENTAILS_BLOCK, total))  # not yet ruled out
+        for plan in plans:
+            if not alive:
+                break
+            roots = plan.node_values(var_value, None, plan.list_connective)[len(plan.nodes) - 1, 0]
+            last = plan is plans[-1]  # a premise must be designated, the conclusion not
+            alive = [i for i, v in zip(alive, roots) if (v in matrix.designated) != last]
+        if alive:
+            return EntailmentResult(False, {x: alive[0] // strides[x] % n for x in names})
+    return EntailmentResult(True, None)

@@ -15,7 +15,9 @@ files:
       "rel": [[str, str]...], "valuation": {world: {var: element}} }
 
 Unknown keys are rejected in both formats, and a file longer than 64 MiB
-is too, so that a file without end such as /dev/zero is an input error.
+is too, so that a file without end such as /dev/zero is an input error.  A
+lattice may have at most ``lattice.MAX_ELEMENTS`` (256) elements; a longer
+"elements" list is a ``BoundTooLarge`` before the order is checked.
 Dumps are deterministic: sorted keys, and the same input always produces
 byte-identical output.
 """
@@ -26,11 +28,12 @@ import json
 from collections.abc import Iterable
 from pathlib import Path
 
-from .errors import FileFormatError, LatModalError, NotALattice, NotAPoset
+from .errors import BoundTooLarge, FileFormatError, LatModalError, NotALattice, NotAPoset
 from .kripke import Frame, KripkeModel
 from .lattice import (
     DEDUCTIVE_EQ1,
     MATERIAL,
+    MAX_ELEMENTS,
     ImplicationTable,
     Lattice,
     build_implication,
@@ -69,6 +72,8 @@ def lattice_from_dict(data: dict) -> tuple[Lattice, frozenset[int] | None]:
         raise FileFormatError(f"lattice description needs key {exc.args[0]!r}") from None
     if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
         raise FileFormatError('"elements" must be a list of strings')
+    if len(elements) > MAX_ELEMENTS:
+        raise BoundTooLarge(f"{len(elements)} elements exceed the guard ({MAX_ELEMENTS})")
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
         for p in pairs

@@ -292,6 +292,9 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
         ["valid", "--lattice", lattice, "--formula", WIDE, "--max-worlds", "2"],
         ["regular", "--lattice", str(DATA / "boolean2_a_b_1.json")],
         ["regular", "--lattice", str(DATA / "chain3_0_1.json")],
+        ["entails", "--lattice", str(DATA / "k5_a_b_1.json"), "--premises", "p -> q", "p",
+         "--conclusion", "q"],
+        ["entails", "--lattice", str(DATA / "chain3_0_1.json"), "--conclusion", "p | ~p"],
     ) == [
         "import False",
         "eval 1 False",
@@ -312,6 +315,9 @@ def test_numpy_is_loaded_only_when_an_array_kernel_runs(tmp_path, capsys):
         # the one frame fails each, and the witness scan reads one valuation at a time
         "regular 1 False",
         "regular 1 False",
+        # the consequence sweeps its valuations on lists
+        "entails 0 False",
+        "entails 1 False",
     ]
     # 3^11 (valuation, tuple) pairs, at modal depth 1 and 2: the closure
     # settles these too (a conjunct more in the antecedent keeps WIDE valid)
@@ -533,6 +539,27 @@ def test_construct_non_integer_count_is_an_input_error(capsys):
         code, out, err = run_cli(capsys, "construct", "--kind", kind)
         assert code == 2 and out == ""
         assert "not an integer" in err
+
+
+def test_a_chain_longer_than_the_largest_built_in_lattice_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "construct", "--kind", "chain:257")
+    assert (code, out) == (2, "")
+    assert err == "error: BoundTooLarge: chain supports at most 256 elements\n"
+
+
+def test_a_lattice_file_longer_than_the_largest_built_in_lattice_is_an_input_error(
+    tmp_path, capsys
+):
+    """A 257-element chain is refused before its order is checked, which
+    would take over 10 s at that size."""
+    names = [f"e{i}" for i in range(257)]
+    path = tmp_path / "c257.json"
+    path.write_text(dumps({"elements": names, "leq": [list(pair) for pair in zip(names, names[1:])]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lattice", "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: BoundTooLarge: 257 elements exceed the guard (256)\n"
+    assert time.perf_counter() - start < 5
 
 
 def test_verify_single_theorem(capsys):

@@ -390,6 +390,22 @@ def test_entails_matches_the_valuation_loop():
     assert witnesses > 0
 
 
+def test_entails_sweeps_past_one_block():
+    """18 variables on the 2-chain, which sort as strings, so x0 varies
+    slowest: the one witness, x0 = 0 and every other variable 1, lies at
+    flat index 2^17 - 1, and a negation of x0 is first reached there."""
+    from latmodal import chain
+
+    matrix = matrix_from_names(chain(2, "none"), ["1"])
+    rest = [f"x{i}" for i in range(1, 18)]
+    premise = parse(" & ".join(rest))
+    result = entails(matrix, [premise], parse("x0"))
+    assert not result.holds
+    assert result.witness == {"x0": 0, **dict.fromkeys(rest, 1)}
+    with pytest.raises(MissingOperation):
+        entails(matrix, [premise], parse("~x0"))
+
+
 def test_propositional_value_against_tables(c3_material_lp):
     lat = c3_material_lp.lattice
     h = lat.index("h")

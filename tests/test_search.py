@@ -482,9 +482,9 @@ def _round_verdicts(matrix, f):
     """Per round of the closure: whether every root value attained so far
     is designated, and whether the round is the fixpoint.  The rounds end
     without a fixpoint if the closure gives up."""
-    undesignated = ~matrix.designated_mask()
     for attained, fixpoint, _ in _closure_rounds(matrix.lattice, f):
-        yield not (attained & undesignated).any(), fixpoint
+        values = itertools.compress(range(matrix.lattice.n), attained)
+        yield set(values) <= matrix.designated, fixpoint
 
 
 def _closure_verdict(matrix, f):
