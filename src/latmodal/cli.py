@@ -274,21 +274,12 @@ def _cmd_verify(args) -> int:
     from .harness import HarnessConfig, run_suite, verify_theorem
 
     if args.all:
-        config = HarnessConfig(
-            size_bound=args.max_size,
-            world_bound=args.max_worlds,
-            unsafe_bounds=args.unsafe_bounds,
-        )
+        config = HarnessConfig(size_bound=args.max_size, unsafe_bounds=args.unsafe_bounds)
         reports, status = run_suite(config)
     else:
         if args.theorem is None:
             raise LatModalError("verify needs --theorem <id> or --all")
-        report = verify_theorem(
-            args.theorem,
-            args.max_size,
-            args.max_worlds,
-            unsafe_bounds=args.unsafe_bounds,
-        )
+        report = verify_theorem(args.theorem, args.max_size, unsafe_bounds=args.unsafe_bounds)
         reports, status = [report], 0 if report.passed else 1
     _emit(
         args,
@@ -344,7 +335,6 @@ _COMMANDS = {
         ("--theorem", {"choices": list(THEOREM_IDS)}),
         ("--all", {"action": "store_true"}),
         ("--max-size", {"type": int, "default": 5}),
-        ("--max-worlds", {"type": int, "default": 3}),
     ]),
 }
 

@@ -1,35 +1,30 @@
 """Desk-scale exhaustive verification of the characterization properties.
 
 Each check pairs a structural predicate on a matrix (filter, implicative,
-linear-outside, ...) with a bounded semantic search for counterexamples to
-the matching validity, over every lattice and upward-closed designated set
-within the configured bounds, and asserts the biconditional.  The defect
-direction is exact: whenever the structural predicate fails, the falsifying
-model needs at most two worlds for regularity and three otherwise, so a
-world bound at proof scale makes that direction a complete check rather
-than a bounded one.  The validity direction ("no counterexample on any
-frame") is necessarily bounded by the world bound and reported as such.
+linear-outside, ...) with a semantic decision of the matching validity on
+all frames, over every lattice and upward-closed designated set within the
+configured size bound, and asserts the biconditional in both directions.
 One driver runs all five biconditional checks, and one dispatch in
 ``verify_theorem`` states, for each, its formula, structural verdict,
-semantic search, matrices, proof scale and recorded universe.  The semantic
-side is a batch search that scans no frame at desk scale.  For a box
-formula it is the closure of box-value tuples, which decides each world
-bound exactly at modal depth <= 1, as all four box formulas are.  It
-unfolds a failing matrix's counterexample, a fan within the world bound,
-from the cell that attains a value outside its designated set; the frame
-scan remains the fallback where the matrix lacks a connective of the
-formula or the closure outgrows its budget.  For regularity it is the first
-defect of each matrix on the one frame that ``check_regularity`` decides
-by.
+semantic decision, matrices and recorded universe.  The semantic side
+scans no frame.  For a box formula it is the closure of box-value tuples,
+run to its fixpoint, which decides validity on all frames at modal depth
+<= 1, as all four box formulas are (``search._decide_on_all_frames``); it
+unfolds a failing matrix's counterexample, a fan, from the cell that
+attains a value outside its designated set, and a closure that outgrows
+its budget raises BoundTooLarge.  For regularity it is the first defect of
+each matrix on the one two-world frame that holds a defect of every frame,
+which ``check_regularity`` decides by too.  A structural defect must also
+show on its canonical witness model (``construct_witness``).
 Every witness re-checks itself through the reference evaluator, and a case
-that fails records the very witness its batch found and re-checked: a fan,
-or the scanned report where no fan exists.  ``k5_regression`` takes its
-witness from the same batch search.  The matrices of one lattice come in a
-run, and each run of a box check is searched in one batch: one closure
-decides all its designated sets (see ``search``).  The lattices of each
-size and the upsets of each order are enumerated once per process, and the
-restricted twists built once.  Each report is built once, when its check
-has run, and is frozen; it passes when it records no failure.
+that fails records the very witness its decision found and re-checked.
+``k5_regression`` takes its witness from the same closure.  The matrices of
+one lattice come in a run, and each run of a box check is decided in one
+batch: one closure decides all its designated sets (see ``search``).  The
+lattices of each size and the upsets of each order are enumerated once per
+process, and the restricted twists built once.  Each report is built once,
+when its check has run, and is frozen; it passes when it records no
+failure.
 
 Universe conventions, chosen to mirror each property's hypotheses: the
 designated sets range over non-empty upward-closed subsets, except for
@@ -58,7 +53,7 @@ from .enumeration import (
 )
 from .errors import InvalidInput, WitnessNotApplicable
 from .formula import render
-from .kripke import BoxMode, model_satisfies
+from .kripke import model_satisfies
 from .lattice import (
     DEDUCTIVE_EQ1,
     MATERIAL,
@@ -74,8 +69,7 @@ from .search import (
     AXIOM_K,
     BOX_DISJUNCTION_DIST,
     BOX_P,
-    _check_world_bound,
-    _find_counterexamples,
+    _decide_on_all_frames,
     _first_defect,
     _regularity_frame,
     construct_witness,
@@ -84,9 +78,6 @@ from .search import (
 # The restricted twist of the k-atom Boolean algebra has 3^k elements; this
 # is the largest k whose carrier the upset enumeration admits.
 _MAX_TWIST_ATOMS = max(k for k in range(1, MAX_UPSET_SIZE) if 3**k <= MAX_UPSET_SIZE)
-
-# The most worlds a regularity defect needs; the box checks need three.
-_REGULARITY_SCALE = 2
 
 
 class TheoremReport(Record):
@@ -113,7 +104,6 @@ class TheoremReport(Record):
 
 class HarnessConfig(Record):
     size_bound: int = 5
-    world_bound: int = 3
     unsafe_bounds: bool = False
 
 
@@ -207,29 +197,25 @@ def _verify_biconditional(
     classify: Callable[[dict, DesignatedProperties], tuple[bool, str | None]],
     search: Callable[[list[Matrix]], list],
     matrices: Iterator[tuple[Matrix, dict]],
-    world_bound: int,
-    scale: int,
     universe: dict,
+    note: str,
     *,
     split: bool = True,
 ) -> TheoremReport:
-    """Shared driver: structural predicate <=> no semantic witness in bound.
+    """Shared driver: structural predicate <=> valid on all frames.
 
-    ``search`` gives each matrix of a run of one lattice a semantic witness
-    within the world bound, or None; a witness has ``recheck`` and
-    ``to_dict``.  A failing case records that witness, the one re-checked,
-    so a report shows what its search found.  ``classify`` gives a case's
-    structural verdict, from its case id and its ``check_designated``
-    result, and the kind of the canonical witness that must falsify
-    ``formula`` when the verdict is false (None when no witness applies).
-    That result is computed once per matrix and also given to
-    ``construct_witness``.  The defect direction is asserted only at a
-    world bound of at least ``scale``, the proof scale.
-    The report's universe adds the world bound to ``universe`` and, with
-    ``split``, the formula and the counts of structurally true and false
-    cases.
+    ``search`` gives each matrix of a run of one lattice a semantic witness,
+    or None where the formula is valid on all frames; a witness has
+    ``recheck`` and ``to_dict``.  A failing case records that witness, the
+    one re-checked, so a report shows what its search found.  ``classify``
+    gives a case's structural verdict, from its case id and its
+    ``check_designated`` result, and the kind of the canonical witness that
+    must falsify ``formula`` when the verdict is false (None when no
+    witness applies).  That result is computed once per matrix and also
+    given to ``construct_witness``.  Both directions are asserted.  The
+    report's one note is ``note``, and its universe adds, with ``split``,
+    the formula and the counts of structurally true and false cases.
     """
-    assert_defects = world_bound >= scale
     cases = structural_true = 0
     failures = []
     for _, run in itertools.groupby(matrices, key=lambda item: item[0].lattice):
@@ -239,17 +225,12 @@ def _verify_biconditional(
             props = check_designated(matrix)
             structural, witness_kind = classify(case, props)
             semantic = witness is None
-            if structural:
-                structural_true += 1
-                ok = semantic  # validity direction, always asserted within the bound
-            elif assert_defects:
-                ok = not semantic  # defect direction, exact at proof scale
-            else:
-                ok = True
+            structural_true += structural
+            ok = structural == semantic
             if ok and witness is not None and not witness.recheck():
                 ok = False
                 case = {**case, "error": "counterexample failed self-certification"}
-            if ok and assert_defects and not structural and witness_kind is not None:
+            if ok and not structural and witness_kind is not None:
                 try:
                     model = construct_witness(witness_kind, matrix, props=props)
                     holds, _ = model_satisfies(matrix, model, formula)
@@ -263,34 +244,23 @@ def _verify_biconditional(
                 if witness is not None:
                     entry["counterexample"] = witness.to_dict()
                 failures.append(entry)
-    universe = {**universe, "world_bound": world_bound}
     if split:
-        universe["formula"] = render(formula)
-        universe["structural_true_cases"] = structural_true
-        universe["structural_false_cases"] = cases - structural_true
-    if assert_defects:
-        note = (
-            f"defect direction exact at world bound >= {scale}; "
-            "validity direction bounded by the world bound"
-        )
-    else:
-        note = (
-            "bounded-verification only, witness directions not exercised "
-            f"(world bound {world_bound} below proof scale {scale})"
-        )
+        universe = {
+            **universe,
+            "formula": render(formula),
+            "structural_true_cases": structural_true,
+            "structural_false_cases": cases - structural_true,
+        }
     return TheoremReport(theorem, universe, cases, failures, [note])
 
 
-def k5_regression(world_bound: int = 3, *, unsafe_bounds: bool = False) -> TheoremReport:
-    """The five-element antichain example: box-K frame-valid within the
-    bound while the lattice is not linear outside the designated set.  A
-    counterexample is the one the harness's batch search finds: the fan the
-    closure unfolds, or the scanned report where no fan exists."""
+def k5_regression() -> TheoremReport:
+    """The five-element antichain example: box-K valid on all frames while
+    the lattice is not linear outside the designated set.  A counterexample
+    is the fan that the harness's closure unfolds."""
     matrix = antichain_k5()
     failures, notes = [], []
-    (counterexample,) = _find_counterexamples(
-        [matrix], AXIOM_K, world_bound, BoxMode.NORMAL_MEET, unsafe_bounds, canonical=False
-    )
+    (counterexample,) = _decide_on_all_frames([matrix], AXIOM_K)
     if counterexample is not None:
         failures.append(
             {
@@ -307,29 +277,21 @@ def k5_regression(world_bound: int = 3, *, unsafe_bounds: bool = False) -> Theor
             "linear-outside fails with witness "
             f"{tuple(matrix.lattice.elements[i] for i in props.linear_witness)}"
         )
-    universe = {"lattice": matrix.lattice.name, "world_bound": world_bound}
-    return TheoremReport("k5_regression", universe, 2, failures, notes)
+    return TheoremReport("k5_regression", {"lattice": matrix.lattice.name}, 2, failures, notes)
 
 
 def verify_theorem(
-    theorem: str,
-    size_bound: int = 5,
-    world_bound: int = 3,
-    *,
-    unsafe_bounds: bool = False,
+    theorem: str, size_bound: int = 5, *, unsafe_bounds: bool = False
 ) -> TheoremReport:
     """Run one characterization check; for twist_k the size bound is the
     maximum number of atoms of the Boolean base, clamped to the largest
     count whose carrier the upset enumeration admits (2)."""
     if size_bound < 1:
         raise InvalidInput(f"size bound must be at least 1, got {size_bound}")
-    if world_bound < 1:
-        raise InvalidInput(f"world bound must be at least 1, got {world_bound}")
     if theorem == "eq1_implicative":
         return _verify_eq1_implicative(size_bound, unsafe_bounds)
     if theorem == "regularity":
-        _check_world_bound(world_bound, unsafe_bounds)
-        frame = _regularity_frame(world_bound)
+        frame = _regularity_frame(2)
         # on a non-empty set, a filter holds its big meet
         return _verify_biconditional(
             theorem,
@@ -337,9 +299,9 @@ def verify_theorem(
             lambda case, props: (props.is_filter, "nonfilter"),
             lambda run: [_first_defect(matrix, frame) for matrix in run],
             _upset_matrices(_lattice_universe(size_bound, unsafe_bounds)),
-            world_bound,
-            _REGULARITY_SCALE,
             {"max_lattice_size": size_bound, "designated": "non-empty upsets"},
+            "both directions exact (all frames): "
+            "a defect on any frame shows on the two-world reflexive fan",
             split=False,
         )
     eq1 = {"max_lattice_size": size_bound, "implication": f"strictly deductive ({DEDUCTIVE_EQ1})"}
@@ -385,29 +347,24 @@ def verify_theorem(
         theorem,
         formula,
         classify,
-        lambda run: _find_counterexamples(
-            run, formula, world_bound, BoxMode.NORMAL_MEET, unsafe_bounds, canonical=False
-        ),
+        lambda run: _decide_on_all_frames(run, formula),
         matrices,
-        world_bound,
-        3,
         universe,
+        "both directions exact (all frames): the closure of box-value tuples runs to its fixpoint",
     )
 
 
 def run_suite(config: HarnessConfig | None = None) -> tuple[list[TheoremReport], int]:
     """All six checks plus the five-element regression; exit 0 iff all pass.
-    Regularity runs at its proof scale and twist_k at its largest atom count,
-    whatever the configured bounds."""
+    twist_k runs at its largest atom count, whatever the size bound."""
     config = config or HarnessConfig()
     reports = [
         verify_theorem(
             theorem,
             _MAX_TWIST_ATOMS if theorem == "twist_k" else config.size_bound,
-            _REGULARITY_SCALE if theorem == "regularity" else config.world_bound,
             unsafe_bounds=config.unsafe_bounds,
         )
         for theorem in THEOREM_IDS
     ]
-    reports.append(k5_regression(config.world_bound, unsafe_bounds=config.unsafe_bounds))
+    reports.append(k5_regression())
     return reports, 0 if all(r.passed for r in reports) else 1

@@ -37,8 +37,9 @@ DEDUCTIVE_EQ1 = "deductive_eq1"
 CUSTOM = "custom"
 
 # the most elements a lattice from outside input may have: twist:4's 256 is
-# the largest the program builds itself, and checking a lattice grows faster
-# than n^3 (a 256-element chain takes 10 s on a 2-vCPU VM)
+# the largest the program builds itself, and checking a lattice grows about
+# as n^3 (``lattice check`` of a 256-element chain takes about 1 s on a
+# 2-vCPU VM)
 MAX_ELEMENTS = 256
 _EXHAUSTIVE_DOWN_DIST_MAX = 10
 # the most valuations one block of ``entails`` holds: each node's values are
@@ -177,19 +178,24 @@ def _check_binary_table(table: tuple[tuple[int, ...], ...], n: int) -> None:
 def _tables_from_leq(leq, names):
     """Meet/join tables from a closed order, or NotALattice with a witness.
 
-    Pairs are scanned in index order, so the reported witness is canonical.
+    Each element's down-set and up-set are bitmasks.  In a poset, the meet
+    of i and j is the element whose down-set is the intersection of theirs,
+    where one is; the join likewise with up-sets.  Pairs are scanned in
+    index order, so the reported witness is canonical.
     """
     n = len(leq)
+    down = [sum(1 << k for k in range(n) if leq[k][i]) for i in range(n)]
+    up = [sum(1 << k for k in range(n) if leq[i][k]) for i in range(n)]
+    by_down = {mask: i for i, mask in enumerate(down)}
+    by_up = {mask: i for i, mask in enumerate(up)}
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            glb = next((m for m in lower if all(leq[k][m] for k in lower)), None)
+            glb = by_down.get(down[i] & down[j])
             if glb is None:
                 raise NotALattice((names[i], names[j]), "meet")
-            upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            lub = next((m for m in upper if all(leq[m][k] for k in upper)), None)
+            lub = by_up.get(up[i] & up[j])
             if lub is None:
                 raise NotALattice((names[i], names[j]), "join")
             meet[i][j] = meet[j][i] = glb

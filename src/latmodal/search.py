@@ -28,13 +28,14 @@ attained in its D.  Each round meets only the new tuples with the others.
 C can grow exponentially with the modal depth, so past a budget of rows the
 closure ends without a fixpoint round and the frame scan decides instead.
 
-The search decides the designated sets of one lattice in one batch, as the
-harness asks: one closure, grown until every set is settled, and one pass
-over the canonical frames, which computes each frame's root values once and
-gives each set still open its own first failure.  The public search is the
-batch of one.  The harness, which needs a witness of each failure but not
-the canonically first one, takes it from the closure and scans no frame:
-see the fans below.
+The search decides the designated sets of one lattice in one batch: one
+closure, grown until every set is settled, and one pass over the canonical
+frames, which computes each frame's root values once and gives each set
+still open its own first failure.  The public search is the batch of one.
+The harness asks each set's verdict on all frames instead, with a witness
+of each failure but not the canonically first one, and takes both from the
+closure at its fixpoint, scanning no frame (``_decide_on_all_frames``): see
+the fans below.
 
 ``check_regularity`` is decided by ``_first_defect`` on the one frame that
 holds a defect of every frame within the bound (``_regularity_frame``),
@@ -51,10 +52,11 @@ that fails.  There each round of the closure unfolds, over its tuples and
 the t(s) of each valuation s, a root value outside D into the fan that
 attains it (``_fan``): its first (s, c) in the first round that attains
 it, with c traced back, one t(s') at a time, to all-top.  The harness
-takes that fan as its witness instead of scanning frames.  A deeper
-formula that fails the closure may still hold within the bound; for it,
-as for every failing formula of ``find_frame_counterexample``, the frame
-scan decides and finds the canonically first counterexample.
+takes that fan as its witness instead of scanning frames, whatever its
+size.  A deeper formula that fails the closure may still hold within the
+bound; for it, as for every failing formula of
+``find_frame_counterexample``, the frame scan decides and finds the
+canonically first counterexample.
 
 The closure runs in plain Python.  It keeps each tuple as one int, the
 down-set codes of its values packed side by side, so that a meet is a
@@ -68,9 +70,9 @@ same results: a scalar one, ``frame_root_values`` on lists over the whole
 valuation space, and an array one on numpy.  The scalar scan runs while
 numpy is not loaded and the values it computes stay within
 ``_SCALAR_SCAN_BOUND``, and moves to arrays from the frame that would pass
-it.  So ``run_suite`` at its default bounds, ``latmodal regular`` at every
-bound, and every ``valid`` query that the closure settles, or whose scan
-stays within that bound, never import numpy.  This module imports numpy
+it.  So ``run_suite`` and ``latmodal regular`` at every bound, and every
+``valid`` query that the closure settles, or whose scan stays within that
+bound, never import numpy.  This module imports numpy
 nowhere; the array scan's functions in ``kripke`` import it when they run.
 """
 
@@ -378,6 +380,29 @@ def _fan(plan: _Plan, rounds: Sequence[_Round], matrix: Matrix) -> Counterexampl
     return CounterexampleReport(matrix, model, plan.formula, 0, value, BoxMode.NORMAL_MEET)
 
 
+def _decide_on_all_frames(
+    matrices: Sequence[Matrix], f: Formula
+) -> list[CounterexampleReport | None]:
+    """Whether f, of modal depth <= 1, is valid on all frames in each matrix,
+    all of one lattice and defining every connective of f: the fan that the
+    closure's rounds unfold (``_fan``) of each set that fails, None for each
+    that holds.  The rounds run to the fixpoint, or until every set has
+    failed: the root values attained only grow, so a failure is final.  A
+    closure that outgrows its budget first raises BoundTooLarge."""
+    lat, rounds = matrices[0].lattice, []
+    for hits, fixpoint, unfold in _closure_rounds(lat, f):
+        rounds.append((hits, fixpoint, unfold))
+        attained = frozenset(itertools.compress(range(lat.n), hits))
+        failed = [not attained <= m.designated for m in matrices]
+        if all(failed) or fixpoint:
+            fan = functools.partial(_fan, _plan_for(lat, f), rounds)
+            return [fan(m) if was else None for was, m in zip(failed, matrices)]
+    raise BoundTooLarge(
+        f"the closure of box-value tuples outgrew its budget of {MAX_VALUATION_SPACE} rows "
+        "before its fixpoint"
+    )
+
+
 def find_frame_counterexample(
     matrix: Matrix,
     f: Formula,
@@ -409,20 +434,12 @@ def _find_counterexamples(
     max_worlds: int,
     mode: BoxMode,
     unsafe_bounds: bool,
-    *,
-    canonical: bool = True,
 ) -> list[CounterexampleReport | None]:
     """``find_frame_counterexample`` of each matrix, all of one lattice: one
     closure settles every designated set that passes it, and one frame scan
     computes each frame's root values once for the sets still open, each
     taking its own first failure.  Raises what the first of them to raise
-    alone would.  Without ``canonical``, where the closure decides a
-    formula of modal depth <= 1 each failing set gets the fan that the
-    closure's rounds unfold (``_fan``) instead, within the world bound, and
-    no frame is scanned; a closure past its budget leaves every set to the
-    canonical scan.  Only the canonical search needs the valuation guard to
-    admit max_worlds before the closure runs; a scan raises its error
-    itself."""
+    alone would."""
     lat, n_vars = matrices[0].lattice, len(variables(f))
     _check_world_bound(max_worlds, unsafe_bounds)
     scan = list(range(len(matrices)))
@@ -435,11 +452,10 @@ def _find_counterexamples(
         return reports
     kinds = [kind for kind, _, _ in compile_formula(f)]
     exact = (NOT not in kinds or lat.neg is not None) and (IMP not in kinds or lat.imp is not None)
-    if canonical:
-        try:
-            _guard_valuation_space(lat.n, max_worlds, n_vars, unsafe_bounds)
-        except BoundTooLarge:
-            exact = False  # the scan raises it, or finds a counterexample first
+    try:
+        _guard_valuation_space(lat.n, max_worlds, n_vars, unsafe_bounds)
+    except BoundTooLarge:
+        exact = False  # the scan raises it, or finds a counterexample first
     failed = [False] * len(matrices)
     bounded = modal_depth(f) <= 1
     start = 1  # the fewest worlds of a frame that may hold a first counterexample
@@ -447,17 +463,12 @@ def _find_counterexamples(
         # at depth <= 1 round m decides the frames of at most m worlds; the
         # root values attained only grow, so a set once failed stays failed.
         # Rounds that end without a fixpoint leave every set to the scan.
-        rounds = []
-        for worlds, (hits, fixpoint, unfold) in enumerate(_closure_rounds(lat, f), 1):
-            rounds.append((hits, fixpoint, unfold))
+        for worlds, (hits, fixpoint, _) in enumerate(_closure_rounds(lat, f), 1):
             attained = frozenset(itertools.compress(range(lat.n), hits))
-            failed = [was or not attained <= m.designated for was, m in zip(failed, matrices)]
+            failed = [not attained <= m.designated for m in matrices]
             if bounded and not any(failed):
                 start = worlds + 1
             if all(failed) or fixpoint or bounded and worlds == max_worlds:
-                if unfold is not None and not canonical:
-                    fan = functools.partial(_fan, _plan_for(lat, f), rounds)
-                    return [fan(m) if was else None for was, m in zip(failed, matrices)]
                 scan = [i for i, was in enumerate(failed) if was]
                 break
     frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)

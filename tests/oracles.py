@@ -1,6 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 These deliberately avoid the package's evaluation and search code paths:
+the lattice tables are searched for each pair's bounds by definition where
+the package reads them off down-set and up-set bitmasks,
 the classical evaluator works on plain booleans, the many-valued evaluator
 recurses over the formula objects with the lattice's tables instead of
 running the compiled node list, the naive frame scan uses
@@ -181,6 +183,28 @@ def naive_entailment_witness(matrix, premises, conclusion):
         ) and propositional_value(matrix.lattice, assignment, conclusion) not in designated:
             return assignment
     return None
+
+
+def naive_lattice_tables(leq):
+    """The meet and join tables of a closed order, by definition: each
+    pair's common lower bound above every other, and its common upper bound
+    below every other.  Or the first pair (i <= j, in index order) that
+    lacks one, as ("meet" or "join", (i, j)), the meet asked first."""
+    n = len(leq)
+    meet = [[None] * n for _ in range(n)]
+    join = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
+        greatest = [m for m in lower if all(leq[k][m] for k in lower)]
+        if not greatest:
+            return "meet", (i, j)
+        upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
+        least = [m for m in upper if all(leq[m][k] for k in upper)]
+        if not least:
+            return "join", (i, j)
+        meet[i][j] = meet[j][i] = greatest[0]
+        join[i][j] = join[j][i] = least[0]
+    return meet, join
 
 
 def naive_regularity_defect(matrix, frame):

@@ -573,9 +573,7 @@ def test_verify_single_theorem(capsys):
 
 
 def test_verify_all_small(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--all", "--max-size", "2", "--max-worlds", "2"
-    )
+    code, out, _ = run_cli(capsys, "verify", "--all", "--max-size", "2")
     assert code == 0
     payload = json.loads(out)
     assert len(payload["reports"]) == 7
@@ -588,15 +586,27 @@ def test_verify_rejects_a_size_bound_below_one(capsys):
         assert err == "error: InvalidInput: size bound must be at least 1, got 0\n"
 
 
-def test_verify_rejects_a_world_bound_below_one(capsys):
-    for argv in (
-        ["--all"],
-        ["--theorem", "eq1_implicative", "--max-size", "2"],
-        ["--theorem", "k_linear"],
-    ):
-        code, out, err = run_cli(capsys, "verify", *argv, "--max-worlds", "0")
-        assert (code, out) == (2, "")
-        assert err == "error: InvalidInput: world bound must be at least 1, got 0\n"
+def test_verify_takes_no_world_bound(capsys):
+    """verify decides every check on all frames, so a world bound is a usage
+    error, at any value."""
+    for argv in (["--all"], ["--theorem", "k_linear"]):
+        for bound in ("3", "0"):
+            try:
+                code = main(["verify", *argv, "--max-worlds", bound])
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --max-worlds" in err
+
+
+def test_verify_of_regularity_alone_prints_the_suite_report(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "regularity")
+    assert code == 0
+    (alone,) = json.loads(out)["reports"]
+    code, out, _ = run_cli(capsys, "verify", "--all")
+    assert code == 0
+    assert alone == json.loads(out)["reports"][0]
 
 
 def test_verify_all_compact_matches_the_golden_file(capsys):
@@ -607,14 +617,12 @@ def test_verify_all_compact_matches_the_golden_file(capsys):
 
 
 def test_verify_at_other_bounds_matches_the_golden_files(capsys):
-    # below and above each check's proof scale, the twist clamp, and 4
-    # worlds, where twist_k's closure gives fans past the valuation guard
+    # smaller universes, and the twist clamp
     for name, argv in (
-        ("all_size3_worlds1", ["--all", "--max-size", "3", "--max-worlds", "1"]),
-        ("all_size1_worlds2", ["--all", "--max-size", "1", "--max-worlds", "2"]),
-        ("regularity_size4_worlds1", ["--theorem", "regularity", "--max-size", "4", "--max-worlds", "1"]),
+        ("all_size3", ["--all", "--max-size", "3"]),
+        ("all_size1", ["--all", "--max-size", "1"]),
+        ("regularity_size4", ["--theorem", "regularity", "--max-size", "4"]),
         ("twist_k_size1", ["--theorem", "twist_k", "--max-size", "1"]),
-        ("all_size5_worlds4", ["--all", "--max-worlds", "4"]),
     ):
         code, out, _ = run_cli(capsys, "verify", *argv, "--compact")
         assert code == 0, name
@@ -624,17 +632,18 @@ def test_verify_at_other_bounds_matches_the_golden_files(capsys):
 def test_failing_reports_match_the_golden_files(corrupted_k5, request):
     """The reports match their goldens, and each failure's counterexample,
     re-read from its JSON, takes its reported undesignated value under the
-    oracle's evaluator, on a frame within the world bound."""
+    oracle's evaluator, on a fan of as many worlds as the fewest that the
+    oracle's values by frame size need to leave the designated set."""
     from latmodal.harness import HarnessConfig, run_suite, verify_theorem
     from latmodal.serialize import model_from_dict
     from latmodal import parse
-    from oracles import many_valued_value
+    from oracles import many_valued_value, values_by_size
 
-    reports, status = run_suite(HarnessConfig(size_bound=2, world_bound=3))
+    reports, status = run_suite(HarnessConfig(size_bound=2))
     payload = {"status": status, "reports": [r.to_dict() for r in reports]}
     assert dumps(payload, compact=True) + "\n" == (DATA / "run_suite_corrupted_k5.json").read_text()
     request.getfixturevalue("broken_witness")  # only now, so the suite above keeps its witnesses
-    report = verify_theorem("k_linear", 4, 3)
+    report = verify_theorem("k_linear", 4)
     golden = (DATA / "k_linear_broken_witness.json").read_text()
     assert dumps(report.to_dict(), compact=True) + "\n" == golden
     checked = 0
@@ -646,8 +655,11 @@ def test_failing_reports_match_the_golden_files(corrupted_k5, request):
             model, _ = model_from_dict(
                 {key: cx[key] for key in ("lattice", "worlds", "rel", "valuation")}
             )
-            assert len(model.frame.worlds) <= report.universe["world_bound"]
-            value = many_valued_value(model, cx["worlds"].index(cx["world"]), parse(cx["formula"]))
+            formula = parse(cx["formula"])
+            designated = {model.lattice.index(x) for x in cx["designated"]}
+            sizes = enumerate(values_by_size(model.lattice, formula), 1)
+            assert len(model.frame.worlds) == next(m for m, v in sizes if not v <= designated)
+            value = many_valued_value(model, cx["worlds"].index(cx["world"]), formula)
             assert cx["value"] == model.lattice.elements[value] not in cx["designated"]
             checked += 1
     assert checked == 4

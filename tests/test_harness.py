@@ -23,7 +23,7 @@ from latmodal.search import AXIOM_K
 
 
 def test_regularity_small_bounds():
-    report = verify_theorem("regularity", 4, 2)
+    report = verify_theorem("regularity", 4)
     assert report.passed
     assert report.cases == 15  # sizes 1..4: 1 + 2 + 3 + (5 + 4) non-empty upsets
     assert not report.failures
@@ -35,7 +35,7 @@ def test_eq1_implicative_small():
 
 
 def test_disj_dist_small():
-    report = verify_theorem("disj_dist", 4, 3)
+    report = verify_theorem("disj_dist", 4)
     assert report.passed
     # under the top-if-below implication every non-empty upset is
     # implicative, so the defect direction has nothing to bite on; the
@@ -44,7 +44,7 @@ def test_disj_dist_small():
 
 
 def test_k_linear_small():
-    report = verify_theorem("k_linear", 4, 3)
+    report = verify_theorem("k_linear", 4)
     assert report.passed
     assert report.universe["structural_false_cases"] > 0
 
@@ -52,7 +52,7 @@ def test_k_linear_small():
 def test_k_linear_reports_a_failing_nonlinearity_witness(broken_witness):
     # and regularity its filter witness, through the same driver
     for theorem in ("k_linear", "regularity"):
-        report = verify_theorem(theorem, 4, 3)
+        report = verify_theorem(theorem, 4)
         assert not report.passed
         assert report.failures
         assert all(f["witness_error"] == "broken on purpose" for f in report.failures)
@@ -70,7 +70,7 @@ def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
     import latmodal.harness
 
     first_defect = latmodal.harness._first_defect
-    find = latmodal.harness._find_counterexamples
+    decide = latmodal.harness._decide_on_all_frames
     corrupted = []
 
     def corrupted_first_defect(matrix, frame):
@@ -80,8 +80,8 @@ def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
             corrupted.append(w.to_dict())
         return w
 
-    def one_corrupted_fan(matrices, *args, **kwargs):
-        reports = find(matrices, *args, **kwargs)
+    def one_corrupted_fan(matrices, f):
+        reports = decide(matrices, f)
         for i, r in enumerate(reports):
             if r is not None and not corrupted:
                 reports[i] = r._replace(value=(r.value + 1) % r.matrix.lattice.n)
@@ -89,15 +89,31 @@ def test_a_witness_failing_its_recheck_fails_the_report(monkeypatch):
         return reports
 
     monkeypatch.setattr(latmodal.harness, "_first_defect", corrupted_first_defect)
-    monkeypatch.setattr(latmodal.harness, "_find_counterexamples", one_corrupted_fan)
-    for theorem, world_bound in (("regularity", 2), ("k_linear", 3)):
+    monkeypatch.setattr(latmodal.harness, "_decide_on_all_frames", one_corrupted_fan)
+    for theorem in ("regularity", "k_linear"):
         corrupted.clear()
-        report = verify_theorem(theorem, 4, world_bound)
+        report = verify_theorem(theorem, 4)
         assert not report.passed and corrupted, theorem
         assert [f["counterexample"] for f in report.failures] == corrupted, theorem
         for failure in report.failures:
             assert failure["error"] == "counterexample failed self-certification"
     assert len(corrupted) == 1
+
+
+def test_both_directions_are_asserted(monkeypatch):
+    """With the semantic side made to find no witness, every structurally
+    false case fails, and only those: the defect direction is asserted at
+    every size bound, regularity included."""
+    import latmodal.harness
+
+    monkeypatch.setattr(latmodal.harness, "_decide_on_all_frames", lambda run, f: [None] * len(run))
+    monkeypatch.setattr(latmodal.harness, "_first_defect", lambda matrix, frame: None)
+    for theorem, structural_false in (("regularity", 1), ("k_linear", 4), ("k_material", 5)):
+        report = verify_theorem(theorem, 4)
+        assert len(report.failures) == structural_false, theorem
+        assert all((f["structural"], f["semantic"]) == (False, True) for f in report.failures)
+        if theorem != "regularity":
+            assert report.universe["structural_false_cases"] == structural_false
 
 
 def test_designated_properties_computed_once_per_matrix(monkeypatch):
@@ -114,7 +130,7 @@ def test_designated_properties_computed_once_per_matrix(monkeypatch):
     monkeypatch.setattr(latmodal.search, "check_designated", counted)
     for theorem in ("regularity", "k_linear", "k_material"):
         calls.clear()
-        report = verify_theorem(theorem, 4, 3 if theorem != "regularity" else 2)
+        report = verify_theorem(theorem, 4)
         assert report.passed
         assert len(calls) == report.cases == len(set(map(id, calls)))
 
@@ -133,18 +149,18 @@ def test_k_linear_needs_the_filter_requirement():
 
 
 def test_k_material_small():
-    report = verify_theorem("k_material", 4, 3)
+    report = verify_theorem("k_material", 4)
     assert report.passed
     assert report.universe["structural_false_cases"] > 0
 
 
 def test_twist_k_single_atom():
-    report = verify_theorem("twist_k", 1, 3)
+    report = verify_theorem("twist_k", 1)
     assert report.passed and report.cases == 4
 
 
 def test_k5_regression_passes():
-    report = k5_regression(3)
+    report = k5_regression()
     assert report.passed
     assert any("linear-outside fails" in note for note in report.notes)
 
@@ -162,23 +178,15 @@ def test_k5_regression_catches_corrupted_table(monkeypatch):
         base.designated,
     )
     monkeypatch.setattr(latmodal.harness, "antichain_k5", lambda: corrupted)
-    report = k5_regression(3)
+    report = k5_regression()
     assert not report.passed
     failure = report.failures[0]
     assert failure["check"] == "box-K frame validity"
     assert failure["self_certified"] is True
 
 
-def test_world_bound_one_marks_bounded_only():
-    for theorem, size_bound in (("k_linear", 3), ("regularity", 4)):
-        report = verify_theorem(theorem, size_bound, 1)
-        assert any("witness directions not exercised" in n for n in report.notes)
-        # with one world no defect direction is asserted, so this still passes
-        assert report.passed, theorem
-
-
 def test_run_suite_small_bounds():
-    config = HarnessConfig(size_bound=3, world_bound=2)
+    config = HarnessConfig(size_bound=3)
     reports, status = run_suite(config)
     assert status == 0
     assert [r.theorem for r in reports] == [*THEOREM_IDS, "k5_regression"]
@@ -186,7 +194,7 @@ def test_run_suite_small_bounds():
 
 
 def test_run_suite_fails_on_corrupted_k5(corrupted_k5):
-    reports, status = run_suite(HarnessConfig(size_bound=2, world_bound=3))
+    reports, status = run_suite(HarnessConfig(size_bound=2))
     assert status == 1
     k5_report = [r for r in reports if r.theorem == "k5_regression"][0]
     assert not k5_report.passed
@@ -231,9 +239,9 @@ def test_unsafe_bounds_reach_the_lattice_enumeration(monkeypatch):
 
     monkeypatch.setattr(latmodal.enumeration, "MAX_ENUM_SIZE", 3)
     for theorem in ("regularity", "eq1_implicative", "disj_dist", "k_linear", "k_material"):
-        assert verify_theorem(theorem, 4, 2, unsafe_bounds=True).passed, theorem
+        assert verify_theorem(theorem, 4, unsafe_bounds=True).passed, theorem
         with pytest.raises(BoundTooLarge):
-            verify_theorem(theorem, 4, 2)
+            verify_theorem(theorem, 4)
 
 
 def test_unknown_theorem_id():
@@ -249,7 +257,23 @@ def test_report_serialization():
     assert isinstance(d["cases"], int)
 
 
-def test_regularity_refuses_a_world_bound_over_the_guard():
-    with pytest.raises(BoundTooLarge, match="frame enumeration is guarded to 4 worlds"):
-        verify_theorem("regularity", 2, 5)
-    assert verify_theorem("regularity", 2, 5, unsafe_bounds=True).passed
+def test_a_closure_past_its_budget_raises_instead_of_scanning(monkeypatch, capsys):
+    """With the closure's budget cut, a check whose closure ends before its
+    fixpoint while some designated set still holds raises BoundTooLarge, and
+    ``latmodal verify`` exits 2 with nothing on standard output; no frame is
+    scanned in its place."""
+    import latmodal.search
+    from latmodal.cli import main
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a frame was scanned")
+
+    monkeypatch.setattr(latmodal.search, "frame_root_values", no_scan)
+    monkeypatch.setattr(latmodal.search, "MAX_VALUATION_SPACE", 64)
+    for theorem in ("k_linear", "twist_k"):
+        with pytest.raises(BoundTooLarge, match="outgrew its budget of 64 rows before"):
+            verify_theorem(theorem, 4)
+    code = main(["verify", "--theorem", "k_linear", "--max-size", "4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: BoundTooLarge: the closure of box-value tuples")

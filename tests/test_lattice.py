@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from latmodal import (
 )
 from latmodal.lattice import propositional_value
 
-from oracles import naive_entailment_witness
+from oracles import naive_entailment_witness, naive_lattice_tables
 
 
 def all_small_lattices(max_size=5):
@@ -109,6 +110,39 @@ def test_meet_join_agree_with_order():
                 for k in range(lat.n):
                     if lat.le(k, a) and lat.le(k, b):
                         assert lat.le(k, m)
+
+
+
+def test_tables_match_the_bounds_searched_by_definition():
+    """On random closed orders of 1 to 7 elements, lattices and not, indexed
+    in a random order: the tables read off the down-set and up-set bitmasks
+    are the bounds that the oracle searches for, and a non-lattice names
+    the oracle's first pair without a meet or a join."""
+    rng = random.Random(0)
+    outcomes = {"lattice": 0, "meet": 0, "join": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        rank = rng.sample(range(n), n)  # each element's place in a linear extension
+        density, bounded = rng.choice((0.2, 0.4, 0.7)), rng.random() < 0.5
+        pairs = [
+            (a, b)
+            for a, b in itertools.permutations(range(n), 2)
+            if rank[a] < rank[b]
+            and (rng.random() < density or bounded and (rank[a] == 0 or rank[b] == n - 1))
+        ]
+        leq = [[a == b or (a, b) in pairs for b in range(n)] for a in range(n)]
+        for k, a, b in itertools.product(range(n), repeat=3):
+            leq[a][b] = leq[a][b] or leq[a][k] and leq[k][b]
+        names = [f"e{i}" for i in range(n)]
+        try:
+            lat = validate_lattice(names, [(names[a], names[b]) for a, b in pairs])
+            got = [list(row) for row in lat.meet_table], [list(row) for row in lat.join_table]
+            outcomes["lattice"] += 1
+        except NotALattice as exc:
+            got = exc.kind, tuple(map(names.index, exc.pair))
+            outcomes[exc.kind] += 1
+        assert got == naive_lattice_tables(leq), (names, pairs)
+    assert min(outcomes.values()) > 100, outcomes
 
 
 # ---------------------------------------------------------------------------

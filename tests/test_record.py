@@ -59,7 +59,7 @@ FIELDS = {
     "RegularityWitness": ("matrix", "model", "world", "box_value", "direction"),
     "RegularityResult": ("regular", "is_filter", "meet_in_designated", "witness"),
     "TheoremReport": ("theorem", "universe", "cases", "failures", "notes"),
-    "HarnessConfig": ("size_bound", "world_bound", "unsafe_bounds"),
+    "HarnessConfig": ("size_bound", "unsafe_bounds"),
 }
 C2_REPR = (
     "Lattice(elements=('0', '1'), leq=((True, True), (False, True)), "
@@ -127,7 +127,7 @@ def test_a_record_never_equals_one_of_another_class():
     assert RegularityResult(*fields) != lattice.ImplicationClassification(*fields)
     assert EntailmentResult(True, None) != (True, None)
     assert Var("p") != Box(Var("p"))
-    assert HarnessConfig() != (5, 3, False)
+    assert HarnessConfig() != (5, False)
 
 
 def test_repr_names_the_class_and_every_field():
@@ -137,9 +137,7 @@ def test_repr_names_the_class_and_every_field():
     assert repr(ImplicationTable(((1, 1), (0, 1)))) == (
         "ImplicationTable(table=((1, 1), (0, 1)), mode='custom')"
     )
-    assert repr(HarnessConfig()) == (
-        "HarnessConfig(size_bound=5, world_bound=3, unsafe_bounds=False)"
-    )
+    assert repr(HarnessConfig()) == "HarnessConfig(size_bound=5, unsafe_bounds=False)"
 
 
 def test_frozen_records_reject_assignment_and_deletion():
@@ -158,8 +156,8 @@ def test_defaults_and_construction_errors():
     assert ImplicationTable(((1, 1), (0, 1))).mode == "custom"
     assert ImplicationTable(table=((1, 1), (0, 1)), mode="material").mode == "material"
     config = HarnessConfig()
-    assert (config.size_bound, config.world_bound, config.unsafe_bounds) == (5, 3, False)
-    assert HarnessConfig(4, unsafe_bounds=True) == HarnessConfig(4, 3, True)
+    assert (config.size_bound, config.unsafe_bounds) == (5, False)
+    assert HarnessConfig(4, unsafe_bounds=True) == HarnessConfig(4, True)
     for make in (
         lambda: ImplicationTable(),  # missing
         lambda: ImplicationTable(((1,),), "custom", "extra"),  # too many

@@ -28,7 +28,13 @@ from latmodal import (
 )
 import latmodal.search
 from latmodal import formula, kripke
-from latmodal.search import AXIOM_K, BOX_DISJUNCTION_DIST, BOX_P, _closure_rounds
+from latmodal.search import (
+    AXIOM_K,
+    BOX_DISJUNCTION_DIST,
+    BOX_P,
+    _closure_rounds,
+    _decide_on_all_frames,
+)
 
 from oracles import canonical_frame_key, naive_regularity_witness, values_by_size
 
@@ -830,7 +836,7 @@ def test_matrices_of_one_lattice_share_one_closure(monkeypatch):
     monkeypatch.setattr(latmodal.search, "_closure_rounds", counted)
     scans = _count_frame_scans(monkeypatch)
     _reset_caches()
-    report = verify_theorem("disj_dist", 5, 3)
+    report = verify_theorem("disj_dist", 5)
     assert report.passed and report.cases == 48
     assert len(built) == len(set(map(id, built))) == 10  # one per base lattice
     assert scans == []  # every matrix valid, each decided by its lattice's closure
@@ -870,7 +876,7 @@ def test_each_lattice_and_frame_is_evaluated_once_per_check(monkeypatch):
         return frame_root_values(lat, frame, *args, **kwargs)
 
     monkeypatch.setattr(latmodal.search, "frame_root_values", counted)
-    report = verify_theorem("k_linear", 5, 3)
+    report = verify_theorem("k_linear", 5)
     assert report.passed and report.universe["structural_false_cases"] > 0
     # a search per matrix evaluated 162 (lattice, frame) pairs, and a frame
     # scan of the failing matrices 20; their counterexamples are now the
@@ -880,11 +886,12 @@ def test_each_lattice_and_frame_is_evaluated_once_per_check(monkeypatch):
 
 def test_closure_fans_match_the_frame_scan():
     """The harness's batches, whose failing matrices get the fans that the
-    closure unfolds, against the canonical search: on the universes of
-    disj_dist, k_linear, k_material and twist_k and on every upset of every
-    lattice of at most 4 elements, for three formulas of modal depth 1 at
-    bounds 1 to 3, the same matrices fail, and each fan re-checks itself and
-    fits the bound."""
+    closure unfolds at its fixpoint, against the canonical search at 3
+    worlds: on the universes of disj_dist, k_linear, k_material and twist_k
+    and on every upset of every lattice of at most 4 elements, for three
+    formulas of modal depth 1, the same matrices fail, and each fan
+    re-checks itself and has as many worlds as the canonical
+    counterexample's frame, the fewest that fail."""
     from latmodal import enumerate_upsets
     from latmodal import harness
 
@@ -899,26 +906,28 @@ def test_closure_fans_match_the_frame_scan():
     ]
     runs += [[Matrix(lat, upset) for upset in enumerate_upsets(lat)] for lat in _lattices_up_to(4)]
     counts = {"failing": 0, "passing": 0}
-    for matrices, f, bound in itertools.product(
-        runs, [AXIOM_K, BOX_DISJUNCTION_DIST, parse("[]p -> p")], (1, 2, 3)
+    for matrices, f in itertools.product(
+        runs, [AXIOM_K, BOX_DISJUNCTION_DIST, parse("[]p -> p")]
     ):
-        args = (matrices, f, bound, BoxMode.NORMAL_MEET, False)
-        scanned = latmodal.search._find_counterexamples(*args)
-        fans = latmodal.search._find_counterexamples(*args, canonical=False)
+        scanned = latmodal.search._find_counterexamples(
+            matrices, f, 3, BoxMode.NORMAL_MEET, False
+        )
+        fans = _decide_on_all_frames(matrices, f)
         for matrix, scan, fan in zip(matrices, scanned, fans):
-            assert (scan is None) == (fan is None), (matrix, f, bound)
+            assert (scan is None) == (fan is None), (matrix, f)
             if fan is not None:
-                assert fan.recheck() and len(fan.model.frame.worlds) <= bound, (matrix, f, bound)
-                assert fan.model.frame.rel <= {(0, w) for w in range(bound)}
+                worlds = len(fan.model.frame.worlds)
+                assert fan.recheck() and worlds == len(scan.model.frame.worlds), (matrix, f)
+                assert fan.model.frame.rel <= {(0, w) for w in range(worlds)}
             counts["passing" if fan is None else "failing"] += 1
     assert counts["failing"] > 0 and counts["passing"] > 0
 
 
 def test_fans_on_a_ten_element_lattice_scan_no_frame(monkeypatch):
     """The harness's batch of box-K on 0 < a, b < c1 < ... < c6 < 1, under
-    the top-if-below implication, at 3 worlds: 10 of its 11 non-empty upsets
-    fail, as in the canonical search, each gets a fan that re-checks itself
-    within the bound, and no frame is scanned."""
+    the top-if-below implication: 10 of its 11 non-empty upsets fail, as in
+    the canonical search at 3 worlds, each gets a fan of at most 3 worlds
+    that re-checks itself, and no frame is scanned."""
     from latmodal import enumerate_upsets, validate_lattice
 
     line = [f"c{i}" for i in range(1, 7)]
@@ -926,11 +935,12 @@ def test_fans_on_a_ten_element_lattice_scan_no_frame(monkeypatch):
     lat = validate_lattice(["0", "a", "b", *line, "1"], covers)
     lat = lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1))
     matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat) if upset]
-    args = (matrices, AXIOM_K, 3, BoxMode.NORMAL_MEET, False)
     calls = _count_frame_scans(monkeypatch)
-    fans = latmodal.search._find_counterexamples(*args, canonical=False)
+    fans = _decide_on_all_frames(matrices, AXIOM_K)
     assert calls == []
-    scanned = latmodal.search._find_counterexamples(*args)
+    scanned = latmodal.search._find_counterexamples(
+        matrices, AXIOM_K, 3, BoxMode.NORMAL_MEET, False
+    )
     assert [fan is None for fan in fans] == [scan is None for scan in scanned]
     assert len(matrices) == 11 and sum(fan is not None for fan in fans) == 10
     for fan in filter(None, fans):
@@ -947,9 +957,31 @@ def test_a_closure_fan_is_its_first_cell_traced_back():
     cell below, which comes first."""
     two = chain(2, "none")
     matrix = matrix_from_names(two.with_imp(build_implication(two, DEDUCTIVE_EQ1)), ["1"])
-    (fan,) = latmodal.search._find_counterexamples(
-        [matrix], parse("p & []q -> []p"), 2, BoxMode.NORMAL_MEET, False, canonical=False
-    )
+    (fan,) = _decide_on_all_frames([matrix], parse("p & []q -> []p"))
     assert fan.recheck() and (fan.world, fan.value) == (0, 0)
     assert fan.model.frame.rel == {(0, 1)}
     assert dict(fan.model.valuation) == {(0, "p"): 1, (0, "q"): 0, (1, "p"): 0, (1, "q"): 1}
+
+
+def test_the_closure_decides_beyond_three_worlds(monkeypatch):
+    """On the 2-element Boolean algebra with D = {1}, a formula that holds on
+    every frame of at most 3 worlds fails on a fan of 4: r at the root, and
+    three successors, each falsifying one disjunct's argument.  The
+    closure's first failing round is round 3, and its fan, found without a
+    frame scan, re-checks itself; the canonical scan finds nothing at 3
+    worlds and a 4-world counterexample at 4."""
+    b2 = boolean_algebra(1)
+    matrix = matrix_from_names(b2.with_imp(build_implication(b2, MATERIAL)), ["1"])
+    f = parse("r -> [](r | p | q) | [](r | p | ~q) | [](r | ~p)")
+    holds = [
+        set(itertools.compress(range(2), attained)) <= matrix.designated
+        for attained, _, _ in _closure_rounds(matrix.lattice, f)
+    ]
+    assert holds[:4] == [True, True, True, False]
+    calls = _count_frame_scans(monkeypatch)
+    (fan,) = _decide_on_all_frames([matrix], f)
+    assert calls == []
+    assert fan.recheck() and len(fan.model.frame.worlds) == 4
+    assert find_frame_counterexample(matrix, f, 3) is None
+    report = find_frame_counterexample(matrix, f, 4)
+    assert report.recheck() and len(report.model.frame.worlds) == 4
