@@ -23,10 +23,10 @@ variables sorted, elements in index order, last slot fastest) and
 re-certifies it with ``evaluate``.  It runs in two steps:
 ``frame_root_values``, the root values of a frame, which read no
 designated set, and ``first_failure``, the first counterexample for one
-designated set, so a search of several sets computes each frame's values
-once.  It builds the lattice tables once; that plan is kept for the next
-call while the lattice and formula objects stay the same, as they do across
-the frames of one search and across the designated sets of one lattice.
+designated set.  It builds the lattice tables once; that plan is kept for
+the next call while the lattice and formula objects stay the same, as they
+do across the frames of one search and across the designated sets of one
+lattice.
 The plan's ``node_values`` is the one vectorized walk of the semantics.
 It runs the node list bottom-up, each node at the worlds a per-node list
 gives (by default at one world), a variable's and a box's values given by
@@ -321,16 +321,15 @@ class _Plan:
             return [table[a] for a in x]
         return [table[a][b] for a, b in zip(x, y)]
 
-    def node_values(self, var_value, box_value, connective=None, needed=None) -> dict:
+    def node_values(self, var_value, box_value, connective, needed=None) -> dict:
         """The values of the nodes, bottom-up, keyed by (node id, world):
         node i at each world of needed[i], a list of the shape
         ``formula.needed_worlds`` gives, or by default at world 0 alone.  A
         variable takes var_value(name, w), box node i box_value(i, w, the
         values so far), and a connective node ``connective`` of its
-        arguments' values at w.  With the default, ``connective`` above,
-        values are arrays that broadcast against each other; with
-        ``list_connective`` they are lists of one length."""
-        connective = connective or self.connective
+        arguments' values at w.  With the plan's ``connective``, values are
+        arrays that broadcast against each other; with ``list_connective``
+        they are lists of one length."""
         values: dict = {}
         for i, (kind, a, b) in enumerate(self.nodes):
             for w in (0,) if needed is None else needed[i]:

@@ -28,14 +28,10 @@ attained in its D.  Each round meets only the new tuples with the others.
 C can grow exponentially with the modal depth, so past a budget of rows the
 closure ends without a fixpoint round and the frame scan decides instead.
 
-The search decides the designated sets of one lattice in one batch: one
-closure, grown until every set is settled, and one pass over the canonical
-frames, which computes each frame's root values once and gives each set
-still open its own first failure.  The public search is the batch of one.
-The harness asks each set's verdict on all frames instead, with a witness
-of each failure but not the canonically first one, and takes both from the
-closure at its fixpoint, scanning no frame (``_decide_on_all_frames``): see
-the fans below.
+The harness asks instead the verdict on all frames of every designated set
+of a lattice, with a witness of each failure but not the canonically first
+one, and takes both from one closure at its fixpoint, scanning no frame
+(``_decide_on_all_frames``): see the fans below.
 
 ``check_regularity`` is decided by ``_first_defect`` on the one frame that
 holds a defect of every frame within the bound (``_regularity_frame``),
@@ -425,58 +421,40 @@ def find_frame_counterexample(
     errors are raised: the world bound first, then the valuation guard of
     the first world count that no counterexample comes before.
     """
-    return _find_counterexamples([matrix], f, max_worlds, mode, unsafe_bounds)[0]
-
-
-def _find_counterexamples(
-    matrices: Sequence[Matrix],
-    f: Formula,
-    max_worlds: int,
-    mode: BoxMode,
-    unsafe_bounds: bool,
-) -> list[CounterexampleReport | None]:
-    """``find_frame_counterexample`` of each matrix, all of one lattice: one
-    closure settles every designated set that passes it, and one frame scan
-    computes each frame's root values once for the sets still open, each
-    taking its own first failure.  Raises what the first of them to raise
-    alone would."""
-    lat, n_vars = matrices[0].lattice, len(variables(f))
+    lat, n_vars = matrix.lattice, len(variables(f))
     _check_world_bound(max_worlds, unsafe_bounds)
-    scan = list(range(len(matrices)))
     if mode is BoxMode.LOCAL:
         # the local box never reads the relation, so the first frame decides
-        first = [Frame(("w0",), frozenset())]
-        reports = _scan_frames(matrices, scan, f, first, mode, unsafe_bounds)
-        for n_worlds in range(2, max_worlds + 1) if None in reports else ():
+        report = _scan_frames(matrix, f, [Frame(("w0",), frozenset())], mode, unsafe_bounds)
+        for n_worlds in range(2, max_worlds + 1) if report is None else ():
             _guard_valuation_space(lat.n, n_worlds, n_vars, unsafe_bounds)
-        return reports
+        return report
     kinds = [kind for kind, _, _ in compile_formula(f)]
     exact = (NOT not in kinds or lat.neg is not None) and (IMP not in kinds or lat.imp is not None)
     try:
         _guard_valuation_space(lat.n, max_worlds, n_vars, unsafe_bounds)
     except BoundTooLarge:
         exact = False  # the scan raises it, or finds a counterexample first
-    failed = [False] * len(matrices)
-    bounded = modal_depth(f) <= 1
+    failed, bounded = False, modal_depth(f) <= 1
     start = 1  # the fewest worlds of a frame that may hold a first counterexample
     if exact:
         # at depth <= 1 round m decides the frames of at most m worlds; the
-        # root values attained only grow, so a set once failed stays failed.
-        # Rounds that end without a fixpoint leave every set to the scan.
+        # root values attained only grow, so a failure is final.  Rounds
+        # that end without a fixpoint leave f to the scan.
         for worlds, (hits, fixpoint, _) in enumerate(_closure_rounds(lat, f), 1):
-            attained = frozenset(itertools.compress(range(lat.n), hits))
-            failed = [not attained <= m.designated for m in matrices]
-            if bounded and not any(failed):
+            failed = not set(itertools.compress(range(lat.n), hits)) <= matrix.designated
+            if bounded and not failed:
                 start = worlds + 1
-            if all(failed) or fixpoint or bounded and worlds == max_worlds:
-                scan = [i for i, was in enumerate(failed) if was]
+            if failed:
                 break
+            if fixpoint or bounded and worlds == max_worlds:
+                return None
     frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)
     frames = itertools.dropwhile(lambda frame: len(frame.worlds) < start, frames)
-    reports = _scan_frames(matrices, scan, f, frames, mode, unsafe_bounds)
-    if bounded and any(was and report is None for was, report in zip(failed, reports)):
+    report = _scan_frames(matrix, f, frames, mode, unsafe_bounds)
+    if bounded and failed and report is None:
         raise AssertionError("the meet-closure found a failure the frame scan did not")
-    return reports
+    return report
 
 
 # The frame scan runs on lists where numpy is not loaded yet and, over the
@@ -491,34 +469,24 @@ _SCALAR_SCAN_BOUND = 1 << 20
 
 
 def _scan_frames(
-    matrices: Sequence[Matrix],
-    scan: list[int],
-    f: Formula,
-    frames: Iterable[Frame],
-    mode: BoxMode,
-    unsafe_bounds: bool,
-) -> list[CounterexampleReport | None]:
-    """The first counterexample on the frames, in order, for each matrix in
-    scan (by index; all of one lattice), or None: each frame's root values
-    are computed once, for the sets still open, and ``first_failure`` gives
-    each its first counterexample on the frame.  The values are lists while
-    numpy is not loaded and the values computed stay within
+    matrix: Matrix, f: Formula, frames: Iterable[Frame], mode: BoxMode, unsafe_bounds: bool
+) -> CounterexampleReport | None:
+    """The first counterexample on the frames, in order, or None: each
+    frame's root values, then ``first_failure`` on them.  The values are
+    lists while numpy is not loaded and the values computed stay within
     ``_SCALAR_SCAN_BOUND``, and arrays from the frame that would pass it."""
-    lat = matrices[0].lattice
+    lat = matrix.lattice
     plan = _plan_for(lat, f)
-    reports: list = [None] * len(matrices)
     lists, spent = "numpy" not in sys.modules, 0
-    for frame in frames if scan else ():
+    for frame in frames:
         k = len(frame.worlds)
         spent += k * len(plan.nodes) * plan.n ** (k * len(plan.names))
         lists = lists and spent <= _SCALAR_SCAN_BOUND
         roots = frame_root_values(lat, frame, f, mode, unsafe_bounds=unsafe_bounds, lists=lists)
-        for i in scan:
-            reports[i] = first_failure(matrices[i], frame, f, roots, mode)
-        scan = [i for i in scan if reports[i] is None]
-        if not scan:
-            break
-    return reports
+        report = first_failure(matrix, frame, f, roots, mode)
+        if report is not None:
+            return report
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -708,6 +708,47 @@ def test_regular_at_four_worlds_matches_its_golden_files_without_numpy():
         assert out.encode("utf-8") == (DATA / f"regular_w4_{name}.json").read_bytes()
 
 
+# each valid golden: its name, lattice file, formula and world bound, with
+# any further argument, then its exit code and whether numpy is loaded
+# after it in one fresh process
+VALID_GOLDENS = [
+    ("k_chain3_eq1_h_1", "chain3_eq1_h_1", BOX_K, "4", 0, False),
+    ("depth2_chain3_eq1_h_1", "chain3_eq1_h_1", "[][]p -> []p", "2", 1, False),
+    ("local_chain3_eq1_h_1", "chain3_eq1_h_1", "[]p", "3 --box local", 1, False),
+    ("depth1_boolean2_a_b_1", "boolean2_a_b_1", "[]p | []~p", "3", 1, False),
+    (
+        "arrays_boolean2_material_1", "boolean2_material_1",
+        "p & []~p & (r | ~r) -> []q | []~q", "3", 1, True,
+    ),
+]
+
+
+def test_valid_matches_its_golden_files():
+    """In one fresh process, in turn: a query that the closure settles, a
+    depth-2 scan from one world, a local-box query, a depth-1 scan from the
+    closure's world count, and a scan that moves to arrays, the only one
+    that loads numpy."""
+    queries = [
+        ["valid", "--lattice", str(DATA / f"{lattice}.json"), "--formula", f,
+         "--max-worlds", *worlds.split(), "--compact"]
+        for _, lattice, f, worlds, _, _ in VALID_GOLDENS
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from latmodal.cli import main\n"
+        f"for argv in {queries!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules]))\n"
+    )
+    lines = run_fresh(script)
+    for (name, *_, expected, numpy_loaded), line in zip(VALID_GOLDENS, lines, strict=True):
+        code, out, loaded = json.loads(line)
+        assert (code, loaded) == (expected, numpy_loaded), name
+        assert out.encode("utf-8") == (DATA / f"valid_{name}.json").read_bytes(), name
+
+
 def test_outputs_are_byte_identical(tmp_path, capsys):
     path = write_chain3(tmp_path, imp="material", designated=["h", "1"])
     _, first, _ = run_cli(

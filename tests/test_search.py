@@ -842,10 +842,11 @@ def test_matrices_of_one_lattice_share_one_closure(monkeypatch):
     assert scans == []  # every matrix valid, each decided by its lattice's closure
 
 
-def test_batches_match_searches_of_one_with_every_cache_reset():
+def test_searches_with_every_cache_reset_match_searches_back_to_back():
     """Every upset of every lattice of at most 4 elements, the empty one
-    included: one batch per lattice gives what a search of each designated
-    set alone gives, in both box modes and at every bound up to 3."""
+    included: a search with the caches reset first gives what the same
+    search gives run back to back with the others, in both box modes and
+    at every bound up to 3."""
     from latmodal import enumerate_upsets
 
     formulas = [AXIOM_K, BOX_DISJUNCTION_DIST, *DEPTH2_FORMULAS]
@@ -859,8 +860,8 @@ def test_batches_match_searches_of_one_with_every_cache_reset():
                 _reset_caches()
                 alone.append(_dict(find_frame_counterexample(matrix, f, bound, mode)))
             _reset_caches()
-            batch = latmodal.search._find_counterexamples(matrices, f, bound, mode, False)
-            assert list(map(_dict, batch)) == alone, (lat, f, bound, mode)
+            in_turn = [_dict(find_frame_counterexample(m, f, bound, mode)) for m in matrices]
+            assert in_turn == alone, (lat, f, bound, mode)
             found += sum(r is not None for r in alone)
     assert 0 < found
 
@@ -909,9 +910,7 @@ def test_closure_fans_match_the_frame_scan():
     for matrices, f in itertools.product(
         runs, [AXIOM_K, BOX_DISJUNCTION_DIST, parse("[]p -> p")]
     ):
-        scanned = latmodal.search._find_counterexamples(
-            matrices, f, 3, BoxMode.NORMAL_MEET, False
-        )
+        scanned = [find_frame_counterexample(m, f, 3) for m in matrices]
         fans = _decide_on_all_frames(matrices, f)
         for matrix, scan, fan in zip(matrices, scanned, fans):
             assert (scan is None) == (fan is None), (matrix, f)
@@ -938,9 +937,7 @@ def test_fans_on_a_ten_element_lattice_scan_no_frame(monkeypatch):
     calls = _count_frame_scans(monkeypatch)
     fans = _decide_on_all_frames(matrices, AXIOM_K)
     assert calls == []
-    scanned = latmodal.search._find_counterexamples(
-        matrices, AXIOM_K, 3, BoxMode.NORMAL_MEET, False
-    )
+    scanned = [find_frame_counterexample(m, AXIOM_K, 3) for m in matrices]
     assert [fan is None for fan in fans] == [scan is None for scan in scanned]
     assert len(matrices) == 11 and sum(fan is not None for fan in fans) == 10
     for fan in filter(None, fans):
