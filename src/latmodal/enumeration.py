@@ -17,7 +17,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 
 from .errors import BoundTooLarge, InvalidInput
-from .lattice import Lattice, NotALattice, from_leq
+from .lattice import Lattice, NotALattice, _from_down_sets, _up_sets, from_leq
 
 MAX_ENUM_SIZE = 7
 MAX_ALL_MAPS = 4
@@ -117,16 +117,16 @@ def enumerate_lattices(n: int, *, unsafe_bounds: bool = False) -> Iterator[Latti
 
 @functools.cache
 def _lattices(n: int) -> tuple[Lattice, ...]:
+    names = [f"e{i}" for i in range(n)]
     keys = set()
     for downs in _labeled_posets(n):
-        leq = [[i == j or bool(downs[j] >> i & 1) for j in range(n)] for i in range(n)]
         try:
-            lat = from_leq([f"e{i}" for i in range(n)], leq)
+            lat = _from_down_sets(names, [mask | 1 << i for i, mask in enumerate(downs)])
         except NotALattice:
             continue
         keys.add(canonical_order_key(lat.leq))
     return tuple(
-        from_leq([f"e{i}" for i in range(n)], _leq_from_key(key, n), name=f"L{n}_{k}")
+        from_leq(names, _leq_from_key(key, n), name=f"L{n}_{k}")
         for k, key in enumerate(sorted(keys))
     )
 
@@ -137,11 +137,7 @@ def enumerate_upsets(lattice: Lattice) -> Iterator[frozenset[int]]:
     n = lattice.n
     if n > MAX_UPSET_SIZE:
         raise BoundTooLarge(f"upset enumeration is guarded to n <= {MAX_UPSET_SIZE}")
-    ups = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if lattice.leq[i][j]:
-                ups[i] |= 1 << j
+    ups = _up_sets(lattice.leq)
     for mask in range(1 << n):
         good = True
         m = mask

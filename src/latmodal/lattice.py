@@ -13,13 +13,21 @@ else:
 Complementation carries no assumed laws; anti-monotonicity and involutivity
 are checked, never presumed.
 
+Every lattice is built by ``_from_down_sets`` from each element's down-set,
+a bitmask with bit i set for each i below it: ``validate_lattice`` closes
+its pairs' masks, ``from_leq`` checks its rows', and the enumeration passes
+its labeled posets'.  The meet of i and j is the element whose down-set is
+the intersection of theirs, where one is, and the join likewise with
+up-sets.  Pairs are scanned in index order, so a reported witness is
+canonical.  Hasse edges, upsets and the search's closure read the masks too.
+
 Nothing here loads numpy: ``entails`` sweeps its valuations on the list
 walk of ``kripke._Plan``, a block of them at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     BoundTooLarge,
@@ -126,17 +134,13 @@ class Lattice(Record):
         return self._replace(imp=imp)
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Hasse edges (i, j): i < j with nothing strictly between."""
-        n = self.n
-        covers = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if any(k != i and k != j and self.leq[i][k] and self.leq[k][j] for k in range(n)):
-                    continue
-                covers.append((i, j))
-        return covers
+        """Hasse edges (i, j): i < j with nothing strictly between, that is
+        with the interval from i to j just {i, j}."""
+        n, down, up = self.n, _down_sets(self.leq), _up_sets(self.leq)
+        return [
+            (i, j) for i in range(n) for j in range(n)
+            if i != j and down[j] & up[i] == 1 << i | 1 << j
+        ]
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -175,17 +179,36 @@ def _check_binary_table(table: tuple[tuple[int, ...], ...], n: int) -> None:
         raise InvalidInput("binary table must be total over the carrier")
 
 
-def _tables_from_leq(leq, names):
-    """Meet/join tables from a closed order, or NotALattice with a witness.
+def _down_sets(leq) -> list[int]:
+    """Each element's down-set as a bitmask: bit i of mask j is set when
+    i <= j."""
+    return [sum(1 << i for i, row in enumerate(leq) if row[j]) for j in range(len(leq))]
 
-    Each element's down-set and up-set are bitmasks.  In a poset, the meet
-    of i and j is the element whose down-set is the intersection of theirs,
-    where one is; the join likewise with up-sets.  Pairs are scanned in
-    index order, so the reported witness is canonical.
-    """
-    n = len(leq)
-    down = [sum(1 << k for k in range(n) if leq[k][i]) for i in range(n)]
-    up = [sum(1 << k for k in range(n) if leq[i][k]) for i in range(n)]
+
+def _up_sets(leq) -> list[int]:
+    """Each element's up-set as a bitmask: bit j of mask i is set when
+    i <= j."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in leq]
+
+
+def _from_down_sets(names, down, *, name="", neg=None, imp=None) -> Lattice:
+    """The lattice of a reflexive, transitive order given by its down-sets,
+    an iterable read only once the names are checked.  NotAPoset names the
+    first pair i < j related both ways, NotALattice the first pair without
+    a meet or a join."""
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise InvalidInput("element names must be distinct")
+    if not names:
+        raise InvalidInput("a lattice needs at least one element")
+    down = list(down)
+    n = len(names)
+    leq = tuple(tuple(bool(down[j] >> i & 1) for j in range(n)) for i in range(n))
+    up = _up_sets(leq)
+    for i in range(n):
+        cycle = down[i] & up[i] & -(2 << i)  # the j > i both below and above i
+        if cycle:
+            raise NotAPoset((names[i], names[(cycle & -cycle).bit_length() - 1]))
     by_down = {mask: i for i, mask in enumerate(down)}
     by_up = {mask: i for i, mask in enumerate(up)}
     meet = [[0] * n for _ in range(n)]
@@ -200,32 +223,14 @@ def _tables_from_leq(leq, names):
                 raise NotALattice((names[i], names[j]), "join")
             meet[i][j] = meet[j][i] = glb
             join[i][j] = join[j][i] = lub
-    top = 0
-    bottom = 0
-    for i in range(n):
-        top = join[top][i]
-        bottom = meet[bottom][i]
-    return (
-        tuple(tuple(row) for row in meet),
-        tuple(tuple(row) for row in join),
-        top,
-        bottom,
-    )
-
-
-def _close(rows: list[list[bool]]) -> None:
-    """Reflexive-transitive closure in place (Warshall)."""
-    n = len(rows)
-    for i in range(n):
-        rows[i][i] = True
-    for k in range(n):
-        rk = rows[k]
-        for i in range(n):
-            if rows[i][k]:
-                ri = rows[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
+    full = (1 << n) - 1  # the down-set of the top, the up-set of the bottom
+    meet, join = tuple(map(tuple, meet)), tuple(map(tuple, join))
+    lat = Lattice(names, leq, meet, join, by_down[full], by_up[full], name=name)
+    if neg is not None:
+        lat = lat.with_neg(neg)
+    if imp is not None:
+        lat = lat.with_imp(imp)
+    return lat
 
 
 def validate_lattice(
@@ -242,25 +247,22 @@ def validate_lattice(
     unique meet or join, naming the first offending pair.
     """
     names = tuple(elements)
-    if len(set(names)) != len(names):
-        raise InvalidInput("element names must be distinct")
-    if not names:
-        raise InvalidInput("a lattice needs at least one element")
-    index = {x: i for i, x in enumerate(names)}
-    n = len(names)
-    rows = [[False] * n for _ in range(n)]
-    for a, b in pairs:
-        if a not in index or b not in index:
-            raise InvalidInput(f"order pair ({a!r}, {b!r}) references an unknown element")
-        rows[index[a]][index[b]] = True
-    _close(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] and rows[j][i]:
-                raise NotAPoset((names[i], names[j]))
-    leq = tuple(tuple(row) for row in rows)
-    meet, join, top, bottom = _tables_from_leq(leq, names)
-    return Lattice(names, leq, meet, join, top, bottom, name=name)
+
+    def closed_down_sets() -> Iterator[int]:
+        # a generator, so that the pairs are read after the names are checked
+        index = {x: i for i, x in enumerate(names)}
+        down = [1 << i for i in range(len(names))]
+        for a, b in pairs:
+            if a not in index or b not in index:
+                raise InvalidInput(f"order pair ({a!r}, {b!r}) references an unknown element")
+            down[index[b]] |= 1 << index[a]
+        for k, below_k in enumerate(down):  # Warshall: what is below k is below all above k
+            for j, mask in enumerate(down):
+                if mask >> k & 1:
+                    down[j] = mask | below_k
+        yield from down
+
+    return _from_down_sets(names, closed_down_sets(), name=name)
 
 
 def from_leq(
@@ -271,28 +273,27 @@ def from_leq(
     imp: ImplicationTable | None = None,
     name: str = "",
 ) -> Lattice:
-    """Build a lattice from an already reflexive-transitive boolean matrix."""
+    """Build a lattice from an already reflexive-transitive boolean matrix.
+
+    The rows are checked in order, each for reflexivity, then at each j
+    above it for antisymmetry and transitivity, so the first defect is
+    the one reported."""
     names = tuple(elements)
     n = len(names)
-    leq = tuple(tuple(bool(v) for v in row) for row in leq_rows)
+    leq = [[bool(v) for v in row] for row in leq_rows]
     if len(leq) != n or any(len(row) != n for row in leq):
         raise InvalidInput("leq matrix must be n x n")
-    for i in range(n):
-        if not leq[i][i]:
+    up = _up_sets(leq)
+    for i, above in enumerate(up):
+        if not above >> i & 1:
             raise InvalidInput("leq matrix must be reflexive")
         for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise NotAPoset((names[i], names[j]))
-            for k in range(n):
-                if leq[i][j] and leq[j][k] and not leq[i][k]:
+            if above >> j & 1:
+                if j != i and up[j] >> i & 1:
+                    raise NotAPoset((names[i], names[j]))
+                if up[j] & ~above:
                     raise InvalidInput("leq matrix must be transitive")
-    meet, join, top, bottom = _tables_from_leq(leq, names)
-    lat = Lattice(names, leq, meet, join, top, bottom, name=name)
-    if neg is not None:
-        lat = lat.with_neg(neg)
-    if imp is not None:
-        lat = lat.with_imp(imp)
-    return lat
+    return _from_down_sets(names, _down_sets(leq), neg=neg, imp=imp, name=name)
 
 
 def apply_op(lattice: Lattice, operator: str, args: Sequence[int]) -> int:
@@ -377,51 +378,29 @@ def check_designated(matrix: Matrix) -> DesignatedProperties:
     """
     lat = matrix.lattice
     d = matrix.designated
-    n = lat.n
+    n, leq, meet = lat.n, lat.leq, lat.meet_table
+    members = sorted(d)
 
-    upward_witness = None
-    for a in sorted(d):
-        for b in range(n):
-            if lat.leq[a][b] and b not in d:
-                upward_witness = (a, b)
-                break
-        if upward_witness:
-            break
-
-    filter_witness = None
-    for a in sorted(d):
-        for b in sorted(d):
-            if lat.meet_table[a][b] not in d:
-                filter_witness = (a, b)
-                break
-        if filter_witness:
-            break
+    upward_witness = next(
+        ((a, b) for a in members for b, le in enumerate(leq[a]) if le and b not in d), None
+    )
+    filter_witness = next(((a, b) for a in members for b in members if meet[a][b] not in d), None)
     is_filter = upward_witness is None and filter_witness is None
 
     if lat.imp is None:
-        is_implicative = None
-        implicative_witness = None
+        is_implicative = implicative_witness = None
     else:
-        implicative_witness = None
-        for a in range(n):
-            for b in range(n):
-                if lat.leq[a][b] and lat.imp.table[a][b] not in d:
-                    implicative_witness = (a, b)
-                    break
-            if implicative_witness:
-                break
+        table = lat.imp.table
+        implicative_witness = next(
+            ((a, b) for a in range(n) for b in range(n) if leq[a][b] and table[a][b] not in d),
+            None,
+        )
         is_implicative = implicative_witness is None
 
-    linear_witness = None
-    for x in range(n):
-        if x in d:
-            continue
-        for y in range(n):
-            if not lat.comparable(x, y):
-                linear_witness = (x, y)
-                break
-        if linear_witness:
-            break
+    linear_witness = next(
+        ((x, y) for x in range(n) if x not in d for y in range(n) if not (leq[x][y] or leq[y][x])),
+        None,
+    )
 
     return DesignatedProperties(  # each property's flag, then its witness
         upward_witness is None, upward_witness,

@@ -111,7 +111,7 @@ from .kripke import (
     frame_root_values,
     world_satisfies,
 )
-from .lattice import DesignatedProperties, Lattice, Matrix, big_meet, check_designated
+from .lattice import DesignatedProperties, Lattice, Matrix, _down_sets, big_meet, check_designated
 from .record import Record
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -211,7 +211,7 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round]:
     connective, root = plan.list_connective, len(nodes) - 1
     box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
     shifts = [j * n for j in range(len(box_ids))]
-    down = [sum(1 << x for x in range(n) if lat.leq[x][a]) for a in range(n)]
+    down = _down_sets(lat.leq)
     element, field = {code: a for a, code in enumerate(down)}, (1 << n) - 1
     row_bits = n * len(box_ids)
     top = (1 << row_bits) - 1  # every value top: down(top) is every element

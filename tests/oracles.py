@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's evaluation and search code paths:
 the lattice tables are searched for each pair's bounds by definition where
-the package reads them off down-set and up-set bitmasks,
+the package reads them off down-set and up-set bitmasks, the lattice
+constructors close and check their orders on boolean rows, element by
+element, where the package does both on the bitmasks,
 the classical evaluator works on plain booleans, the many-valued evaluator
 recurses over the formula objects with the lattice's tables instead of
 running the compiled node list, the naive frame scan uses
@@ -21,7 +23,17 @@ package packs each tuple into one int and traces its rounds.
 
 import itertools
 
-from latmodal import BoxMode, KripkeModel, enumerate_frames, evaluate, variables
+from latmodal import (
+    BoxMode,
+    InvalidInput,
+    KripkeModel,
+    Lattice,
+    NotALattice,
+    NotAPoset,
+    enumerate_frames,
+    evaluate,
+    variables,
+)
 from latmodal.formula import And, Box, Imp, Not, Or, Var
 from latmodal.lattice import propositional_value
 
@@ -205,6 +217,71 @@ def naive_lattice_tables(leq):
         meet[i][j] = meet[j][i] = greatest[0]
         join[i][j] = join[j][i] = least[0]
     return meet, join
+
+
+def _reference_lattice(names, leq, neg, imp):
+    """The lattice of a closed order, its tables and bounds by definition."""
+    tables = naive_lattice_tables(leq)
+    if isinstance(tables[0], str):
+        kind, (i, j) = tables
+        raise NotALattice((names[i], names[j]), kind)
+    n = len(names)
+    meet, join = (tuple(map(tuple, table)) for table in tables)
+    top = next(k for k in range(n) if all(row[k] for row in leq))
+    bottom = next(k for k in range(n) if all(leq[k]))
+    lat = Lattice(names, tuple(map(tuple, leq)), meet, join, top, bottom)
+    if neg is not None:
+        lat = lat.with_neg(neg)
+    if imp is not None:
+        lat = lat.with_imp(imp)
+    return lat
+
+
+def reference_from_leq(elements, leq_rows, *, neg=None, imp=None):
+    """``from_leq`` as a triple loop over boolean rows: each row in order
+    is checked for reflexivity, then at each j for antisymmetry and at each
+    (j, k) for transitivity."""
+    names = tuple(elements)
+    n = len(names)
+    leq = [[bool(v) for v in row] for row in leq_rows]
+    if len(leq) != n or any(len(row) != n for row in leq):
+        raise InvalidInput("leq matrix must be n x n")
+    for i in range(n):
+        if not leq[i][i]:
+            raise InvalidInput("leq matrix must be reflexive")
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise NotAPoset((names[i], names[j]))
+            for k in range(n):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    raise InvalidInput("leq matrix must be transitive")
+    return _reference_lattice(names, leq, neg, imp)
+
+
+def reference_validate_lattice(elements, pairs):
+    """``validate_lattice`` with the closure by Warshall over boolean rows,
+    then antisymmetry checked pair by pair."""
+    names = tuple(elements)
+    if len(set(names)) != len(names):
+        raise InvalidInput("element names must be distinct")
+    if not names:
+        raise InvalidInput("a lattice needs at least one element")
+    index = {x: i for i, x in enumerate(names)}
+    n = len(names)
+    rows = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        if a not in index or b not in index:
+            raise InvalidInput(f"order pair ({a!r}, {b!r}) references an unknown element")
+        rows[index[a]][index[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if rows[i][k]:
+                for j in range(n):
+                    rows[i][j] = rows[i][j] or rows[k][j]
+    for i, j in itertools.combinations(range(n), 2):
+        if rows[i][j] and rows[j][i]:
+            raise NotAPoset((names[i], names[j]))
+    return _reference_lattice(names, rows, None, None)
 
 
 def naive_regularity_defect(matrix, frame):

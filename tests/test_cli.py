@@ -519,6 +519,26 @@ def test_construct_twist(capsys):
     assert payload["designated"] == ["(1,0)", "(1,1)"]
 
 
+def test_enumerate_and_construct_match_their_golden_files(capsys):
+    """Every lattice of 7 elements, and of 8 past the size guard, each
+    6-element lattice with each of its anti-monotone involutions, and the
+    two largest built-ins: the names, element orders and Hasse edges of
+    every lattice the constructors build."""
+    for name, argv in (
+        ("enumerate_size7.jsonl", ["enumerate", "--size", "7"]),
+        ("enumerate_size8_unsafe_bounds.jsonl", ["enumerate", "--size", "8", "--unsafe-bounds"]),
+        (
+            "enumerate_size6_antimonotone_involutions.jsonl",
+            ["enumerate", "--size", "6", "--neg", "antimonotone-involutions"],
+        ),
+        ("construct_twist4.json", ["construct", "--kind", "twist:4", "--compact"]),
+        ("construct_chain256.json", ["construct", "--kind", "chain:256", "--compact"]),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, name
+        assert out.encode("utf-8") == (DATA / name).read_bytes(), name
+
+
 def test_construct_designated_accepts_names_with_commas(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -10,6 +10,9 @@ from latmodal import (
     MATERIAL,
     BoundTooLarge,
     ImplicationTable,
+    InvalidInput,
+    LatModalError,
+    Lattice,
     Matrix,
     MissingOperation,
     ModalFormulaRejected,
@@ -28,9 +31,14 @@ from latmodal import (
     subset_join,
     validate_lattice,
 )
-from latmodal.lattice import propositional_value
+from latmodal.lattice import _from_down_sets, from_leq, propositional_value
 
-from oracles import naive_entailment_witness, naive_lattice_tables
+from oracles import (
+    naive_entailment_witness,
+    naive_lattice_tables,
+    reference_from_leq,
+    reference_validate_lattice,
+)
 
 
 def all_small_lattices(max_size=5):
@@ -86,6 +94,79 @@ def test_duplicate_names_rejected():
         validate_lattice(["x", "x"], [])
 
 
+def test_from_leq_rejects_an_empty_carrier():
+    """As validate_lattice does, instead of a lattice whose top and bottom
+    index no element."""
+    for build in (lambda: from_leq([], []), lambda: validate_lattice([], [])):
+        with pytest.raises(InvalidInput) as exc:
+            build()
+        assert type(exc.value) is InvalidInput
+        assert str(exc.value) == "a lattice needs at least one element"
+
+
+def test_from_leq_rejects_duplicate_names():
+    """As validate_lattice does, instead of a NotALattice for the pair of a
+    name with itself."""
+    for build in (
+        lambda: from_leq(["a", "a"], [[1, 0], [0, 1]]),
+        lambda: validate_lattice(["a", "a"], []),
+    ):
+        with pytest.raises(InvalidInput) as exc:
+            build()
+        assert type(exc.value) is InvalidInput
+        assert str(exc.value) == "element names must be distinct"
+
+
+def _built_or_raised(build):
+    """The lattice a constructor builds, or its error's type and message."""
+    try:
+        return build()
+    except LatModalError as exc:
+        return type(exc), str(exc)
+
+
+def test_constructors_match_the_boolean_row_references():
+    """On seeded random relations of 1 to 6 elements, closed and not, with
+    distinct names: from_leq, with a negation table in range or not, and
+    validate_lattice on the relation's pairs, each build the lattice that
+    the references on boolean rows build, or raise the same exception with
+    the same message."""
+    rng = random.Random(31)
+    seen = {}
+    for trial in range(4000):
+        n = rng.randint(1, 6)
+        names = rng.sample("abcdefghij", n)
+        rows = [[rng.random() < rng.choice((0.1, 0.3, 0.5)) for _ in range(n)] for _ in range(n)]
+        # as drawn; reflexive; reflexive and transitive; and antisymmetric too
+        shape, rank = trial % 4, rng.sample(range(n), n)
+        for i, j in itertools.product(range(n), repeat=2):
+            rows[i][j] = shape and i == j or rows[i][j] and (shape < 3 or rank[i] < rank[j])
+        for k, i, j in itertools.product(range(n), repeat=3):
+            rows[i][j] = rows[i][j] or shape > 1 and rows[i][k] and rows[k][j]
+        neg = [rng.randrange(n + 1) for _ in range(n)] if rng.random() < 0.3 else None
+        pairs = [(names[i], names[j]) for i, j in itertools.product(range(n), repeat=2) if rows[i][j]]
+        for got, want in (
+            (lambda: from_leq(names, rows, neg=neg), lambda: reference_from_leq(names, rows, neg=neg)),
+            (lambda: validate_lattice(names, pairs), lambda: reference_validate_lattice(names, pairs)),
+        ):
+            outcome = _built_or_raised(want)
+            assert _built_or_raised(got) == outcome, (names, rows, neg)
+            if isinstance(outcome, Lattice):
+                kind = "lattice"
+            else:
+                kind = outcome[1] if outcome[0] is InvalidInput else outcome[0].__name__
+            seen[kind] = seen.get(kind, 0) + 1
+    assert min(seen.values()) > 100, seen
+    assert set(seen) == {
+        "lattice",
+        "NotAPoset",
+        "NotALattice",
+        "leq matrix must be reflexive",
+        "leq matrix must be transitive",
+        "unary table must map every element to an element",
+    }, seen
+
+
 def test_lattice_laws_on_enumerated_lattices():
     for lat in all_small_lattices(5):
         n = lat.n
@@ -115,9 +196,10 @@ def test_meet_join_agree_with_order():
 
 def test_tables_match_the_bounds_searched_by_definition():
     """On random closed orders of 1 to 7 elements, lattices and not, indexed
-    in a random order: the tables read off the down-set and up-set bitmasks
-    are the bounds that the oracle searches for, and a non-lattice names
-    the oracle's first pair without a meet or a join."""
+    in a random order: the tables that the constructors' core reads off the
+    down-set and up-set bitmasks are the bounds that the oracle searches
+    for, and a non-lattice names the oracle's first pair without a meet or
+    a join."""
     rng = random.Random(0)
     outcomes = {"lattice": 0, "meet": 0, "join": 0}
     for _ in range(3000):
@@ -134,8 +216,9 @@ def test_tables_match_the_bounds_searched_by_definition():
         for k, a, b in itertools.product(range(n), repeat=3):
             leq[a][b] = leq[a][b] or leq[a][k] and leq[k][b]
         names = [f"e{i}" for i in range(n)]
+        down = [sum(1 << a for a in range(n) if leq[a][b]) for b in range(n)]
         try:
-            lat = validate_lattice(names, [(names[a], names[b]) for a, b in pairs])
+            lat = _from_down_sets(names, down)
             got = [list(row) for row in lat.meet_table], [list(row) for row in lat.join_table]
             outcomes["lattice"] += 1
         except NotALattice as exc:
