@@ -97,7 +97,7 @@ def _cmd_lattice(args) -> int:
             _emit(args, {"valid": False, "error": type(exc).__name__, "detail": str(exc)})
             return 1
         raise
-    props = check_lattice_properties(lattice, down_distribution_mode=args.down_distribution)
+    props = check_lattice_properties(lattice)
     payload = {
         "valid": True,
         "name": lattice.name,
@@ -191,7 +191,7 @@ def _cmd_regular(args) -> int:
     from .search import check_regularity
 
     matrix = _require_matrix(args.lattice)
-    result = check_regularity(matrix, args.max_worlds, unsafe_bounds=args.unsafe_bounds)
+    result = check_regularity(matrix)
     payload = {
         "regular": result.regular,
         "structural": {
@@ -294,10 +294,6 @@ _COMMANDS = {
     "lattice": ("validate and report on a lattice file", False, [
         ("action", {"choices": ["check"]}),
         ("file", {}),
-        ("--down-distribution", {
-            "choices": ["fast", "exhaustive"], "default": "fast",
-            "help": "how to check down-distribution",
-        }),
     ]),
     "eval": ("evaluate a formula on a model file", False, [
         ("--model", {"required": True}),
@@ -316,9 +312,8 @@ _COMMANDS = {
         ("--premises", {"nargs": "*", "default": []}),
         ("--conclusion", {"required": True}),
     ]),
-    "regular": ("check necessity-means-all-successors", True, [
+    "regular": ("check necessity-means-all-successors, on all frames", False, [
         ("--lattice", {"required": True}),
-        ("--max-worlds", {"type": int, "default": 2}),
     ]),
     "enumerate": ("emit lattices as JSON lines", True, [
         ("--size", {"type": int, "required": True}),

@@ -69,9 +69,9 @@ from .search import (
     AXIOM_K,
     BOX_DISJUNCTION_DIST,
     BOX_P,
+    _REGULARITY_FRAME,
     _decide_on_all_frames,
     _first_defect,
-    _regularity_frame,
     construct_witness,
 )
 
@@ -291,13 +291,12 @@ def verify_theorem(
     if theorem == "eq1_implicative":
         return _verify_eq1_implicative(size_bound, unsafe_bounds)
     if theorem == "regularity":
-        frame = _regularity_frame(2)
         # on a non-empty set, a filter holds its big meet
         return _verify_biconditional(
             theorem,
             BOX_P,
             lambda case, props: (props.is_filter, "nonfilter"),
-            lambda run: [_first_defect(matrix, frame) for matrix in run],
+            lambda run: [_first_defect(matrix, _REGULARITY_FRAME) for matrix in run],
             _upset_matrices(_lattice_universe(size_bound, unsafe_bounds)),
             {"max_lattice_size": size_bound, "designated": "non-empty upsets"},
             "both directions exact (all frames): "

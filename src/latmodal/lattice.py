@@ -7,8 +7,9 @@ else:
 
 * the meet of the empty set is the top element,
 * the elementwise join-set X + Y is empty whenever either side is empty,
-* down-distribution is checked over non-empty subsets only (the empty case
-  is already fixed by the empty-meet convention).
+* down-distribution is the binary law over all triples, which extends to
+  all non-empty finite subsets by induction (the empty case is already
+  fixed by the empty-meet convention).
 
 Complementation carries no assumed laws; anti-monotonicity and involutivity
 are checked, never presumed.
@@ -49,7 +50,6 @@ CUSTOM = "custom"
 # as n^3 (``lattice check`` of a 256-element chain takes about 1 s on a
 # 2-vCPU VM)
 MAX_ELEMENTS = 256
-_EXHAUSTIVE_DOWN_DIST_MAX = 10
 # the most valuations one block of ``entails`` holds: each node's values are
 # a list that long.  A 24-variable query over 2^24 valuations peaked at 16,
 # 21 and 39 MB with blocks of 2^12, 2^14 and 2^16, in 40-49 s each (2-vCPU
@@ -419,17 +419,13 @@ class LatticeProperties(Record):
     down_distribution_witness: tuple[frozenset[int], frozenset[int]] | None
 
 
-def check_lattice_properties(
-    lattice: Lattice, *, down_distribution_mode: str = "fast"
-) -> LatticeProperties:
+def check_lattice_properties(lattice: Lattice) -> LatticeProperties:
     """Check anti-monotonicity, involutivity and down-distribution.
 
     Negation-dependent flags are None when no neg table is present.
-    Down-distribution modes: "fast" checks the binary law
-    a + (b.c) = (a+b).(a+c) over all triples (which extends to finite
-    subsets by induction); "exhaustive" scans all non-empty subset pairs and
-    serves as the test oracle for the fast mode.  Witnesses are reported as
-    a pair of subsets in both modes.
+    Down-distribution is the binary law a + (b.c) = (a+b).(a+c) over all
+    triples, which extends to finite subsets by induction; its witness is
+    the first failing triple, as the pair of subsets ({a}, {b, c}).
     """
     n = lattice.n
 
@@ -445,26 +441,17 @@ def check_lattice_properties(
         invol_witness = next((a for a in range(n) if neg[neg[a]] != a), None)
         invol = invol_witness is None
 
-    if down_distribution_mode == "fast":
-        join, meet = lattice.join_table, lattice.meet_table
-        dd_witness = next(
-            (
-                (frozenset((a,)), frozenset((b, c)))
-                for a, join_a in enumerate(join)
-                for b, meet_b in enumerate(meet)
-                for c in range(n)
-                if join_a[meet_b[c]] != meet[join_a[b]][join_a[c]]
-            ),
-            None,
-        )
-    elif down_distribution_mode == "exhaustive":
-        if n > _EXHAUSTIVE_DOWN_DIST_MAX:
-            raise BoundTooLarge(
-                f"exhaustive down-distribution is guarded to n <= {_EXHAUSTIVE_DOWN_DIST_MAX}"
-            )
-        dd_witness = _down_distribution_exhaustive(lattice)
-    else:
-        raise InvalidInput(f"unknown down-distribution mode {down_distribution_mode!r}")
+    join, meet = lattice.join_table, lattice.meet_table
+    dd_witness = next(
+        (
+            (frozenset((a,)), frozenset((b, c)))
+            for a, join_a in enumerate(join)
+            for b, meet_b in enumerate(meet)
+            for c in range(n)
+            if join_a[meet_b[c]] != meet[join_a[b]][join_a[c]]
+        ),
+        None,
+    )
 
     return LatticeProperties(
         anti_monotone=anti,
@@ -474,25 +461,6 @@ def check_lattice_properties(
         down_distribution=dd_witness is None,
         down_distribution_witness=dd_witness,
     )
-
-
-def _down_distribution_exhaustive(lattice: Lattice):
-    n = lattice.n
-    meet_of = [lattice.top] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        meet_of[mask] = lattice.meet_table[meet_of[mask & (mask - 1)]][low]
-    members = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
-    for ma in range(1, 1 << n):
-        for mb in range(1, 1 << n):
-            joined = 0
-            for x in members[ma]:
-                row = lattice.join_table[x]
-                for y in members[mb]:
-                    joined |= 1 << row[y]
-            if meet_of[joined] != lattice.join_table[meet_of[ma]][meet_of[mb]]:
-                return frozenset(members[ma]), frozenset(members[mb])
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ one, and takes both from one closure at its fixpoint, scanning no frame
 (``_decide_on_all_frames``): see the fans below.
 
 ``check_regularity`` is decided by ``_first_defect`` on the one frame that
-holds a defect of every frame within the bound (``_regularity_frame``),
-which the harness asks of each matrix too.  Only a failing set is scanned
-for its canonically first defect, over the frames of at most two worlds,
-one valuation of p at a time, with []p read from the meet table.
+holds a defect of every frame (``_REGULARITY_FRAME``), which the harness
+asks of each matrix too.  Only a failing set is scanned for its
+canonically first defect, over the frames of at most two worlds, one
+valuation of p at a time, with []p read from the meet table.
 
 At modal depth <= 1, t(s, c) = t(s) and round m - 1 decides the frames of
 at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
@@ -66,10 +66,10 @@ same results: a scalar one, ``frame_root_values`` on lists over the whole
 valuation space, and an array one on numpy.  The scalar scan runs while
 numpy is not loaded and the values it computes stay within
 ``_SCALAR_SCAN_BOUND``, and moves to arrays from the frame that would pass
-it.  So ``run_suite`` and ``latmodal regular`` at every bound, and every
-``valid`` query that the closure settles, or whose scan stays within that
-bound, never import numpy.  This module imports numpy
-nowhere; the array scan's functions in ``kripke`` import it when they run.
+it.  So ``run_suite``, ``latmodal regular``, and every ``valid`` query
+that the closure settles, or whose scan stays within that bound, never
+import numpy.  This module imports numpy nowhere; the array scan's
+functions in ``kripke`` import it when they run.
 """
 
 from __future__ import annotations
@@ -544,28 +544,23 @@ class RegularityResult(Record):
         return self.is_filter and self.meet_in_designated
 
 
-def check_regularity(
-    matrix: Matrix, max_worlds: int = 2, *, unsafe_bounds: bool = False
-) -> RegularityResult:
-    """Whether some world of a one-variable model within the world bound
-    has []p designated but p failing at some successor, or the reverse:
-    whether ``_first_defect`` finds a defect on ``_regularity_frame``.  The
+def check_regularity(matrix: Matrix) -> RegularityResult:
+    """Whether some world of a one-variable model has []p designated but p
+    failing at some successor, or the reverse: whether ``_first_defect``
+    finds a defect on ``_REGULARITY_FRAME``, which decides every frame.  The
     witness of a failing matrix is the first such world in canonical order
     (frames, then valuations with the last world fastest, then worlds), on
     the frames of at most two worlds, which hold every defect and come
-    first.  The world-bound errors of ``enumerate_frames`` are raised first,
-    then the lattice size guard of the valuation space, whatever the verdict.
+    first.
 
     The structural side (designated set closed under meet, with its big meet
     designated) is computed independently; on finite lattices the two
     verdicts must coincide.
     """
     lat = matrix.lattice
-    _check_world_bound(max_worlds, unsafe_bounds)
-    _guard_valuation_space(lat.n, 1, 1, unsafe_bounds)  # of the lattice size alone
     witness = None
-    if _first_defect(matrix, _regularity_frame(max_worlds)) is not None:
-        frames = enumerate_frames(min(max_worlds, 2), unsafe_bounds=unsafe_bounds)
+    if _first_defect(matrix, _REGULARITY_FRAME) is not None:
+        frames = enumerate_frames(2)
         witness = next(w for w in (_first_defect(matrix, f) for f in frames) if w is not None)
     return RegularityResult(
         regular=witness is None,
@@ -575,20 +570,15 @@ def check_regularity(
     )
 
 
-def _regularity_frame(max_worlds: int) -> Frame:
-    """The frame that has a regularity defect iff some frame within the
-    bound has one.  A world's []p and "p at every successor" are the pair
-    (meet S, whether S lies in D) of its successors' values S.  Without
-    successors it is (top, True), a defect iff top is not in D; on one
-    world that is the only defect, as a loop gives (x, x in D).  A defect of
-    any S shows on two values: if S lies in D but its meet does not, the
-    running meet leaves D at some a meet s with a and s in D; if the meet
-    lies in D but some s does not, take the meet and s.  The reflexive fan
-    w0 -> {w0, w1} gives every (x meet y, x and y in D) at w0, (top, True)
-    at w1."""
-    if max_worlds == 1:
-        return Frame(("w0",), frozenset())
-    return Frame(("w0", "w1"), frozenset(((0, 0), (0, 1))))
+# The frame that has a regularity defect iff some frame has one.  A world's
+# []p and "p at every successor" are the pair (meet S, whether S lies in D)
+# of its successors' values S; without successors it is (top, True).  A
+# defect of any S shows on two values: if S lies in D but its meet does not,
+# the running meet leaves D at some a meet s with a and s in D; if the meet
+# lies in D but some s does not, take the meet and s.  The reflexive fan
+# w0 -> {w0, w1} gives every (x meet y, x and y in D) at w0, (top, True) at
+# w1.
+_REGULARITY_FRAME = Frame(("w0", "w1"), frozenset(((0, 0), (0, 1))))
 
 
 def _first_defect(matrix: Matrix, frame: Frame) -> RegularityWitness | None:
@@ -644,8 +634,7 @@ def construct_witness(
         if pair is None:
             raise WitnessNotApplicable("designated set is a filter")
         x, y = pair
-        frame = Frame(("w0", "w1"), frozenset(((0, 0), (0, 1))))
-        model = KripkeModel(frame, lat, {(0, "p"): x, (1, "p"): y})
+        model = KripkeModel(_REGULARITY_FRAME, lat, {(0, "p"): x, (1, "p"): y})
         succ_ok = all(world_satisfies(matrix, model, w2, Var("p")) for w2 in (0, 1))
         box_ok = world_satisfies(matrix, model, 0, Box(Var("p")))
         if not (succ_ok and not box_ok):

@@ -70,6 +70,8 @@ def lattice_from_dict(data: dict) -> tuple[Lattice, frozenset[int] | None]:
         pairs = data["leq"]
     except KeyError as exc:
         raise FileFormatError(f"lattice description needs key {exc.args[0]!r}") from None
+    if not isinstance(data.get("name", ""), str):
+        raise FileFormatError('"name" must be a string')
     if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
         raise FileFormatError('"elements" must be a list of strings')
     if len(elements) > MAX_ELEMENTS:

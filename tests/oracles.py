@@ -18,7 +18,9 @@ filter marks whole classes of masks through lookup tables, the box-K
 decision procedure closes value triples under componentwise meet instead
 of touching frames, and the values attained by frame size take the meets
 of box-argument tuples as tuples of elements, level by level, where the
-package packs each tuple into one int and traces its rounds.
+package packs each tuple into one int and traces its rounds, and
+down-distribution is checked on every pair of non-empty subsets where the
+package checks the binary law on triples.
 """
 
 import itertools
@@ -282,6 +284,29 @@ def reference_validate_lattice(elements, pairs):
         if rows[i][j] and rows[j][i]:
             raise NotAPoset((names[i], names[j]))
     return _reference_lattice(names, rows, None, None)
+
+
+def down_distribution_exhaustive(lattice):
+    """The first pair (X, Y) of non-empty subsets, in ascending bitmask
+    order, with meet(X + Y) != meet X + meet Y, X + Y the elementwise
+    join-set, or None: down-distribution over all finite subsets, by
+    definition."""
+    n = lattice.n
+    meet_of = [lattice.top] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        meet_of[mask] = lattice.meet_table[meet_of[mask & (mask - 1)]][low]
+    members = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+    for ma in range(1, 1 << n):
+        for mb in range(1, 1 << n):
+            joined = 0
+            for x in members[ma]:
+                row = lattice.join_table[x]
+                for y in members[mb]:
+                    joined |= 1 << row[y]
+            if meet_of[joined] != lattice.join_table[meet_of[ma]][meet_of[mb]]:
+                return frozenset(members[ma]), frozenset(members[mb])
+    return None
 
 
 def naive_regularity_defect(matrix, frame):

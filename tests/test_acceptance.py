@@ -117,7 +117,7 @@ def test_02_regularity_iff_filter():
     for lat in _lattices(5):
         for upset in _nonempty_upsets(lat):
             cases += 1
-            result = check_regularity(Matrix(lat, upset), 2)
+            result = check_regularity(Matrix(lat, upset))
             if result.regular != result.is_filter:
                 exceptions += 1
     elapsed = time.perf_counter() - start

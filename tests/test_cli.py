@@ -84,16 +84,8 @@ def test_lattice_check_reports_violation(tmp_path, capsys):
 def test_lattice_check_matches_the_golden_files(capsys):
     # witnesses of pairs, of element sets and, on the 3-element chain whose
     # negation is not involutive, of one element
-    for name, lattice, mode in (
-        ("k5_a_b_1", "k5_a_b_1", "fast"),
-        ("k5_a_b_1_exhaustive", "k5_a_b_1", "exhaustive"),
-        ("chain3_0_1", "chain3_0_1", "fast"),
-        ("chain3_pseudo_h_1", "chain3_pseudo_h_1", "fast"),
-    ):
-        code, out, _ = run_cli(
-            capsys, "lattice", "check", str(DATA / f"{lattice}.json"),
-            "--down-distribution", mode, "--compact",
-        )
+    for name in ("k5_a_b_1", "chain3_0_1", "chain3_pseudo_h_1"):
+        code, out, _ = run_cli(capsys, "lattice", "check", str(DATA / f"{name}.json"), "--compact")
         assert code == 0, name
         assert out.encode("utf-8") == (DATA / f"lattice_{name}.json").read_bytes(), name
 
@@ -209,7 +201,7 @@ def test_regular_subcommand(tmp_path, capsys):
     )
     path = tmp_path / "m2.json"
     path.write_text(out)
-    code, out, _ = run_cli(capsys, "regular", "--lattice", str(path), "--max-worlds", "2")
+    code, out, _ = run_cli(capsys, "regular", "--lattice", str(path))
     assert code == 1
     payload = json.loads(out)
     assert payload["regular"] is False
@@ -217,21 +209,52 @@ def test_regular_subcommand(tmp_path, capsys):
     assert payload["witness"]["direction"] == "successors_hold_but_box_fails"
 
 
-def test_regular_refuses_a_lattice_over_the_valuation_guard(tmp_path, capsys):
-    code, out, _ = run_cli(
-        capsys, "construct", "--kind", "boolean:4", "--designated", "1", "--compact"
-    )
-    path = tmp_path / "b16.json"
-    path.write_text(out)
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "regular", "--lattice", str(path), "--max-worlds", "4")
-    assert (code, out) == (2, "")
-    assert err == "error: BoundTooLarge: lattice size 16 exceeds the guard (12)\n"
-    assert time.perf_counter() - start < 5  # refused before any model is scanned
-    code, out, _ = run_cli(
-        capsys, "regular", "--lattice", str(path), "--max-worlds", "2", "--unsafe-bounds"
-    )
-    assert code == 0 and json.loads(out)["regular"] is True
+def test_regular_answers_on_lattices_of_16_and_256_elements(tmp_path, capsys):
+    """regular takes no size guard: on the 16-element Boolean algebra and
+    the 256-element chain, a filter holds and a non-filter fails, each in
+    a fresh process in under 5 s, with the exit code of its structural
+    side."""
+    runs = []
+    for kind, designated in (
+        ("boolean:4", ["1"]), ("boolean:4", ["a", "1"]),
+        ("chain:256", ["1"]), ("chain:256", ["0", "1"]),
+    ):
+        _, out, _ = run_cli(
+            capsys, "construct", "--kind", kind, "--designated", *designated, "--compact"
+        )
+        path = tmp_path / f"{kind.replace(':', '')}_{'_'.join(designated)}.json"
+        path.write_text(out)
+        script = (
+            "import contextlib, io, json, time\n"
+            "from latmodal.cli import main\n"
+            "start = time.perf_counter()\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    code = main(['regular', '--lattice', {str(path)!r}, '--compact'])\n"
+            "print(json.dumps([code, json.loads(out.getvalue()), time.perf_counter() - start]))\n"
+        )
+        start = time.perf_counter()
+        ((code, payload, inside),) = map(json.loads, run_fresh(script))
+        runs.append((code, payload["regular"], payload["structural"]["is_filter"]))
+        assert inside < 5 and time.perf_counter() - start < 5, (kind, designated)
+    assert runs == [(0, True, True), (1, False, False)] * 2
+
+
+def test_options_that_cannot_change_a_verdict_are_usage_errors(capsys):
+    """The world bound and size guard of regular, and the down-distribution
+    mode of lattice check, are gone: each is an unknown argument."""
+    lattice = str(DATA / "k5_a_b_1.json")
+    for argv in (
+        ["regular", "--lattice", lattice, "--max-worlds", "2"],
+        ["regular", "--lattice", lattice, "--unsafe-bounds"],
+        ["lattice", "check", lattice, "--down-distribution", "fast"],
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert "unrecognized arguments" in captured.err, argv
 
 
 def test_valid_query_leaves_numpy_ma_unimported(tmp_path, capsys):
@@ -685,15 +708,19 @@ def test_failing_reports_match_the_golden_files(corrupted_k5, request):
     assert checked == 4
 
 
-def test_regular_matches_the_golden_files(capsys):
-    # one golden per witness direction
-    data = Path(__file__).parent / "data"
-    for name in ("boolean2_a_b_1", "chain3_0_1"):
+def test_regular_matches_the_golden_files(tmp_path, capsys):
+    # one golden per witness direction, and one of 16 elements, made while
+    # regular still refused it without --unsafe-bounds
+    _, out, _ = run_cli(
+        capsys, "construct", "--kind", "boolean:4", "--designated", "a", "1", "--compact"
+    )
+    (tmp_path / "boolean4_a_1.json").write_text(out)
+    for name, folder in (("boolean2_a_b_1", DATA), ("chain3_0_1", DATA), ("boolean4_a_1", tmp_path)):
         code, out, _ = run_cli(
-            capsys, "regular", "--lattice", str(data / f"{name}.json"), "--compact"
+            capsys, "regular", "--lattice", str(folder / f"{name}.json"), "--compact"
         )
         assert code == 1
-        assert out.encode("utf-8") == (data / f"regular_{name}.json").read_bytes()
+        assert out.encode("utf-8") == (DATA / f"regular_{name}.json").read_bytes()
 
 
 def test_entails_matches_the_golden_files(capsys):
@@ -708,8 +735,9 @@ def test_entails_matches_the_golden_files(capsys):
 
 
 def test_regular_at_four_worlds_matches_its_golden_files_without_numpy():
-    """On a regular matrix and a failing one, each of 5 elements, in one
-    fresh process: the one frame decides, the failing matrix alone is
+    """The goldens made at four worlds, on a regular matrix and a failing
+    one, each of 5 elements, match regular, which takes no world bound, in
+    one fresh process: the one frame decides, the failing matrix alone is
     scanned for its witness, and numpy stays unloaded."""
     names = {"chain5_1": 0, "k5_a_b_1": 1}
     script = (
@@ -719,7 +747,7 @@ def test_regular_at_four_worlds_matches_its_golden_files_without_numpy():
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
         f"        code = main(['regular', '--lattice', {str(DATA)!r} + f'/{{name}}.json',"
-        " '--compact', '--max-worlds', '4'])\n"
+        " '--compact'])\n"
         "    print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules]))\n"
     )
     for (name, expected), line in zip(names.items(), run_fresh(script), strict=True):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from latmodal import (
     DEDUCTIVE_EQ1,
     MATERIAL,
-    BoundTooLarge,
     ImplicationTable,
     InvalidInput,
     LatModalError,
@@ -34,6 +33,7 @@ from latmodal import (
 from latmodal.lattice import _from_down_sets, from_leq, propositional_value
 
 from oracles import (
+    down_distribution_exhaustive,
     naive_entailment_witness,
     naive_lattice_tables,
     reference_from_leq,
@@ -359,26 +359,44 @@ def test_m3_not_down_distributive(m3):
 
 
 def test_down_distribution_fast_agrees_with_exhaustive():
-    for n in range(1, 7):
+    """The binary law on triples against the law on every pair of non-empty
+    subsets: every lattice of at most 6 elements as enumerated, and each
+    non-distributive one of at most 7 elements relabelled 30 times at
+    random (seeded).  The verdicts agree, and each witness violates the
+    law; the two witnesses may differ on a relabelled lattice."""
+
+    def violates(lat, witness):
+        fs, gs = witness
+        return big_meet(lat, subset_join(lat, fs, gs)) != lat.join(
+            big_meet(lat, fs), big_meet(lat, gs)
+        )
+
+    def relabelled(lat, perm):
+        # element i of lat becomes element perm[i]
+        names, rows = [None] * lat.n, [[False] * lat.n for _ in range(lat.n)]
+        for i in range(lat.n):
+            names[perm[i]] = lat.elements[i]
+            for j in range(lat.n):
+                rows[perm[i]][perm[j]] = lat.leq[i][j]
+        return from_leq(names, rows)
+
+    rng = random.Random(32)
+    relabelled_cases = other_witness = 0
+    for n in range(1, 8):
         for lat in enumerate_lattices(n):
-            fast = check_lattice_properties(lat, down_distribution_mode="fast")
-            slow = check_lattice_properties(lat, down_distribution_mode="exhaustive")
-            assert fast.down_distribution == slow.down_distribution, lat.name
-            if not slow.down_distribution:
-                fs, gs = slow.down_distribution_witness
-                lhs = big_meet(lat, subset_join(lat, fs, gs))
-                rhs = lat.join(big_meet(lat, fs), big_meet(lat, gs))
-                assert lhs != rhs
-
-
-def test_exhaustive_down_distribution_guard():
-    lat = next(iter(enumerate_lattices(2)))
-    big = validate_lattice(
-        [str(i) for i in range(11)], [(str(i), str(i + 1)) for i in range(10)]
-    )
-    check_lattice_properties(lat, down_distribution_mode="exhaustive")
-    with pytest.raises(BoundTooLarge):
-        check_lattice_properties(big, down_distribution_mode="exhaustive")
+            cases = [lat] if n <= 6 else []
+            if not check_lattice_properties(lat).down_distribution:
+                cases += [relabelled(lat, rng.sample(range(n), n)) for _ in range(30)]
+                relabelled_cases += 30
+            for case in cases:
+                fast = check_lattice_properties(case)
+                slow = down_distribution_exhaustive(case)
+                assert fast.down_distribution == (slow is None), case
+                if slow is not None:
+                    assert violates(case, slow) and violates(case, fast.down_distribution_witness)
+                    other_witness += slow != fast.down_distribution_witness
+    assert relabelled_cases == 1710
+    assert other_witness > 0
 
 
 def test_neg_free_lattice_reports_none(diamond):

@@ -245,53 +245,55 @@ def test_regularity_structural_matches_semantic_small():
     for n in (1, 2, 3, 4):
         for lat in enumerate_lattices(n):
             for upset in enumerate_upsets(lat):
-                result = check_regularity(Matrix(lat, upset), 2)
+                result = check_regularity(Matrix(lat, upset))
                 assert result.regular == result.structural_regular
 
 
 def test_regularity_matches_the_model_scan():
     """check_regularity on each matrix against the scan of the one-variable
-    models."""
+    models on every frame within bounds 2 and 3 (2 on 4 elements): the
+    verdict on all frames shows on two worlds, and so does the first
+    defect."""
     from latmodal import enumerate_lattices, enumerate_upsets
 
     witnesses = 0
     for n in (1, 2, 3, 4):
         for lat in enumerate_lattices(n):
             matrices = [Matrix(lat, upset) for upset in [*enumerate_upsets(lat), frozenset()]]
-            for bound in (1, 2, 3) if n <= 3 else (1, 2):
-                for matrix in matrices:
-                    result = check_regularity(matrix, bound)
-                    w = result.witness
+            for matrix in matrices:
+                result = check_regularity(matrix)
+                w = result.witness
+                for bound in (2, 3) if n <= 3 else (2,):
                     assert _defect(w) == naive_regularity_witness(matrix, bound), (matrix, bound)
-                    assert result.regular == (w is None)
-                    assert w is None or w.recheck()
-                    witnesses += w is not None
+                assert result.regular == (w is None)
+                assert w is None or w.recheck()
+                witnesses += w is not None
     assert witnesses > 0
 
 
 def test_regularity_frame_decides_as_the_frame_scan():
-    """The harness's regularity search, the first defect on the one frame
-    of ``_regularity_frame``, against the scan of the one-variable models:
+    """The harness's regularity search, the first defect on
+    ``_REGULARITY_FRAME``, against the scan of the one-variable models:
     every upset of every lattice of at most 5 elements, the empty one
-    included, at bounds 1 to 3; each witness re-checks itself and has at
-    most min(bound, 2) worlds."""
+    included, at bounds 2 and 3; each witness re-checks itself and has at
+    most 2 worlds."""
     from latmodal import enumerate_lattices, enumerate_upsets
 
     verdicts = {True: 0, False: 0}
+    frame = latmodal.search._REGULARITY_FRAME
     for n in range(1, 6):
         for lat in enumerate_lattices(n):
             matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat)]
             assert frozenset() in [m.designated for m in matrices]
-            for matrix, bound in itertools.product(matrices, (1, 2, 3)):
+            for matrix, bound in itertools.product(matrices, (2, 3)):
                 scan = naive_regularity_witness(matrix, bound)
-                frame = latmodal.search._regularity_frame(bound)
                 witness = latmodal.search._first_defect(matrix, frame)
                 assert (scan is None) == (witness is None), (matrix, bound)
                 if witness is not None:
                     assert witness.recheck(), (matrix, bound)
-                    assert len(witness.model.frame.worlds) <= min(bound, 2)
+                    assert len(witness.model.frame.worlds) <= 2
                 verdicts[witness is None] += 1
-    assert verdicts == {True: 126, False: 48}
+    assert verdicts == {True: 78, False: 38}
 
 
 def test_regularity_matches_the_scan_of_every_frame_within_the_bound():
@@ -299,7 +301,7 @@ def test_regularity_matches_the_scan_of_every_frame_within_the_bound():
     worlds for a failing set's witness, against the scan of the
     one-variable models on every frame within the bound: every designated
     set, upsets or not, the empty one included, of every lattice of at most
-    4 elements at bounds 1 to 3, and of at most 3 elements at bound 4, gets
+    3 elements at bounds 2 to 4, and of 4 elements at bounds 2 and 3, gets
     the same verdict and the same witness."""
     from latmodal import enumerate_lattices
 
@@ -308,19 +310,19 @@ def test_regularity_matches_the_scan_of_every_frame_within_the_bound():
         for lat in enumerate_lattices(n):
             for bits in itertools.product((False, True), repeat=n):
                 matrix = Matrix(lat, frozenset(itertools.compress(range(n), bits)))
-                for bound in (1, 2, 3, 4) if n <= 3 else (1, 2, 3):
-                    result = check_regularity(matrix, bound)
+                result = check_regularity(matrix)
+                for bound in (2, 3, 4) if n <= 3 else (2, 3):
                     scan = naive_regularity_witness(matrix, bound)
                     assert result.regular == (scan is None), (matrix, bound)
                     assert _defect(result.witness) == scan, (matrix, bound)
-                    verdicts[result.regular] += 1
+                verdicts[result.regular] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 
-def test_regularity_scans_at_most_two_worlds_at_every_bound(monkeypatch):
-    """At bound 6, past the world guard, check_regularity asks the frame
-    enumeration for at most 2 worlds and returns what bound 2 returns; the
-    guards still raise as before, whatever the verdict."""
+def test_regularity_scans_at_most_two_worlds(monkeypatch):
+    """check_regularity asks the frame enumeration for 2 worlds, and only
+    for a failing matrix's witness; it answers on a lattice of 13 elements,
+    past what the valuation guard admits."""
     requested = []
     enumerate_frames = latmodal.search.enumerate_frames
 
@@ -329,32 +331,22 @@ def test_regularity_scans_at_most_two_worlds_at_every_bound(monkeypatch):
         return enumerate_frames(max_worlds, **kwargs)
 
     monkeypatch.setattr(latmodal.search, "enumerate_frames", recorded)
-    b2, c3 = boolean_algebra(2), chain(3)
+    b2, c3, c13 = boolean_algebra(2), chain(3), chain(13)
     matrices = [
         matrix_from_names(b2, ["a", "b", "1"]),
         matrix_from_names(c3, ["0", "1"]),
         Matrix(c3, frozenset()),
         matrix_from_names(c3, ["h", "1"]),
+        Matrix(c13, frozenset({12})),
+        Matrix(c13, frozenset({0, 12})),
     ]
+    verdicts = []
     for matrix in matrices:
         requested.clear()
-        result = check_regularity(matrix, 6, unsafe_bounds=True)
+        result = check_regularity(matrix)
         assert requested == ([] if result.regular else [2])
-        assert result == check_regularity(matrix, 2)
-    assert [check_regularity(m, 6, unsafe_bounds=True).regular for m in matrices] == [
-        False, False, False, True,
-    ]
-    for matrix in matrices[::3]:
-        with pytest.raises(BoundTooLarge, match="frame enumeration is guarded to 4 worlds"):
-            check_regularity(matrix, 5)
-        with pytest.raises(InvalidInput, match="world bound must be at least 1, got 0"):
-            check_regularity(matrix, 0)
-    c13 = chain(13)
-    for designated in ({12}, {0, 12}):
-        matrix = Matrix(c13, frozenset(designated))
-        with pytest.raises(BoundTooLarge, match=r"lattice size 13 exceeds the guard \(12\)"):
-            check_regularity(matrix, 2)
-        assert check_regularity(matrix, 2, unsafe_bounds=True).regular == (designated == {12})
+        verdicts.append(result.regular)
+    assert verdicts == [False, False, False, True, True, False]
 
 
 # ---------------------------------------------------------------------------

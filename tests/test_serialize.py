@@ -184,6 +184,32 @@ def test_a_lattice_piped_through_dev_stdin_is_read_whole():
     assert run.stdout == (data / "lattice_chain3_0_1.json").read_bytes()
 
 
+def test_a_name_that_is_not_a_string_is_rejected(tmp_path, capsys):
+    """A lattice's "name" is echoed into reports, so a non-string one is a
+    FileFormatError (exit 2, nothing on stdout), in a lattice file and in
+    a model's inline lattice alike."""
+    from latmodal.cli import main
+
+    lattice = {**chain(3, "flip").to_dict(), "name": [1, {"x": None}], "designated": ["1"]}
+    with pytest.raises(FileFormatError, match='"name" must be a string'):
+        lattice_from_dict(lattice)
+    model = {"lattice": lattice, "worlds": ["w"], "rel": [], "valuation": {"w": {"p": "0"}}}
+    with pytest.raises(FileFormatError, match='"name" must be a string'):
+        model_from_dict(model)
+    (tmp_path / "lattice.json").write_text(dumps(lattice))
+    (tmp_path / "model.json").write_text(dumps(model))
+    lattice_file, model_file = str(tmp_path / "lattice.json"), str(tmp_path / "model.json")
+    for argv in (
+        ["lattice", "check", lattice_file],
+        ["valid", "--lattice", lattice_file, "--formula", "p", "--max-worlds", "1"],
+        ["eval", "--model", model_file, "--formula", "p"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err == 'error: FileFormatError: "name" must be a string\n', argv
+
+
 def test_model_unknown_world_rejected():
     with pytest.raises(FileFormatError):
         model_from_dict(
