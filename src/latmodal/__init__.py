@@ -19,11 +19,11 @@ _EXPORTS = {
     "formula": "And Box Formula Imp Not Or Var is_modal_free modal_depth parse render"
     " substitute variables",
     "harness": "HarnessConfig TheoremReport k5_regression run_suite verify_theorem",
-    "kripke": "BoxMode CounterexampleReport Frame KripkeModel evaluate frame_valid"
-    " model_satisfies world_satisfies",
-    "lattice": "DEDUCTIVE_EQ1 MATERIAL EntailmentResult ImplicationTable Lattice Matrix apply_op"
-    " big_meet build_implication check_designated check_lattice_properties classify_implication"
-    " entails from_leq matrix_from_names propositional_value subset_join validate_lattice",
+    "kripke": "BoxMode CounterexampleReport Frame KripkeModel evaluate model_satisfies"
+    " world_satisfies",
+    "lattice": "DEDUCTIVE_EQ1 MATERIAL EntailmentResult ImplicationTable Lattice Matrix big_meet"
+    " build_implication check_designated check_lattice_properties classify_implication entails"
+    " from_leq matrix_from_names validate_lattice",
     "search": "AXIOM_K BOX_DISJUNCTION_DIST RegularityResult RegularityWitness check_regularity"
     " construct_witness enumerate_frames find_frame_counterexample",
 }

@@ -16,11 +16,10 @@ and rejects them nested deeper than ``MAX_PAREN_DEPTH``.
 
 ``compile_formula`` is the one walk over a formula that the semantics uses:
 it lists the unique subformulas in post order.  ``interpret`` runs that list
-with scalar lattice values, the reference semantics of both ``kripke.evaluate``
-and ``lattice.propositional_value``: one node at a time, each filling a
-column of values over the worlds at which it is needed, read from its
-children's columns with the node's table, from ``Lattice.operation``, picked
-once.  The vectorized semantics, ``kripke._Plan.node_values``, runs the same
+with scalar lattice values, the reference semantics of ``kripke.evaluate``:
+one node at a time, each filling a column of values over the worlds at
+which it is needed, read from its children's columns with the node's table,
+from ``Lattice.operation``, picked once.  The vectorized semantics, ``kripke._Plan.node_values``, runs the same
 list.  ``variables`` and ``modal_depth`` read it too, and ``needed_worlds``
 finds the worlds at which each node is needed: for ``interpret``, for
 ``kripke.frame_root_values``, and, at a world without successors, the nodes

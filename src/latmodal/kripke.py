@@ -15,17 +15,16 @@ and computes one node at a time over the column of worlds at which the
 node is needed, so it touches only the worlds the formula reaches from the
 queried one.  It keeps nothing from one call to the next but the compiled
 formula.
-``frame_valid`` quantifies over every valuation of the formula's variables
-on a frame; it evaluates all valuations at once, on numpy arrays or on
-lists over the whole valuation space, but reports the counterexample that
-comes first in canonical enumeration order (worlds in listed order,
-variables sorted, elements in index order, last slot fastest) and
-re-certifies it with ``evaluate``.  It runs in two steps:
-``frame_root_values``, the root values of a frame, which read no
-designated set, and ``first_failure``, the first counterexample for one
-designated set.  It builds the lattice tables once; that plan is kept for
-the next call while the lattice and formula objects stay the same, as they
-do across the frames of one search and across the designated sets of one
+The frame scan quantifies over every valuation of the formula's variables
+on a frame, in two steps.  ``frame_root_values`` gives the root values of
+the frame, all valuations at once, on numpy arrays or on lists over the
+whole valuation space, and reads no designated set; ``first_failure``
+reports, for one designated set, the counterexample that comes first in
+canonical enumeration order (worlds in listed order, variables sorted,
+elements in index order, last slot fastest) and re-certifies it with
+``evaluate``.  Both read one plan of the lattice tables, kept for the next
+call while the lattice and formula objects stay the same, as they do
+across the frames of one search and across the designated sets of one
 lattice.
 The plan's ``node_values`` is the one vectorized walk of the semantics.
 It runs the node list bottom-up, each node at the worlds a per-node list
@@ -275,7 +274,7 @@ def _guard_valuation_space(n: int, n_worlds: int, n_vars: int, unsafe: bool) -> 
 
 
 class _Plan:
-    """What ``frame_valid``, the type closure of the search and ``entails``
+    """What the frame scan, the type closure of the search and ``entails``
     need of one (lattice, formula), built once: the compiled formula, the
     lattice tables and, per world count and backend, the valuation-space
     layout.  The box mode and the designated set are read per call.
@@ -379,20 +378,6 @@ def _plan_for(lat: Lattice, f: Formula) -> _Plan:
     if plan is None or plan.lattice is not lat or plan.formula is not f:
         plan = _last_plan = _Plan(lat, f)
     return plan
-
-
-def frame_valid(
-    matrix: Matrix,
-    frame: Frame,
-    f: Formula,
-    mode: BoxMode = BoxMode.NORMAL_MEET,
-    *,
-    unsafe_bounds: bool = False,
-) -> CounterexampleReport | None:
-    """Check f on every valuation of the frame; None means frame-valid.
-    On failure returns the canonically first counterexample."""
-    roots = frame_root_values(matrix.lattice, frame, f, mode, unsafe_bounds=unsafe_bounds)
-    return first_failure(matrix, frame, f, roots, mode)
 
 
 def frame_root_values(

@@ -38,7 +38,7 @@ from .errors import (
     NotALattice,
     NotAPoset,
 )
-from .formula import AND, IMP, NOT, OR, Formula, compile_formula, interpret, is_modal_free, variables
+from .formula import AND, IMP, NOT, OR, Formula, is_modal_free, variables
 from .record import Record
 
 MATERIAL = "material"
@@ -88,24 +88,6 @@ class Lattice(Record):
             return self.elements.index(name)
         except ValueError:
             raise InvalidInput(f"unknown element name {name!r}") from None
-
-    def le(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
-
-    def comparable(self, a: int, b: int) -> bool:
-        return self.leq[a][b] or self.leq[b][a]
-
-    def meet(self, a: int, b: int) -> int:
-        return self.meet_table[a][b]
-
-    def join(self, a: int, b: int) -> int:
-        return self.join_table[a][b]
-
-    def negate(self, a: int) -> int:
-        return self.operation(NOT)[a]
-
-    def implies(self, a: int, b: int) -> int:
-        return self.operation(IMP)[a][b]
 
     def operation(self, kind: int) -> tuple:
         """The table of a connective kind of ``formula``: the negation table
@@ -296,35 +278,12 @@ def from_leq(
     return _from_down_sets(names, _down_sets(leq), neg=neg, imp=imp, name=name)
 
 
-def apply_op(lattice: Lattice, operator: str, args: Sequence[int]) -> int:
-    """Apply a named operation (meet, join, neg, imp) by table lookup."""
-    if operator == "meet":
-        (a, b) = args
-        return lattice.meet(a, b)
-    if operator == "join":
-        (a, b) = args
-        return lattice.join(a, b)
-    if operator == "neg":
-        (a,) = args
-        return lattice.negate(a)
-    if operator == "imp":
-        (a, b) = args
-        return lattice.implies(a, b)
-    raise InvalidInput(f"unknown operator {operator!r}")
-
-
 def big_meet(lattice: Lattice, subset: Iterable[int]) -> int:
     """Greatest lower bound of a subset; the empty meet is the top element."""
     result = lattice.top
     for x in subset:
         result = lattice.meet_table[result][x]
     return result
-
-
-def subset_join(lattice: Lattice, xs: Iterable[int], ys: Iterable[int]) -> frozenset[int]:
-    """Elementwise join-set {x + y | x in xs, y in ys}; empty if either is."""
-    ys = list(ys)
-    return frozenset(lattice.join_table[x][y] for x in xs for y in ys)
 
 
 # ---------------------------------------------------------------------------
@@ -527,19 +486,6 @@ def classify_implication(matrix: Matrix) -> ImplicationClassification:
 # Propositional consequence
 
 
-def propositional_value(lattice: Lattice, assignment: dict[str, int], f: Formula) -> int:
-    """Value of a box-free formula under a single valuation of variables:
-    the scalar semantics on one world with no successors."""
-    if not is_modal_free(f):
-        raise ModalFormulaRejected("box operators have no propositional value")
-
-    def unbound(_world: int, name: str) -> InvalidInput:
-        return InvalidInput(f"no value assigned to variable {name!r}")
-
-    valuation = {(0, name): value for name, value in assignment.items()}
-    return interpret(compile_formula(f), 0, valuation, unbound, None, lattice)
-
-
 class EntailmentResult(Record):
     holds: bool
     witness: dict[str, int] | None
@@ -556,7 +502,8 @@ def entails(
 
     Sweeps every valuation of the variables occurring in the premises and
     the conclusion in flat order (sorted variables, element-index order,
-    last variable fastest), a block at a time, and returns the first one
+    last variable fastest), a block of n^k at a time, k the most variables
+    whose valuations fit in ``_ENTAILS_BLOCK``, and returns the first one
     that designates every premise but not the conclusion, if any.  In each
     block every formula in turn runs the plan's list walk at the
     valuations that designate every premise before it, so a missing
@@ -577,20 +524,28 @@ def entails(
             "pass unsafe_bounds=True to override"
         )
     plans = [_Plan(lat, f) for f in [*premises, conclusion]]
-    n, total = lat.n, lat.n ** len(names)
-    strides = {x: n ** (len(names) - 1 - k) for k, x in enumerate(names)}
+    n, total, k = lat.n, lat.n ** len(names), len(names)
+    strides = {x: n ** (len(names) - 1 - j) for j, x in enumerate(names)}
+    while n**k > _ENTAILS_BLOCK:
+        k -= 1
+    # a block is n^k valuations: in every block its last k variables take the
+    # same columns, and each variable before them one value
+    inner = {x: [j // strides[x] % n for j in range(n**k)] for x in names[len(names) - k :]}
 
     def var_value(name: str, _w: int) -> list[int]:
-        return [i // strides[name] % n for i in alive]
+        column = inner.get(name)
+        if column is None:
+            return [start // strides[name] % n] * len(alive)
+        return column if len(alive) == len(column) else [column[j] for j in alive]
 
-    for start in range(0, total, _ENTAILS_BLOCK):
-        alive = range(start, min(start + _ENTAILS_BLOCK, total))  # not yet ruled out
+    for start in range(0, total, n**k):
+        alive = range(n**k)  # the block's offsets not yet ruled out
         for plan in plans:
             if not alive:
                 break
             roots = plan.node_values(var_value, None, plan.list_connective)[len(plan.nodes) - 1, 0]
             last = plan is plans[-1]  # a premise must be designated, the conclusion not
-            alive = [i for i, v in zip(alive, roots) if (v in matrix.designated) != last]
+            alive = [j for j, v in zip(alive, roots) if (v in matrix.designated) != last]
         if alive:
-            return EntailmentResult(False, {x: alive[0] // strides[x] % n for x in names})
+            return EntailmentResult(False, {x: (start + alive[0]) // strides[x] % n for x in names})
     return EntailmentResult(True, None)

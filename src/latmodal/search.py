@@ -35,9 +35,10 @@ one, and takes both from one closure at its fixpoint, scanning no frame
 
 ``check_regularity`` is decided by ``_first_defect`` on the one frame that
 holds a defect of every frame (``_REGULARITY_FRAME``), which the harness
-asks of each matrix too.  Only a failing set is scanned for its
-canonically first defect, over the frames of at most two worlds, one
-valuation of p at a time, with []p read from the meet table.
+asks of each matrix too, one valuation of p at a time, with []p read from
+the meet table.  A failing set's canonically first defect lies on the
+one-world frame without successors where the top is not designated, and
+on ``_REGULARITY_FRAME`` where it is, so no frame is enumerated.
 
 At modal depth <= 1, t(s, c) = t(s) and round m - 1 decides the frames of
 at most m worlds: there c is a meet of at most m - 1 tuples t(s') at an
@@ -539,29 +540,25 @@ class RegularityResult(Record):
     meet_in_designated: bool
     witness: RegularityWitness | None
 
-    @property
-    def structural_regular(self) -> bool:
-        return self.is_filter and self.meet_in_designated
-
 
 def check_regularity(matrix: Matrix) -> RegularityResult:
     """Whether some world of a one-variable model has []p designated but p
     failing at some successor, or the reverse: whether ``_first_defect``
     finds a defect on ``_REGULARITY_FRAME``, which decides every frame.  The
     witness of a failing matrix is the first such world in canonical order
-    (frames, then valuations with the last world fastest, then worlds), on
-    the frames of at most two worlds, which hold every defect and come
-    first.
+    (frames, then valuations with the last world fastest, then worlds).
+    The frames of at most two worlds hold every defect and come first.  On
+    them a world without successors gives (top, True), so it fails iff the
+    top is not designated, and the one-world frame without successors comes
+    first of all; a world of one successor never fails; and
+    ``_REGULARITY_FRAME`` is the first frame with a world of two.
 
     The structural side (designated set closed under meet, with its big meet
     designated) is computed independently; on finite lattices the two
     verdicts must coincide.
     """
     lat = matrix.lattice
-    witness = None
-    if _first_defect(matrix, _REGULARITY_FRAME) is not None:
-        frames = enumerate_frames(2)
-        witness = next(w for w in (_first_defect(matrix, f) for f in frames) if w is not None)
+    witness = _first_defect(matrix, _LEAF_FRAME) or _first_defect(matrix, _REGULARITY_FRAME)
     return RegularityResult(
         regular=witness is None,
         is_filter=check_designated(matrix).is_filter,
@@ -579,6 +576,7 @@ def check_regularity(matrix: Matrix) -> RegularityResult:
 # w0 -> {w0, w1} gives every (x meet y, x and y in D) at w0, (top, True) at
 # w1.
 _REGULARITY_FRAME = Frame(("w0", "w1"), frozenset(((0, 0), (0, 1))))
+_LEAF_FRAME = Frame(("w0",), frozenset())
 
 
 def _first_defect(matrix: Matrix, frame: Frame) -> RegularityWitness | None:

@@ -9,10 +9,11 @@ the classical evaluator works on plain booleans, the many-valued evaluator
 recurses over the formula objects with the lattice's tables instead of
 running the compiled node list, the naive frame scan uses
 itertools plus the scalar reference evaluator ``evaluate`` (which shares
-only the formula compiler with ``frame_valid``), the entailment scan loops
-over valuations where the package decides on arrays, the regularity scan
-covers every frame within the bound where the package decides on one frame
-and scans at most two worlds, the canonical frame key
+only the formula compiler with the package's frame scan), the entailment
+scan loops over valuations with the recursive many-valued evaluator where
+the package sweeps blocks of them through the compiled node list, the
+regularity scan covers every frame within the bound where the package
+reads two fixed frames, the canonical frame key
 relabels relation bitmasks one pair at a time where the package's frame
 filter marks whole classes of masks through lookup tables, the box-K
 decision procedure closes value triples under componentwise meet instead
@@ -21,15 +22,21 @@ of box-argument tuples as tuples of elements, level by level, where the
 package packs each tuple into one int and traces its rounds, and
 down-distribution is checked on every pair of non-empty subsets where the
 package checks the binary law on triples.
+
+Two helpers that the tests share are no oracles: ``scan_frame`` runs the
+package's own frame scan on one frame, and ``subset_join`` forms the
+elementwise join-set that the down-distribution law reads.
 """
 
 import itertools
 
 from latmodal import (
     BoxMode,
+    Frame,
     InvalidInput,
     KripkeModel,
     Lattice,
+    MissingOperation,
     NotALattice,
     NotAPoset,
     enumerate_frames,
@@ -37,7 +44,7 @@ from latmodal import (
     variables,
 )
 from latmodal.formula import And, Box, Imp, Not, Or, Var
-from latmodal.lattice import propositional_value
+from latmodal.kripke import first_failure, frame_root_values
 
 
 def classical_satisfies(successors, valuation, world, formula):
@@ -189,14 +196,32 @@ def naive_entailment_witness(matrix, premises, conclusion):
     but not the conclusion, or None; a formula is evaluated only where the
     ones before it are designated."""
     names = sorted(set().union(*(variables(f) for f in [*premises, conclusion])))
-    designated = matrix.designated
+    frame = Frame(("w0",), frozenset())
+
+    def designated(model, f):
+        error = first_evaluation_error(model, 0, f)
+        if error is not None:
+            raise MissingOperation(error[1])
+        return many_valued_value(model, 0, f) in matrix.designated
+
     for combo in itertools.product(range(matrix.lattice.n), repeat=len(names)):
-        assignment = dict(zip(names, combo))
-        if all(
-            propositional_value(matrix.lattice, assignment, p) in designated for p in premises
-        ) and propositional_value(matrix.lattice, assignment, conclusion) not in designated:
-            return assignment
+        model = KripkeModel(frame, matrix.lattice, {(0, x): v for x, v in zip(names, combo)})
+        if all(designated(model, p) for p in premises) and not designated(model, conclusion):
+            return dict(zip(names, combo))
     return None
+
+
+def scan_frame(matrix, frame, formula, mode=BoxMode.NORMAL_MEET, **bounds):
+    """The package's frame scan on one frame: its canonically first
+    counterexample to the formula, or None."""
+    roots = frame_root_values(matrix.lattice, frame, formula, mode, **bounds)
+    return first_failure(matrix, frame, formula, roots, mode)
+
+
+def subset_join(lattice, xs, ys):
+    """The elementwise join-set {x + y | x in xs, y in ys}, empty if either
+    side is."""
+    return frozenset(lattice.join_table[x][y] for x in xs for y in ys)
 
 
 def naive_lattice_tables(leq):

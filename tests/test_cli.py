@@ -485,14 +485,12 @@ PUBLIC_NAMES = {
     ),
     "harness": "HarnessConfig TheoremReport k5_regression run_suite verify_theorem",
     "kripke": (
-        "BoxMode CounterexampleReport Frame KripkeModel evaluate frame_valid model_satisfies "
-        "world_satisfies"
+        "BoxMode CounterexampleReport Frame KripkeModel evaluate model_satisfies world_satisfies"
     ),
     "lattice": (
-        "DEDUCTIVE_EQ1 MATERIAL EntailmentResult ImplicationTable Lattice Matrix apply_op "
-        "big_meet build_implication check_designated check_lattice_properties "
-        "classify_implication entails from_leq matrix_from_names propositional_value "
-        "subset_join validate_lattice"
+        "DEDUCTIVE_EQ1 MATERIAL EntailmentResult ImplicationTable Lattice Matrix big_meet "
+        "build_implication check_designated check_lattice_properties classify_implication "
+        "entails from_leq matrix_from_names validate_lattice"
     ),
     "search": (
         "AXIOM_K BOX_DISJUNCTION_DIST RegularityResult RegularityWitness check_regularity "
@@ -709,13 +707,21 @@ def test_failing_reports_match_the_golden_files(corrupted_k5, request):
 
 
 def test_regular_matches_the_golden_files(tmp_path, capsys):
-    # one golden per witness direction, and one of 16 elements, made while
-    # regular still refused it without --unsafe-bounds
-    _, out, _ = run_cli(
-        capsys, "construct", "--kind", "boolean:4", "--designated", "a", "1", "--compact"
-    )
-    (tmp_path / "boolean4_a_1.json").write_text(out)
-    for name, folder in (("boolean2_a_b_1", DATA), ("chain3_0_1", DATA), ("boolean4_a_1", tmp_path)):
+    # one golden per witness direction, one of 16 elements, made while
+    # regular still refused it without --unsafe-bounds, and one without the
+    # top designated, whose witness is one world without successors
+    built = (("boolean4_a_1", "boolean:4", "a", "1"), ("chain3_h", "chain:3", "h"))
+    for name, kind, *designated in built:
+        _, out, _ = run_cli(
+            capsys, "construct", "--kind", kind, "--designated", *designated, "--compact"
+        )
+        (tmp_path / f"{name}.json").write_text(out)
+    for name, folder in (
+        ("boolean2_a_b_1", DATA),
+        ("chain3_0_1", DATA),
+        ("boolean4_a_1", tmp_path),
+        ("chain3_h", tmp_path),
+    ):
         code, out, _ = run_cli(
             capsys, "regular", "--lattice", str(folder / f"{name}.json"), "--compact"
         )
@@ -754,6 +760,19 @@ def test_regular_at_four_worlds_matches_its_golden_files_without_numpy():
         code, out, numpy_loaded = json.loads(line)
         assert (code, numpy_loaded) == (expected, False), name
         assert out.encode("utf-8") == (DATA / f"regular_w4_{name}.json").read_bytes()
+
+
+def test_the_k5_implication_script_runs():
+    """scripts/search_k5_implications.py, which reads the search's private
+    closure rounds, runs in a fresh process, exits 0 and reports what its
+    docstring says: no middle-pair variant keeps box-K, and the shipped
+    table does, implicative but not linear outside the designated set."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "search_k5_implications.py"
+    lines = run_fresh(f"import runpy; runpy.run_path({str(script)!r}, run_name='__main__')")
+    assert "0 of 64 middle-pair variants keep box-K" in lines
+    assert lines[-1] == (
+        "full damp + (a imp a)=f: box-K valid | implicative: True | linear outside: False"
+    )
 
 
 # each valid golden: its name, lattice file, formula and world bound, with

@@ -26,12 +26,13 @@ def test_lattice_counts():
 
 def test_three_elements_is_a_chain():
     (lat,) = enumerate_lattices(3)
-    assert all(lat.comparable(a, b) for a in range(3) for b in range(3))
+    assert all(lat.leq[a][b] or lat.leq[b][a] for a in range(3) for b in range(3))
 
 
 def test_four_elements_chain_and_diamond():
     lats = list(enumerate_lattices(4))
-    chains = [lat for lat in lats if all(lat.comparable(a, b) for a in range(4) for b in range(4))]
+    pairs = list(itertools.product(range(4), repeat=2))
+    chains = [lat for lat in lats if all(lat.leq[a][b] or lat.leq[b][a] for a, b in pairs)]
     assert len(lats) == 2 and len(chains) == 1
 
 
@@ -123,7 +124,7 @@ def test_upsets_include_empty_and_full(c3):
     for up in ups:
         for a in up:
             for b in range(c3.n):
-                if c3.le(a, b):
+                if c3.leq[a][b]:
                     assert b in up
 
 

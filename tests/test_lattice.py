@@ -17,7 +17,6 @@ from latmodal import (
     ModalFormulaRejected,
     NotALattice,
     NotAPoset,
-    apply_op,
     big_meet,
     build_implication,
     check_designated,
@@ -27,10 +26,10 @@ from latmodal import (
     enumerate_lattices,
     matrix_from_names,
     parse,
-    subset_join,
     validate_lattice,
 )
-from latmodal.lattice import _from_down_sets, from_leq, propositional_value
+from latmodal.formula import AND, IMP, NOT
+from latmodal.lattice import _from_down_sets, from_leq
 
 from oracles import (
     down_distribution_exhaustive,
@@ -38,6 +37,7 @@ from oracles import (
     naive_lattice_tables,
     reference_from_leq,
     reference_validate_lattice,
+    subset_join,
 )
 
 
@@ -58,8 +58,8 @@ def test_two_element_chain():
 
 def test_diamond_tables(diamond):
     a, b = diamond.index("a"), diamond.index("b")
-    assert diamond.elements[diamond.meet(a, b)] == "0"
-    assert diamond.elements[diamond.join(a, b)] == "1"
+    assert diamond.elements[diamond.meet_table[a][b]] == "0"
+    assert diamond.elements[diamond.join_table[a][b]] == "1"
 
 
 def test_closure_accepts_transitive_inputs():
@@ -169,28 +169,28 @@ def test_constructors_match_the_boolean_row_references():
 
 def test_lattice_laws_on_enumerated_lattices():
     for lat in all_small_lattices(5):
-        n = lat.n
+        n, meet, join = lat.n, lat.meet_table, lat.join_table
         for a in range(n):
-            assert lat.meet(a, a) == a and lat.join(a, a) == a
+            assert meet[a][a] == a and join[a][a] == a
             for b in range(n):
-                assert lat.meet(a, b) == lat.meet(b, a)
-                assert lat.join(a, b) == lat.join(b, a)
-                assert lat.meet(a, lat.join(a, b)) == a  # absorption
-                assert lat.join(a, lat.meet(a, b)) == a
+                assert meet[a][b] == meet[b][a]
+                assert join[a][b] == join[b][a]
+                assert meet[a][join[a][b]] == a  # absorption
+                assert join[a][meet[a][b]] == a
                 for c in range(n):
-                    assert lat.meet(a, lat.meet(b, c)) == lat.meet(lat.meet(a, b), c)
-                    assert lat.join(a, lat.join(b, c)) == lat.join(lat.join(a, b), c)
+                    assert meet[a][meet[b][c]] == meet[meet[a][b]][c]
+                    assert join[a][join[b][c]] == join[join[a][b]][c]
 
 
 def test_meet_join_agree_with_order():
     for lat in all_small_lattices(5):
         for a in range(lat.n):
             for b in range(lat.n):
-                m = lat.meet(a, b)
-                assert lat.le(m, a) and lat.le(m, b)
+                m, leq = lat.meet_table[a][b], lat.leq
+                assert leq[m][a] and leq[m][b]
                 for k in range(lat.n):
-                    if lat.le(k, a) and lat.le(k, b):
-                        assert lat.le(k, m)
+                    if leq[k][a] and leq[k][b]:
+                        assert leq[k][m]
 
 
 
@@ -229,23 +229,23 @@ def test_tables_match_the_bounds_searched_by_definition():
 
 
 # ---------------------------------------------------------------------------
-# apply_op / big_meet / subset_join
+# Lattice.operation / big_meet
 
 
-def test_apply_op_examples(diamond, c3):
+def test_operation_examples(diamond, c3):
     a, b = diamond.index("a"), diamond.index("b")
-    assert apply_op(diamond, "meet", (a, b)) == diamond.index("0")
+    assert diamond.operation(AND)[a][b] == diamond.index("0")
     h = c3.index("h")
-    assert apply_op(c3, "neg", (h,)) == h
+    assert c3.operation(NOT)[h] == h
     c3m = c3.with_imp(build_implication(c3, MATERIAL))
-    assert apply_op(c3m, "imp", (h, c3.index("0"))) == h
+    assert c3m.operation(IMP)[h][c3.index("0")] == h
 
 
-def test_apply_op_missing_operation(diamond):
+def test_operation_missing_operation(diamond):
     with pytest.raises(MissingOperation):
-        apply_op(diamond, "neg", (0,))
+        diamond.operation(NOT)
     with pytest.raises(MissingOperation):
-        apply_op(diamond, "imp", (0, 0))
+        diamond.operation(IMP)
 
 
 def test_big_meet_examples(c3, diamond):
@@ -262,18 +262,10 @@ def test_big_meet_is_greatest_lower_bound():
         for r in range(1, lat.n + 1):
             for subset in itertools.combinations(elements, r):
                 m = big_meet(lat, subset)
-                assert all(lat.le(m, x) for x in subset)
+                assert all(lat.leq[m][x] for x in subset)
                 for k in elements:
-                    if all(lat.le(k, x) for x in subset):
-                        assert lat.le(k, m)
-
-
-def test_subset_join_examples(c3, diamond):
-    a, b = diamond.index("a"), diamond.index("b")
-    assert subset_join(diamond, {a}, {b}) == {diamond.index("1")}
-    z, h = c3.index("0"), c3.index("h")
-    assert subset_join(c3, {z, h}, {h}) == {h}
-    assert subset_join(diamond, {a}, set()) == frozenset()
+                    if all(lat.leq[k][x] for x in subset):
+                        assert lat.leq[k][m]
 
 
 def test_superadditivity_small():
@@ -287,8 +279,8 @@ def test_superadditivity_small():
         ]
         for fs in subsets:
             for gs in subsets:
-                lhs = lat.join(big_meet(lat, fs), big_meet(lat, gs))
-                assert lat.le(lhs, big_meet(lat, subset_join(lat, fs, gs)))
+                lhs = lat.join_table[big_meet(lat, fs)][big_meet(lat, gs)]
+                assert lat.leq[lhs][big_meet(lat, subset_join(lat, fs, gs))]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +320,8 @@ def test_k5_not_linear_outside(k5):
     assert not props.linear_outside
     lat = k5.lattice
     assert lat.elements[props.linear_witness[0]] == "a"
-    assert not lat.comparable(*props.linear_witness)
+    x, y = props.linear_witness
+    assert not (lat.leq[x][y] or lat.leq[y][x])
 
 
 def test_empty_designated_allowed(c3, diamond):
@@ -353,7 +346,7 @@ def test_m3_not_down_distributive(m3):
     fs, gs = props.down_distribution_witness
     # the reported witness really violates the law
     lhs = big_meet(m3, subset_join(m3, fs, gs))
-    rhs = m3.join(big_meet(m3, fs), big_meet(m3, gs))
+    rhs = m3.join_table[big_meet(m3, fs)][big_meet(m3, gs)]
     assert lhs != rhs
     assert fs == {m3.index("a")} and gs == {m3.index("b"), m3.index("c")}
 
@@ -367,9 +360,8 @@ def test_down_distribution_fast_agrees_with_exhaustive():
 
     def violates(lat, witness):
         fs, gs = witness
-        return big_meet(lat, subset_join(lat, fs, gs)) != lat.join(
-            big_meet(lat, fs), big_meet(lat, gs)
-        )
+        rhs = lat.join_table[big_meet(lat, fs)][big_meet(lat, gs)]
+        return big_meet(lat, subset_join(lat, fs, gs)) != rhs
 
     def relabelled(lat, perm):
         # element i of lat becomes element perm[i]
@@ -528,7 +520,11 @@ def test_entails_matches_the_valuation_loop():
 def test_entails_sweeps_past_one_block():
     """18 variables on the 2-chain, which sort as strings, so x0 varies
     slowest: the one witness, x0 = 0 and every other variable 1, lies at
-    flat index 2^17 - 1, and a negation of x0 is first reached there."""
+    flat index 2^17 - 1, and a negation of x0 is first reached there.  10
+    variables on the 3-chain: a block holds 3^8 valuations, over which x02
+    to x09 vary while x00 and x01 are constant.  The one witness, x00 = 2,
+    x01 = x02 = 0 and every other variable 2, lies in block 6 of 9, and a
+    negation of x01 is first reached there."""
     from latmodal import chain
 
     matrix = matrix_from_names(chain(2, "none"), ["1"])
@@ -540,12 +536,39 @@ def test_entails_sweeps_past_one_block():
     with pytest.raises(MissingOperation):
         entails(matrix, [premise], parse("~x0"))
 
+    matrix = matrix_from_names(chain(3, "none"), ["1"])
+    rest = [f"x{i:02d}" for i in range(3, 10)]
+    premise = parse(" & ".join(["x00", *rest]))
+    result = entails(matrix, [premise], parse("x01 | x02"))
+    assert not result.holds
+    assert result.witness == {"x00": 2, "x01": 0, "x02": 0, **dict.fromkeys(rest, 2)}
+    with pytest.raises(MissingOperation):
+        entails(matrix, [premise], parse("~x01 | x02"))
 
-def test_propositional_value_against_tables(c3_material_lp):
-    lat = c3_material_lp.lattice
-    h = lat.index("h")
-    value = propositional_value(lat, {"p": h, "q": lat.index("0")}, parse("~p | q"))
-    assert value == h
+
+def test_entails_matches_the_valuation_loop_at_every_block_size(monkeypatch):
+    """Blocks of 1 to 7 valuations, so that a block holds n^k of them for k
+    from 0 to 1 on the 4-chain and Belnap's lattice: the witness and the
+    missing operation are the oracle's."""
+    import latmodal.lattice
+    from latmodal import belnap_four, chain, enumerate_upsets
+
+    formulas = [parse(s) for s in ("p", "~q", "p -> q", "~q | r", "(p -> q) -> r")]
+    lattices = [chain(4, "none"), belnap_four()]
+    queries = [
+        (Matrix(lat, upset), [premise], conclusion)
+        for lat in (lat.with_imp(build_implication(lat, DEDUCTIVE_EQ1)) for lat in lattices)
+        for upset in enumerate_upsets(lat)
+        for premise in formulas
+        for conclusion in formulas
+    ]
+    expected = [_outcome(naive_entailment_witness, *args) for args in queries]
+    assert {type(e) for e in expected} == {type(None), dict, str}
+    for block in (1, 3, 4, 7):
+        monkeypatch.setattr(latmodal.lattice, "_ENTAILS_BLOCK", block)
+        for args, outcome in zip(queries, expected):
+            result = _outcome(entails, *args)
+            assert (result if isinstance(result, str) else result.witness) == outcome, args
 
 
 def test_custom_implication_table_roundtrip(c3):

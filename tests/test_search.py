@@ -36,7 +36,7 @@ from latmodal.search import (
     _decide_on_all_frames,
 )
 
-from oracles import canonical_frame_key, naive_regularity_witness, values_by_size
+from oracles import canonical_frame_key, naive_regularity_witness, scan_frame, values_by_size
 
 
 def test_frame_counts():
@@ -196,7 +196,6 @@ def test_regularity_failure_diamond():
     m2 = boolean_algebra(2)
     result = check_regularity(matrix_from_names(m2, ["a", "b", "1"]))
     assert not result.regular
-    assert not result.structural_regular
     assert result.is_filter is False
     w = result.witness
     assert w.direction == "successors_hold_but_box_fails"
@@ -236,7 +235,6 @@ def test_regularity_empty_designated(c3):
     assert not result.regular
     assert result.is_filter  # vacuously meet-closed
     assert not result.meet_in_designated  # empty meet (top) is not designated
-    assert not result.structural_regular
 
 
 def test_regularity_structural_matches_semantic_small():
@@ -246,7 +244,7 @@ def test_regularity_structural_matches_semantic_small():
         for lat in enumerate_lattices(n):
             for upset in enumerate_upsets(lat):
                 result = check_regularity(Matrix(lat, upset))
-                assert result.regular == result.structural_regular
+                assert result.regular == (result.is_filter and result.meet_in_designated)
 
 
 def test_regularity_matches_the_model_scan():
@@ -297,15 +295,16 @@ def test_regularity_frame_decides_as_the_frame_scan():
 
 
 def test_regularity_matches_the_scan_of_every_frame_within_the_bound():
-    """check_regularity, decided on one frame and scanning at most two
-    worlds for a failing set's witness, against the scan of the
-    one-variable models on every frame within the bound: every designated
-    set, upsets or not, the empty one included, of every lattice of at most
-    3 elements at bounds 2 to 4, and of 4 elements at bounds 2 and 3, gets
-    the same verdict and the same witness."""
+    """check_regularity, which reads a failing set's witness off two fixed
+    frames, against the scan of the one-variable models on every frame
+    within the bound: every designated set, upsets or not, the empty one
+    and those without the top included, of every lattice of at most 3
+    elements at bounds 2 to 4, and of 4 elements at bounds 2 and 3, gets
+    the same verdict and the same witness, on one world and on two."""
     from latmodal import enumerate_lattices
 
     verdicts = {True: 0, False: 0}
+    witness_worlds = {1: 0, 2: 0}
     for n in (1, 2, 3, 4):
         for lat in enumerate_lattices(n):
             for bits in itertools.product((False, True), repeat=n):
@@ -316,13 +315,16 @@ def test_regularity_matches_the_scan_of_every_frame_within_the_bound():
                     assert result.regular == (scan is None), (matrix, bound)
                     assert _defect(result.witness) == scan, (matrix, bound)
                 verdicts[result.regular] += 1
+                if result.witness is not None:
+                    witness_worlds[len(result.witness.model.frame.worlds)] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
+    assert witness_worlds[1] > 0 and witness_worlds[2] > 0
 
 
 def test_regularity_scans_at_most_two_worlds(monkeypatch):
-    """check_regularity asks the frame enumeration for 2 worlds, and only
-    for a failing matrix's witness; it answers on a lattice of 13 elements,
-    past what the valuation guard admits."""
+    """check_regularity never asks the frame enumeration for a frame, for a
+    failing matrix's witness either; it answers on a lattice of 13
+    elements, past what the valuation guard admits."""
     requested = []
     enumerate_frames = latmodal.search.enumerate_frames
 
@@ -344,7 +346,7 @@ def test_regularity_scans_at_most_two_worlds(monkeypatch):
     for matrix in matrices:
         requested.clear()
         result = check_regularity(matrix)
-        assert requested == ([] if result.regular else [2])
+        assert requested == []
         verdicts.append(result.regular)
     assert verdicts == [False, False, False, True, True, False]
 
@@ -389,7 +391,7 @@ def test_nonlinear_k_witness():
     value = evaluate(model, 0, AXIOM_K)
     # the falsifying value is the meet of the incomparable pair
     a, b = matrix.lattice.index("a"), matrix.lattice.index("b")
-    assert value == matrix.lattice.meet(a, b)
+    assert value == matrix.lattice.meet_table[a][b]
     assert value not in matrix.designated
 
 
@@ -600,7 +602,7 @@ def test_list_and_array_frame_scans_agree():
 
 def _first_failing_world_count(matrix, f, frames):
     return next(
-        (len(fr.worlds) for fr in frames if kripke.frame_valid(matrix, fr, f) is not None),
+        (len(fr.worlds) for fr in frames if scan_frame(matrix, fr, f) is not None),
         None,
     )
 
@@ -663,7 +665,7 @@ def test_exact_check_skips_the_frame_scan_only_where_it_applies(monkeypatch, c3_
 
 def _plain_scan(matrix, f, max_worlds, mode=BoxMode.NORMAL_MEET):
     for frame in enumerate_frames(max_worlds):
-        report = kripke.frame_valid(matrix, frame, f, mode)
+        report = scan_frame(matrix, frame, f, mode)
         if report is not None:
             return report.to_dict()
     return None
