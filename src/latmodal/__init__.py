@@ -16,11 +16,10 @@ _EXPORTS = {
     "errors": "BoundTooLarge FileFormatError FormulaSyntaxError InvalidInput LatModalError"
     " MissingOperation ModalFormulaRejected NotALattice NotAPoset NotBoolean UnboundVariable"
     " WitnessNotApplicable",
-    "formula": "And Box Formula Imp Not Or Var is_modal_free modal_depth parse render"
-    " substitute variables",
+    "formula": "And Box Formula Imp Not Or Var erase_boxes is_modal_free modal_depth parse"
+    " render substitute variables",
     "harness": "HarnessConfig TheoremReport k5_regression run_suite verify_theorem",
-    "kripke": "BoxMode CounterexampleReport Frame KripkeModel evaluate model_satisfies"
-    " world_satisfies",
+    "kripke": "CounterexampleReport Frame KripkeModel evaluate model_satisfies world_satisfies",
     "lattice": "DEDUCTIVE_EQ1 MATERIAL EntailmentResult ImplicationTable Lattice Matrix big_meet"
     " build_implication check_designated check_lattice_properties classify_implication entails"
     " from_leq matrix_from_names validate_lattice",

@@ -24,8 +24,8 @@ import sys
 
 from . import THEOREM_IDS
 from .errors import LatModalError, NotALattice, NotAPoset
-from .formula import parse, render
-from .kripke import BoxMode, evaluate
+from .formula import erase_boxes, parse, render
+from .kripke import evaluate
 from .lattice import (
     DEDUCTIVE_EQ1,
     MATERIAL,
@@ -38,7 +38,9 @@ from .lattice import (
 )
 from .serialize import dumps, load_lattice, load_model
 
-_BOX_MODES = {"normal": BoxMode.NORMAL_MEET, "local": BoxMode.LOCAL}
+# --box local reads []f as f at the same world: the normal box on the
+# formula with its boxes erased
+_BOXES = ["local", "normal"]
 
 
 def _print(text: str) -> bool:
@@ -120,7 +122,7 @@ def _cmd_lattice(args) -> int:
 def _cmd_eval(args) -> int:
     model, designated = load_model(args.model)
     formula = parse(args.formula)
-    mode = _BOX_MODES[args.box]
+    evaluated = erase_boxes(formula) if args.box == "local" else formula
     worlds = model.frame.worlds
     targets = range(len(worlds))
     if args.world is not None:
@@ -130,7 +132,7 @@ def _cmd_eval(args) -> int:
     values = {}
     all_designated = True
     for w in targets:
-        value = evaluate(model, w, formula, mode)
+        value = evaluate(model, w, evaluated)
         entry = {"value": model.lattice.elements[value]}
         if designated is not None:
             entry["designated"] = value in designated
@@ -147,12 +149,9 @@ def _cmd_valid(args) -> int:
 
     matrix = _require_matrix(args.lattice)
     formula = parse(args.formula)
+    searched = erase_boxes(formula) if args.box == "local" else formula
     report = find_frame_counterexample(
-        matrix,
-        formula,
-        args.max_worlds,
-        _BOX_MODES[args.box],
-        unsafe_bounds=args.unsafe_bounds,
+        matrix, searched, args.max_worlds, unsafe_bounds=args.unsafe_bounds
     )
     if report is None:
         _emit(
@@ -165,7 +164,8 @@ def _cmd_valid(args) -> int:
             },
         )
         return 0
-    _emit(args, {"valid": False, "counterexample": report.to_dict()})
+    counterexample = {**report.to_dict(), "formula": render(formula), "box": args.box}
+    _emit(args, {"valid": False, "counterexample": counterexample})
     return 1
 
 
@@ -299,13 +299,13 @@ _COMMANDS = {
         ("--model", {"required": True}),
         ("--formula", {"required": True}),
         ("--world", {}),
-        ("--box", {"choices": sorted(_BOX_MODES), "default": "normal"}),
+        ("--box", {"choices": _BOXES, "default": "normal"}),
     ]),
     "valid": ("search frames for a counterexample", True, [
         ("--lattice", {"required": True}),
         ("--formula", {"required": True}),
         ("--max-worlds", {"type": int, "required": True}),
-        ("--box", {"choices": sorted(_BOX_MODES), "default": "normal"}),
+        ("--box", {"choices": _BOXES, "default": "normal"}),
     ]),
     "entails": ("brute-force the consequence relation", True, [
         ("--lattice", {"required": True}),

@@ -1,4 +1,4 @@
-"""Modal propositional formulas: AST, text syntax, and substitution.
+"""Modal propositional formulas: AST, text syntax, and rewrites.
 
 Grammar (ASCII, lowest precedence first; unicode aliases accepted on input):
 
@@ -287,6 +287,15 @@ def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
     """Simultaneous replacement of mapped variables; unmapped ones unchanged.
     Walks f iteratively, each distinct subformula object once."""
     return _fold(f, lambda v: mapping.get(v.name, v), lambda g, images: type(g)(*images))
+
+
+def erase_boxes(f: Formula) -> Formula:
+    """f with each ``[]g`` read as g: the degenerate local box, whose value
+    at a world is its argument's at the same world.  Walks f iteratively,
+    each distinct subformula object once."""
+    return _fold(
+        f, lambda v: v, lambda g, images: images[0] if type(g) is Box else type(g)(*images)
+    )
 
 
 # ---------------------------------------------------------------------------

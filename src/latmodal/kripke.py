@@ -3,9 +3,9 @@ successors box semantics.
 
 The value of ``[]f`` at a world is the greatest lower bound of the values of
 ``f`` at the world's successors, so a world with no successors gives every
-boxed formula the top value.  A degenerate "local" box mode (``[]f`` is just
-``f`` at the same world) is also provided for probing which properties force
-the meet semantics.
+boxed formula the top value.  The degenerate "local" box, ``[]f`` read as
+``f`` at the same world, is no second semantics here but a rewrite of the
+formula, ``formula.erase_boxes``.
 
 Both evaluators run on one compiled form of the formula, the post-order
 list of its unique subformulas from ``formula.compile_formula``.
@@ -44,7 +44,6 @@ loads it: building a plan loads none, and ``evaluate``, model checking and
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
@@ -72,11 +71,6 @@ MAX_LATTICE_SIZE = 12
 MAX_WORLDS = 4
 MAX_VARIABLES = 3
 MAX_VALUATION_SPACE = 1 << 24
-
-
-class BoxMode(enum.Enum):
-    NORMAL_MEET = "normal"
-    LOCAL = "local"
 
 
 class Frame(Record):
@@ -168,12 +162,7 @@ class KripkeModel(Record):
         }
 
 
-def evaluate(
-    model: KripkeModel,
-    world: int,
-    f: Formula,
-    mode: BoxMode = BoxMode.NORMAL_MEET,
-) -> int:
+def evaluate(model: KripkeModel, world: int, f: Formula) -> int:
     """Value of f at a world, computed on the compiled formula at only the
     worlds it reaches, one node at a time over those worlds.  A variable
     without a value at a world it needs raises ``UnboundVariable`` for the
@@ -187,32 +176,21 @@ def evaluate(
     def unbound(w: int, name: str) -> UnboundVariable:
         return UnboundVariable(worlds[w], name)
 
-    # the local box takes the meet over the world itself: its own value
-    successors = model.frame.successors if mode is BoxMode.NORMAL_MEET else lambda w: (w,)
-    return interpret(compile_formula(f), world, model.valuation, unbound, successors, model.lattice)
+    return interpret(
+        compile_formula(f), world, model.valuation, unbound, model.frame.successors, model.lattice
+    )
 
 
-def world_satisfies(
-    matrix: Matrix,
-    model: KripkeModel,
-    world: int,
-    f: Formula,
-    mode: BoxMode = BoxMode.NORMAL_MEET,
-) -> bool:
+def world_satisfies(matrix: Matrix, model: KripkeModel, world: int, f: Formula) -> bool:
     _check_same_lattice(matrix, model)
-    return evaluate(model, world, f, mode) in matrix.designated
+    return evaluate(model, world, f) in matrix.designated
 
 
-def model_satisfies(
-    matrix: Matrix,
-    model: KripkeModel,
-    f: Formula,
-    mode: BoxMode = BoxMode.NORMAL_MEET,
-) -> tuple[bool, int | None]:
+def model_satisfies(matrix: Matrix, model: KripkeModel, f: Formula) -> tuple[bool, int | None]:
     """Whether every world satisfies f; reports the first failing world."""
     _check_same_lattice(matrix, model)
     for w in range(len(model.frame.worlds)):
-        if evaluate(model, w, f, mode) not in matrix.designated:
+        if evaluate(model, w, f) not in matrix.designated:
             return False, w
     return True, None
 
@@ -240,10 +218,9 @@ class CounterexampleReport(Record):
     formula: Formula
     world: int
     value: int
-    box_mode: BoxMode
 
     def recheck(self) -> bool:
-        value = evaluate(self.model, self.world, self.formula, self.box_mode)
+        value = evaluate(self.model, self.world, self.formula)
         return value == self.value and value not in self.matrix.designated
 
     def to_dict(self) -> dict:
@@ -253,7 +230,7 @@ class CounterexampleReport(Record):
         d["world"] = self.model.frame.worlds[self.world]
         d["value"] = self.matrix.lattice.elements[self.value]
         d["designated"] = self.matrix.designated_names()
-        d["box"] = self.box_mode.value
+        d["box"] = "normal"
         return d
 
 
@@ -277,7 +254,7 @@ class _Plan:
     """What the frame scan, the type closure of the search and ``entails``
     need of one (lattice, formula), built once: the compiled formula, the
     lattice tables and, per world count and backend, the valuation-space
-    layout.  The box mode and the designated set are read per call.
+    layout.  The designated set is read per call.
     Building a plan loads no numpy: its array tables are made on first
     array use, so the closure, the list scan of the search and ``entails``
     run on a plan with list tables alone."""
@@ -384,7 +361,6 @@ def frame_root_values(
     lat: Lattice,
     frame: Frame,
     f: Formula,
-    mode: BoxMode = BoxMode.NORMAL_MEET,
     *,
     unsafe_bounds: bool = False,
     lists: bool = False,
@@ -402,26 +378,20 @@ def frame_root_values(
     _, var_values, top, _ = plan.layout(n_worlds, lists)
     connective = plan.list_connective if lists else plan.connective
     nodes = plan.nodes
-    # the local box takes the meet over the world itself: its own value
-    successors = [(w,) if mode is BoxMode.LOCAL else frame.successors(w) for w in range(n_worlds)]
 
     def meet(i: int, w: int, values: dict) -> list | np.ndarray:
         out, a = top, nodes[i][1]  # the meet of no values; top meet v is v
-        for w2 in successors[w]:
+        for w2 in frame.successors(w):
             out = values[a, w2] if out is top else connective(AND, out, values[a, w2])
         return out
 
-    needed = needed_worlds(nodes, range(n_worlds), successors.__getitem__)
+    needed = needed_worlds(nodes, range(n_worlds), frame.successors)
     values = plan.node_values(lambda name, w: var_values[w, name], meet, connective, needed)
     return [values[len(nodes) - 1, w] for w in range(n_worlds)]
 
 
 def first_failure(
-    matrix: Matrix,
-    frame: Frame,
-    f: Formula,
-    roots: list,
-    mode: BoxMode = BoxMode.NORMAL_MEET,
+    matrix: Matrix, frame: Frame, f: Formula, roots: list
 ) -> CounterexampleReport | None:
     """The canonically first counterexample to f on the frame in the matrix,
     from the root values ``frame_root_values`` gives on its lattice, lists
@@ -449,7 +419,7 @@ def first_failure(
     assignment = {slot: (best // strides[k]) % plan.n for k, slot in enumerate(slots)}
     model = KripkeModel(frame, matrix.lattice, assignment)
     for w in range(len(frame.worlds)):
-        value = evaluate(model, w, f, mode)
+        value = evaluate(model, w, f)
         if value not in matrix.designated:
-            return CounterexampleReport(matrix, model, f, w, value, mode)
+            return CounterexampleReport(matrix, model, f, w, value)
     raise AssertionError("the frame scan found a failure the evaluator cannot reproduce")

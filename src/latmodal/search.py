@@ -25,7 +25,7 @@ frames iff its root values at the (s, c) with c in C all lie in the
 designated set D.  The closure reads no D: it depends only on the lattice
 and the formula, and a matrix's verdict is the inclusion of the root values
 attained in its D.  Each round meets only the new tuples with the others.
-C can grow exponentially with the modal depth, so past a budget of rows the
+C can grow exponentially with the modal depth, so past a budget of work the
 closure ends without a fixpoint round and the frame scan decides instead.
 
 The harness asks instead the verdict on all frames of every designated set
@@ -98,7 +98,6 @@ from .formula import (
     variables,
 )
 from .kripke import (
-    BoxMode,
     CounterexampleReport,
     Frame,
     MAX_VALUATION_SPACE,
@@ -176,10 +175,12 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round]:
     with the root among its own successors), as a list of bools, whether
     the round had no new tuple to evaluate, which is the fixpoint and the
     last round, and the round's unfold of a value into its fan, None at
-    modal depth > 1.  The rounds end without a fixpoint once the rows
-    evaluated and met exceed MAX_VALUATION_SPACE: the closure can grow
-    exponentially with the modal depth.  Reads no designated set.  Needs
-    every connective of f defined.
+    modal depth > 1.  The rounds end without a fixpoint once their work
+    exceeds MAX_VALUATION_SPACE: the closure can grow exponentially with the
+    modal depth.  The work is the cells (row, valuation) evaluated, at modal
+    depth > 1 times the formula's nodes, each evaluated at every cell, and
+    the meets of rows taken.  Reads no designated set.  Needs every connective of f
+    defined.
 
     Each row (box-value tuple) is one int: the down-set codes of its
     values, n bits each (bit x of a value's code is set for each x below
@@ -211,7 +212,7 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round]:
     nodes, names, n = plan.nodes, plan.names, plan.n
     connective, root = plan.list_connective, len(nodes) - 1
     box_ids = [i for i, (kind, _, _) in enumerate(nodes) if kind == BOX]
-    shifts = [j * n for j in range(len(box_ids))]
+    shifts = {i: j * n for j, i in enumerate(box_ids)}  # box node id -> its field's shift
     down = _down_sets(lat.leq)
     element, field = {code: a for a, code in enumerate(down)}, (1 << n) - 1
     row_bits = n * len(box_ids)
@@ -220,20 +221,21 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round]:
     valuations = list(itertools.product(range(n), repeat=len(names)))
     columns = dict(zip(names, map(list, zip(*valuations))))
     bounded = modal_depth(plan.formula) <= 1
+    cost = len(valuations) * (1 if bounded else len(nodes))  # the work of a row
 
     def encode(values: dict, size: int) -> list[int]:
-        """The row of box-argument values at each of the size positions."""
-        fields = [
-            [down[v] << shift for v in values[nodes[i][1], 0]] for i, shift in zip(box_ids, shifts)
-        ]
-        return list(map(sum, zip(*fields))) if fields else [0] * size
+        """The row of box-argument values at each of the size positions,
+        one row at a time: a part-row per box and position would take
+        memory quadratic in the boxes."""
+        args = [(values[nodes[i][1], 0], shift) for i, shift in shifts.items()]
+        return [sum(down[a[k]] << shift for a, shift in args) for k in range(size)]
 
     def decode(rows: list[int], repeat: int = 1) -> Callable:
         """The box values of ``node_values``: a box's values in each row,
         each repeated."""
 
         def box_value(i: int, w: int, values: dict) -> list[int]:
-            shift = shifts[box_ids.index(i)]
+            shift = shifts[i]
             return [v for c in rows for v in [element[c >> shift & field]] * repeat]
 
         return box_value
@@ -327,7 +329,7 @@ def _closure_rounds(lat: Lattice, f: Formula) -> Iterator[_Round]:
         return unfold
 
     while True:
-        work += len(new) * len(valuations)
+        work += len(new) * cost
         if work > MAX_VALUATION_SPACE:
             return
         roots, found, meets = root_values(new)
@@ -374,7 +376,7 @@ def _fan(plan: _Plan, rounds: Sequence[_Round], matrix: Matrix) -> Counterexampl
     worlds = tuple(f"w{w}" for w in range(len(valuations)))
     rel = {(0, w) for w in range(0 if loop else 1, len(worlds))}
     model = KripkeModel(Frame(worlds, frozenset(rel)), plan.lattice, assignment)
-    return CounterexampleReport(matrix, model, plan.formula, 0, value, BoxMode.NORMAL_MEET)
+    return CounterexampleReport(matrix, model, plan.formula, 0, value)
 
 
 def _decide_on_all_frames(
@@ -395,8 +397,8 @@ def _decide_on_all_frames(
             fan = functools.partial(_fan, _plan_for(lat, f), rounds)
             return [fan(m) if was else None for was, m in zip(failed, matrices)]
     raise BoundTooLarge(
-        f"the closure of box-value tuples outgrew its budget of {MAX_VALUATION_SPACE} rows "
-        "before its fixpoint"
+        f"the closure of box-value tuples outgrew its budget of {MAX_VALUATION_SPACE} cells "
+        "and meets before its fixpoint"
     )
 
 
@@ -404,15 +406,14 @@ def find_frame_counterexample(
     matrix: Matrix,
     f: Formula,
     max_worlds: int,
-    mode: BoxMode = BoxMode.NORMAL_MEET,
     *,
     unsafe_bounds: bool = False,
 ) -> CounterexampleReport | None:
     """First counterexample to frame validity over all frames within the
     world bound, or None: the first one of the canonical frame scan.
 
-    The local box never reads the relation, so the first frame, one world
-    without successors, decides it.  Under the normal box the closure of
+    A formula without a box never reads the relation, so the first frame,
+    one world without successors, decides it.  Otherwise the closure of
     box-value tuples (see the module docstring) comes first where the
     matrix defines every connective of f and the valuation guard admits
     max_worlds worlds (and so every smaller count): f holds where the root
@@ -422,11 +423,10 @@ def find_frame_counterexample(
     errors are raised: the world bound first, then the valuation guard of
     the first world count that no counterexample comes before.
     """
-    lat, n_vars = matrix.lattice, len(variables(f))
+    lat, n_vars, depth = matrix.lattice, len(variables(f)), modal_depth(f)
     _check_world_bound(max_worlds, unsafe_bounds)
-    if mode is BoxMode.LOCAL:
-        # the local box never reads the relation, so the first frame decides
-        report = _scan_frames(matrix, f, [Frame(("w0",), frozenset())], mode, unsafe_bounds)
+    if depth == 0:
+        report = _scan_frames(matrix, f, [_LEAF_FRAME], unsafe_bounds)
         for n_worlds in range(2, max_worlds + 1) if report is None else ():
             _guard_valuation_space(lat.n, n_worlds, n_vars, unsafe_bounds)
         return report
@@ -436,7 +436,7 @@ def find_frame_counterexample(
         _guard_valuation_space(lat.n, max_worlds, n_vars, unsafe_bounds)
     except BoundTooLarge:
         exact = False  # the scan raises it, or finds a counterexample first
-    failed, bounded = False, modal_depth(f) <= 1
+    failed, bounded = False, depth <= 1
     start = 1  # the fewest worlds of a frame that may hold a first counterexample
     if exact:
         # at depth <= 1 round m decides the frames of at most m worlds; the
@@ -452,7 +452,7 @@ def find_frame_counterexample(
                 return None
     frames = enumerate_frames(max_worlds, unsafe_bounds=unsafe_bounds)
     frames = itertools.dropwhile(lambda frame: len(frame.worlds) < start, frames)
-    report = _scan_frames(matrix, f, frames, mode, unsafe_bounds)
+    report = _scan_frames(matrix, f, frames, unsafe_bounds)
     if bounded and failed and report is None:
         raise AssertionError("the meet-closure found a failure the frame scan did not")
     return report
@@ -470,7 +470,7 @@ _SCALAR_SCAN_BOUND = 1 << 20
 
 
 def _scan_frames(
-    matrix: Matrix, f: Formula, frames: Iterable[Frame], mode: BoxMode, unsafe_bounds: bool
+    matrix: Matrix, f: Formula, frames: Iterable[Frame], unsafe_bounds: bool
 ) -> CounterexampleReport | None:
     """The first counterexample on the frames, in order, or None: each
     frame's root values, then ``first_failure`` on them.  The values are
@@ -483,8 +483,8 @@ def _scan_frames(
         k = len(frame.worlds)
         spent += k * len(plan.nodes) * plan.n ** (k * len(plan.names))
         lists = lists and spent <= _SCALAR_SCAN_BOUND
-        roots = frame_root_values(lat, frame, f, mode, unsafe_bounds=unsafe_bounds, lists=lists)
-        report = first_failure(matrix, frame, f, roots, mode)
+        roots = frame_root_values(lat, frame, f, unsafe_bounds=unsafe_bounds, lists=lists)
+        report = first_failure(matrix, frame, f, roots)
         if report is not None:
             return report
     return None

@@ -7,7 +7,9 @@ constructors close and check their orders on boolean rows, element by
 element, where the package does both on the bitmasks,
 the classical evaluator works on plain booleans, the many-valued evaluator
 recurses over the formula objects with the lattice's tables instead of
-running the compiled node list, the naive frame scan uses
+running the compiled node list, and reads the local box, a box at the
+world itself, by a flag on that recursion where the package erases the
+boxes from the formula, the naive frame scan uses
 itertools plus the scalar reference evaluator ``evaluate`` (which shares
 only the formula compiler with the package's frame scan), the entailment
 scan loops over valuations with the recursive many-valued evaluator where
@@ -31,7 +33,6 @@ elementwise join-set that the down-distribution law reads.
 import itertools
 
 from latmodal import (
-    BoxMode,
     Frame,
     InvalidInput,
     KripkeModel,
@@ -77,16 +78,19 @@ def _children(g):
     return (g.child,) if isinstance(g, (Not, Box)) else (g.left, g.right)
 
 
-def _box_successors(model, world, mode):
-    if mode is BoxMode.LOCAL:
+def _box_successors(model, world, local):
+    """The worlds whose meet a box at the world takes: under the local box
+    the world itself, else its successors."""
+    if local:
         return [world]
     return sorted(j for i, j in model.frame.rel if i == world)
 
 
-def many_valued_value(model, world, formula, mode=BoxMode.NORMAL_MEET):
+def many_valued_value(model, world, formula, local=False):
     """Value of a formula at a world by recursion over the formula objects,
     reading the lattice's tables directly; each (subformula object, world)
-    is computed once, so shared subformulas cost no more than in a DAG."""
+    is computed once, so shared subformulas cost no more than in a DAG.
+    With ``local``, a box takes its argument's value at the same world."""
     lat = model.lattice
     memo = {}
 
@@ -99,7 +103,7 @@ def many_valued_value(model, world, formula, mode=BoxMode.NORMAL_MEET):
                 memo[key] = lat.neg[value(w, g.child)]
             elif isinstance(g, Box):
                 result = lat.top
-                for w2 in _box_successors(model, w, mode):
+                for w2 in _box_successors(model, w, local):
                     result = lat.meet_table[result][value(w2, g.child)]
                 memo[key] = result
             else:
@@ -115,7 +119,7 @@ def many_valued_value(model, world, formula, mode=BoxMode.NORMAL_MEET):
     return value(world, formula)
 
 
-def first_evaluation_error(model, world, formula, mode=BoxMode.NORMAL_MEET):
+def first_evaluation_error(model, world, formula, local=False):
     """The error that evaluating the formula at a world must raise, or None:
     over the distinct subformulas in post order (left child first, equal
     subformulas once, at their first occurrence), the first that fails at a
@@ -139,7 +143,7 @@ def first_evaluation_error(model, world, formula, mode=BoxMode.NORMAL_MEET):
         for c in _children(g):
             below = needed[subformulas.index(c)]
             for w in needed[k]:
-                below.update(_box_successors(model, w, mode) if isinstance(g, Box) else [w])
+                below.update(_box_successors(model, w, local) if isinstance(g, Box) else [w])
     lat = model.lattice
     for g, worlds in zip(subformulas, needed):
         if not worlds:
@@ -179,14 +183,14 @@ def canonical_frame_key(n_worlds, rel):
     return _frame_mask_key(mask, n_worlds, perms)
 
 
-def naive_frame_counterexample(matrix, frame, formula, names, mode=BoxMode.NORMAL_MEET):
+def naive_frame_counterexample(matrix, frame, formula, names):
     """First failing (valuation, world) by explicit product enumeration."""
     lat = matrix.lattice
     slots = [(w, x) for w in range(len(frame.worlds)) for x in sorted(names)]
     for combo in itertools.product(range(lat.n), repeat=len(slots)):
         model = KripkeModel(frame, lat, dict(zip(slots, combo)))
         for w in range(len(frame.worlds)):
-            if evaluate(model, w, formula, mode) not in matrix.designated:
+            if evaluate(model, w, formula) not in matrix.designated:
                 return dict(zip(slots, combo)), w
     return None
 
@@ -211,11 +215,11 @@ def naive_entailment_witness(matrix, premises, conclusion):
     return None
 
 
-def scan_frame(matrix, frame, formula, mode=BoxMode.NORMAL_MEET, **bounds):
+def scan_frame(matrix, frame, formula, **bounds):
     """The package's frame scan on one frame: its canonically first
     counterexample to the formula, or None."""
-    roots = frame_root_values(matrix.lattice, frame, formula, mode, **bounds)
-    return first_failure(matrix, frame, formula, roots, mode)
+    roots = frame_root_values(matrix.lattice, frame, formula, **bounds)
+    return first_failure(matrix, frame, formula, roots)
 
 
 def subset_join(lattice, xs, ys):

@@ -480,13 +480,11 @@ PUBLIC_NAMES = {
         "UnboundVariable WitnessNotApplicable"
     ),
     "formula": (
-        "And Box Formula Imp Not Or Var is_modal_free modal_depth parse render substitute "
-        "variables"
+        "And Box Formula Imp Not Or Var erase_boxes is_modal_free modal_depth parse render "
+        "substitute variables"
     ),
     "harness": "HarnessConfig TheoremReport k5_regression run_suite verify_theorem",
-    "kripke": (
-        "BoxMode CounterexampleReport Frame KripkeModel evaluate model_satisfies world_satisfies"
-    ),
+    "kripke": "CounterexampleReport Frame KripkeModel evaluate model_satisfies world_satisfies",
     "lattice": (
         "DEDUCTIVE_EQ1 MATERIAL EntailmentResult ImplicationTable Lattice Matrix big_meet "
         "build_implication check_designated check_lattice_properties classify_implication "
@@ -854,6 +852,54 @@ def test_deeply_nested_formula_is_an_input_error(tmp_path, capsys):
         "--max-worlds", "1",
     )
     assert code == 1 and json.loads(out)["valid"] is False
+
+
+def test_valid_under_the_local_box_searches_the_formula_with_its_boxes_erased(capsys):
+    """On the depth-1 and depth-2 formulas of the search tests: valid --box
+    local gives what valid gives on the formula with its boxes erased, the
+    exit code, the counterexample and the error alike, and prints the
+    formula as given, with "box": "local"."""
+    from latmodal import erase_boxes, render
+    from test_search import DEPTH1_FORMULAS, DEPTH2_FORMULAS
+
+    lattices = ["chain3_eq1_h_1", "boolean2_material_1", "k5_a_b_1", "boolean2_a_b_1"]
+    codes = set()
+    for f, lattice, bound in itertools.product(
+        [*DEPTH1_FORMULAS, *DEPTH2_FORMULAS], lattices, ("2", "3")
+    ):
+        argv = ["valid", "--lattice", str(DATA / f"{lattice}.json"), "--max-worlds", bound]
+        local = run_cli(capsys, *argv, "--formula", render(f), "--box", "local")
+        erased = run_cli(capsys, *argv, "--formula", render(erase_boxes(f)))
+        assert local[::2] == erased[::2], (render(f), lattice, bound)
+        codes.add(local[0])
+        if local[0] == 2:
+            assert local[1] == erased[1] == ""
+            continue
+        outputs = [json.loads(out) for out in (local[1], erased[1])]
+        given = [d.get("counterexample", d) for d in outputs]
+        assert (given[0].pop("formula"), given[0].pop("box")) == (render(f), "local")
+        assert (given[1].pop("formula"), given[1].pop("box")) == (render(erase_boxes(f)), "normal")
+        assert outputs[0] == outputs[1], (render(f), lattice, bound)
+    assert codes == {0, 1, 2}
+
+
+def test_a_deep_chain_of_boxes_fails_in_1_gib():
+    """valid on 1,000 nested boxes, in a fresh process under a 1 GiB
+    address-space limit: the closure, whose rows are 3,000 bits wide, gives
+    up within its budget and the frame scan finds the reflexive world where
+    p is 0."""
+    argv = ["valid", "--lattice", str(DATA / "chain3_eq1_h_1.json"), "--formula",
+            "[]" * 1000 + "p", "--max-worlds", "2", "--compact"]
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from latmodal.cli import main\n"
+        f"print(main({argv!r}))\n"
+    )
+    *out, code = run_fresh(script)
+    assert code == "1"
+    counterexample = json.loads(out[0])["counterexample"]
+    assert counterexample["rel"] == [["w0", "w0"]] and counterexample["value"] == "0"
 
 
 def test_undecodable_files_are_input_errors(tmp_path, capsys):

@@ -271,7 +271,7 @@ def test_a_closure_past_its_budget_raises_instead_of_scanning(monkeypatch, capsy
     monkeypatch.setattr(latmodal.search, "frame_root_values", no_scan)
     monkeypatch.setattr(latmodal.search, "MAX_VALUATION_SPACE", 64)
     for theorem in ("k_linear", "twist_k"):
-        with pytest.raises(BoundTooLarge, match="outgrew its budget of 64 rows before"):
+        with pytest.raises(BoundTooLarge, match="outgrew its budget of 64 cells and meets before"):
             verify_theorem(theorem, 4)
     code = main(["verify", "--theorem", "k_linear", "--max-size", "4"])
     captured = capsys.readouterr()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from latmodal import (
     DEDUCTIVE_EQ1,
     BoundTooLarge,
-    BoxMode,
     Frame,
     MATERIAL,
     InvalidInput,
@@ -22,6 +21,7 @@ from latmodal import (
     chain,
     enumerate_frames,
     enumerate_lattices,
+    erase_boxes,
     evaluate,
     matrix_from_names,
     model_satisfies,
@@ -72,8 +72,8 @@ def test_meet_with_top_is_identity(c3):
 
 def test_local_box_mode(c3):
     model = fan_model(c3, {(0, "p"): "0", (1, "p"): "1", (2, "p"): "1"})
-    assert evaluate(model, 0, parse("[]p"), BoxMode.LOCAL) == c3.index("0")
-    assert evaluate(model, 0, parse("[]p"), BoxMode.NORMAL_MEET) == c3.index("1")
+    assert evaluate(model, 0, erase_boxes(parse("[]p"))) == c3.index("0")
+    assert evaluate(model, 0, parse("[]p")) == c3.index("1")
 
 
 def test_world_satisfies_examples(b2, c3, m2):
@@ -164,11 +164,12 @@ def test_deeply_nested_formula_needs_no_recursion(c3):
     assert render(f) == "~" * 5000 + "p"
     boxed = substitute(f, {"p": Box(Var("q"))})
     assert render(boxed) == "~" * 5000 + "[]q" and modal_depth(boxed) == 1
+    assert erase_boxes(boxed) == substitute(f, {"p": Var("q")})
 
 
 def test_consecutive_evaluations_match_fresh_ones(c3_eq1):
     # equal formulas as distinct objects, and one formula object on
-    # different models and box modes, in a row
+    # different models, each formula followed by its boxes erased, in a row
     import latmodal.formula
 
     lat = c3_eq1.lattice
@@ -177,13 +178,8 @@ def test_consecutive_evaluations_match_fresh_ones(c3_eq1):
     models = [KripkeModel(frame, lat, valuation) for frame in (FAN, cycle)]
     k = parse("[](p -> q) -> ([]p -> []q)")
     formulas = [parse("[]p -> p"), parse("[]p -> p"), k, parse("[][]p & ~q"), k]
-    calls = [
-        (model, w, f, mode)
-        for f in formulas
-        for model in models
-        for mode in BoxMode
-        for w in range(3)
-    ]
+    formulas = [g for f in formulas for g in (f, erase_boxes(f))]
+    calls = [(model, w, f) for f in formulas for model in models for w in range(3)]
     consecutive = [evaluate(*call) for call in calls]
     fresh = []
     for call in calls:
@@ -250,9 +246,9 @@ def eval_models(draw):
     return KripkeModel(Frame(tuple(f"w{w}" for w in range(n)), rel), lat, valuation)
 
 
-def _outcome(model, world, f, mode):
+def _outcome(model, world, f):
     try:
-        return evaluate(model, world, f, mode)
+        return evaluate(model, world, f)
     except UnboundVariable as exc:
         return ("unbound", exc.world, exc.variable)
     except MissingOperation as exc:
@@ -260,17 +256,20 @@ def _outcome(model, world, f, mode):
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(eval_models(), eval_formulas(), st.sampled_from(BoxMode))
-def test_evaluate_matches_the_recursive_oracle(model, f, mode):
+@given(eval_models(), eval_formulas(), st.booleans())
+def test_evaluate_matches_the_recursive_oracle(model, f, local):
     """At every world: the value of the recursive evaluator, or the error
     the contract names, the first needed (world, variable) or the first
     needed operation in node post order; unbound pairs and missing
-    operations where the formula does not reach are never read."""
+    operations where the formula does not reach are never read.  The
+    local box, which the package reads as the formula with its boxes
+    erased, against the oracle's own rule for it."""
+    evaluated = erase_boxes(f) if local else f
     for w in range(len(model.frame.worlds)):
-        expected = first_evaluation_error(model, w, f, mode)
+        expected = first_evaluation_error(model, w, f, local)
         if expected is None:
-            expected = many_valued_value(model, w, f, mode)
-        assert _outcome(model, w, f, mode) == expected, (render(f), w)
+            expected = many_valued_value(model, w, f, local)
+        assert _outcome(model, w, evaluated) == expected, (render(f), w)
 
 
 def test_the_first_needed_unbound_pair_is_named(c3):
@@ -284,7 +283,7 @@ def test_the_first_needed_unbound_pair_is_named(c3):
         assert (exc.value.world, exc.value.variable) == named, text
     # the local box needs p at w1 only
     with pytest.raises(UnboundVariable) as exc:
-        evaluate(model, 0, parse("[]p & q"), BoxMode.LOCAL)
+        evaluate(model, 0, erase_boxes(parse("[]p & q")))
     assert (exc.value.world, exc.value.variable) == ("w1", "p")
 
 
@@ -370,7 +369,7 @@ def test_naw_biconditional_on_filter_matrices():
 # the frame scan on one frame
 
 
-def test_frame_valid_classical_k(b2):
+def test_the_frame_scan_holds_classical_k(b2):
     mat = matrix_from_names(
         b2.with_imp(build_implication(b2, "material")), ["1"]
     )
@@ -378,7 +377,7 @@ def test_frame_valid_classical_k(b2):
         assert scan_frame(mat, frame, parse("[](p -> q) -> ([]p -> []q)")) is None
 
 
-def test_frame_valid_finds_proof_counterexample(m2):
+def test_the_frame_scan_finds_the_proof_counterexample(m2):
     lat = m2.with_imp(build_implication(m2, DEDUCTIVE_EQ1))
     mat = matrix_from_names(lat, ["1"])
     report = scan_frame(mat, FAN, parse("[](p -> q) -> ([]p -> []q)"))
@@ -399,7 +398,7 @@ def test_frame_valid_finds_proof_counterexample(m2):
     assert not ok and world == 0
 
 
-def test_frame_valid_matches_naive_scan(c3_eq1, m2):
+def test_the_frame_scan_matches_the_naive_scan(c3_eq1, m2):
     formulas = [
         parse("[](p -> q) -> ([]p -> []q)"),
         parse("([]p | []q) -> [](p | q)"),
@@ -430,43 +429,37 @@ def test_frame_valid_matches_naive_scan(c3_eq1, m2):
                     assert report.recheck()
 
 
-def test_frame_valid_local_mode(c3_eq1):
-    # local box turns box-K into the propositional tautology shape
+def test_the_frame_scan_of_a_formula_with_its_boxes_erased(c3_eq1):
+    # the local box turns []p -> p into the tautology p -> p
     frame = Frame(("w",), frozenset())
     assert (
-        scan_frame(c3_eq1, frame, parse("[]p -> p"), BoxMode.LOCAL) is None
+        scan_frame(c3_eq1, frame, erase_boxes(parse("[]p -> p"))) is None
     )
 
 
-def test_frame_valid_consecutive_calls_match_fresh_ones(c3_eq1):
-    # same matrix and formula objects, different mode or formula
+def test_consecutive_frame_scans_match_fresh_ones(c3_eq1):
+    # same matrix and formula objects, the boxes erased or another formula
     import latmodal.formula
     import latmodal.kripke
 
     frame = Frame(("w1", "w2"), frozenset(((0, 1),)))
     f, g = parse("[]p -> p"), parse("[]p -> q")
-    calls = [
-        (BoxMode.NORMAL_MEET, f),
-        (BoxMode.LOCAL, f),
-        (BoxMode.NORMAL_MEET, f),
-        (BoxMode.NORMAL_MEET, g),
-        (BoxMode.NORMAL_MEET, f),
-    ]
+    calls = [f, erase_boxes(f), f, g, f]
 
-    def run(mode, formula):
-        report = scan_frame(c3_eq1, frame, formula, mode)
+    def run(formula):
+        report = scan_frame(c3_eq1, frame, formula)
         return None if report is None else report.to_dict()
 
-    consecutive = [run(*call) for call in calls]
+    consecutive = [run(call) for call in calls]
     fresh = []
     for call in calls:
         latmodal.kripke._last_plan = latmodal.formula._last_compiled = None
-        fresh.append(run(*call))
+        fresh.append(run(call))
     assert consecutive == fresh
     assert fresh[1] is None and fresh[3] != fresh[4]
 
 
-def test_frame_valid_guards():
+def test_the_frame_scan_guards_the_valuation_space():
     big = next(iter(enumerate_lattices(5)))
     big = big.with_imp(build_implication(big, DEDUCTIVE_EQ1))
     mat = Matrix(big, frozenset({big.top}))
@@ -475,7 +468,7 @@ def test_frame_valid_guards():
         scan_frame(mat, frame, parse("[]p -> ([]q -> []r)"))
 
 
-def test_frame_valid_deterministic(c3_eq1):
+def test_the_frame_scan_is_deterministic(c3_eq1):
     frame = Frame(("w1", "w2"), frozenset(((0, 0), (0, 1))))
     f = parse("[]p -> []q")
     first = scan_frame(c3_eq1, frame, f)

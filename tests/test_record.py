@@ -6,7 +6,6 @@ import pytest
 from latmodal import formula, harness, kripke, lattice, search
 from latmodal import (
     Box,
-    BoxMode,
     CounterexampleReport,
     EntailmentResult,
     Frame,
@@ -55,7 +54,7 @@ FIELDS = {
     "EntailmentResult": ("holds", "witness"),
     "Frame": ("worlds", "rel"),
     "KripkeModel": ("frame", "lattice", "valuation"),
-    "CounterexampleReport": ("matrix", "model", "formula", "world", "value", "box_mode"),
+    "CounterexampleReport": ("matrix", "model", "formula", "world", "value"),
     "RegularityWitness": ("matrix", "model", "world", "box_value", "direction"),
     "RegularityResult": ("regular", "is_filter", "meet_in_designated", "witness"),
     "TheoremReport": ("theorem", "universe", "cases", "failures", "notes"),
@@ -112,9 +111,7 @@ def test_equal_fields_make_equal_records_with_equal_hashes():
     # a model holds its valuation as a dict: equal, but unhashable
     frame, lat = first[8], first[2]
     reports = [
-        CounterexampleReport(
-            matrix, KripkeModel(frame, lat, {(0, "p"): 0}), parse("p"), 0, 0, BoxMode.NORMAL_MEET
-        )
+        CounterexampleReport(matrix, KripkeModel(frame, lat, {(0, "p"): 0}), parse("p"), 0, 0)
         for matrix in (first[3], second[3])
     ]
     assert reports[0] == reports[1] and reports[0] != reports[0]._replace(world=1)

@@ -8,7 +8,6 @@ from latmodal import (
     DEDUCTIVE_EQ1,
     MATERIAL,
     BoundTooLarge,
-    BoxMode,
     InvalidInput,
     Matrix,
     MissingOperation,
@@ -539,7 +538,7 @@ def test_closure_rounds_match_the_oracle_round_by_round():
     assert compared == 134
 
 
-def test_each_closure_backend_ends_at_its_fixpoint():
+def test_the_closure_ends_at_its_fixpoint():
     """The closure's rounds end with exactly one fixpoint round: on box-K,
     on a formula without a box (tuples of width 0) and at modal depth 2.
     At most 50 rounds are taken, so a closure that kept yielding fails
@@ -550,12 +549,12 @@ def test_each_closure_backend_ends_at_its_fixpoint():
         assert fixpoints == [False] * (len(fixpoints) - 1) + [True], f
 
 
-def test_scalar_and_array_closures_give_up_after_the_same_rounds(monkeypatch):
-    """The closure counts the rows it evaluates and meets, at modal depth 1
-    too, where it evaluates keys instead of rows, so under any budget it
-    ends, without a fixpoint round and without a round of None, where the
-    budget runs out, and its rounds so far are those of the closure
-    without a budget."""
+def test_the_closure_gives_up_where_its_budget_runs_out(monkeypatch):
+    """The closure counts its work on the rows it evaluates and meets, at
+    modal depth 1 too, where it evaluates keys instead of rows, so under any
+    budget it ends, without a fixpoint round and without a round of None,
+    where the budget runs out, and its rounds so far are those of the
+    closure without a budget."""
     ends = {"fixpoint": 0, "gave up": 0}
     for lat in _lattices_up_to(4):
         for f in [AXIOM_K, parse("p & []q -> []p"), *DEPTH2_FORMULAS]:
@@ -575,9 +574,9 @@ def test_scalar_and_array_closures_give_up_after_the_same_rounds(monkeypatch):
 def test_list_and_array_frame_scans_agree():
     """The frame scan's two backends, called directly (this process has
     numpy loaded, so a search would take the arrays): on every matrix of at
-    most 4 elements and every canonical frame of at most 3 worlds, in both
-    box modes, the root values agree and each matrix gets the same first
-    failure from either, or None from both."""
+    most 4 elements and every canonical frame of at most 3 worlds, the root
+    values agree and each matrix gets the same first failure from either,
+    or None from both."""
     import numpy as np
     from latmodal import enumerate_upsets
 
@@ -585,17 +584,17 @@ def test_list_and_array_frame_scans_agree():
     cases = {"failing": 0, "passing": 0}
     for lat in _lattices_up_to(4):
         matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat)]
-        for f, frame, mode in itertools.product(
-            [AXIOM_K, BOX_DISJUNCTION_DIST, BOX_P, *DEPTH2_FORMULAS], frames, BoxMode
+        for f, frame in itertools.product(
+            [AXIOM_K, BOX_DISJUNCTION_DIST, BOX_P, *DEPTH2_FORMULAS], frames
         ):
-            lists = kripke.frame_root_values(lat, frame, f, mode, lists=True)
-            arrays = kripke.frame_root_values(lat, frame, f, mode)
+            lists = kripke.frame_root_values(lat, frame, f, lists=True)
+            arrays = kripke.frame_root_values(lat, frame, f)
             shape = (lat.n,) * (len(frame.worlds) * len(formula.variables(f)))
             flat = [np.broadcast_to(values, shape).ravel().tolist() for values in arrays]
-            assert lists == flat, (lat, f, frame, mode)
+            assert lists == flat, (lat, f, frame)
             for matrix in matrices:
-                report = _dict(kripke.first_failure(matrix, frame, f, lists, mode))
-                assert report == _dict(kripke.first_failure(matrix, frame, f, arrays, mode))
+                report = _dict(kripke.first_failure(matrix, frame, f, lists))
+                assert report == _dict(kripke.first_failure(matrix, frame, f, arrays))
                 cases["passing" if report is None else "failing"] += 1
     assert cases["failing"] > 0 and cases["passing"] > 0
 
@@ -653,19 +652,27 @@ def test_exact_check_skips_the_frame_scan_only_where_it_applies(monkeypatch, c3_
     deep = parse("[]([]p -> q) -> ([][]p -> []q)")
     assert find_frame_counterexample(c3_material_lp, deep, 2) is None
     assert calls == []
-    # the local box never reads the relation: the first frame decides, built
-    # without enumerating frames
+    # a formula without a box never reads the relation: the first frame
+    # decides, built without enumerating frames, and each larger world
+    # count is only guarded
+    plain = [_plain_scan(c3_material_lp, parse(text), 4) for text in ("p -> p", "p")]
     monkeypatch.setattr(latmodal.search, "enumerate_frames", None)
-    local = find_frame_counterexample(c3_material_lp, AXIOM_K, 2, BoxMode.LOCAL)
-    assert local is None and len(calls) == 1
-    report = find_frame_counterexample(c3_material_lp, parse("[]p"), 4, BoxMode.LOCAL)
-    assert _dict(report) == _plain_scan(c3_material_lp, parse("[]p"), 4, BoxMode.LOCAL)
-    assert len(calls) == 2
+    assert find_frame_counterexample(c3_material_lp, parse("p -> p"), 4) is None
+    assert plain[0] is None
+    assert len(calls) == 1
+    report = find_frame_counterexample(c3_material_lp, parse("p"), 4)
+    assert _dict(report) == plain[1] and len(calls) == 2
+    # every value designated, but past the guard at 4 worlds: only the
+    # one-world frame is scanned before the guard raises
+    five = Matrix(chain(5), frozenset(range(5)))
+    with pytest.raises(BoundTooLarge, match="^5\\^12 valuations exceed the guard"):
+        find_frame_counterexample(five, parse("p | q | r"), 4)
+    assert len(calls) == 3 and len(calls[2].worlds) == 1
 
 
-def _plain_scan(matrix, f, max_worlds, mode=BoxMode.NORMAL_MEET):
+def _plain_scan(matrix, f, max_worlds):
     for frame in enumerate_frames(max_worlds):
-        report = scan_frame(matrix, frame, f, mode)
+        report = scan_frame(matrix, frame, f)
         if report is not None:
             return report.to_dict()
     return None
@@ -839,8 +846,8 @@ def test_matrices_of_one_lattice_share_one_closure(monkeypatch):
 def test_searches_with_every_cache_reset_match_searches_back_to_back():
     """Every upset of every lattice of at most 4 elements, the empty one
     included: a search with the caches reset first gives what the same
-    search gives run back to back with the others, in both box modes and
-    at every bound up to 3."""
+    search gives run back to back with the others, at every bound up to
+    3."""
     from latmodal import enumerate_upsets
 
     formulas = [AXIOM_K, BOX_DISJUNCTION_DIST, *DEPTH2_FORMULAS]
@@ -848,14 +855,14 @@ def test_searches_with_every_cache_reset_match_searches_back_to_back():
     for lat in _lattices_up_to(4):
         matrices = [Matrix(lat, upset) for upset in enumerate_upsets(lat)]
         assert frozenset() in [m.designated for m in matrices]
-        for f, bound, mode in itertools.product(formulas, (1, 2, 3), BoxMode):
+        for f, bound in itertools.product(formulas, (1, 2, 3)):
             alone = []
             for matrix in matrices:
                 _reset_caches()
-                alone.append(_dict(find_frame_counterexample(matrix, f, bound, mode)))
+                alone.append(_dict(find_frame_counterexample(matrix, f, bound)))
             _reset_caches()
-            in_turn = [_dict(find_frame_counterexample(m, f, bound, mode)) for m in matrices]
-            assert in_turn == alone, (lat, f, bound, mode)
+            in_turn = [_dict(find_frame_counterexample(m, f, bound)) for m in matrices]
+            assert in_turn == alone, (lat, f, bound)
             found += sum(r is not None for r in alone)
     assert 0 < found
 
